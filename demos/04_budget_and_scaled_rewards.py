@@ -11,7 +11,6 @@ import numpy as np
 
 from truthval import (
     CharacteristicTable,
-    RewardReport,
     budget_cap,
     exact_semivalue,
     make_weights,
@@ -32,15 +31,3 @@ print("longer rewards extra value, so it is only weakly truthful up there.")
 for gamma in (0.0, 0.5, 2.0):
     scaled = scaled_reward(phi, budget=budget, gamma=gamma)
     print(f"Scaled, gamma={gamma:3.1f}: {np.round(scaled, 4)}   (max <= {budget:g})")
-
-report = RewardReport(
-    rewards=capped,
-    weights=weights,
-    dvf="log-score",
-    post=f"budget-capped(a=1,B={budget:g})",
-    seed=0,
-    estimator="exact",
-)
-print("\nPackaged with provenance:")
-print(f"  rewards   {report.rewards}")
-print(f"  weights   {report.weights.family}, post: {report.post}, estimator: {report.estimator}")

@@ -70,7 +70,6 @@ from .oracle import (
     oracle_semivalue_truthfulness,
 )
 from .semivalues import (
-    RewardReport,
     SemivalueWeights,
     ShapleyEstimate,
     budget_cap,
@@ -81,6 +80,7 @@ from .semivalues import (
 )
 from .valuation import (
     CharacteristicTable,
+    CoalitionScorer,
     DvfSpec,
     build_char_table,
     coalition_data,

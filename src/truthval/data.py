@@ -21,8 +21,8 @@ class Dataset:
     ``inputs`` holds one row per point, ``outputs`` is aligned with the rows.
     ``kind`` is ``"regression"`` (real outputs) or ``"binary"`` (0/1 outputs).
     Instances are immutable: arrays are copied on construction and marked
-    read-only, so they are safe to share across threads. An empty dataset
-    (zero rows) is valid.
+    read-only, so they are safe to share across threads. Every value must be
+    finite. An empty dataset (zero rows) is valid.
     """
 
     inputs: np.ndarray
@@ -40,6 +40,10 @@ class Dataset:
             raise InputError(
                 f"inputs have {inputs.shape[0]} rows but outputs have {outputs.shape[0]}"
             )
+        if not np.isfinite(inputs).all():
+            raise InputError("inputs contain NaN or infinite values")
+        if not np.isfinite(outputs).all():
+            raise InputError("outputs contain NaN or infinite values")
         if self.kind not in KINDS:
             raise InputError(f"unknown dataset kind {self.kind!r}")
         if self.kind == BINARY and outputs.size and not np.isin(outputs, (0.0, 1.0)).all():

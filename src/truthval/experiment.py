@@ -11,7 +11,9 @@ numbers regardless of the thread count.
 
 from __future__ import annotations
 
+import csv
 import hashlib
+import io
 import json
 import math
 import time
@@ -23,7 +25,7 @@ from typing import Any
 import numpy as np
 from scipy.stats import t as student_t
 
-from .data import BINARY, REGRESSION, Dataset, empty_like, take_rows
+from .data import REGRESSION, Dataset, take_rows
 from .datagen import (
     PerturbSpec,
     Strategy,
@@ -35,30 +37,12 @@ from .datagen import (
     perturb_validation,
     shift_scale_outputs,
 )
-from .errors import ConfigurationError, InputError, TruthvalError
-from .gp import (
-    GpHyper,
-    gaussian_logpdf,
-    gp_log_predictive,
-    gp_pointwise_log_predictive,
-    gp_posterior,
-)
+from .errors import ConfigurationError, InputError, NumericalError, TruthvalError
+from .gp import GpHyper
 from .mechanisms import cross_validation_rewards
-from .models import (
-    BetaBernoulliModel,
-    GaussianMeanModel,
-    LinearRegressionModel,
-    NaturalParams,
-    combine_stats,
-    linreg_log_predictive_from_summary,
-    linreg_validation_summary,
-    log_predictive_from_params,
-    pointwise_log_predictive_from_params,
-    posterior_update,
-    prior_params,
-    suff_stats,
-)
+from .models import BetaBernoulliModel, GaussianMeanModel, LinearRegressionModel
 from .semivalues import (
+    SHAPLEY,
     budget_cap,
     exact_semivalue,
     make_weights,
@@ -69,10 +53,9 @@ from .valuation import (
     DVF_KINDS,
     LOG_SCORE,
     LOG_SCORE_KINDS,
-    CharacteristicTable,
+    CoalitionScorer,
     DvfSpec,
     build_char_table,
-    coalition_data,
 )
 
 SWEEP_AXES = (
@@ -102,6 +85,13 @@ def _stage(name: str):
 # -- config -------------------------------------------------------------------
 
 
+def _json_int(value: Any, what: str) -> int:
+    """``value`` itself if it is a JSON integer; booleans and floats are rejected."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigurationError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def _build_model(spec: Any):
     if not isinstance(spec, dict) or "family" not in spec:
         raise ConfigurationError("model must be an object with a 'family' key")
@@ -118,7 +108,7 @@ def _build_model(spec: Any):
         if "n_features" not in spec:
             raise ConfigurationError("bayes-linreg model requires n_features")
         return LinearRegressionModel(
-            int(spec["n_features"]),
+            _json_int(spec["n_features"], "model n_features"),
             spec.get("prior_var", 1.0),
             spec.get("noise_var", 1.0),
         )
@@ -204,11 +194,11 @@ class ExperimentConfig:
         if unknown:
             raise ConfigurationError(f"unknown config keys {sorted(unknown)}")
 
-        seed = int(raw.get("seed", 0))
-        repeats = int(raw.get("repeats", 1))
+        seed = _json_int(raw.get("seed", 0), "seed")
+        repeats = _json_int(raw.get("repeats", 1), "repeats")
         if repeats < 1:
             raise ConfigurationError(f"repeats must be >= 1, got {repeats}")
-        threads = int(raw.get("threads", 1))
+        threads = _json_int(raw.get("threads", 1), "threads")
         if threads < 1:
             raise ConfigurationError(f"threads must be >= 1, got {threads}")
 
@@ -269,8 +259,12 @@ class ExperimentConfig:
             raise ConfigurationError(f"unknown estimator kind {est_kind!r}")
         estimator_spec = {
             "kind": est_kind,
-            "permutations": int(estimator_spec.get("permutations", 3000)),
-            "exact_limit": int(estimator_spec.get("exact_limit", 20)),
+            "permutations": _json_int(
+                estimator_spec.get("permutations", 3000), "estimator permutations"
+            ),
+            "exact_limit": _json_int(
+                estimator_spec.get("exact_limit", 20), "estimator exact_limit"
+            ),
         }
         if estimator_spec["permutations"] < 1:
             raise ConfigurationError("estimator permutations must be >= 1")
@@ -299,6 +293,19 @@ class ExperimentConfig:
                     raise ConfigurationError("sweep values must be finite")
                 if sorted(numeric) != numeric:
                     raise ConfigurationError("numeric sweep values must be ascending")
+
+        sampled = _uses_sampling(estimator_spec, len(sources))
+        if sampled and dvf_kind in LOG_SCORE_KINDS and post_kind != "cross-validation":
+            # Permutation sampling estimates the Shapley value and nothing else.
+            weight_specs = [weights_spec]
+            if sweep_spec is not None and sweep_spec["axis"] == "weight-family":
+                weight_specs = sweep_spec["values"]
+            for spec in weight_specs:
+                if _weights_label(spec) != SHAPLEY:
+                    raise ConfigurationError(
+                        "the sampled estimator computes Shapley values only, got "
+                        f"weights {_weights_label(spec)!r}"
+                    )
 
         standardize = bool(
             raw.get("standardize_outputs", model.data_kind == REGRESSION)
@@ -347,7 +354,7 @@ def _generate_linear(spec: dict, seed: int) -> Dataset:
     the Bayesian linear-regression likelihood, i.e. a well-specified study.
     """
     weights = np.asarray(spec.get("weights", [1.0]), dtype=float)
-    n = int(spec["n_points"])
+    n = _json_int(spec.get("n_points"), "n_points")
     rng = np.random.default_rng(seed)
     x = rng.uniform(
         float(spec.get("x_low", 0.0)), float(spec.get("x_high", 1.0)),
@@ -366,7 +373,7 @@ def _materialize(spec: dict, seed: int, alpha: float = 0.0, beta: float = 0.0) -
     generator = spec.get("generator")
     if generator == "friedman":
         return friedman_generate(
-            int(spec["n_points"]),
+            _json_int(spec.get("n_points"), "n_points"),
             seed,
             alpha=alpha,
             beta=beta,
@@ -377,7 +384,7 @@ def _materialize(spec: dict, seed: int, alpha: float = 0.0, beta: float = 0.0) -
     if generator == "bernoulli":
         rng = np.random.default_rng(seed)
         p = float(spec.get("p", 0.5))
-        labels = (rng.random(int(spec["n_points"])) < p).astype(float)
+        labels = (rng.random(_json_int(spec.get("n_points"), "n_points")) < p).astype(float)
         return Dataset(np.empty((labels.size, 0)), labels, "binary")
     raise ConfigurationError(f"unknown generator {generator!r}")
 
@@ -438,6 +445,11 @@ def _sweep_points(config: ExperimentConfig) -> list[_Point]:
 # -- reward computation ----------------------------------------------------------
 
 
+def _uses_sampling(estimator_spec: dict, n_sources: int) -> bool:
+    kind = estimator_spec["kind"]
+    return kind == "sampled" or (kind == "auto" and n_sources > estimator_spec["exact_limit"])
+
+
 def _build_weights(spec: dict, n: int):
     family = spec.get("family")
     if family is None:
@@ -445,18 +457,18 @@ def _build_weights(spec: dict, n: int):
     return make_weights(family, n, alpha=spec.get("alpha"), beta=spec.get("beta"))
 
 
-def _post_process(phi: np.ndarray, post_spec: dict) -> tuple[np.ndarray, str]:
+def _post_process(phi: np.ndarray, post_spec: dict) -> np.ndarray:
     kind = post_spec.get("kind", "none")
     if kind == "none":
-        return phi, "raw"
+        return phi
     if kind == "budget":
         a = float(post_spec.get("a", 1.0))
         budget = float(post_spec["budget"])
-        return budget_cap(phi, a, budget), f"budget-capped(a={a:g},B={budget:g})"
+        return budget_cap(phi, a, budget)
     if kind == "scaled":
         budget = float(post_spec["budget"])
         gamma = float(post_spec.get("gamma", 0.0))
-        return scaled_reward(phi, budget, gamma), f"scaled(B={budget:g},gamma={gamma:g})"
+        return scaled_reward(phi, budget, gamma)
     raise ConfigurationError(f"unknown post-processing {kind!r}")
 
 
@@ -489,154 +501,6 @@ def _repeat_subsets(config: ExperimentConfig, point: _Point, pool: Dataset) -> l
         rng = np.random.default_rng(derive_seed(config.seed, "repeat", r))
         subsets.append(np.sort(rng.choice(len(pool), size=k, replace=False)))
     return subsets
-
-
-def _conjugate_mask_params(model, submissions: list[Dataset]) -> list:
-    """Posterior parameters for every coalition, via additive statistics."""
-    prior = prior_params(model)
-    per_source = [suff_stats(ds, model) for ds in submissions]
-    zero = suff_stats(empty_like(submissions[0]), model)
-    params = []
-    for mask in range(2 ** len(submissions)):
-        total = zero
-        for i, stats in enumerate(per_source):
-            if mask >> i & 1:
-                total = combine_stats(total, stats)
-        params.append(posterior_update(prior, total))
-    return params
-
-
-def _conjugate_tables(
-    model, submissions: list[Dataset], pool: Dataset, subsets: list[np.ndarray], dvf_kind: str
-) -> list[np.ndarray]:
-    """Per-repeat characteristic-table values for a conjugate model."""
-    params = _conjugate_mask_params(model, submissions)
-    size = len(params)
-    out = []
-    for idx in subsets:
-        t = take_rows(pool, idx)
-        scores = np.empty(size)
-        for mask in range(size):
-            if dvf_kind == LOG_SCORE:
-                scores[mask] = log_predictive_from_params(model, params[mask], t)
-            else:
-                scores[mask] = float(
-                    np.mean(pointwise_log_predictive_from_params(model, params[mask], t))
-                )
-        out.append(scores - scores[0])
-    return out
-
-
-def _gp_tables(
-    model: GpHyper,
-    submissions: list[Dataset],
-    pool: Dataset,
-    subsets: list[np.ndarray],
-    dvf_kind: str,
-) -> list[np.ndarray]:
-    """Per-repeat table values for a GP, factorizing each coalition once.
-
-    The posterior over the whole validation pool is computed per coalition;
-    each repeat then scores its subset through the marginal of that posterior,
-    which matches scoring the subset directly.
-    """
-    size = 2 ** len(submissions)
-    posteriors = []
-    for mask in range(size):
-        train = coalition_data(submissions, mask)
-        posteriors.append(gp_posterior(train, pool.inputs, model))
-    out = []
-    for idx in subsets:
-        scores = np.empty(size)
-        y = pool.outputs[idx]
-        for mask in range(size):
-            post = posteriors[mask]
-            if dvf_kind == LOG_SCORE:
-                cov = post.cov[np.ix_(idx, idx)] + model.noise_var * np.eye(idx.size)
-                scores[mask] = gaussian_logpdf(y, post.mean[idx], cov)
-            else:
-                var = np.diag(post.cov)[idx] + model.noise_var
-                r = y - post.mean[idx]
-                scores[mask] = float(
-                    np.mean(-0.5 * (np.log(2.0 * np.pi * var) + r**2 / var))
-                )
-        out.append(scores - scores[0])
-    return out
-
-
-def _coalition_evaluator(model, submissions: list[Dataset], validation: Dataset, dvf_kind: str):
-    """Memoized coalition -> value function for the sampled estimator."""
-    cache: dict[int, float] = {0: 0.0}
-    if isinstance(model, GpHyper):
-        empty = empty_like(submissions[0])
-        if dvf_kind == LOG_SCORE:
-            prior_lp = gp_log_predictive(empty, validation, model)
-        else:
-            prior_lp = float(
-                np.mean(gp_pointwise_log_predictive(empty, validation, model))
-            )
-
-        def evaluate(mask: int) -> float:
-            if mask not in cache:
-                train = coalition_data(submissions, mask)
-                if dvf_kind == LOG_SCORE:
-                    lp = gp_log_predictive(train, validation, model)
-                else:
-                    lp = float(
-                        np.mean(gp_pointwise_log_predictive(train, validation, model))
-                    )
-                cache[mask] = lp - prior_lp
-            return cache[mask]
-
-        return evaluate
-
-    prior = prior_params(model)
-    per_source = [suff_stats(ds, model) for ds in submissions]
-
-    if isinstance(model, LinearRegressionModel) and dvf_kind == LOG_SCORE:
-        # Hot path for large sampled games: coalition statistics are a row
-        # selection over a matrix, scoring is d x d algebra on precomputed
-        # validation moments. Verified against the generic path in tests.
-        summary = linreg_validation_summary(model, validation)
-        counts = np.array([s.count for s in per_source])
-        vectors = np.vstack([s.vector for s in per_source])
-        family = per_source[0].family
-        prior_lp = linreg_log_predictive_from_summary(model, prior, summary)
-
-        def evaluate_linreg(mask: int) -> float:
-            if mask not in cache:
-                members = [i for i in range(len(per_source)) if mask >> i & 1]
-                nu = prior.nu0 + counts[members].sum()
-                sigma = (prior.nu0 * prior.sigma0 + vectors[members].sum(axis=0)) / nu
-                params = NaturalParams(family, nu, sigma)
-                cache[mask] = (
-                    linreg_log_predictive_from_summary(model, params, summary) - prior_lp
-                )
-            return cache[mask]
-
-        return evaluate_linreg
-
-    zero = suff_stats(empty_like(submissions[0]), model)
-
-    def score(params) -> float:
-        if dvf_kind == LOG_SCORE:
-            return log_predictive_from_params(model, params, validation)
-        return float(
-            np.mean(pointwise_log_predictive_from_params(model, params, validation))
-        )
-
-    prior_lp = score(prior)
-
-    def evaluate(mask: int) -> float:
-        if mask not in cache:
-            total = zero
-            for i, stats in enumerate(per_source):
-                if mask >> i & 1:
-                    total = combine_stats(total, stats)
-            cache[mask] = score(posterior_update(prior, total)) - prior_lp
-        return cache[mask]
-
-    return evaluate
 
 
 # -- report -------------------------------------------------------------------
@@ -674,6 +538,23 @@ class RunReport:
             "summary": self.summary,
             "wall_time_s": self.wall_time_s,
         }
+
+
+def _repeat_rows(
+    point: _Point, r: int, strategies: list[Strategy], values, rewards
+) -> list[ReportRow]:
+    """Report rows of repeat ``r``, one per source; every number must be finite."""
+    values = np.asarray(values, dtype=float)
+    rewards = np.asarray(rewards, dtype=float)
+    finite = np.isfinite(values) & np.isfinite(rewards)
+    if not finite.all():
+        raise NumericalError(
+            f"source {int(np.argmin(finite))} has a non-finite value or reward in repeat {r}"
+        )
+    return [
+        ReportRow(point.label, r, i, s.tag, float(values[i]), float(rewards[i]))
+        for i, s in enumerate(strategies)
+    ]
 
 
 def _summarize(rows: list[ReportRow]) -> list[dict]:
@@ -780,9 +661,7 @@ def _run_standard_point(
         submissions, pool = _standardize_all(config, submissions, pool)
 
     est = config.estimator_spec
-    use_sampled = est["kind"] == "sampled" or (
-        est["kind"] == "auto" and n > est["exact_limit"]
-    )
+    singletons = [1 << i for i in range(n)]
 
     if not needs_validation:
         # Validation-free baselines: the table does not change across repeats.
@@ -790,75 +669,49 @@ def _run_standard_point(
             spec = DvfSpec(config.dvf_kind, model=model)
             table = build_char_table(submissions, spec, exact_limit=est["exact_limit"])
             phi = exact_semivalue(table, weights)
-            singleton = np.array([table.values[1 << i] for i in range(n)])
         with _stage("rewards"):
-            rewards, post_label = _post_process(phi, config.post_spec)
-        return [
-            ReportRow(point.label, r, i, strategies[i].tag, float(singleton[i]), float(rewards[i]))
-            for r in range(config.repeats)
-            for i in range(n)
-        ]
+            rewards = _post_process(phi, config.post_spec)
+            values = table.values[singletons]
+            return [
+                row
+                for r in range(config.repeats)
+                for row in _repeat_rows(point, r, strategies, values, rewards)
+            ]
 
     with _stage("validation"):
         subsets = _repeat_subsets(config, point, pool)
 
-    rows: list[ReportRow] = []
-    if not use_sampled:
+    if not _uses_sampling(est, n):
         if n > est["exact_limit"]:
             raise ConfigurationError(
                 f"{n} sources exceed the exact limit {est['exact_limit']}; "
                 "set estimator.kind to 'sampled'"
             )
         with _stage("table"):
-            if isinstance(model, GpHyper):
-                per_repeat = _gp_tables(model, submissions, pool, subsets, config.dvf_kind)
-            else:
-                per_repeat = _conjugate_tables(
-                    model, submissions, pool, subsets, config.dvf_kind
-                )
+            tables = CoalitionScorer(model, config.dvf_kind, submissions, pool, subsets).table()
+        rows: list[ReportRow] = []
         with _stage("rewards"):
-            for r, values in enumerate(per_repeat):
-                table = CharacteristicTable(n, values)
+            for r, table in enumerate(tables):
                 phi = exact_semivalue(table, weights)
-                rewards, _ = _post_process(phi, config.post_spec)
-                for i in range(n):
-                    rows.append(
-                        ReportRow(
-                            point.label,
-                            r,
-                            i,
-                            strategies[i].tag,
-                            float(values[1 << i]),
-                            float(rewards[i]),
-                        )
-                    )
+                rewards = _post_process(phi, config.post_spec)
+                rows += _repeat_rows(point, r, strategies, table.values[singletons], rewards)
         return rows
 
     def sampled_repeat(r: int) -> list[ReportRow]:
         validation = take_rows(pool, subsets[r])
-        evaluator = _coalition_evaluator(model, submissions, validation, config.dvf_kind)
+        scorer = CoalitionScorer(model, config.dvf_kind, submissions, validation)
         estimate = sampled_shapley(
-            evaluator,
+            scorer.value,
             n,
             est["permutations"],
             derive_seed(config.seed, "permutations", r),
         )
-        rewards, _ = _post_process(estimate.values, config.post_spec)
-        return [
-            ReportRow(
-                point.label,
-                r,
-                i,
-                strategies[i].tag,
-                float(evaluator(1 << i)),
-                float(rewards[i]),
-            )
-            for i in range(n)
-        ]
+        rewards = _post_process(estimate.values, config.post_spec)
+        values = [scorer.value(mask) for mask in singletons]
+        return _repeat_rows(point, r, strategies, values, rewards)
 
     with _stage("rewards"):
-        rows = [row for chunk in _map_repeats(config, sampled_repeat) for row in chunk]
-    return rows
+        return [row for chunk in _map_repeats(config, sampled_repeat) for row in chunk]
 
 
 def _run_cross_point(
@@ -882,13 +735,7 @@ def _run_cross_point(
             submissions, frac, weights, model, config.seed, split_seeds=split_seeds
         )
         rewards = cg.breve if variant == "breve" else cg.grave
-        own_game = np.diag(cg.per_game)
-        return [
-            ReportRow(
-                point.label, r, i, strategies[i].tag, float(own_game[i]), float(rewards[i])
-            )
-            for i in range(n)
-        ]
+        return _repeat_rows(point, r, strategies, np.diag(cg.per_game), rewards)
 
     with _stage("rewards"):
         return [row for chunk in _map_repeats(config, one_repeat) for row in chunk]
@@ -923,10 +770,12 @@ def render_report(report: RunReport, format: str) -> str:
     columns = ["repeat", "source", "strategy", "value", "reward"]
     if report.sweep_axis is not None:
         columns = ["sweep"] + columns
-    lines = [",".join(columns)]
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(columns)
     for row in report.rows:
         record = [str(row.repeat), str(row.source), row.strategy, repr(row.value), repr(row.reward)]
         if report.sweep_axis is not None:
             record = [row.sweep] + record
-        lines.append(",".join(record))
-    return "\n".join(lines) + "\n"
+        writer.writerow(record)
+    return buffer.getvalue()

@@ -12,8 +12,7 @@ additionally satisfies group rationality: the values sum to v(N) - v(empty).
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -140,7 +139,6 @@ def sampled_shapley(
     n: int,
     n_permutations: int,
     seed: int,
-    n_workers: int = 1,
 ) -> ShapleyEstimate:
     """Unbiased permutation-sampling Shapley estimator.
 
@@ -148,10 +146,6 @@ def sampled_shapley(
     at a time and each source is credited its marginal contribution; the
     estimate is the per-source mean across permutations. ``evaluator`` maps a
     coalition bitmask to its value.
-
-    The permutation sequence is drawn up front from a single generator, so
-    results are identical regardless of ``n_workers``; workers only evaluate
-    marginals in parallel and the reduction order is fixed.
     """
     if n < 1:
         raise ConfigurationError(f"need n >= 1, got {n}")
@@ -171,13 +165,7 @@ def sampled_shapley(
             prev = cur
         return out
 
-    if n_workers > 1:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            per_perm = list(pool.map(marginals, perms))
-    else:
-        per_perm = [marginals(p) for p in perms]
-
-    stacked = np.vstack(per_perm)
+    stacked = np.vstack([marginals(p) for p in perms])
     values = stacked.mean(axis=0)
     if n_permutations >= 2:
         stderr = stacked.std(axis=0, ddof=1) / math.sqrt(n_permutations)
@@ -214,21 +202,3 @@ def scaled_reward(phi: np.ndarray, budget: float, gamma: float) -> np.ndarray:
             f"max semivalue + gamma must be positive, got {denom!r}"
         )
     return budget * phi / denom
-
-
-@dataclass(frozen=True)
-class RewardReport:
-    """Per-source rewards with full provenance."""
-
-    rewards: np.ndarray
-    weights: SemivalueWeights
-    dvf: str
-    post: str
-    seed: int
-    estimator: str
-    stderr: np.ndarray | None = field(default=None)
-
-    def __post_init__(self) -> None:
-        rewards = np.array(self.rewards, dtype=float)
-        rewards.setflags(write=False)
-        object.__setattr__(self, "rewards", rewards)

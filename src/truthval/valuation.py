@@ -18,18 +18,26 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import betaln, digamma
 
-from .data import Dataset, concat_datasets, empty_like
+from .data import Dataset, concat_datasets, empty_like, take_rows
 from .errors import ConfigurationError, InputError, UnsupportedConfigurationError
-from .gp import GpHyper, se_ard_kernel
+from .gp import GpHyper, gaussian_logpdf, gp_posterior, se_ard_kernel
 from .models import (
     BetaBernoulliModel,
     GaussianMeanModel,
     LinearRegressionModel,
+    NaturalParams,
     _beta_ab,
+    _check_kind,
     _gaussian_mean_nu,
+    linreg_log_predictive_from_summary,
+    linreg_validation_summary,
     log_predictive,
+    log_predictive_from_params,
     mean_log_predictive,
+    pointwise_log_predictive_from_params,
     posterior_params,
+    prior_params,
+    suff_stats,
 )
 
 LOG_SCORE = "log-score"
@@ -187,10 +195,6 @@ def coalition_members(mask: int, n: int) -> list[int]:
     return [i for i in range(n) if mask >> i & 1]
 
 
-def coalition_size(mask: int) -> int:
-    return int(mask).bit_count()
-
-
 def coalition_data(sources: list[Dataset], mask: int) -> Dataset:
     """Multiset union (row concatenation) of the member datasets."""
     members = [sources[i] for i in coalition_members(mask, len(sources))]
@@ -199,14 +203,133 @@ def coalition_data(sources: list[Dataset], mask: int) -> Dataset:
     )
 
 
+class CoalitionScorer:
+    """Log-score value of every coalition of ``sources`` on validation sets drawn
+    from one ``pool``.
+
+    Each entry of ``subsets`` holds the pool rows of one validation set; without
+    ``subsets`` the whole pool is the one validation set. The value of the
+    coalition with bitmask ``mask`` is ``log p(T | D_C) - log p(T)`` for kind
+    ``log-score`` and its per-point mean for ``mean-log-score``, the same
+    quantity as :func:`dvf_value` on :func:`coalition_data`. A coalition with no
+    rows is worth exactly zero. The empty coalition is scored once per
+    validation set, and values are memoized as scalars, never as posteriors.
+
+    Conjugate families score a coalition from the summed per-source sufficient
+    statistics. A GP factorizes each coalition's training set once against the
+    whole pool and scores every validation set from the marginal of that
+    posterior.
+    """
+
+    def __init__(self, model, kind: str, sources: list[Dataset], pool: Dataset, subsets=None):
+        if kind not in LOG_SCORE_KINDS:
+            raise ConfigurationError(f"{kind!r} is not a log-score valuation")
+        if not sources:
+            raise ConfigurationError("need at least one source")
+        _check_kind(model, pool, "validation")
+        if subsets is None:
+            subsets = [np.arange(len(pool))]
+        subsets = [np.asarray(idx, dtype=int) for idx in subsets]
+        if any(idx.size == 0 for idx in subsets):
+            raise InputError("validation set must be non-empty")
+        self.n = len(sources)
+        self._model = model
+        self._pool = pool
+        self._counts = np.array([len(ds) for ds in sources])
+        if isinstance(model, GpHyper):
+            self._sources = list(sources)
+            prior = self._coalition([], 0)
+        else:
+            stats = [suff_stats(ds, model) for ds in sources]
+            self._vectors = np.vstack([s.vector for s in stats])
+            self._prior = prior = prior_params(model)
+        self._subset_scores = [self._subset_score(idx, kind) for idx in subsets]
+        self._prior_scores = self._log_scores(prior)
+        self._memo: dict[int, tuple[float, ...]] = {}
+
+    def value(self, mask: int) -> float:
+        """Value of coalition ``mask`` on the first (or only) validation set."""
+        return self._row(mask)[0]
+
+    def table(self) -> list[CharacteristicTable]:
+        """One characteristic table per validation set, over all 2^n coalitions."""
+        rows = np.array([self._row(mask) for mask in range(2**self.n)])
+        return [CharacteristicTable(self.n, column) for column in rows.T]
+
+    def _row(self, mask: int) -> tuple[float, ...]:
+        row = self._memo.get(mask)
+        if row is None:
+            members = coalition_members(mask, self.n)
+            count = self._counts[members].sum()
+            if count == 0:
+                row = (0.0,) * len(self._prior_scores)
+            else:
+                scores = self._log_scores(self._coalition(members, count))
+                row = tuple(s - p for s, p in zip(scores, self._prior_scores))
+            self._memo[mask] = row
+        return row
+
+    def _coalition(self, members: list[int], count):
+        """What the model conditions on: the members' rows for a GP, otherwise
+        the conjugate posterior from their summed statistics."""
+        if isinstance(self._model, GpHyper):
+            first = self._sources[0]
+            return concat_datasets(
+                [self._sources[i] for i in members], n_features=first.n_features, kind=first.kind
+            )
+        prior = self._prior
+        nu = prior.nu0 + count
+        sigma = (prior.nu0 * prior.sigma0 + self._vectors[members].sum(axis=0)) / nu
+        return NaturalParams(prior.family, nu, sigma)
+
+    def _log_scores(self, coalition) -> list[float]:
+        if isinstance(self._model, GpHyper):
+            coalition = gp_posterior(coalition, self._pool.inputs, self._model)
+        return [score(coalition) for score in self._subset_scores]
+
+    def _subset_score(self, idx: np.ndarray, kind: str):
+        """Log score of pool rows ``idx`` as a function of the coalition's
+        posterior parameters (conjugate) or pool posterior (GP)."""
+        model = self._model
+        mean_kind = kind == MEAN_LOG_SCORE
+        if isinstance(model, GpHyper):
+            y = self._pool.outputs[idx]
+            if mean_kind:
+
+                def gp_mean_score(post) -> float:
+                    var = np.diag(post.cov)[idx] + model.noise_var
+                    r = y - post.mean[idx]
+                    return float(np.mean(-0.5 * (np.log(2.0 * np.pi * var) + r**2 / var)))
+
+                return gp_mean_score
+
+            def gp_score(post) -> float:
+                cov = post.cov[np.ix_(idx, idx)] + model.noise_var * np.eye(idx.size)
+                return gaussian_logpdf(y, post.mean[idx], cov)
+
+            return gp_score
+        validation = take_rows(self._pool, idx)
+        if mean_kind:
+            return lambda params: float(
+                np.mean(pointwise_log_predictive_from_params(model, params, validation))
+            )
+        if isinstance(model, LinearRegressionModel):
+            # The joint predictive depends on the validation set only through
+            # its moments, so they are computed once per validation set.
+            summary = linreg_validation_summary(model, validation)
+            return lambda params: linreg_log_predictive_from_summary(model, params, summary)
+        return lambda params: log_predictive_from_params(model, params, validation)
+
+
 def build_char_table(
     sources: list[Dataset], spec: DvfSpec, exact_limit: int = 20
 ) -> CharacteristicTable:
     """Evaluate the valuation on every coalition of sources.
 
     This is exhaustive (2^n evaluations); beyond ``exact_limit`` sources the
-    caller should switch to :func:`truthval.semivalues.sampled_shapley` with a
-    coalition evaluator instead.
+    caller should switch to :func:`truthval.semivalues.sampled_shapley` with
+    :meth:`CoalitionScorer.value` as the evaluator instead. Log-score kinds are
+    scored by :class:`CoalitionScorer`, baselines by :func:`dvf_value`.
     """
     n = len(sources)
     if n < 1:
@@ -220,6 +343,8 @@ def build_char_table(
     for i, src in enumerate(sources):
         if src.n_features != first.n_features or src.kind != first.kind:
             raise InputError(f"source {i} is inconsistent with source 0")
+    if spec.kind in LOG_SCORE_KINDS:
+        return CoalitionScorer(spec.model, spec.kind, sources, spec.validation).table()[0]
     values = np.empty(2**n)
     for mask in range(2**n):
         values[mask] = dvf_value(spec, coalition_data(sources, mask))

@@ -68,6 +68,52 @@ class TestExitCodes:
         assert "numerical error" in capsys.readouterr().err
 
 
+class TestNonFiniteInput:
+    @pytest.mark.parametrize(
+        "model",
+        [
+            {"family": "gaussian-known-var"},
+            {"family": "bayes-linreg", "n_features": 1},
+            {"family": "gp"},
+        ],
+        ids=lambda model: model["family"],
+    )
+    def test_nan_cell_in_a_source_exits_2(self, tmp_path, capsys, model):
+        good = tmp_path / "good.csv"
+        good.write_text("x,y\n0.1,1.0\n0.4,0.5\n0.9,-0.2\n")
+        bad = tmp_path / "bad.csv"
+        bad.write_text("x,y\n0.2,0.3\n0.5,nan\n0.8,0.1\n")
+        cfg = {
+            "model": model,
+            "sources": [
+                {"csv": str(good), "output_column": "y"},
+                {"csv": str(bad), "output_column": "y"},
+            ],
+            "validation": {"csv": str(good), "output_column": "y"},
+        }
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["--config", str(path), "--format", "csv"]) == 2
+        err = capsys.readouterr().err
+        assert "input error" in err and "bad.csv" in err and "NaN" in err
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_rewards_exit_3(self, tmp_path, capsys):
+        # Finite but huge outputs overflow the Gaussian predictive.
+        huge = tmp_path / "huge.csv"
+        huge.write_text("y\n1e300\n-1e300\n")
+        cfg = {
+            "model": {"family": "gaussian-known-var"},
+            "standardize_outputs": False,
+            "sources": [{"csv": str(huge), "output_column": "y"}],
+            "validation": {"csv": str(huge), "output_column": "y", "subset_fraction": 1.0},
+        }
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["--config", str(path)]) == 3
+        assert "non-finite" in capsys.readouterr().err
+
+
 class TestFlags:
     def test_stdout_json_by_default(self, config_path, capsys):
         assert main(["--config", str(config_path)]) == 0
@@ -90,6 +136,19 @@ class TestFlags:
         assert json.loads(capsys.readouterr().out)["config"]["threads"] == 2
         main(["--config", str(config_path), "--threads", "4"])
         assert json.loads(capsys.readouterr().out)["config"]["threads"] == 4
+
+    def test_sampled_non_shapley_weights_exit_1(self, tmp_path, capsys):
+        cfg = {
+            "model": {"family": "beta-bernoulli"},
+            "sources": [{"generator": "bernoulli", "n_points": 5}] * 2,
+            "validation": {"generator": "bernoulli", "n_points": 8},
+            "weights": "banzhaf",
+            "estimator": "sampled",
+        }
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["--config", str(path)]) == 1
+        assert "Shapley values only" in capsys.readouterr().err
 
     def test_bad_threads_env(self, config_path, capsys, monkeypatch):
         monkeypatch.setenv("TRUTHVAL_THREADS", "many")

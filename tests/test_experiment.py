@@ -1,27 +1,19 @@
 """End-to-end experiment runner behavior."""
 
+import csv
+import io
 import json
 
-import numpy as np
 import pytest
 
-from truthval import (
-    DvfSpec,
-    GpHyper,
-    build_char_table,
-    take_rows,
-)
 from truthval.errors import ConfigurationError
 from truthval.experiment import (
     ExperimentConfig,
-    _conjugate_tables,
-    _gp_tables,
     _materialize,
     emit_report,
     render_report,
     run_experiment,
 )
-from truthval.models import LinearRegressionModel
 
 
 def bernoulli_config(**overrides):
@@ -79,54 +71,51 @@ class TestConfigValidation:
         again = ExperimentConfig.from_dict(json.loads(json.dumps(cfg.resolved)))
         assert again.resolved == cfg.resolved
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"seed": 1.7},
+            {"repeats": True},
+            {"threads": "2"},
+            {"estimator": {"permutations": 100.0}},
+            {"estimator": {"exact_limit": False}},
+            {"model": {"family": "bayes-linreg", "n_features": 2.0}},
+        ],
+        ids=["seed", "repeats", "threads", "permutations", "exact_limit", "n_features"],
+    )
+    def test_integer_fields_reject_non_integers(self, overrides):
+        with pytest.raises(ConfigurationError, match="must be an integer"):
+            bernoulli_config(**overrides)
 
-class TestFastPathsMatchGenericPath:
-    """The runner's per-coalition shortcuts must agree with dvf_value tables."""
+    def test_generator_n_points_must_be_an_integer(self):
+        with pytest.raises(ConfigurationError, match="n_points must be an integer"):
+            _materialize({"generator": "bernoulli", "n_points": 4.5}, seed=0)
 
-    def test_conjugate_tables(self):
-        rng = np.random.default_rng(50)
-        model = LinearRegressionModel(n_features=2, prior_var=0.8, noise_var=0.3)
-        from truthval import Dataset
 
-        submissions = [
-            Dataset(rng.uniform(size=(5, 2)), rng.normal(size=5)) for _ in range(3)
-        ]
-        pool = Dataset(rng.uniform(size=(8, 2)), rng.normal(size=8))
-        subsets = [np.array([0, 2, 5]), np.array([1, 3, 4, 6, 7])]
-        fast = _conjugate_tables(model, submissions, pool, subsets, "log-score")
-        for idx, values in zip(subsets, fast):
-            spec = DvfSpec("log-score", model=model, validation=take_rows(pool, idx))
-            slow = build_char_table(submissions, spec)
-            np.testing.assert_allclose(values, slow.values, atol=1e-9)
+def skewed_bernoulli_config(**overrides):
+    """Three Bernoulli sources of very different sizes: Shapley, Banzhaf and
+    individual rewards of source 0 all differ here."""
+    return bernoulli_config(
+        seed=0,
+        repeats=1,
+        sources=[{"generator": "bernoulli", "n_points": k, "p": 0.7} for k in (5, 20, 60)],
+        validation={"generator": "bernoulli", "n_points": 40, "p": 0.7, "subset_fraction": 1.0},
+        **overrides,
+    )
 
-    def test_gp_tables(self):
-        rng = np.random.default_rng(51)
-        model = GpHyper(lengthscales=0.8, signal_var=1.1, noise_var=0.2)
-        from truthval import Dataset
 
-        submissions = [
-            Dataset(rng.uniform(size=(6, 2)), rng.normal(size=6)) for _ in range(2)
-        ]
-        pool = Dataset(rng.uniform(size=(7, 2)), rng.normal(size=7))
-        subsets = [np.array([0, 1, 4]), np.array([2, 3, 5, 6])]
-        fast = _gp_tables(model, submissions, pool, subsets, "log-score")
-        for idx, values in zip(subsets, fast):
-            spec = DvfSpec("log-score", model=model, validation=take_rows(pool, idx))
-            slow = build_char_table(submissions, spec)
-            np.testing.assert_allclose(values, slow.values, atol=1e-8)
+class TestSampledEstimatorIsShapleyOnly:
+    @pytest.mark.parametrize("family", ["banzhaf", "individual"])
+    def test_sampled_rejects_other_weights(self, family):
+        with pytest.raises(ConfigurationError, match="Shapley values only"):
+            skewed_bernoulli_config(estimator="sampled", weights=family)
 
-    def test_gp_tables_mean_variant(self):
-        rng = np.random.default_rng(52)
-        model = GpHyper(noise_var=0.4)
-        from truthval import Dataset
-
-        submissions = [Dataset(rng.uniform(size=(4, 1)), rng.normal(size=4))]
-        pool = Dataset(rng.uniform(size=(5, 1)), rng.normal(size=5))
-        subsets = [np.array([0, 2, 3])]
-        fast = _gp_tables(model, submissions, pool, subsets, "mean-log-score")
-        spec = DvfSpec("mean-log-score", model=model, validation=take_rows(pool, subsets[0]))
-        slow = build_char_table(submissions, spec)
-        np.testing.assert_allclose(fast[0], slow.values, atol=1e-8)
+    def test_auto_beyond_exact_limit_rejects_weight_family_sweep(self):
+        with pytest.raises(ConfigurationError, match="banzhaf"):
+            skewed_bernoulli_config(
+                estimator={"kind": "auto", "exact_limit": 2},
+                sweep={"axis": "weight-family", "values": ["shapley", "banzhaf"]},
+            )
 
 
 class TestRunner:
@@ -338,6 +327,19 @@ class TestReports:
         report = run_experiment(bernoulli_config())
         assert report.config["model"] == {"family": "beta-bernoulli"}
         assert report.config_hash
+
+    def test_csv_quotes_labels_with_commas(self):
+        grid = ["truthful", {"tag": "inject", "frac": 0.1, "offset": 0.1}]
+        report = run_experiment(
+            bernoulli_config(sweep={"axis": "strategy-grid", "source": 0, "values": grid})
+        )
+        parsed = list(csv.DictReader(io.StringIO(render_report(report, "csv"))))
+        assert len(parsed) == len(report.rows)
+        for record, row in zip(parsed, report.rows):
+            assert record["sweep"] == row.sweep
+            assert int(record["repeat"]) == row.repeat
+            assert float(record["reward"]) == row.reward
+        assert "inject(frac=0.1,offset=0.1)" in {r["sweep"] for r in parsed}
 
     def test_confidence_interval_needs_two_repeats(self):
         single = run_experiment(bernoulli_config(repeats=1))

@@ -8,7 +8,6 @@ import pytest
 
 from truthval import (
     CharacteristicTable,
-    RewardReport,
     SemivalueWeights,
     budget_cap,
     exact_semivalue,
@@ -197,11 +196,6 @@ class TestSampledShapley:
         np.testing.assert_array_equal(a.values, b.values)
         np.testing.assert_array_equal(a.stderr, b.stderr)
 
-    def test_worker_count_does_not_change_results(self):
-        one = sampled_shapley(lambda mask: GAME.values[mask], 3, 64, seed=5, n_workers=1)
-        four = sampled_shapley(lambda mask: GAME.values[mask], 3, 64, seed=5, n_workers=4)
-        np.testing.assert_array_equal(one.values, four.values)
-
     def test_unbiased_across_runs(self):
         rng = np.random.default_rng(22)
         n = 8
@@ -255,12 +249,3 @@ class TestPostProcessing:
     def test_scaled_reward_precondition(self):
         with pytest.raises(ConfigurationError):
             scaled_reward(np.array([-1.0, -2.0]), budget=1.0, gamma=0.5)
-
-    def test_reward_report_carries_provenance(self):
-        w = make_weights("shapley", 3)
-        phi = exact_semivalue(GAME, w)
-        report = RewardReport(
-            rewards=phi, weights=w, dvf="log-score", post="raw", seed=0, estimator="exact"
-        )
-        assert report.rewards.sum() == pytest.approx(GAME.values[-1], abs=1e-9)
-        assert report.weights.family == "shapley"

@@ -4,10 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from truthval import (
     BetaBernoulliModel,
     CharacteristicTable,
+    CoalitionScorer,
     Dataset,
     DvfSpec,
     GaussianMeanModel,
@@ -15,11 +18,13 @@ from truthval import (
     LinearRegressionModel,
     binary_dataset,
     build_char_table,
+    coalition_data,
     concat_datasets,
     dvf_value,
     outputs_dataset,
+    take_rows,
 )
-from truthval.errors import ConfigurationError, UnsupportedConfigurationError
+from truthval.errors import ConfigurationError, InputError, UnsupportedConfigurationError
 from truthval.valuation import RankDeficientVolumeWarning
 
 
@@ -165,3 +170,82 @@ class TestCharTable:
     def test_table_shape_validated(self):
         with pytest.raises(ConfigurationError):
             CharacteristicTable(2, np.zeros(3))
+
+
+# One instance per model family: the model and a factory for k random rows.
+FAMILIES = {
+    "beta-bernoulli": (
+        BetaBernoulliModel(2.0, 1.5),
+        lambda rng, k: binary_dataset((rng.random(k) < 0.6).astype(float)),
+    ),
+    "gaussian-known-var": (
+        GaussianMeanModel(0.3, 2.0, 0.7),
+        lambda rng, k: outputs_dataset(rng.normal(0.5, 1.0, size=k)),
+    ),
+    "bayes-linreg": (
+        LinearRegressionModel(n_features=2, prior_var=0.8, noise_var=0.3),
+        lambda rng, k: Dataset(rng.uniform(-1, 1, size=(k, 2)), rng.normal(size=k)),
+    ),
+    "gp": (
+        GpHyper(lengthscales=0.8, signal_var=1.1, noise_var=0.2),
+        lambda rng, k: Dataset(rng.uniform(size=(k, 2)), rng.normal(size=k)),
+    ),
+}
+
+
+def assert_tables_match_dvf_value(model, kind, sources, pool, subsets):
+    tables = CoalitionScorer(model, kind, sources, pool, subsets).table()
+    assert len(tables) == len(subsets)
+    for idx, table in zip(subsets, tables):
+        spec = DvfSpec(kind, model=model, validation=take_rows(pool, idx))
+        want = [dvf_value(spec, coalition_data(sources, m)) for m in range(2 ** len(sources))]
+        assert table.values[0] == 0.0
+        # The absolute floor only matters for values near zero, where
+        # log p(T | D) - log p(T) loses digits to cancellation.
+        np.testing.assert_allclose(table.values, want, rtol=1e-12, atol=1e-13)
+
+
+class TestCoalitionScorer:
+    @pytest.mark.parametrize("kind", ["log-score", "mean-log-score"])
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_table_matches_dvf_value(self, family, kind):
+        rng = np.random.default_rng(50)
+        model, rows = FAMILIES[family]
+        sources = [rows(rng, k) for k in (5, 3, 6)]
+        pool = rows(rng, 8)
+        subsets = [np.array([0, 2, 5]), np.array([1, 3, 4, 6, 7])]
+        assert_tables_match_dvf_value(model, kind, sources, pool, subsets)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        family=st.sampled_from(sorted(FAMILIES)),
+        kind=st.sampled_from(["log-score", "mean-log-score"]),
+        sizes=st.lists(st.integers(0, 6), min_size=1, max_size=4),
+        pool_size=st.integers(1, 6),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_random_instances_match_dvf_value(self, family, kind, sizes, pool_size, seed):
+        rng = np.random.default_rng(seed)
+        model, rows = FAMILIES[family]
+        sources = [rows(rng, k) for k in sizes]
+        pool = rows(rng, pool_size)
+        subsets = [np.arange(pool_size), np.sort(rng.permutation(pool_size)[: 1 + pool_size // 2])]
+        assert_tables_match_dvf_value(model, kind, sources, pool, subsets)
+
+    def test_value_is_memoized_and_matches_table(self):
+        rng = np.random.default_rng(51)
+        model, rows = FAMILIES["bayes-linreg"]
+        sources = [rows(rng, 4) for _ in range(3)]
+        scorer = CoalitionScorer(model, "log-score", sources, rows(rng, 5))
+        first = scorer.value(0b101)
+        assert type(first) is float
+        assert scorer.value(0b101) is first
+        assert scorer.table()[0].values[0b101] == first
+
+    def test_rejects_baseline_kinds_and_empty_validation(self):
+        model = FAMILIES["beta-bernoulli"][0]
+        sources = [binary_dataset([1, 0])]
+        with pytest.raises(ConfigurationError):
+            CoalitionScorer(model, "cardinality", sources, binary_dataset([1]))
+        with pytest.raises(InputError):
+            CoalitionScorer(model, "log-score", sources, binary_dataset([1]), [[]])
