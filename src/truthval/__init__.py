@@ -70,12 +70,12 @@ from .oracle import (
     oracle_semivalue_truthfulness,
 )
 from .semivalues import (
+    SemivalueEstimate,
     SemivalueWeights,
-    ShapleyEstimate,
     budget_cap,
     exact_semivalue,
     make_weights,
-    sampled_shapley,
+    sampled_semivalue,
     scaled_reward,
 )
 from .valuation import (

@@ -42,11 +42,10 @@ from .gp import GpHyper
 from .mechanisms import cross_validation_rewards
 from .models import BetaBernoulliModel, GaussianMeanModel, LinearRegressionModel
 from .semivalues import (
-    SHAPLEY,
     budget_cap,
     exact_semivalue,
     make_weights,
-    sampled_shapley,
+    sampled_semivalue,
     scaled_reward,
 )
 from .valuation import (
@@ -152,6 +151,22 @@ def _weights_label(spec: Any) -> str:
     return family
 
 
+def _weights_object(spec: Any, what: str) -> dict:
+    """A weights spec as an object: a family name or an object with a 'family'."""
+    if isinstance(spec, str):
+        return {"family": spec}
+    if not isinstance(spec, dict):
+        raise ConfigurationError(
+            f"{what} must be a family name or an object, got {spec!r}"
+        )
+    return spec
+
+
+def _check_csv_spec(spec: dict, what: str) -> None:
+    if "csv" in spec and "output_column" not in spec:
+        raise ConfigurationError(f"{what} loads a CSV file and needs an 'output_column'")
+
+
 @dataclass
 class ExperimentConfig:
     """Validated experiment description; ``resolved`` echoes the full config."""
@@ -212,6 +227,7 @@ class ExperimentConfig:
                 raise ConfigurationError(
                     f"source {i} must specify a 'generator' or a 'csv' path"
                 )
+            _check_csv_spec(spec, f"source {i}")
 
         strategies = raw.get("strategies", ["truthful"] * len(sources))
         if len(strategies) != len(sources):
@@ -227,9 +243,7 @@ class ExperimentConfig:
         if dvf_kind not in DVF_KINDS:
             raise ConfigurationError(f"unknown dvf kind {dvf_kind!r}")
 
-        weights_spec = raw.get("weights", {"family": "shapley"})
-        if isinstance(weights_spec, str):
-            weights_spec = {"family": weights_spec}
+        weights_spec = _weights_object(raw.get("weights", {"family": "shapley"}), "weights")
 
         post_spec = raw.get("post", {"kind": "none"})
         if isinstance(post_spec, str):
@@ -250,6 +264,8 @@ class ExperimentConfig:
                 raise ConfigurationError(
                     f"dvf {dvf_kind!r} needs a 'validation' section"
                 )
+        if isinstance(validation_spec, dict):
+            _check_csv_spec(validation_spec, "validation")
 
         estimator_spec = raw.get("estimator", {})
         if isinstance(estimator_spec, str):
@@ -268,6 +284,11 @@ class ExperimentConfig:
         }
         if estimator_spec["permutations"] < 1:
             raise ConfigurationError("estimator permutations must be >= 1")
+        if post_kind == "cross-validation" and est_kind == "sampled":
+            raise ConfigurationError(
+                "cross-validation rewards enumerate every game exactly; "
+                "the sampled estimator is not available with them"
+            )
 
         sweep_spec = raw.get("sweep")
         if sweep_spec is not None:
@@ -286,26 +307,14 @@ class ExperimentConfig:
                 for v in values:
                     _build_strategy(v, 0)
             elif axis == "weight-family":
-                pass
+                for v in values:
+                    _weights_object(v, "weight-family sweep value")
             else:
                 numeric = [float(v) for v in values]
                 if not all(math.isfinite(v) for v in numeric):
                     raise ConfigurationError("sweep values must be finite")
                 if sorted(numeric) != numeric:
                     raise ConfigurationError("numeric sweep values must be ascending")
-
-        sampled = _uses_sampling(estimator_spec, len(sources))
-        if sampled and dvf_kind in LOG_SCORE_KINDS and post_kind != "cross-validation":
-            # Permutation sampling estimates the Shapley value and nothing else.
-            weight_specs = [weights_spec]
-            if sweep_spec is not None and sweep_spec["axis"] == "weight-family":
-                weight_specs = sweep_spec["values"]
-            for spec in weight_specs:
-                if _weights_label(spec) != SHAPLEY:
-                    raise ConfigurationError(
-                        "the sampled estimator computes Shapley values only, got "
-                        f"weights {_weights_label(spec)!r}"
-                    )
 
         standardize = bool(
             raw.get("standardize_outputs", model.data_kind == REGRESSION)
@@ -418,9 +427,7 @@ def _sweep_points(config: ExperimentConfig) -> list[_Point]:
             point.strategy_specs[config.sweep_spec["source"]] = value
             label = _strategy_label(value)
         elif axis == "weight-family":
-            point.weights_spec = (
-                {"family": value} if isinstance(value, str) else dict(value)
-            )
+            point.weights_spec = dict(_weights_object(value, "weight-family sweep value"))
             label = _weights_label(value)
         else:
             key = {
@@ -661,7 +668,7 @@ def _run_standard_point(
         submissions, pool = _standardize_all(config, submissions, pool)
 
     est = config.estimator_spec
-    singletons = [1 << i for i in range(n)]
+    singletons = np.uint64(1) << np.arange(n, dtype=np.uint64)
 
     if not needs_validation:
         # Validation-free baselines: the table does not change across repeats.
@@ -700,15 +707,15 @@ def _run_standard_point(
     def sampled_repeat(r: int) -> list[ReportRow]:
         validation = take_rows(pool, subsets[r])
         scorer = CoalitionScorer(model, config.dvf_kind, submissions, validation)
-        estimate = sampled_shapley(
-            scorer.value,
-            n,
-            est["permutations"],
-            derive_seed(config.seed, "permutations", r),
+
+        def evaluate(masks):
+            return scorer.values(masks)[0]
+
+        estimate = sampled_semivalue(
+            evaluate, weights, est["permutations"], derive_seed(config.seed, "permutations", r)
         )
         rewards = _post_process(estimate.values, config.post_spec)
-        values = [scorer.value(mask) for mask in singletons]
-        return _repeat_rows(point, r, strategies, values, rewards)
+        return _repeat_rows(point, r, strategies, evaluate(singletons), rewards)
 
     with _stage("rewards"):
         return [row for chunk in _map_repeats(config, sampled_repeat) for row in chunk]
@@ -732,7 +739,13 @@ def _run_cross_point(
     def one_repeat(r: int) -> list[ReportRow]:
         split_seeds = [derive_seed(config.seed, "split", r, j) for j in range(n)]
         cg = cross_validation_rewards(
-            submissions, frac, weights, model, config.seed, split_seeds=split_seeds
+            submissions,
+            frac,
+            weights,
+            model,
+            config.seed,
+            split_seeds=split_seeds,
+            exact_limit=config.estimator_spec["exact_limit"],
         )
         rewards = cg.breve if variant == "breve" else cg.grave
         return _repeat_rows(point, r, strategies, np.diag(cg.per_game), rewards)

@@ -49,18 +49,25 @@ def cross_validation_rewards(
     model,
     seed: int,
     split_seeds: Sequence[int] | None = None,
+    exact_limit: int = 20,
 ) -> CrossGameRewards:
     """Split each source, build one game per split, and sum the semivalues.
 
     By default the split seed of source j is derived from (seed, j); passing
     explicit ``split_seeds`` lets identical datasets be split identically,
-    which is what the modified-symmetry condition requires.
+    which is what the modified-symmetry condition requires. Every game is
+    enumerated exactly, so more than ``exact_limit`` sources are rejected.
     """
     n = len(sources)
     if n < 2:
         raise ConfigurationError("cross-validation rewards need at least 2 sources")
     if weights.n != n:
         raise ConfigurationError(f"weights are for n={weights.n}, have {n} sources")
+    if n > exact_limit:
+        raise ConfigurationError(
+            f"cross-validation rewards enumerate all 2^{n} coalitions of every game; "
+            f"{n} sources exceed the exact limit ({exact_limit})"
+        )
     if split_seeds is None:
         split_seeds = [derive_seed(seed, "split", j) for j in range(n)]
     elif len(split_seeds) != n:
@@ -80,7 +87,7 @@ def cross_validation_rewards(
     per_game = np.empty((n, n))
     for j in range(n):
         spec = DvfSpec(LOG_SCORE, model=model, validation=validations[j])
-        table = build_char_table(remaining, spec)
+        table = build_char_table(remaining, spec, exact_limit)
         per_game[:, j] = exact_semivalue(table, weights)
     totals = per_game.sum(axis=1)
     diagonal = np.diag(per_game)

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from typing import ClassVar, Union
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 from scipy.special import betaln
 
 from . import gp as _gp
@@ -228,20 +227,32 @@ def _gaussian_mean_nu(params: NaturalParams) -> tuple[float, float]:
     return params.sigma0[0], params.nu0
 
 
-def _linreg_design(model: LinearRegressionModel, params: NaturalParams):
-    """Return (A, b): A = ridge + sum x x^T, b = sum x y (prior included)."""
+def _one_row(params: NaturalParams) -> tuple[np.ndarray, np.ndarray]:
+    """``params`` as a batch of one: pseudo-counts ``nu`` (k,) and summed
+    statistics ``sums = nu * sigma`` (k, m)."""
+    return np.array([params.nu0]), (params.nu0 * params.sigma0)[None, :]
+
+
+def _linreg_design(model: LinearRegressionModel, sums: np.ndarray):
+    """Stacked (A, b): A = ridge + sum x x^T (k, d, d), b = sum x y (k, d)."""
     d = model.n_features
-    sums = params.nu0 * params.sigma0
-    b = sums[1 : 1 + d]
-    a = sums[1 + d :].reshape(d, d)
-    return a, b
+    return sums[:, 1 + d :].reshape(-1, d, d), sums[:, 1 : 1 + d]
 
 
-def _chol_logdet(factor) -> float:
-    return 2.0 * float(np.sum(np.log(np.diag(factor[0]))))
+def _chol_logdet(lower: np.ndarray) -> np.ndarray:
+    return 2.0 * np.log(np.diagonal(lower, axis1=-2, axis2=-1)).sum(axis=-1)
+
+
+def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Stacked solve of a (k, d, d) x = b for vectors b (k, d)."""
+    return np.linalg.solve(a, b[..., None])[..., 0]
 
 
 # -- log predictive densities -------------------------------------------------
+#
+# Each family has one formula, written over a batch of k parameter sets given
+# as stacked (nu, sums) arrays; the single-parameter functions below are
+# one-row calls into it.
 
 
 def _check_validation(model, validation: Dataset) -> None:
@@ -250,38 +261,98 @@ def _check_validation(model, validation: Dataset) -> None:
     _check_kind(model, validation, "validation")
 
 
-def log_predictive_from_params(
-    model: ConjugateModel, params: NaturalParams, validation: Dataset
-) -> float:
-    """Joint log density of ``validation`` under the predictive at ``params``.
+def validation_summary(model: ConjugateModel, validation: Dataset):
+    """The statistics of ``validation`` that its joint predictive density
+    depends on, computed once for scoring many parameter sets."""
+    _check_validation(model, validation)
+    y = validation.outputs
+    if isinstance(model, BetaBernoulliModel):
+        return len(y), float(y.sum())
+    if isinstance(model, GaussianMeanModel):
+        mean = float(y.mean())
+        return len(y), mean, float(np.sum((y - mean) ** 2))
+    if isinstance(model, LinearRegressionModel):
+        return linreg_validation_summary(model, validation)
+    raise ConfigurationError(f"no closed-form predictive for model {model!r}")
+
+
+def log_predictive_batch(
+    model: ConjugateModel, nu: np.ndarray, sums: np.ndarray, summary
+) -> np.ndarray:
+    """Joint log density of one validation set, given by its
+    :func:`validation_summary`, at each of k stacked parameter sets.
 
     The joint is chain-rule consistent: scoring points sequentially while
     updating the posterior after each one gives the same total.
     """
-    _check_validation(model, validation)
+    if isinstance(model, BetaBernoulliModel):
+        m, s = summary
+        a = sums[:, 0]
+        b = nu - a
+        return betaln(a + s, b + (m - s)) - betaln(a, b)
+    if isinstance(model, GaussianMeanModel):
+        # y ~ N(mu 1, s2 (I + 1 1^T / nu)); Sherman-Morrison gives the inverse
+        # and determinant of the compound-symmetric covariance, and with the
+        # centered sum of squares ss the quadratic form needs no per-point pass.
+        m, mean, ss = summary
+        s2 = model.noise_var
+        mu = sums[:, 0] / nu
+        quad = (ss + m * nu / (nu + m) * (mean - mu) ** 2) / s2
+        logdet = m * math.log(s2) + np.log1p(m / nu)
+        return -0.5 * (m * LOG_2PI + logdet + quad)
+    if isinstance(model, LinearRegressionModel):
+        # The predictive covariance is noise_var * (I + Xs A^{-1} Xs^T); both
+        # the log-determinant and the quadratic form reduce to d x d solves.
+        m, yty, xty, xtx = summary
+        s2 = model.noise_var
+        a, b = _linreg_design(model, sums)
+        w_mean = _solve(a, b)
+        full = np.linalg.cholesky(a + xtx)
+        # r'r and Xs'r for the residual r = ys - Xs w, via the moments alone
+        xtx_w = w_mean @ xtx
+        rtr = yty - 2.0 * (w_mean @ xty) + np.einsum("kd,kd->k", w_mean, xtx_w)
+        z = _solve(full, xty - xtx_w)
+        quad = (rtr - np.einsum("kd,kd->k", z, z)) / s2
+        logdet = m * math.log(s2) + _chol_logdet(full) - _chol_logdet(np.linalg.cholesky(a))
+        return -0.5 * (m * LOG_2PI + logdet + quad)
+    raise ConfigurationError(f"no closed-form predictive for model {model!r}")
+
+
+def pointwise_log_predictive_batch(
+    model: ConjugateModel, nu: np.ndarray, sums: np.ndarray, validation: Dataset
+) -> np.ndarray:
+    """Per-point log predictive densities (k, m) of ``validation``, every point
+    scored at the same parameter set, for each of k stacked parameter sets."""
+    y = validation.outputs
+    if isinstance(model, BetaBernoulliModel):
+        a = sums[:, 0]
+        b = nu - a
+        p1 = (a / (a + b))[:, None]
+        return np.where(y == 1.0, np.log(p1), np.log(1.0 - p1))
+    if isinstance(model, GaussianMeanModel):
+        mu = (sums[:, 0] / nu)[:, None]
+        var = (model.noise_var * (1.0 + 1.0 / nu))[:, None]
+    elif isinstance(model, LinearRegressionModel):
+        a, b = _linreg_design(model, sums)
+        xs = validation.inputs
+        mu = _solve(a, b) @ xs.T
+        # x' A^{-1} x per point, without a (k, d, m) temporary
+        var = model.noise_var * (1.0 + np.einsum("md,kde,me->km", xs, np.linalg.inv(a), xs))
+    else:
+        raise ConfigurationError(f"no closed-form predictive for model {model!r}")
+    return -0.5 * (np.log(2.0 * np.pi * var) + (y - mu) ** 2 / var)
+
+
+def log_predictive_from_params(
+    model: ConjugateModel, params: NaturalParams, validation: Dataset
+) -> float:
+    """Joint log density of ``validation`` under the predictive at ``params``."""
+    summary = validation_summary(model, validation)
     if params.family != model.family:
         raise ConfigurationError(
             f"params family {params.family!r} does not match model {model.family!r}"
         )
-    y = validation.outputs
-    if isinstance(model, BetaBernoulliModel):
-        a, b = _beta_ab(params)
-        s = float(y.sum())
-        f = len(y) - s
-        return float(betaln(a + s, b + f) - betaln(a, b))
-    if isinstance(model, GaussianMeanModel):
-        mu, nu = _gaussian_mean_nu(params)
-        s2 = model.noise_var
-        total = 0.0
-        for obs in y:
-            var = s2 + s2 / nu
-            total += -0.5 * (math.log(2.0 * math.pi * var) + (obs - mu) ** 2 / var)
-            mu = (nu * mu + obs) / (nu + 1.0)
-            nu += 1.0
-        return total
-    if isinstance(model, LinearRegressionModel):
-        return _linreg_joint_logpdf(model, params, validation)
-    raise ConfigurationError(f"no closed-form predictive for model {model!r}")
+    return float(log_predictive_batch(model, *_one_row(params), summary)[0])
 
 
 def linreg_validation_summary(model: LinearRegressionModel, validation: Dataset):
@@ -303,32 +374,8 @@ def linreg_validation_summary(model: LinearRegressionModel, validation: Dataset)
 def linreg_log_predictive_from_summary(
     model: LinearRegressionModel, params: NaturalParams, summary
 ) -> float:
-    """Joint log predictive density from precomputed validation moments.
-
-    The predictive covariance is noise_var * (I + Xs A^{-1} Xs^T); both the
-    log-determinant and the quadratic form reduce to d x d solves.
-    """
-    m, yty, xty, xtx = summary
-    a, b = _linreg_design(model, params)
-    s2 = model.noise_var
-    ca = cho_factor(a, lower=True)
-    w_mean = cho_solve(ca, b)
-    cfull = cho_factor(a + xtx, lower=True)
-    # r'r and Xs'r for the residual r = ys - Xs w, via the moments alone
-    xtx_w = xtx @ w_mean
-    rtr = yty - 2.0 * (w_mean @ xty) + w_mean @ xtx_w
-    u = xty - xtx_w
-    quad = (rtr - u @ cho_solve(cfull, u)) / s2
-    logdet = m * math.log(s2) + _chol_logdet(cfull) - _chol_logdet(ca)
-    return float(-0.5 * (m * LOG_2PI + logdet + quad))
-
-
-def _linreg_joint_logpdf(
-    model: LinearRegressionModel, params: NaturalParams, validation: Dataset
-) -> float:
-    return linreg_log_predictive_from_summary(
-        model, params, linreg_validation_summary(model, validation)
-    )
+    """Joint log predictive density from precomputed validation moments."""
+    return float(log_predictive_batch(model, *_one_row(params), summary)[0])
 
 
 def pointwise_log_predictive_from_params(
@@ -336,25 +383,7 @@ def pointwise_log_predictive_from_params(
 ) -> np.ndarray:
     """Per-point log predictive density, every point scored at the same params."""
     _check_validation(model, validation)
-    y = validation.outputs
-    if isinstance(model, BetaBernoulliModel):
-        a, b = _beta_ab(params)
-        p1 = a / (a + b)
-        return np.where(y == 1.0, math.log(p1), math.log(1.0 - p1))
-    if isinstance(model, GaussianMeanModel):
-        mu, nu = _gaussian_mean_nu(params)
-        var = model.noise_var * (1.0 + 1.0 / nu)
-        return -0.5 * (np.log(2.0 * np.pi * var) + (y - mu) ** 2 / var)
-    if isinstance(model, LinearRegressionModel):
-        a, b = _linreg_design(model, params)
-        ca = cho_factor(a, lower=True)
-        w_mean = cho_solve(ca, b)
-        xs = validation.inputs
-        solve = cho_solve(ca, xs.T)
-        var = model.noise_var * (1.0 + np.einsum("ij,ji->i", xs, solve))
-        mean = xs @ w_mean
-        return -0.5 * (np.log(2.0 * np.pi * var) + (y - mean) ** 2 / var)
-    raise ConfigurationError(f"no closed-form predictive for model {model!r}")
+    return pointwise_log_predictive_batch(model, *_one_row(params), validation)[0]
 
 
 def log_predictive(model: BayesianModel, data: Dataset, validation: Dataset) -> float:

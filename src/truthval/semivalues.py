@@ -119,8 +119,8 @@ def exact_semivalue(table: CharacteristicTable, weights: SemivalueWeights) -> np
 
 
 @dataclass(frozen=True)
-class ShapleyEstimate:
-    """Monte-Carlo Shapley estimate with per-source standard errors."""
+class SemivalueEstimate:
+    """Monte-Carlo semivalue estimate with per-source standard errors."""
 
     values: np.ndarray
     stderr: np.ndarray
@@ -134,44 +134,44 @@ class ShapleyEstimate:
             object.__setattr__(self, name, arr)
 
 
-def sampled_shapley(
-    evaluator: Callable[[int], float],
-    n: int,
+def sampled_semivalue(
+    evaluator: Callable[[np.ndarray], np.ndarray],
+    weights: SemivalueWeights,
     n_permutations: int,
     seed: int,
-) -> ShapleyEstimate:
-    """Unbiased permutation-sampling Shapley estimator.
+) -> SemivalueEstimate:
+    """Unbiased permutation-sampling semivalue estimator.
 
     For each uniformly random permutation, the coalition is grown one source
-    at a time and each source is credited its marginal contribution; the
-    estimate is the per-source mean across permutations. ``evaluator`` maps a
-    coalition bitmask to its value.
+    at a time and each source is credited its marginal contribution, scaled
+    by n * w_c * binom(n-1, c) when c sources precede it: a uniform
+    permutation puts a given size-c coalition before the source with
+    probability 1 / (n * binom(n-1, c)), so the scaled marginal is unbiased
+    for every semivalue, and the factor is 1 for the Shapley value (Castro,
+    Gomez and Tejada, 2009). The estimate is the per-source mean across
+    permutations. ``evaluator`` maps an unsigned integer array of coalition
+    bitmasks to an array of their values of the same shape; it is called
+    once, with every prefix of every permutation.
     """
-    if n < 1:
-        raise ConfigurationError(f"need n >= 1, got {n}")
+    n = weights.n
+    if n > 64:
+        raise ConfigurationError(f"coalition bitmasks cover at most 64 sources, got {n}")
     if n_permutations < 1:
         raise ConfigurationError("need at least one permutation")
     rng = np.random.default_rng(seed)
-    perms = [rng.permutation(n) for _ in range(n_permutations)]
-
-    def marginals(perm: np.ndarray) -> np.ndarray:
-        out = np.empty(n)
-        mask = 0
-        prev = evaluator(0)
-        for idx in perm:
-            mask |= 1 << int(idx)
-            cur = evaluator(mask)
-            out[idx] = cur - prev
-            prev = cur
-        return out
-
-    stacked = np.vstack([marginals(p) for p in perms])
-    values = stacked.mean(axis=0)
+    perms = np.array([rng.permutation(n) for _ in range(n_permutations)])
+    prefixes = np.zeros((n_permutations, n + 1), dtype=np.uint64)
+    np.cumsum(np.uint64(1) << perms.astype(np.uint64), axis=1, out=prefixes[:, 1:])
+    gains = np.diff(np.asarray(evaluator(prefixes), dtype=float), axis=1)
+    scale = n * weights.w * np.array([math.comb(n - 1, c) for c in range(n)], dtype=float)
+    marginals = np.empty((n_permutations, n))
+    np.put_along_axis(marginals, perms, gains * scale, axis=1)
+    values = marginals.mean(axis=0)
     if n_permutations >= 2:
-        stderr = stacked.std(axis=0, ddof=1) / math.sqrt(n_permutations)
+        stderr = marginals.std(axis=0, ddof=1) / math.sqrt(n_permutations)
     else:
         stderr = np.zeros(n)
-    return ShapleyEstimate(values, stderr, n_permutations, seed)
+    return SemivalueEstimate(values, stderr, n_permutations, seed)
 
 
 def budget_cap(phi: np.ndarray, a: float, budget: float) -> np.ndarray:

@@ -25,19 +25,17 @@ from .models import (
     BetaBernoulliModel,
     GaussianMeanModel,
     LinearRegressionModel,
-    NaturalParams,
     _beta_ab,
     _check_kind,
     _gaussian_mean_nu,
-    linreg_log_predictive_from_summary,
-    linreg_validation_summary,
     log_predictive,
-    log_predictive_from_params,
+    log_predictive_batch,
     mean_log_predictive,
-    pointwise_log_predictive_from_params,
+    pointwise_log_predictive_batch,
     posterior_params,
     prior_params,
     suff_stats,
+    validation_summary,
 )
 
 LOG_SCORE = "log-score"
@@ -203,6 +201,11 @@ def coalition_data(sources: list[Dataset], mask: int) -> Dataset:
     )
 
 
+# Coalitions scored per stacked evaluation; bounds the temporaries of a
+# large batch (membership matrix, stacked d x d factors).
+_BLOCK = 512
+
+
 class CoalitionScorer:
     """Log-score value of every coalition of ``sources`` on validation sets drawn
     from one ``pool``.
@@ -212,11 +215,13 @@ class CoalitionScorer:
     coalition with bitmask ``mask`` is ``log p(T | D_C) - log p(T)`` for kind
     ``log-score`` and its per-point mean for ``mean-log-score``, the same
     quantity as :func:`dvf_value` on :func:`coalition_data`. A coalition with no
-    rows is worth exactly zero. The empty coalition is scored once per
-    validation set, and values are memoized as scalars, never as posteriors.
+    rows is worth exactly zero, and the empty coalition is scored once per
+    validation set.
 
-    Conjugate families score a coalition from the summed per-source sufficient
-    statistics. A GP factorizes each coalition's training set once against the
+    Conjugate families score blocks of coalitions at once: a membership
+    matrix times the stacked per-source sufficient statistics gives every
+    coalition's posterior, and the predictive formulas run over the stack. A
+    GP factorizes each distinct coalition's training set once against the
     whole pool and scores every validation set from the marginal of that
     posterior.
     """
@@ -235,61 +240,66 @@ class CoalitionScorer:
         self.n = len(sources)
         self._model = model
         self._pool = pool
-        self._counts = np.array([len(ds) for ds in sources])
+        self._counts = np.array([len(ds) for ds in sources], dtype=float)
         if isinstance(model, GpHyper):
             self._sources = list(sources)
-            prior = self._coalition([], 0)
+            prior = self._gp_posterior([])
         else:
-            stats = [suff_stats(ds, model) for ds in sources]
-            self._vectors = np.vstack([s.vector for s in stats])
-            self._prior = prior = prior_params(model)
+            self._vectors = np.vstack([suff_stats(ds, model).vector for ds in sources])
+            params = prior_params(model)
+            self._nu0, self._sums0 = params.nu0, params.nu0 * params.sigma0
+            prior = (np.array([self._nu0]), self._sums0[None, :])
         self._subset_scores = [self._subset_score(idx, kind) for idx in subsets]
-        self._prior_scores = self._log_scores(prior)
-        self._memo: dict[int, tuple[float, ...]] = {}
+        self._prior_scores = np.ravel([score(prior) for score in self._subset_scores])
 
-    def value(self, mask: int) -> float:
-        """Value of coalition ``mask`` on the first (or only) validation set."""
-        return self._row(mask)[0]
+    def values(self, masks) -> np.ndarray:
+        """Values of the coalitions in the integer array ``masks`` (any shape)
+        on every validation set, shape ``(len(subsets),) + masks.shape``."""
+        masks = np.asarray(masks)
+        if not np.issubdtype(masks.dtype, np.integer):
+            raise ConfigurationError(f"coalition masks must be integers, got {masks.dtype}")
+        if masks.size and (masks.min() < 0 or int(masks.max()) >> self.n):
+            raise ConfigurationError(f"coalition masks must lie in [0, 2^{self.n})")
+        unique, inverse = np.unique(masks.astype(np.uint64).ravel(), return_inverse=True)
+        scored = np.empty((len(self._subset_scores), unique.size))
+        score = self._score_gp if isinstance(self._model, GpHyper) else self._score_conjugate
+        for start in range(0, unique.size, _BLOCK):
+            scored[:, start : start + _BLOCK] = score(unique[start : start + _BLOCK])
+        return scored[:, inverse.reshape(masks.shape)]
 
     def table(self) -> list[CharacteristicTable]:
         """One characteristic table per validation set, over all 2^n coalitions."""
-        rows = np.array([self._row(mask) for mask in range(2**self.n)])
-        return [CharacteristicTable(self.n, column) for column in rows.T]
+        return [CharacteristicTable(self.n, row) for row in self.values(np.arange(2**self.n))]
 
-    def _row(self, mask: int) -> tuple[float, ...]:
-        row = self._memo.get(mask)
-        if row is None:
-            members = coalition_members(mask, self.n)
-            count = self._counts[members].sum()
-            if count == 0:
-                row = (0.0,) * len(self._prior_scores)
-            else:
-                scores = self._log_scores(self._coalition(members, count))
-                row = tuple(s - p for s, p in zip(scores, self._prior_scores))
-            self._memo[mask] = row
-        return row
+    def _score_conjugate(self, masks: np.ndarray) -> np.ndarray:
+        members = (masks[:, None] >> np.arange(self.n, dtype=np.uint64)) & np.uint64(1)
+        members = members.astype(float)
+        counts = members @ self._counts
+        batch = (self._nu0 + counts, self._sums0 + members @ self._vectors)
+        scores = np.array([score(batch) for score in self._subset_scores])
+        return np.where(counts == 0, 0.0, scores - self._prior_scores[:, None])
 
-    def _coalition(self, members: list[int], count):
-        """What the model conditions on: the members' rows for a GP, otherwise
-        the conjugate posterior from their summed statistics."""
-        if isinstance(self._model, GpHyper):
-            first = self._sources[0]
-            return concat_datasets(
-                [self._sources[i] for i in members], n_features=first.n_features, kind=first.kind
-            )
-        prior = self._prior
-        nu = prior.nu0 + count
-        sigma = (prior.nu0 * prior.sigma0 + self._vectors[members].sum(axis=0)) / nu
-        return NaturalParams(prior.family, nu, sigma)
+    def _score_gp(self, masks: np.ndarray) -> np.ndarray:
+        out = np.zeros((len(self._subset_scores), masks.size))
+        for j, mask in enumerate(masks):
+            members = coalition_members(int(mask), self.n)
+            if self._counts[members].sum() > 0:
+                post = self._gp_posterior(members)
+                out[:, j] = [score(post) for score in self._subset_scores]
+                out[:, j] -= self._prior_scores
+        return out
 
-    def _log_scores(self, coalition) -> list[float]:
-        if isinstance(self._model, GpHyper):
-            coalition = gp_posterior(coalition, self._pool.inputs, self._model)
-        return [score(coalition) for score in self._subset_scores]
+    def _gp_posterior(self, members: list[int]):
+        first = self._sources[0]
+        train = concat_datasets(
+            [self._sources[i] for i in members], n_features=first.n_features, kind=first.kind
+        )
+        return gp_posterior(train, self._pool.inputs, self._model)
 
     def _subset_score(self, idx: np.ndarray, kind: str):
-        """Log score of pool rows ``idx`` as a function of the coalition's
-        posterior parameters (conjugate) or pool posterior (GP)."""
+        """Log score of pool rows ``idx`` as a function of the coalition's pool
+        posterior (GP) or of a stacked ``(nu, sums)`` batch of posterior
+        parameters (conjugate), one score per coalition."""
         model = self._model
         mean_kind = kind == MEAN_LOG_SCORE
         if isinstance(model, GpHyper):
@@ -310,15 +320,13 @@ class CoalitionScorer:
             return gp_score
         validation = take_rows(self._pool, idx)
         if mean_kind:
-            return lambda params: float(
-                np.mean(pointwise_log_predictive_from_params(model, params, validation))
+            return lambda batch: pointwise_log_predictive_batch(model, *batch, validation).mean(
+                axis=1
             )
-        if isinstance(model, LinearRegressionModel):
-            # The joint predictive depends on the validation set only through
-            # its moments, so they are computed once per validation set.
-            summary = linreg_validation_summary(model, validation)
-            return lambda params: linreg_log_predictive_from_summary(model, params, summary)
-        return lambda params: log_predictive_from_params(model, params, validation)
+        # The joint predictive depends on the validation set only through its
+        # summary statistics, so they are computed once per validation set.
+        summary = validation_summary(model, validation)
+        return lambda batch: log_predictive_batch(model, *batch, summary)
 
 
 def build_char_table(
@@ -327,8 +335,8 @@ def build_char_table(
     """Evaluate the valuation on every coalition of sources.
 
     This is exhaustive (2^n evaluations); beyond ``exact_limit`` sources the
-    caller should switch to :func:`truthval.semivalues.sampled_shapley` with
-    :meth:`CoalitionScorer.value` as the evaluator instead. Log-score kinds are
+    caller should switch to :func:`truthval.semivalues.sampled_semivalue` with
+    :meth:`CoalitionScorer.values` as the evaluator instead. Log-score kinds are
     scored by :class:`CoalitionScorer`, baselines by :func:`dvf_value`.
     """
     n = len(sources)

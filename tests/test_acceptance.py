@@ -29,7 +29,7 @@ from truthval import (
     oracle_rank_gap,
     oracle_semivalue_truthfulness,
     outputs_dataset,
-    sampled_shapley,
+    sampled_semivalue,
     scaled_reward,
     take_rows,
 )
@@ -255,18 +255,19 @@ def test_criterion_06_estimator_unbiasedness():
     rng = np.random.default_rng(101)
     n = 8
     table = random_table(rng, n)
-    exact = exact_semivalue(table, make_weights("shapley", n))
+    shapley = make_weights("shapley", n)
+    exact = exact_semivalue(table, shapley)
     runs = np.vstack(
         [
-            sampled_shapley(lambda m: table.values[m], n, 100, seed=s).values
+            sampled_semivalue(lambda m: table.values[m], shapley, 100, seed=s).values
             for s in range(200)
         ]
     )
     grand_mean = runs.mean(axis=0)
     se = runs.std(axis=0, ddof=1) / math.sqrt(len(runs))
     assert np.all(np.abs(grand_mean - exact) <= 4 * se)
-    again = sampled_shapley(lambda m: table.values[m], n, 100, seed=123)
-    once = sampled_shapley(lambda m: table.values[m], n, 100, seed=123)
+    again = sampled_semivalue(lambda m: table.values[m], shapley, 100, seed=123)
+    once = sampled_semivalue(lambda m: table.values[m], shapley, 100, seed=123)
     np.testing.assert_array_equal(again.values, once.values)
 
 

@@ -137,7 +137,7 @@ class TestFlags:
         main(["--config", str(config_path), "--threads", "4"])
         assert json.loads(capsys.readouterr().out)["config"]["threads"] == 4
 
-    def test_sampled_non_shapley_weights_exit_1(self, tmp_path, capsys):
+    def test_sampled_non_shapley_weights_exit_0(self, tmp_path, capsys):
         cfg = {
             "model": {"family": "beta-bernoulli"},
             "sources": [{"generator": "bernoulli", "n_points": 5}] * 2,
@@ -147,8 +147,8 @@ class TestFlags:
         }
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg))
-        assert main(["--config", str(path)]) == 1
-        assert "Shapley values only" in capsys.readouterr().err
+        assert main(["--config", str(path)]) == 0
+        assert len(json.loads(capsys.readouterr().out)["rows"]) == 2
 
     def test_bad_threads_env(self, config_path, capsys, monkeypatch):
         monkeypatch.setenv("TRUTHVAL_THREADS", "many")
@@ -161,3 +161,59 @@ class TestFlags:
         second = json.loads(capsys.readouterr().out)
         first.pop("wall_time_s"), second.pop("wall_time_s")
         assert first == second
+
+
+def two_source_cross_validation(**overrides):
+    """Two 6-row Bernoulli sources rewarded without a validation set."""
+    cfg = {
+        "model": {"family": "beta-bernoulli"},
+        "sources": [{"generator": "bernoulli", "n_points": 6, "p": 0.6}] * 2,
+        "post": {"kind": "cross-validation"},
+        "weights": "banzhaf",
+    }
+    cfg.update(overrides)
+    return cfg
+
+
+class TestConfigurationErrorsExit1:
+    def run(self, tmp_path, capsys, cfg):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        code = main(["--config", str(path)])
+        return code, capsys.readouterr().err
+
+    def test_csv_source_without_output_column(self, tmp_path, capsys, config_path):
+        cfg = json.loads(config_path.read_text())
+        data = tmp_path / "data.csv"
+        data.write_text("y\n1\n0\n")
+        cfg["sources"][0] = {"csv": str(data), "kind": "binary"}
+        code, err = self.run(tmp_path, capsys, cfg)
+        assert code == 1
+        assert err.startswith("configuration error:") and "output_column" in err
+
+    def test_non_string_weight_family_sweep_value(self, tmp_path, capsys, config_path):
+        cfg = json.loads(config_path.read_text())
+        cfg["sweep"] = {"axis": "weight-family", "values": [3]}
+        code, err = self.run(tmp_path, capsys, cfg)
+        assert code == 1
+        assert err.startswith("configuration error:") and "weight-family" in err
+
+    def test_weights_list(self, tmp_path, capsys, config_path):
+        cfg = json.loads(config_path.read_text())
+        cfg["weights"] = ["shapley"]
+        code, err = self.run(tmp_path, capsys, cfg)
+        assert code == 1
+        assert err.startswith("configuration error:") and "weights" in err
+
+    def test_cross_validation_rejects_sampled_estimator(self, tmp_path, capsys):
+        cfg = two_source_cross_validation(estimator={"kind": "sampled", "permutations": 1})
+        code, err = self.run(tmp_path, capsys, cfg)
+        assert code == 1
+        assert err.startswith("configuration error:") and "sampled" in err
+
+    def test_cross_validation_honors_exact_limit(self, tmp_path, capsys):
+        assert self.run(tmp_path, capsys, two_source_cross_validation())[0] == 0
+        cfg = two_source_cross_validation(estimator={"exact_limit": 1})
+        code, err = self.run(tmp_path, capsys, cfg)
+        assert code == 1
+        assert err.startswith("configuration error:") and "exact" in err

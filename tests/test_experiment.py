@@ -4,6 +4,7 @@ import csv
 import io
 import json
 
+import numpy as np
 import pytest
 
 from truthval.errors import ConfigurationError
@@ -104,18 +105,51 @@ def skewed_bernoulli_config(**overrides):
     )
 
 
-class TestSampledEstimatorIsShapleyOnly:
+class TestSampledWeights:
     @pytest.mark.parametrize("family", ["banzhaf", "individual"])
-    def test_sampled_rejects_other_weights(self, family):
-        with pytest.raises(ConfigurationError, match="Shapley values only"):
-            skewed_bernoulli_config(estimator="sampled", weights=family)
+    def test_other_weights_match_exact(self, family):
+        sampled = skewed_bernoulli_config(
+            weights=family, estimator={"kind": "sampled", "permutations": 4000}
+        )
+        got = [row.reward for row in run_experiment(sampled).rows]
+        want = [row.reward for row in run_experiment(skewed_bernoulli_config(weights=family)).rows]
+        shapley = run_experiment(skewed_bernoulli_config()).rows[0].reward
+        np.testing.assert_allclose(got, want, rtol=0.05, atol=0.01)
+        # Source 0's Shapley, Banzhaf and individual rewards are far apart here.
+        assert abs(got[0] - want[0]) < abs(got[0] - shapley) / 5
 
-    def test_auto_beyond_exact_limit_rejects_weight_family_sweep(self):
-        with pytest.raises(ConfigurationError, match="banzhaf"):
+    def test_auto_beyond_exact_limit_runs_weight_sweep(self):
+        report = run_experiment(
             skewed_bernoulli_config(
                 estimator={"kind": "auto", "exact_limit": 2},
                 sweep={"axis": "weight-family", "values": ["shapley", "banzhaf"]},
             )
+        )
+        rewards = {row.sweep: row.reward for row in report.rows if row.source == 0}
+        assert rewards["banzhaf"] < rewards["shapley"] - 0.01
+
+
+class TestConfigShapes:
+    def test_csv_source_needs_output_column(self):
+        with pytest.raises(ConfigurationError, match="output_column"):
+            bernoulli_config(sources=[{"csv": "data.csv"}])
+
+    def test_csv_validation_needs_output_column(self):
+        with pytest.raises(ConfigurationError, match="output_column"):
+            bernoulli_config(validation={"csv": "data.csv"})
+
+    @pytest.mark.parametrize("value", [3, ["shapley"], None])
+    def test_weight_family_sweep_values_are_names_or_objects(self, value):
+        with pytest.raises(ConfigurationError, match="weight-family sweep value"):
+            bernoulli_config(sweep={"axis": "weight-family", "values": ["shapley", value]})
+
+    def test_weights_must_not_be_a_list(self):
+        with pytest.raises(ConfigurationError, match="weights must be"):
+            bernoulli_config(weights=["shapley"])
+
+    def test_cross_validation_rejects_sampled_estimator(self):
+        with pytest.raises(ConfigurationError, match="cross-validation"):
+            bernoulli_config(post={"kind": "cross-validation"}, estimator="sampled")
 
 
 class TestRunner:

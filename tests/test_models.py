@@ -18,6 +18,7 @@ from truthval import (
     log_predictive,
     mean_log_predictive,
     outputs_dataset,
+    posterior_params,
     posterior_update,
     prior_params,
     suff_stats,
@@ -253,6 +254,24 @@ class TestLogPredictive:
             train.inputs, train.outputs
         )
         assert log_predictive(model, train, val) == pytest.approx(expected, abs=1e-9)
+
+    def test_gaussian_mean_matches_dense_joint(self):
+        # Independent oracle: given the posterior N(mu, s2 / nu) of the mean, the
+        # validation outputs are jointly N(mu 1, s2 (I + 1 1^T / nu)).
+        rng = np.random.default_rng(7)
+        for _ in range(20):
+            model = GaussianMeanModel(
+                rng.normal(0.0, 3.0), rng.uniform(0.1, 4.0), rng.uniform(0.1, 2.0)
+            )
+            data = outputs_dataset(rng.normal(2.0, 1.5, size=int(rng.integers(0, 8))))
+            val = outputs_dataset(rng.normal(2.0, 1.5, size=int(rng.integers(1, 9))))
+            params = posterior_params(model, data)
+            mu, nu, m = params.sigma0[0], params.nu0, len(val)
+            cov = model.noise_var * (np.eye(m) + np.ones((m, m)) / nu)
+            r = val.outputs - mu
+            sign, logdet = np.linalg.slogdet(2 * np.pi * cov)
+            expected = -0.5 * (logdet + r @ np.linalg.solve(cov, r))
+            assert log_predictive(model, data, val) == pytest.approx(expected, abs=1e-10)
 
 
 class TestMeanLogPredictive:

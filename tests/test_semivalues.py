@@ -12,7 +12,7 @@ from truthval import (
     budget_cap,
     exact_semivalue,
     make_weights,
-    sampled_shapley,
+    sampled_semivalue,
     scaled_reward,
 )
 from truthval.errors import ConfigurationError
@@ -180,19 +180,37 @@ class TestExactSemivalue:
             exact_semivalue(GAME, make_weights("shapley", 4))
 
 
+def sampled_shapley(evaluator, n, n_permutations, seed):
+    return sampled_semivalue(evaluator, make_weights("shapley", n), n_permutations, seed)
+
+
+def scalar_sampled_shapley(evaluator, n, n_permutations, seed) -> np.ndarray:
+    """Reference estimator: one permutation and one coalition at a time."""
+    rng = np.random.default_rng(seed)
+    total = np.zeros(n)
+    for _ in range(n_permutations):
+        mask, prev = 0, evaluator(0)
+        for idx in rng.permutation(n):
+            mask |= 1 << int(idx)
+            cur = evaluator(mask)
+            total[idx] += cur - prev
+            prev = cur
+    return total / n_permutations
+
+
 class TestSampledShapley:
     def test_single_player_is_exact(self):
-        est = sampled_shapley(lambda mask: 3.25 if mask else 0.0, 1, 7, seed=0)
+        est = sampled_shapley(lambda masks: np.where(masks > 0, 3.25, 0.0), 1, 7, seed=0)
         np.testing.assert_allclose(est.values, [3.25])
 
     def test_worked_game_within_three_stderr(self):
-        est = sampled_shapley(lambda mask: GAME.values[mask], 3, 5000, seed=1)
+        est = sampled_shapley(lambda masks: GAME.values[masks], 3, 5000, seed=1)
         for got, se, exact in zip(est.values, est.stderr, (2.5, 2.5, 1.0)):
             assert abs(got - exact) <= 3 * se + 1e-12
 
     def test_fixed_seed_is_deterministic(self):
-        a = sampled_shapley(lambda mask: GAME.values[mask], 3, 200, seed=42)
-        b = sampled_shapley(lambda mask: GAME.values[mask], 3, 200, seed=42)
+        a = sampled_shapley(lambda masks: GAME.values[masks], 3, 200, seed=42)
+        b = sampled_shapley(lambda masks: GAME.values[masks], 3, 200, seed=42)
         np.testing.assert_array_equal(a.values, b.values)
         np.testing.assert_array_equal(a.stderr, b.stderr)
 
@@ -210,6 +228,59 @@ class TestSampledShapley:
         grand_mean = runs.mean(axis=0)
         se = runs.std(axis=0, ddof=1) / math.sqrt(len(runs))
         assert np.all(np.abs(grand_mean - exact) <= 4 * se)
+
+    def test_same_permutations_as_scalar_loop(self):
+        rng = np.random.default_rng(23)
+        n = 6
+        table = random_table(rng, n)
+        want = scalar_sampled_shapley(lambda m: table.values[m], n, 300, seed=5)
+        got = sampled_shapley(lambda m: table.values[m], n, 300, seed=5).values
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+class TestSampledSemivalue:
+    @pytest.mark.parametrize(
+        "weights",
+        [make_weights("banzhaf", 8), make_weights("beta", 8, alpha=4.0, beta=1.0)],
+        ids=["banzhaf", "beta(4,1)"],
+    )
+    def test_unbiased_across_runs(self, weights):
+        rng = np.random.default_rng(24)
+        table = random_table(rng, 8)
+        exact = exact_semivalue(table, weights)
+        runs = np.vstack(
+            [
+                sampled_semivalue(lambda m: table.values[m], weights, 100, seed=s).values
+                for s in range(200)
+            ]
+        )
+        grand_mean = runs.mean(axis=0)
+        se = runs.std(axis=0, ddof=1) / math.sqrt(len(runs))
+        assert np.all(np.abs(grand_mean - exact) <= 4 * se)
+        # Banzhaf and Beta(4,1) differ from the Shapley value on this table.
+        shapley = exact_semivalue(table, make_weights("shapley", 8))
+        assert np.abs(exact - shapley).max() > 8 * se.max()
+
+    def test_individual_weights_credit_only_first_position(self):
+        # w = (1, 0, ..., 0): each source earns n * v({i}) when it comes first.
+        est = sampled_semivalue(lambda m: GAME.values[m], make_weights("individual", 3), 1, 0)
+        first = int(np.random.default_rng(0).permutation(3)[0])
+        want = np.zeros(3)
+        want[first] = 3 * GAME.values[1 << first]
+        np.testing.assert_allclose(est.values, want)
+
+    def test_more_than_64_sources_rejected_before_evaluating(self):
+        def evaluator(masks):
+            raise AssertionError("evaluator must not be called")
+
+        with pytest.raises(ConfigurationError, match="64"):
+            sampled_semivalue(evaluator, make_weights("banzhaf", 65), 10**9, seed=0)
+
+    def test_64_sources_use_every_mask_bit(self):
+        weights = make_weights("shapley", 64)
+        est = sampled_semivalue(lambda m: (m >> np.uint64(63)).astype(float), weights, 50, 3)
+        # Only source 63's bit moves the value, by exactly one.
+        np.testing.assert_allclose(est.values, np.eye(64)[63], atol=1e-12)
 
 
 class TestPostProcessing:

@@ -232,15 +232,49 @@ class TestCoalitionScorer:
         subsets = [np.arange(pool_size), np.sort(rng.permutation(pool_size)[: 1 + pool_size // 2])]
         assert_tables_match_dvf_value(model, kind, sources, pool, subsets)
 
-    def test_value_is_memoized_and_matches_table(self):
+    @settings(max_examples=60, deadline=None)
+    @given(
+        family=st.sampled_from(sorted(FAMILIES)),
+        kind=st.sampled_from(["log-score", "mean-log-score"]),
+        sizes=st.lists(st.integers(0, 6), min_size=1, max_size=4),
+        shape=st.tuples(st.integers(1, 4), st.integers(1, 5)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_values_match_dvf_value_for_any_mask_array(self, family, kind, sizes, shape, seed):
+        rng = np.random.default_rng(seed)
+        model, rows = FAMILIES[family]
+        sources = [rows(rng, k) for k in sizes]
+        pool = rows(rng, 5)
+        subsets = [np.array([0, 3]), np.arange(5)]
+        n = len(sources)
+        # Draws from a few coalitions repeat masks; the empty mask is always in.
+        masks = rng.integers(0, 2**n, size=shape)
+        masks[0, 0] = 0
+        got = CoalitionScorer(model, kind, sources, pool, subsets).values(masks)
+        assert got.shape == (len(subsets),) + shape
+        for idx, values in zip(subsets, got):
+            spec = DvfSpec(kind, model=model, validation=take_rows(pool, idx))
+            want = np.vectorize(lambda m: dvf_value(spec, coalition_data(sources, int(m))))(masks)
+            assert values[0, 0] == 0.0
+            np.testing.assert_allclose(values, want, rtol=1e-12, atol=1e-13)
+
+    def test_values_match_table_for_any_mask_shape(self):
         rng = np.random.default_rng(51)
         model, rows = FAMILIES["bayes-linreg"]
         sources = [rows(rng, 4) for _ in range(3)]
         scorer = CoalitionScorer(model, "log-score", sources, rows(rng, 5))
-        first = scorer.value(0b101)
-        assert type(first) is float
-        assert scorer.value(0b101) is first
-        assert scorer.table()[0].values[0b101] == first
+        table = scorer.table()[0].values
+        masks = np.array([[5, 0, 5], [7, 1, 5]], dtype=np.uint64)
+        np.testing.assert_allclose(scorer.values(masks), table[masks][None], rtol=1e-14, atol=0)
+        assert scorer.values(np.zeros((0, 4), dtype=int)).shape == (1, 0, 4)
+
+    @pytest.mark.parametrize("masks", [np.array([0.0, 1.0]), np.array([-1]), np.array([8])])
+    def test_values_rejects_masks_outside_the_game(self, masks):
+        model, rows = FAMILIES["beta-bernoulli"]
+        rng = np.random.default_rng(52)
+        scorer = CoalitionScorer(model, "log-score", [rows(rng, 2)] * 3, rows(rng, 3))
+        with pytest.raises(ConfigurationError):
+            scorer.values(masks)
 
     def test_rejects_baseline_kinds_and_empty_validation(self):
         model = FAMILIES["beta-bernoulli"][0]
