@@ -86,6 +86,18 @@ def take_rows(dataset: Dataset, indices) -> Dataset:
     return Dataset(dataset.inputs[indices], dataset.outputs[indices], dataset.kind)
 
 
+def check_consistent(datasets: Sequence[Dataset]) -> None:
+    """Raise InputError unless every dataset has the feature count and kind of
+    the first; rows of different layouts cannot be pooled or compared."""
+    first = datasets[0]
+    for ds in datasets[1:]:
+        if (ds.n_features, ds.kind) != (first.n_features, first.kind):
+            raise InputError(
+                f"datasets do not match: {first.n_features} features ({first.kind}) "
+                f"and {ds.n_features} features ({ds.kind})"
+            )
+
+
 def concat_datasets(
     datasets: Iterable[Dataset],
     n_features: int | None = None,
@@ -100,14 +112,8 @@ def concat_datasets(
         if n_features is None or kind is None:
             raise InputError("concatenating zero datasets requires n_features and kind")
         return empty_dataset(n_features, kind)
+    check_consistent(datasets)
     first = datasets[0]
-    for ds in datasets[1:]:
-        if ds.n_features != first.n_features:
-            raise InputError(
-                f"feature-count mismatch in union: {ds.n_features} vs {first.n_features}"
-            )
-        if ds.kind != first.kind:
-            raise InputError(f"kind mismatch in union: {ds.kind} vs {first.kind}")
     if len(datasets) == 1:
         return first
     return Dataset(

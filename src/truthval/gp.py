@@ -110,12 +110,17 @@ def _noise_diagonal(hyper: GpHyper, n: int, train_noise_var) -> np.ndarray:
 
 
 def _factor_train_kernel(k_train: np.ndarray, hyper: GpHyper):
-    """Cholesky of the noisy training kernel, escalating jitter on failure."""
-    n = k_train.shape[0]
-    eye = np.eye(n)
+    """Cholesky of the noisy training kernel, escalating jitter on failure.
+
+    Each rung's jitter is written onto the diagonal of ``k_train`` in place, so
+    the caller's matrix holds the last rung tried when this returns.
+    """
+    diag = np.diag_indices_from(k_train)
+    noisy = k_train[diag].copy()
     for extra in (0.0,) + tuple(r * hyper.signal_var for r in _JITTER_RUNGS):
+        k_train[diag] = noisy + (hyper.jitter + extra)
         try:
-            return cho_factor(k_train + (hyper.jitter + extra) * eye, lower=True)
+            return cho_factor(k_train, lower=True)
         except np.linalg.LinAlgError:
             continue
     raise NumericalError(

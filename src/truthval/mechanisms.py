@@ -15,11 +15,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, concat_datasets
 from .datagen import derive_seed, split_train_validation
 from .errors import ConfigurationError
 from .semivalues import SemivalueWeights, exact_semivalue
-from .valuation import LOG_SCORE, DvfSpec, build_char_table
+from .valuation import LOG_SCORE, CoalitionScorer
 
 
 @dataclass(frozen=True)
@@ -78,17 +78,16 @@ def cross_validation_rewards(
                 f"source {j} has {len(src)} points, too few to split into a "
                 "validation part and a non-empty remainder"
             )
-    remaining = []
-    validations = []
-    for j, src in enumerate(sources):
-        rest, val = split_train_validation(src, validation_frac, split_seeds[j])
-        remaining.append(rest)
-        validations.append(val)
-    per_game = np.empty((n, n))
-    for j in range(n):
-        spec = DvfSpec(LOG_SCORE, model=model, validation=validations[j])
-        table = build_char_table(remaining, spec, exact_limit)
-        per_game[:, j] = exact_semivalue(table, weights)
+    remaining, validations = zip(
+        *(split_train_validation(src, validation_frac, s) for src, s in zip(sources, split_seeds))
+    )
+    # The games differ only in their validation set, so one scorer values
+    # every coalition once against the pool of all splits.
+    ends = np.cumsum([len(val) for val in validations])
+    subsets = [np.arange(end - len(val), end) for end, val in zip(ends, validations)]
+    pool = concat_datasets(validations)
+    tables = CoalitionScorer(model, LOG_SCORE, list(remaining), pool, subsets).table()
+    per_game = np.column_stack([exact_semivalue(table, weights) for table in tables])
     totals = per_game.sum(axis=1)
     diagonal = np.diag(per_game)
     return CrossGameRewards(per_game, totals - diagonal, totals)

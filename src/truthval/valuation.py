@@ -14,11 +14,13 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
+from scipy.linalg import solve_triangular
 from scipy.special import betaln, digamma
 
-from .data import Dataset, concat_datasets, empty_like, take_rows
+from .data import Dataset, check_consistent, concat_datasets, empty_like, take_rows
 from .errors import ConfigurationError, InputError, UnsupportedConfigurationError
 from .gp import GpHyper, gaussian_logpdf, gp_posterior, se_ard_kernel
 from .models import (
@@ -201,9 +203,39 @@ def coalition_data(sources: list[Dataset], mask: int) -> Dataset:
     )
 
 
-# Coalitions scored per stacked evaluation; bounds the temporaries of a
-# large batch (membership matrix, stacked d x d factors).
+# Conjugate coalitions scored per stacked evaluation; bounds the temporaries
+# of a large batch (membership matrix, stacked d x d factors).
 _BLOCK = 512
+
+
+class _GpLevel(NamedTuple):
+    """A coalition on the GP lattice path.
+
+    Its training rows are rows ``[0, end)`` of the path's scratch (see
+    :class:`_GpPath`). Its latent posterior on the pool is ``mean`` plus
+    ``spread``: one covariance block per validation set for ``log-score``,
+    the pool variances for ``mean-log-score``. ``mean`` is None when an
+    appended block was not positive definite; that coalition and its
+    extensions are scored by :func:`gp_posterior` instead.
+    """
+
+    end: int
+    mean: np.ndarray | None = None
+    spread: object = None
+
+
+class _GpPath:
+    """Scratch of the coalitions on the lattice path, one row per training row:
+    the inputs, the Cholesky factor L of the noisy training kernel,
+    V = L^-1 K(train, pool) and w = L^-1 y. A level's rows are overwritten
+    when the path turns, so one factor's worth of memory serves every
+    coalition."""
+
+    def __init__(self, rows: int, pool: Dataset):
+        self.inputs = np.empty((rows, pool.n_features))
+        self.factor = np.empty((rows, rows))
+        self.proj = np.empty((rows, len(pool)))
+        self.white = np.empty(rows)
 
 
 class CoalitionScorer:
@@ -216,14 +248,18 @@ class CoalitionScorer:
     ``log-score`` and its per-point mean for ``mean-log-score``, the same
     quantity as :func:`dvf_value` on :func:`coalition_data`. A coalition with no
     rows is worth exactly zero, and the empty coalition is scored once per
-    validation set.
+    validation set. Every source and the pool must share one feature count
+    and kind.
 
     Conjugate families score blocks of coalitions at once: a membership
     matrix times the stacked per-source sufficient statistics gives every
     coalition's posterior, and the predictive formulas run over the stack. A
-    GP factorizes each distinct coalition's training set once against the
-    whole pool and scores every validation set from the marginal of that
-    posterior.
+    GP walks the requested coalitions as a lattice: each coalition extends a
+    smaller one by the rows of one source, so its Cholesky factor and its
+    posterior on the pool are the parent's plus one appended block, and no
+    coalition is factorized from scratch. The posterior is kept only where
+    the scores read it: a covariance block per validation set, or the
+    variances alone for ``mean-log-score``.
     """
 
     def __init__(self, model, kind: str, sources: list[Dataset], pool: Dataset, subsets=None):
@@ -232,6 +268,7 @@ class CoalitionScorer:
         if not sources:
             raise ConfigurationError("need at least one source")
         _check_kind(model, pool, "validation")
+        check_consistent([*sources, pool])
         if subsets is None:
             subsets = [np.arange(len(pool))]
         subsets = [np.asarray(idx, dtype=int) for idx in subsets]
@@ -240,16 +277,23 @@ class CoalitionScorer:
         self.n = len(sources)
         self._model = model
         self._pool = pool
+        self._subsets = subsets
         self._counts = np.array([len(ds) for ds in sources], dtype=float)
         if isinstance(model, GpHyper):
             self._sources = list(sources)
-            prior = self._gp_posterior([])
-        else:
-            self._vectors = np.vstack([suff_stats(ds, model).vector for ds in sources])
-            params = prior_params(model)
-            self._nu0, self._sums0 = params.nu0, params.nu0 * params.sigma0
-            prior = (np.array([self._nu0]), self._sums0[None, :])
+            self._mean_kind = kind == MEAN_LOG_SCORE
+            if self._mean_kind:
+                spread = np.full(len(pool), model.signal_var)
+            else:
+                spread = [se_ard_kernel(pool.inputs[i], pool.inputs[i], model) for i in subsets]
+            self._gp_root = _GpLevel(0, np.zeros(len(pool)), spread)
+            self._prior_scores = self._gp_scores(self._gp_root)
+            return
+        self._vectors = np.vstack([suff_stats(ds, model).vector for ds in sources])
+        params = prior_params(model)
+        self._nu0, self._sums0 = params.nu0, params.nu0 * params.sigma0
         self._subset_scores = [self._subset_score(idx, kind) for idx in subsets]
+        prior = (np.array([self._nu0]), self._sums0[None, :])
         self._prior_scores = np.ravel([score(prior) for score in self._subset_scores])
 
     def values(self, masks) -> np.ndarray:
@@ -261,10 +305,14 @@ class CoalitionScorer:
         if masks.size and (masks.min() < 0 or int(masks.max()) >> self.n):
             raise ConfigurationError(f"coalition masks must lie in [0, 2^{self.n})")
         unique, inverse = np.unique(masks.astype(np.uint64).ravel(), return_inverse=True)
-        scored = np.empty((len(self._subset_scores), unique.size))
-        score = self._score_gp if isinstance(self._model, GpHyper) else self._score_conjugate
-        for start in range(0, unique.size, _BLOCK):
-            scored[:, start : start + _BLOCK] = score(unique[start : start + _BLOCK])
+        if isinstance(self._model, GpHyper):
+            scored = self._score_gp(unique)
+        else:
+            scored = np.empty((len(self._subsets), unique.size))
+            for start in range(0, unique.size, _BLOCK):
+                scored[:, start : start + _BLOCK] = self._score_conjugate(
+                    unique[start : start + _BLOCK]
+                )
         return scored[:, inverse.reshape(masks.shape)]
 
     def table(self) -> list[CharacteristicTable]:
@@ -280,46 +328,112 @@ class CoalitionScorer:
         return np.where(counts == 0, 0.0, scores - self._prior_scores[:, None])
 
     def _score_gp(self, masks: np.ndarray) -> np.ndarray:
-        out = np.zeros((len(self._subset_scores), masks.size))
-        for j, mask in enumerate(masks):
-            members = coalition_members(int(mask), self.n)
-            if self._counts[members].sum() > 0:
-                post = self._gp_posterior(members)
-                out[:, j] = [score(post) for score in self._subset_scores]
-                out[:, j] -= self._prior_scores
+        """Visit the coalitions in the order of their sorted member lists. The
+        stack then holds the path from the empty coalition: its level k is the
+        coalition of the first k members of the current one, and the next
+        coalition pops the levels past their common prefix and appends its
+        remaining members one source at a time."""
+        out = np.zeros((len(self._subsets), masks.size))
+        members = [coalition_members(int(mask), self.n) for mask in masks]
+        path = _GpPath(int(self._counts.sum()), self._pool)
+        on_path: list[int] = []
+        stack = [self._gp_root]
+        for j in sorted(range(masks.size), key=members.__getitem__):
+            want = members[j]
+            depth = 0
+            while depth < min(len(want), len(on_path)) and want[depth] == on_path[depth]:
+                depth += 1
+            del on_path[depth:], stack[depth + 1 :]
+            for i in want[depth:]:
+                stack.append(self._gp_append(stack[-1], i, path))
+                on_path.append(i)
+            level = stack[-1]
+            if level.end == 0:
+                continue  # no training rows: worth exactly zero
+            if level.mean is None:
+                train = coalition_data(self._sources, int(masks[j]))
+                post = gp_posterior(train, self._pool.inputs, self._model)
+                spread = (
+                    np.diag(post.cov)
+                    if self._mean_kind
+                    else [post.cov[np.ix_(idx, idx)] for idx in self._subsets]
+                )
+                level = _GpLevel(level.end, post.mean, spread)
+            out[:, j] = self._gp_scores(level) - self._prior_scores
         return out
 
-    def _gp_posterior(self, members: list[int]):
-        first = self._sources[0]
-        train = concat_datasets(
-            [self._sources[i] for i in members], n_features=first.n_features, kind=first.kind
+    def _gp_append(self, parent: _GpLevel, source: int, path: _GpPath) -> _GpLevel:
+        """Extend ``parent`` by the rows S of ``source``, which follow every
+        member of ``parent``, with the block-Cholesky append of the partitioned
+        inverse (Rasmussen and Williams, GPML, 2006, App. A.3):
+
+            L21 = K(S, C) L_C^-T,  L22 = chol(K(S, S) + noise I - L21 L21^T),
+            V_S = L22^-1 (K(S, pool) - L21 V_C),  w_S = L22^-1 (y_S - L21 w_C),
+            mean += V_S^T w_S,  cov -= V_S^T V_S.
+        """
+        data, model = self._sources[source], self._model
+        start, end = parent.end, parent.end + len(data)
+        if parent.mean is None or start == end:
+            return parent._replace(end=end)
+        x = data.inputs
+        cross = se_ard_kernel(x, path.inputs[:start], model)
+        l21 = solve_triangular(
+            path.factor[:start, :start], cross.T, lower=True, check_finite=False
+        ).T
+        block = se_ard_kernel(x, x, model)
+        diag = np.diag_indices_from(block)
+        block[diag] += model.noise_var
+        block[diag] += model.jitter
+        block -= l21 @ l21.T
+        try:
+            l22 = np.linalg.cholesky(block)
+        except np.linalg.LinAlgError:
+            return _GpLevel(end)
+        rows = slice(start, end)
+        path.inputs[rows] = x
+        path.factor[rows, :start] = l21
+        path.factor[rows, rows] = l22
+        k_pool = se_ard_kernel(x, self._pool.inputs, model)
+        proj = solve_triangular(
+            l22, k_pool - l21 @ path.proj[:start], lower=True, check_finite=False
         )
-        return gp_posterior(train, self._pool.inputs, self._model)
+        white = solve_triangular(
+            l22, data.outputs - l21 @ path.white[:start], lower=True, check_finite=False
+        )
+        path.proj[rows], path.white[rows] = proj, white
+        mean = parent.mean + proj.T @ white
+        if self._mean_kind:
+            return _GpLevel(end, mean, parent.spread - np.einsum("ij,ij->j", proj, proj))
+        spread = []
+        for cov, idx in zip(parent.spread, self._subsets):
+            part = proj[:, idx]
+            spread.append(cov - part.T @ part)
+        return _GpLevel(end, mean, spread)
+
+    def _gp_scores(self, level: _GpLevel) -> np.ndarray:
+        """Log score of every validation set under the noisy predictive of
+        ``level``'s posterior."""
+        noise = self._model.noise_var
+        scores = np.empty(len(self._subsets))
+        for s, idx in enumerate(self._subsets):
+            y, mean = self._pool.outputs[idx], level.mean[idx]
+            if self._mean_kind:
+                var = np.maximum(level.spread[idx], 0.0) + noise
+                scores[s] = np.mean(-0.5 * (np.log(2.0 * np.pi * var) + (y - mean) ** 2 / var))
+            else:
+                cov = level.spread[s].copy()
+                diag = np.diag_indices_from(cov)
+                cov[diag] = np.maximum(cov[diag], 0.0) + noise
+                scores[s] = gaussian_logpdf(y, mean, cov)
+        return scores
 
     def _subset_score(self, idx: np.ndarray, kind: str):
-        """Log score of pool rows ``idx`` as a function of the coalition's pool
-        posterior (GP) or of a stacked ``(nu, sums)`` batch of posterior
-        parameters (conjugate), one score per coalition."""
+        """Log score of the conjugate family on pool rows ``idx`` as a function
+        of a stacked ``(nu, sums)`` batch of posterior parameters, one score
+        per coalition."""
         model = self._model
-        mean_kind = kind == MEAN_LOG_SCORE
-        if isinstance(model, GpHyper):
-            y = self._pool.outputs[idx]
-            if mean_kind:
-
-                def gp_mean_score(post) -> float:
-                    var = np.diag(post.cov)[idx] + model.noise_var
-                    r = y - post.mean[idx]
-                    return float(np.mean(-0.5 * (np.log(2.0 * np.pi * var) + r**2 / var)))
-
-                return gp_mean_score
-
-            def gp_score(post) -> float:
-                cov = post.cov[np.ix_(idx, idx)] + model.noise_var * np.eye(idx.size)
-                return gaussian_logpdf(y, post.mean[idx], cov)
-
-            return gp_score
         validation = take_rows(self._pool, idx)
-        if mean_kind:
+        if kind == MEAN_LOG_SCORE:
             return lambda batch: pointwise_log_predictive_batch(model, *batch, validation).mean(
                 axis=1
             )
@@ -347,10 +461,6 @@ def build_char_table(
             f"{n} sources means 2^{n} coalition evaluations; beyond the exact "
             f"limit ({exact_limit}), use the sampled estimator"
         )
-    first = sources[0]
-    for i, src in enumerate(sources):
-        if src.n_features != first.n_features or src.kind != first.kind:
-            raise InputError(f"source {i} is inconsistent with source 0")
     if spec.kind in LOG_SCORE_KINDS:
         return CoalitionScorer(spec.model, spec.kind, sources, spec.validation).table()[0]
     values = np.empty(2**n)

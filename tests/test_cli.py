@@ -217,3 +217,59 @@ class TestConfigurationErrorsExit1:
         code, err = self.run(tmp_path, capsys, cfg)
         assert code == 1
         assert err.startswith("configuration error:") and "exact" in err
+
+
+class TestInconsistentSources:
+    @pytest.mark.parametrize("path", ["exact", "sampled", "cross-validation"])
+    def test_feature_count_mismatch_exits_2_with_one_message(self, tmp_path, capsys, path):
+        one = tmp_path / "one.csv"
+        one.write_text("x,y\n0.1,1.0\n0.4,0.5\n0.9,-0.2\n0.3,0.3\n")
+        two = tmp_path / "two.csv"
+        two.write_text("a,b,y\n0.1,0.2,1.0\n0.4,0.1,0.5\n0.9,0.5,-0.2\n0.3,0.3,0.3\n")
+        cfg = {
+            "model": {"family": "gp"},
+            "sources": [
+                {"csv": str(one), "output_column": "y"},
+                {"csv": str(two), "output_column": "y"},
+            ],
+        }
+        if path == "cross-validation":
+            cfg["post"] = {"kind": "cross-validation", "validation_frac": 0.5}
+        else:
+            cfg["validation"] = {"csv": str(one), "output_column": "y"}
+            cfg["estimator"] = {"kind": path, "permutations": 3}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert main(["--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        # The pipeline stage in brackets differs by path; the message does not.
+        assert err.startswith("input error: [")
+        assert err.split("] ", 1)[1].strip() == (
+            "datasets do not match: 1 features (regression) and 2 features (regression)"
+        )
+
+
+class TestDeterminism:
+    def test_gp_cross_validation_same_rows_at_any_thread_count(self, tmp_path, capsys):
+        cfg = {
+            "seed": 3,
+            "repeats": 3,
+            "model": {"family": "gp", "lengthscales": 0.7, "noise_var": 0.1},
+            "sources": [
+                {"generator": "friedman", "n_points": n, "noise_sd": 0.5} for n in (12, 9, 10)
+            ],
+            "post": {"kind": "cross-validation", "variant": "breve"},
+            "sweep": {
+                "axis": "strategy-grid",
+                "source": 0,
+                "values": ["truthful", {"tag": "duplicate", "copies": 2}],
+            },
+        }
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        payloads = []
+        for threads in ("1", "2"):
+            assert main(["--config", str(path), "--threads", threads]) == 0
+            report = json.loads(capsys.readouterr().out)
+            payloads.append(json.dumps([report["rows"], report["summary"]]))
+        assert payloads[0] == payloads[1]

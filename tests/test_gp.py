@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import cho_factor
 
 from truthval import (
     Dataset,
@@ -17,6 +18,7 @@ from truthval import (
     se_ard_kernel,
 )
 from truthval.errors import ConfigurationError
+from truthval.gp import _JITTER_RUNGS, _factor_train_kernel
 
 
 def unit_hyper(**kwargs):
@@ -172,6 +174,19 @@ class TestLogPredictive:
         )
         expected = -0.5 * (math.log(2 * math.pi * var[0, 0]) + (0.1 - mean[0]) ** 2 / var[0, 0])
         assert got == pytest.approx(expected, abs=1e-10)
+
+    def test_jitter_ladder_matches_adding_the_rung_to_a_copy(self):
+        # A rank-one kernel fails without jitter. The rung that succeeds is
+        # written onto the diagonal in place, and the factor is bit-identical
+        # to factoring k + (jitter + rung) * I.
+        hyper = GpHyper(jitter=1e-17)
+        k_train = np.ones((4, 4))
+        factor, lower = _factor_train_kernel(k_train.copy(), hyper)
+        with pytest.raises(np.linalg.LinAlgError):
+            cho_factor(k_train + hyper.jitter * np.eye(4), lower=True)
+        want, _ = cho_factor(k_train + (hyper.jitter + _JITTER_RUNGS[0]) * np.eye(4), lower=True)
+        assert lower
+        assert np.array_equal(factor, want)
 
     def test_unsalvageable_kernel_raises(self):
         # Negative "noise" drives the matrix indefinite beyond what the jitter

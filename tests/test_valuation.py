@@ -20,10 +20,15 @@ from truthval import (
     build_char_table,
     coalition_data,
     concat_datasets,
+    cross_validation_rewards,
     dvf_value,
+    exact_semivalue,
+    make_weights,
     outputs_dataset,
+    split_train_validation,
     take_rows,
 )
+from truthval import valuation
 from truthval.errors import ConfigurationError, InputError, UnsupportedConfigurationError
 from truthval.valuation import RankDeficientVolumeWarning
 
@@ -190,6 +195,10 @@ FAMILIES = {
         GpHyper(lengthscales=0.8, signal_var=1.1, noise_var=0.2),
         lambda rng, k: Dataset(rng.uniform(size=(k, 2)), rng.normal(size=k)),
     ),
+    "gp-jitter": (
+        GpHyper(lengthscales=[0.5, 1.5], signal_var=0.9, noise_var=0.1, jitter=0.05),
+        lambda rng, k: Dataset(rng.uniform(size=(k, 2)), rng.normal(size=k)),
+    ),
 }
 
 
@@ -283,3 +292,68 @@ class TestCoalitionScorer:
             CoalitionScorer(model, "cardinality", sources, binary_dataset([1]))
         with pytest.raises(InputError):
             CoalitionScorer(model, "log-score", sources, binary_dataset([1]), [[]])
+
+
+def gp_dvf_values(model, kind, sources, pool):
+    spec = DvfSpec(kind, model=model, validation=pool)
+    return [dvf_value(spec, coalition_data(sources, m)) for m in range(2 ** len(sources))]
+
+
+class TestGpLattice:
+    @pytest.mark.parametrize("kind", ["log-score", "mean-log-score"])
+    def test_block_that_is_not_positive_definite_falls_back(self, kind, monkeypatch):
+        # Sources 0 and 1 share their inputs and the noise is below half an
+        # ulp of the kernel diagonal, so appending source 1 to source 0 leaves
+        # an exactly singular block. Those coalitions go to gp_posterior,
+        # which escalates jitter as dvf_value does.
+        fallbacks = []
+        original = valuation.gp_posterior
+
+        def counted(train, *args, **kwargs):
+            fallbacks.append(len(train))
+            return original(train, *args, **kwargs)
+
+        monkeypatch.setattr(valuation, "gp_posterior", counted)
+        rng = np.random.default_rng(60)
+        x = np.arange(4.0)[:, None]
+        sources = [
+            Dataset(x, rng.normal(size=4)),
+            Dataset(x.copy(), rng.normal(size=4)),
+            Dataset(x[:2] + 0.5, rng.normal(size=2)),
+        ]
+        pool = Dataset(rng.uniform(0, 3, size=(5, 1)), rng.normal(size=5))
+        model = GpHyper(lengthscales=0.05, noise_var=1e-17)
+        got = CoalitionScorer(model, kind, sources, pool).table()[0].values
+        assert sorted(fallbacks) == [8, 10]  # {0, 1} and {0, 1, 2}
+        assert np.isfinite(got).all()
+        np.testing.assert_allclose(
+            got, gp_dvf_values(model, kind, sources, pool), rtol=1e-12, atol=1e-13
+        )
+
+    def test_permutation_prefixes_in_any_order_match_table(self):
+        rng = np.random.default_rng(61)
+        model, rows = FAMILIES["gp"]
+        sources = [rows(rng, k) for k in (4, 0, 3, 5, 2)]
+        pool = rows(rng, 6)
+        scorer = CoalitionScorer(model, "log-score", sources, pool, [[0, 2, 3], [1, 4, 5]])
+        tables = np.array([table.values for table in scorer.table()])
+        perms = np.array([rng.permutation(5) for _ in range(6)])
+        prefixes = np.cumsum(np.uint64(1) << perms.astype(np.uint64), axis=1)
+        masks = rng.permutation(np.concatenate([prefixes.ravel(), prefixes[:2].ravel()]))
+        np.testing.assert_allclose(
+            scorer.values(masks), tables[:, masks], rtol=1e-12, atol=1e-13
+        )
+
+    def test_cross_game_scorer_matches_per_game_tables(self):
+        rng = np.random.default_rng(62)
+        model, rows = FAMILIES["gp"]
+        sources = [rows(rng, k) for k in (7, 5, 6)]
+        weights = make_weights("shapley", 3)
+        seeds = [11, 12, 13]
+        cg = cross_validation_rewards(sources, 0.3, weights, model, seed=0, split_seeds=seeds)
+        splits = [split_train_validation(src, 0.3, s) for src, s in zip(sources, seeds)]
+        remaining = [rest for rest, _ in splits]
+        for j, (_, validation) in enumerate(splits):
+            spec = DvfSpec("log-score", model=model, validation=validation)
+            phi = exact_semivalue(build_char_table(remaining, spec), weights)
+            np.testing.assert_allclose(cg.per_game[:, j], phi, rtol=1e-9, atol=1e-12)
