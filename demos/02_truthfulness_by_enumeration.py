@@ -1,9 +1,11 @@
-"""Checking the truthfulness guarantee exactly, outcome by outcome.
+"""Checking the truthfulness guarantee exactly, by counting successes.
 
 A source holding {1, 0} wonders whether to submit something else. It does
 not know the validation set, so it weighs each possible outcome by its own
-posterior predictive. The oracle enumerates that expectation exactly and
-confirms three facts:
+posterior predictive. Outcomes with the same number of successes are equally
+likely and score the same, so the oracle sums over success counts (a
+beta-binomial law) instead of over every binary sequence; that keeps it exact
+at hundreds of rows and validation labels. It confirms three facts:
 
   1. the expected value lost by lying equals the KL divergence between the
      truthful and untruthful predictive distributions, so it is never

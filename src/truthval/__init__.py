@@ -5,7 +5,7 @@ density of a held-out validation set under an agreed Bayesian model, turns
 those values into semivalue rewards (Shapley and friends), post-processes
 rewards for budget or no-validation-set constraints, simulates manipulation
 strategies, and verifies the truthfulness guarantees exactly on small
-discrete instances by brute-force enumeration.
+discrete instances by exact enumeration.
 """
 
 from .data import (

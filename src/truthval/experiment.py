@@ -258,6 +258,13 @@ class ExperimentConfig:
                     f"cross-validation variant must be 'breve' or 'grave', got {variant!r}"
                 )
             post_spec = {**post_spec, "variant": variant}
+        if post_kind in ("budget", "scaled"):
+            for key, default in (("budget", None), ("a", 1.0), ("gamma", 0.0)):
+                value = post_spec.get(key, default)
+                if isinstance(value, bool) or not isinstance(value, (int, float)):
+                    raise ConfigurationError(
+                        f"post-processing {post_kind!r} needs a numeric {key!r}, got {value!r}"
+                    )
         validation_spec = raw.get("validation")
         if dvf_kind in LOG_SCORE_KINDS and post_kind != "cross-validation":
             if not isinstance(validation_spec, dict):
@@ -316,9 +323,11 @@ class ExperimentConfig:
                 if sorted(numeric) != numeric:
                     raise ConfigurationError("numeric sweep values must be ascending")
 
-        standardize = bool(
-            raw.get("standardize_outputs", model.data_kind == REGRESSION)
-        )
+        standardize = raw.get("standardize_outputs", model.data_kind == REGRESSION)
+        if not isinstance(standardize, bool):
+            raise ConfigurationError(
+                f"standardize_outputs must be true or false, got {standardize!r}"
+            )
 
         resolved = {
             "seed": seed,

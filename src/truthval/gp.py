@@ -91,13 +91,18 @@ def se_ard_kernel(xa: np.ndarray, xb: np.ndarray, hyper: GpHyper) -> np.ndarray:
         return np.full((xa.shape[0], xb.shape[0]), hyper.signal_var)
     sa = xa / ls
     sb = xb / ls
-    sq = (
-        np.sum(sa**2, axis=1)[:, None]
-        + np.sum(sb**2, axis=1)[None, :]
-        - 2.0 * (sa @ sb.T)
-    )
+    # In place, in the order of the plain expression (a + b) - 2 sa sb^T, so
+    # at most two result-sized arrays are alive; scaling by 2 is exact.
+    sq = np.sum(sa**2, axis=1)[:, None] + np.sum(sb**2, axis=1)[None, :]
+    cross = sa @ sb.T
+    cross *= 2.0
+    sq -= cross
+    del cross
     np.maximum(sq, 0.0, out=sq)
-    return hyper.signal_var * np.exp(-0.5 * sq)
+    sq *= -0.5
+    np.exp(sq, out=sq)
+    sq *= hyper.signal_var
+    return sq
 
 
 def _noise_diagonal(hyper: GpHyper, n: int, train_noise_var) -> np.ndarray:

@@ -1,10 +1,9 @@
-"""Brute-force truthfulness oracle for small discrete instances.
+"""Exact truthfulness oracle for discrete (Beta-Bernoulli) instances.
 
 The claims under test are statements about expectations over everything a
 source does not know: the validation set, and (for semivalues) the other
-sources' data. For the Beta-Bernoulli family both spaces are finite binary
-sequences, so the expectations can be enumerated exactly and the claims
-checked as arithmetic identities:
+sources' data. For the Beta-Bernoulli family these expectations are exact
+finite sums, so the claims can be checked as arithmetic identities:
 
 * submitting anything that changes the posterior lowers the expected
   log-score value, and the drop equals the KL divergence between the two
@@ -15,32 +14,36 @@ checked as arithmetic identities:
   the drop it inflicts on any other source.
 
 Other sources' datasets enter only through their sizes: their contents are
-the random variables being enumerated, as exchangeable Bernoulli sequences of
-the given lengths.
+the random variables, exchangeable Bernoulli rows of the given lengths. Under
+the target's true posterior (a, b), the M rows of a coalition's other members
+and the k validation labels form one exchangeable sequence, so the joint law
+of their success counts is the beta-binomial
+
+    P(s, t) = C(M, s) C(k, t) B(a + s + t, b + M - s + k - t) / B(a, b).
+
+A coalition's expected value therefore depends only on whether it holds the
+target and on M, and costs one (M + 1) x (k + 1) grid rather than 2^(M + k)
+outcomes. Semivalues are linear in the characteristic table, so the exact
+semivalue of the expected table is the expected semivalue.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 from typing import Sequence
 
 import numpy as np
+from scipy.special import betaln, gammaln
 
-from .data import BINARY, Dataset, binary_dataset, concat_datasets
+from .data import Dataset, binary_dataset
 from .errors import InputError, NumericalError, UnsupportedConfigurationError
-from .models import (
-    BetaBernoulliModel,
-    log_predictive_from_params,
-    posterior_params,
-    suff_stats,
-)
-from .semivalues import SemivalueWeights, exact_semivalue
-from .valuation import LOG_SCORE, DvfSpec, build_char_table, dvf_value
+from .models import BetaBernoulliModel
+from .semivalues import SemivalueWeights, exact_semivalue, make_weights
+from .valuation import CharacteristicTable
 
 _IDENTITY_TOL = 1e-9
 _RANK_TOL = 1e-10
-_DEFAULT_MAX_OUTCOMES = 1 << 20
+_MAX_SOURCES = 20  # the expected tables have 2^n entries; build_char_table's exact limit
 
 
 @dataclass(frozen=True)
@@ -69,41 +72,114 @@ def _require_enumerable(model) -> None:
         )
 
 
-def _stats_differ(model, a: Dataset, b: Dataset) -> bool:
-    sa, sb = suff_stats(a, model), suff_stats(b, model)
-    return sa.count != sb.count or not np.array_equal(sa.vector, sb.vector)
+def _counts(dataset: Dataset) -> tuple[float, int]:
+    # The Bernoulli likelihood ignores inputs: only (successes, rows) matter.
+    y = binary_dataset(dataset.outputs).outputs
+    return float(y.sum()), len(y)
 
 
-def _labels_only(dataset: Dataset) -> Dataset:
-    # The Bernoulli likelihood ignores inputs; dropping them keeps provided
-    # datasets concatenable with the enumerated (feature-free) outcomes.
-    return binary_dataset(dataset.outputs)
+def _log_predictive(a, b, k: int, t):
+    """Log probability of one k-label sequence with t successes under Beta(a, b)."""
+    return betaln(a + t, b + k - t) - betaln(a, b)
 
 
-def _predictives_differ(model, params_a, params_b, validation_size: int) -> bool:
-    """Whether two posteriors imply different predictives over the outcome space.
-
-    By exchangeability the joint predictive of a binary sequence depends only
-    on its success count, so comparing one sequence per count is exhaustive.
-    """
-    for successes in range(validation_size + 1):
-        t = binary_dataset([1.0] * successes + [0.0] * (validation_size - successes))
-        pa = np.exp(log_predictive_from_params(model, params_a, t))
-        pb = np.exp(log_predictive_from_params(model, params_b, t))
-        if abs(pa - pb) > 1e-12:
-            return True
-    return False
-
-
-def _binary_outcomes(length: int) -> list[np.ndarray]:
-    return [np.array(bits, dtype=float) for bits in product((0.0, 1.0), repeat=length)]
-
-
-def _check_weight_sum(total: float) -> None:
-    # The outcome probabilities must sum to one; anything else means the
-    # enumeration itself is broken.
+def _joint_law(model, h: float, m: int, rows: int, k: int) -> np.ndarray:
+    """P(s, t) on the (rows + 1) x (k + 1) grid of success counts, given h
+    successes in m rows."""
+    s = np.arange(rows + 1)[:, None]
+    t = np.arange(k + 1)[None, :]
+    log_comb = gammaln(rows + 1) - gammaln(s + 1) - gammaln(rows - s + 1)
+    log_comb = log_comb + gammaln(k + 1) - gammaln(t + 1) - gammaln(k - t + 1)
+    a, b = model.alpha + h, model.beta + m - h
+    law = np.exp(log_comb + _log_predictive(a, b, rows + k, s + t))
+    # The probabilities must sum to one; anything else means the grid itself
+    # is broken.
+    total = float(law.sum())
     if abs(total - 1.0) > 1e-9:
         raise NumericalError(f"outcome probabilities sum to {total!r}, not 1")
+    return law
+
+
+def _check_budget(bits: int, max_outcomes: int | None, what: str) -> None:
+    if max_outcomes is not None and 2**bits > max_outcomes:
+        raise UnsupportedConfigurationError(
+            f"2^{bits} {what} exceed the budget {max_outcomes}"
+        )
+
+
+def _scores(model, h: float, m: int, extra: int, k: int) -> np.ndarray:
+    """Log probability of a k-label sequence with t successes given h + s
+    successes in m + extra rows, on the (extra + 1) x (k + 1) grid of (s, t)."""
+    s = np.arange(extra + 1)[:, None]
+    t = np.arange(k + 1)[None, :]
+    return _log_predictive(model.alpha + h + s, model.beta + m - h + extra - s, k, t)
+
+
+def _expectations(model, true_datasets, alt_data, target, weights, k):
+    """Exact expected semivalue vectors under truthful and alternative
+    submission by the target, and the weighted predictive-KL total.
+
+    The KL total is summed per coalition from the two posteriors directly, not
+    from the expected tables, so the gap identity compares two computations.
+    """
+    n = len(true_datasets)
+    counts = [_counts(ds) for ds in true_datasets]
+    truth, alt = counts[target], _counts(alt_data)
+    masks = np.arange(2**n, dtype=np.int64)
+    sizes = np.zeros(2**n, dtype=np.int64)
+    rows = np.zeros(2**n, dtype=np.int64)  # the other members' total rows M
+    for j, (_, m) in enumerate(counts):
+        member = (masks >> j) & 1
+        sizes += member
+        if j != target:
+            rows += member * m
+    distinct, which = np.unique(rows, return_inverse=True)
+    with_true, with_alt, without, kl = (np.empty(len(distinct)) for _ in range(4))
+    prior = _scores(model, 0.0, 0, 0, k)
+    for r, extra in enumerate(distinct.tolist()):
+        law = _joint_law(model, *truth, extra, k)
+        base = np.sum(law * prior)
+        score_true = _scores(model, *truth, extra, k)
+        score_alt = _scores(model, *alt, extra, k)
+        with_true[r] = np.sum(law * score_true) - base
+        with_alt[r] = np.sum(law * score_alt) - base
+        without[r] = np.sum(law * _scores(model, 0.0, 0, extra, k)) - base
+        kl[r] = np.sum(law * (score_true - score_alt))
+    holds = (masks >> target) & 1 == 1
+    coalition_weight = np.bincount(
+        which[holds], weights=weights.w[sizes[holds] - 1], minlength=len(distinct)
+    )
+    phi_true, phi_alt = (
+        exact_semivalue(CharacteristicTable(n, np.where(holds, v[which], without[which])), weights)
+        for v in (with_true, with_alt)
+    )
+    return phi_true, phi_alt, float(coalition_weight @ kl)
+
+
+def _validate(model, n: int, target: int, weights: SemivalueWeights, k: int) -> None:
+    _require_enumerable(model)
+    if n > _MAX_SOURCES:
+        raise UnsupportedConfigurationError(
+            f"{n} sources need 2^{n}-entry expected tables; the limit is "
+            f"{_MAX_SOURCES} sources"
+        )
+    if not 0 <= target < n:
+        raise InputError(f"target index {target} out of range for {n} sources")
+    if weights.n != n:
+        raise InputError(f"weights are for n={weights.n}, have {n} sources")
+    if k < 1:
+        raise InputError("validation_size must be >= 1")
+
+
+def _verdict(expected_truthful, expected_alt, kl_total: float, strict: bool) -> OracleVerdict:
+    gap = float(expected_truthful - expected_alt)
+    if abs(gap - kl_total) > _IDENTITY_TOL:
+        raise NumericalError(
+            f"expected gap {gap!r} does not match the weighted predictive KL {kl_total!r}"
+        )
+    return OracleVerdict(
+        float(expected_truthful), float(expected_alt), gap, float(kl_total), bool(strict)
+    )
 
 
 def oracle_dvf_truthfulness(
@@ -111,146 +187,55 @@ def oracle_dvf_truthfulness(
     true_data: Dataset,
     alt_data: Dataset,
     validation_size: int,
-    max_outcomes: int = _DEFAULT_MAX_OUTCOMES,
+    max_outcomes: int | None = None,
 ) -> OracleVerdict:
-    """Enumerate every validation outcome and compare the two expected values.
+    """Exact expected log-score values of the true and the alternative data.
 
-    The expectation weights each outcome by its probability under the
-    posterior predictive given ``true_data``. The returned ``kl_total`` is
-    computed directly from the model's predictive densities and must equal
-    the gap; a mismatch raises :class:`NumericalError`.
+    The expectation is over validation sets drawn from the posterior
+    predictive given ``true_data``; it is the one-source case of the
+    semivalue oracle. The returned ``kl_total`` is computed directly from the
+    two posteriors and must equal the gap; a mismatch raises
+    :class:`NumericalError`. ``max_outcomes``, when given, caps the size
+    2^validation_size of the binary outcome space.
     """
-    _require_enumerable(model)
-    if validation_size < 1:
-        raise InputError("validation_size must be >= 1")
-    if 2**validation_size > max_outcomes:
-        raise UnsupportedConfigurationError(
-            f"2^{validation_size} validation outcomes exceed the budget {max_outcomes}"
-        )
-    true_data = _labels_only(true_data)
-    alt_data = _labels_only(alt_data)
-    post_true = posterior_params(model, true_data)
-    post_alt = posterior_params(model, alt_data)
-    expected_truthful = expected_alt = kl_total = total_weight = 0.0
-    for bits in _binary_outcomes(validation_size):
-        t = binary_dataset(bits)
-        lp_true = log_predictive_from_params(model, post_true, t)
-        lp_alt = log_predictive_from_params(model, post_alt, t)
-        weight = float(np.exp(lp_true))
-        spec = DvfSpec(LOG_SCORE, model=model, validation=t)
-        expected_truthful += weight * dvf_value(spec, true_data)
-        expected_alt += weight * dvf_value(spec, alt_data)
-        kl_total += weight * (lp_true - lp_alt)
-        total_weight += weight
-    _check_weight_sum(total_weight)
-    gap = expected_truthful - expected_alt
-    if abs(gap - kl_total) > _IDENTITY_TOL:
-        raise NumericalError(
-            f"expected-value gap {gap!r} does not match the predictive KL {kl_total!r}"
-        )
-    return OracleVerdict(
-        expected_truthful,
-        expected_alt,
-        gap,
-        kl_total,
-        strict=_predictives_differ(model, post_true, post_alt, validation_size),
+    one = make_weights("individual", 1)
+    _validate(model, 1, 0, one, validation_size)
+    _check_budget(validation_size, max_outcomes, "validation outcomes")
+    phi_true, phi_alt, kl_total = _expectations(
+        model, [true_data], alt_data, 0, one, validation_size
     )
+    # Strict: some validation sequence has a different probability under the
+    # two posteriors; by exchangeability one sequence per success count covers
+    # them all.
+    profiles = [
+        np.exp(_scores(model, h, m, 0, validation_size))
+        for h, m in (_counts(true_data), _counts(alt_data))
+    ]
+    strict = bool(np.any(np.abs(profiles[0] - profiles[1]) > 1e-12))
+    return _verdict(phi_true[0], phi_alt[0], kl_total, strict)
 
 
-def _semivalue_enumeration(
-    model: BetaBernoulliModel,
-    true_datasets: Sequence[Dataset],
-    alt_data: Dataset,
-    target: int,
-    weights: SemivalueWeights,
-    validation_size: int,
-    max_outcomes: int,
+def _semivalue_expectations(
+    model, true_datasets, alt_data, target, weights, validation_size, max_outcomes
 ):
-    """Shared enumeration for the semivalue and rank-gap oracles.
+    """Shared set-up for the semivalue and rank-gap oracles.
 
-    Returns exact expected semivalue vectors under truthful and alternative
-    submission by the target, plus the weighted predictive-KL total and a
-    strictness flag (here: the two submissions have different sufficient
-    statistics, i.e. they change the posterior). Only the sizes of the other
-    sources' datasets matter; their contents are integrated out against the
-    posterior given the target's true dataset.
+    Returns the exact expected semivalue vectors, the weighted predictive-KL
+    total and a strictness flag (here: the two submissions have different
+    sufficient statistics, i.e. they change the posterior).
     """
-    _require_enumerable(model)
     n = len(true_datasets)
-    if not 0 <= target < n:
-        raise InputError(f"target index {target} out of range for {n} sources")
-    if weights.n != n:
-        raise InputError(f"weights are for n={weights.n}, have {n} sources")
-    if validation_size < 1:
-        raise InputError("validation_size must be >= 1")
-    true_datasets = [_labels_only(ds) for ds in true_datasets]
-    alt_data = _labels_only(alt_data)
-    other_idx = [j for j in range(n) if j != target]
-    other_sizes = [len(true_datasets[j]) for j in other_idx]
-    total_bits = validation_size + sum(other_sizes)
-    if 2**total_bits > max_outcomes:
-        raise UnsupportedConfigurationError(
-            f"joint enumeration needs 2^{total_bits} outcomes "
-            f"({validation_size} validation bits + others of sizes {other_sizes}); "
-            f"budget is {max_outcomes}"
-        )
-    true_target = true_datasets[target]
-    post_target = posterior_params(model, true_target)
-    outcome_lists = [_binary_outcomes(size) for size in other_sizes]
-    validation_outcomes = _binary_outcomes(validation_size)
-    other_subsets = list(product((0, 1), repeat=len(other_idx)))
-
-    phi_true = np.zeros(n)
-    phi_alt = np.zeros(n)
-    kl_total = 0.0
-    total_weight = 0.0
-    for combo in product(*outcome_lists, validation_outcomes):
-        *other_bits, t_bits = combo
-        others = [binary_dataset(bits) for bits in other_bits]
-        t = binary_dataset(t_bits)
-        # Joint probability of (others' data, validation) given the target's
-        # true data: one exchangeable sequence under the same parameter.
-        hypothetical = concat_datasets(others + [t], n_features=0, kind=BINARY)
-        weight = float(
-            np.exp(log_predictive_from_params(model, post_target, hypothetical))
-        )
-        total_weight += weight
-
-        sources_true = list(true_datasets)
-        sources_alt = list(true_datasets)
-        for j, ds in zip(other_idx, others):
-            sources_true[j] = ds
-            sources_alt[j] = ds
-        sources_true[target] = true_target
-        sources_alt[target] = alt_data
-        spec = DvfSpec(LOG_SCORE, model=model, validation=t)
-        phi_true += weight * exact_semivalue(build_char_table(sources_true, spec), weights)
-        phi_alt += weight * exact_semivalue(build_char_table(sources_alt, spec), weights)
-
-        # Independent accumulation of the weighted predictive-KL bound, from
-        # the model's predictive densities rather than the semivalue pipeline.
-        for picks in other_subsets:
-            members = [others[k] for k, bit in enumerate(picks) if bit]
-            size = sum(picks)
-            w_c = weights.w[size]
-            if w_c == 0.0:
-                continue
-            post_with_true = posterior_params(
-                model, concat_datasets([true_target] + members, n_features=0, kind=BINARY)
-            )
-            post_with_alt = posterior_params(
-                model, concat_datasets([alt_data] + members, n_features=0, kind=BINARY)
-            )
-            kl_total += (
-                weight
-                * w_c
-                * (
-                    log_predictive_from_params(model, post_with_true, t)
-                    - log_predictive_from_params(model, post_with_alt, t)
-                )
-            )
-    _check_weight_sum(total_weight)
-    strict = _stats_differ(model, true_target, alt_data)
+    _validate(model, n, target, weights, validation_size)
+    other_sizes = [len(ds) for j, ds in enumerate(true_datasets) if j != target]
+    _check_budget(
+        validation_size + sum(other_sizes), max_outcomes,
+        f"joint outcomes ({validation_size} validation bits + others of sizes "
+        f"{other_sizes})",
+    )
+    phi_true, phi_alt, kl_total = _expectations(
+        model, true_datasets, alt_data, target, weights, validation_size
+    )
+    strict = _counts(true_datasets[target]) != _counts(alt_data)
     return phi_true, phi_alt, kl_total, strict
 
 
@@ -261,21 +246,17 @@ def oracle_semivalue_truthfulness(
     target: int,
     weights: SemivalueWeights,
     validation_size: int,
-    max_outcomes: int = _DEFAULT_MAX_OUTCOMES,
+    max_outcomes: int | None = None,
 ) -> OracleVerdict:
-    """Exact expected semivalue of ``target`` under truthful vs alternative data."""
-    phi_true, phi_alt, kl_total, strict = _semivalue_enumeration(
+    """Exact expected semivalue of ``target`` under truthful vs alternative data.
+
+    ``max_outcomes``, when given, caps the size of the binary outcome space:
+    2^(validation_size + the other sources' total rows).
+    """
+    phi_true, phi_alt, kl_total, strict = _semivalue_expectations(
         model, true_datasets, alt_data, target, weights, validation_size, max_outcomes
     )
-    expected_truthful = float(phi_true[target])
-    expected_alt = float(phi_alt[target])
-    gap = expected_truthful - expected_alt
-    if abs(gap - kl_total) > _IDENTITY_TOL:
-        raise NumericalError(
-            f"semivalue gap {gap!r} does not match the weighted predictive KL "
-            f"{kl_total!r}"
-        )
-    return OracleVerdict(expected_truthful, expected_alt, gap, kl_total, strict)
+    return _verdict(phi_true[target], phi_alt[target], kl_total, strict)
 
 
 def oracle_rank_gap(
@@ -286,7 +267,7 @@ def oracle_rank_gap(
     other: int,
     weights: SemivalueWeights,
     validation_size: int,
-    max_outcomes: int = _DEFAULT_MAX_OUTCOMES,
+    max_outcomes: int | None = None,
 ) -> tuple[float, float]:
     """Expected semivalue drop of the deviating source vs any other source.
 
@@ -297,7 +278,7 @@ def oracle_rank_gap(
         raise InputError("other must differ from target")
     if not 0 <= other < len(true_datasets):
         raise InputError(f"other index {other} out of range")
-    phi_true, phi_alt, _, _ = _semivalue_enumeration(
+    phi_true, phi_alt, _, _ = _semivalue_expectations(
         model, true_datasets, alt_data, target, weights, validation_size, max_outcomes
     )
     gap_target = float(phi_true[target] - phi_alt[target])

@@ -189,9 +189,9 @@ def scaled_reward(phi: np.ndarray, budget: float, gamma: float) -> np.ndarray:
     """Rewards budget * phi / (max phi + gamma), all guaranteed <= budget.
 
     The denominator depends on the submissions, so only the ratio of
-    expectations is known to favor truthful submission; that guarantee is
-    about expectations and is exercised by the enumeration oracle on discrete
-    instances rather than asserted per realization.
+    expectations is known to favor truthful submission. That guarantee is
+    about expectations, so it does not hold per realization, and no check in
+    this package exercises it yet.
     """
     phi = np.asarray(phi, dtype=float)
     if budget <= 0:

@@ -219,6 +219,32 @@ class TestConfigurationErrorsExit1:
         assert err.startswith("configuration error:") and "exact" in err
 
 
+    def test_standardize_outputs_must_be_boolean(self, tmp_path, capsys, config_path):
+        cfg = json.loads(config_path.read_text())
+        cfg["standardize_outputs"] = "no"
+        code, err = self.run(tmp_path, capsys, cfg)
+        assert code == 1
+        assert err.startswith("configuration error:") and "standardize_outputs" in err
+
+    @pytest.mark.parametrize(
+        "post, key",
+        [
+            ({"kind": "budget"}, "budget"),
+            ({"kind": "scaled"}, "budget"),
+            ({"kind": "budget", "budget": 1.0, "a": "x"}, "a"),
+            ({"kind": "scaled", "budget": 1.0, "gamma": "x"}, "gamma"),
+        ],
+    )
+    def test_post_processing_needs_numeric_settings(
+        self, tmp_path, capsys, config_path, post, key
+    ):
+        cfg = json.loads(config_path.read_text())
+        cfg["post"] = post
+        code, err = self.run(tmp_path, capsys, cfg)
+        assert code == 1
+        assert err.startswith("configuration error:") and repr(key) in err
+
+
 class TestInconsistentSources:
     @pytest.mark.parametrize("path", ["exact", "sampled", "cross-validation"])
     def test_feature_count_mismatch_exits_2_with_one_message(self, tmp_path, capsys, path):

@@ -36,6 +36,26 @@ class TestKernel:
         k = se_ard_kernel(x, x, hyper)
         np.testing.assert_allclose(np.diag(k), 3.0, atol=1e-12)
 
+    @pytest.mark.parametrize(
+        "lengthscales, signal_var", [(0.7, 1.0), ([0.48, 0.54, 1.15, 400.0], 2.3)]
+    )
+    def test_in_place_kernel_is_bit_identical_to_plain_expression(
+        self, lengthscales, signal_var
+    ):
+        rng = np.random.default_rng(5)
+        xa, xb = rng.normal(size=(37, 4)), rng.normal(size=(23, 4))
+        hyper = GpHyper(lengthscales=lengthscales, signal_var=signal_var)
+        ls = hyper.resolved_lengthscales(4)
+
+        def plain(a, b):
+            sa, sb = a / ls, b / ls
+            sq = np.sum(sa**2, axis=1)[:, None] + np.sum(sb**2, axis=1)[None, :]
+            sq = sq - 2.0 * (sa @ sb.T)
+            return signal_var * np.exp(-0.5 * np.maximum(sq, 0.0))
+
+        for a, b in ((xa, xb), (xa, xa)):
+            assert np.array_equal(se_ard_kernel(a, b, hyper), plain(a, b))
+
     def test_lengthscale_validation(self):
         with pytest.raises(ConfigurationError):
             GpHyper(lengthscales=[1.0, -1.0])
