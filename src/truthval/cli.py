@@ -63,6 +63,8 @@ def main(argv=None) -> int:
             raise ConfigurationError(f"cannot read config {args.config}: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise ConfigurationError(f"config {args.config} is not valid JSON: {exc}") from exc
+        if not isinstance(raw, dict):
+            raise ConfigurationError(f"config {args.config} must be a JSON object")
         if args.seed is not None:
             raw["seed"] = args.seed
         threads = _resolve_threads(args.threads)

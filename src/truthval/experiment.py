@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 import numpy as np
-from scipy.stats import t as student_t
+from scipy.special import stdtrit
 
 from .data import REGRESSION, Dataset, take_rows
 from .datagen import (
@@ -151,13 +151,13 @@ def _weights_label(spec: Any) -> str:
     return family
 
 
-def _weights_object(spec: Any, what: str) -> dict:
-    """A weights spec as an object: a family name or an object with a 'family'."""
+def _spec_object(spec: Any, what: str, name_key: str) -> dict:
+    """A config section as an object: a bare ``name_key`` value or an object."""
     if isinstance(spec, str):
-        return {"family": spec}
+        return {name_key: spec}
     if not isinstance(spec, dict):
         raise ConfigurationError(
-            f"{what} must be a family name or an object, got {spec!r}"
+            f"{what} must be a {name_key} name or an object, got {spec!r}"
         )
     return spec
 
@@ -243,11 +243,9 @@ class ExperimentConfig:
         if dvf_kind not in DVF_KINDS:
             raise ConfigurationError(f"unknown dvf kind {dvf_kind!r}")
 
-        weights_spec = _weights_object(raw.get("weights", {"family": "shapley"}), "weights")
+        weights_spec = _spec_object(raw.get("weights", {"family": "shapley"}), "weights", "family")
 
-        post_spec = raw.get("post", {"kind": "none"})
-        if isinstance(post_spec, str):
-            post_spec = {"kind": post_spec}
+        post_spec = _spec_object(raw.get("post", {"kind": "none"}), "post", "kind")
         post_kind = post_spec.get("kind", "none")
         if post_kind not in ("none", "budget", "scaled", "cross-validation"):
             raise ConfigurationError(f"unknown post-processing {post_kind!r}")
@@ -274,9 +272,10 @@ class ExperimentConfig:
         if isinstance(validation_spec, dict):
             _check_csv_spec(validation_spec, "validation")
 
-        estimator_spec = raw.get("estimator", {})
-        if isinstance(estimator_spec, str):
-            estimator_spec = {"kind": estimator_spec}
+        estimator_spec = _spec_object(raw.get("estimator", {}), "estimator", "kind")
+        unknown = set(estimator_spec) - {"kind", "permutations", "exact_limit"}
+        if unknown:
+            raise ConfigurationError(f"unknown estimator keys {sorted(unknown)}")
         est_kind = estimator_spec.get("kind", "auto")
         if est_kind not in ("auto", "exact", "sampled"):
             raise ConfigurationError(f"unknown estimator kind {est_kind!r}")
@@ -299,6 +298,8 @@ class ExperimentConfig:
 
         sweep_spec = raw.get("sweep")
         if sweep_spec is not None:
+            if not isinstance(sweep_spec, dict):
+                raise ConfigurationError(f"sweep must be an object, got {sweep_spec!r}")
             axis = sweep_spec.get("axis")
             if axis not in SWEEP_AXES:
                 raise ConfigurationError(f"unknown sweep axis {axis!r}")
@@ -315,7 +316,7 @@ class ExperimentConfig:
                     _build_strategy(v, 0)
             elif axis == "weight-family":
                 for v in values:
-                    _weights_object(v, "weight-family sweep value")
+                    _spec_object(v, "weight-family sweep value", "family")
             else:
                 numeric = [float(v) for v in values]
                 if not all(math.isfinite(v) for v in numeric):
@@ -436,7 +437,7 @@ def _sweep_points(config: ExperimentConfig) -> list[_Point]:
             point.strategy_specs[config.sweep_spec["source"]] = value
             label = _strategy_label(value)
         elif axis == "weight-family":
-            point.weights_spec = dict(_weights_object(value, "weight-family sweep value"))
+            point.weights_spec = dict(_spec_object(value, "weight-family sweep value", "family"))
             label = _weights_label(value)
         else:
             key = {
@@ -597,7 +598,7 @@ def _summarize(rows: list[ReportRow]) -> list[dict]:
             "mean_reward": float(rewards.mean()),
         }
         if k >= 2:
-            crit = float(student_t.ppf(0.975, k - 1)) / math.sqrt(k)
+            crit = float(stdtrit(k - 1, 0.975)) / math.sqrt(k)
             entry["ci_value"] = float(values.std(ddof=1)) * crit
             entry["ci_reward"] = float(rewards.std(ddof=1)) * crit
         else:

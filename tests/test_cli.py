@@ -244,6 +244,32 @@ class TestConfigurationErrorsExit1:
         assert code == 1
         assert err.startswith("configuration error:") and repr(key) in err
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [("post", ["budget"]), ("estimator", ["exact"]), ("sweep", "x")],
+    )
+    def test_section_that_is_not_an_object(self, tmp_path, capsys, config_path, key, value):
+        cfg = json.loads(config_path.read_text())
+        cfg[key] = value
+        code, err = self.run(tmp_path, capsys, cfg)
+        assert code == 1
+        assert err.startswith("configuration error:") and key in err
+
+    @pytest.mark.parametrize("flag", [["--seed", "3"], ["--threads", "2"]])
+    def test_top_level_list_with_override_flag(self, tmp_path, capsys, flag):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps([{"seed": 1}]))
+        assert main(["--config", str(path), *flag]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:") and "JSON object" in err
+
+    def test_estimator_key_typo(self, tmp_path, capsys, config_path):
+        cfg = json.loads(config_path.read_text())
+        cfg["estimator"] = {"permutaions": 5}
+        code, err = self.run(tmp_path, capsys, cfg)
+        assert code == 1
+        assert err.startswith("configuration error:") and "permutaions" in err
+
 
 class TestInconsistentSources:
     @pytest.mark.parametrize("path", ["exact", "sampled", "cross-validation"])

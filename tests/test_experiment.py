@@ -381,6 +381,26 @@ class TestReports:
         several = run_experiment(bernoulli_config(repeats=3))
         assert all(entry["ci_reward"] is not None for entry in several.summary)
 
+    def test_student_t_quantile_matches_scipy_stats(self):
+        from scipy.special import stdtrit
+        from scipy.stats import t as student_t
+
+        for k in range(2, 201):
+            assert stdtrit(k - 1, 0.975) == student_t.ppf(0.975, k - 1), k
+
+    def test_confidence_half_width_recomputed_from_rows(self):
+        from scipy.stats import t as student_t
+
+        report = run_experiment(bernoulli_config(repeats=3))
+        crit = student_t.ppf(0.975, 2) / np.sqrt(3)
+        for entry in report.summary:
+            bucket = [r for r in report.rows if r.source == entry["source"]]
+            assert len(bucket) == entry["n_repeats"] == 3
+            values = np.array([r.value for r in bucket])
+            rewards = np.array([r.reward for r in bucket])
+            assert entry["ci_value"] == float(values.std(ddof=1)) * crit
+            assert entry["ci_reward"] == float(rewards.std(ddof=1)) * crit
+
 
 class TestGenerators:
     def test_linear_generator_shapes(self):
