@@ -52,7 +52,7 @@ for entry in report.summary:
     rewards[entry["source"]][label] = entry["mean_reward"]
 
 labels = list(values[0])
-print(f"Mean results over {config.repeats} validation subsets ({report.wall_time_s:.1f}s):\n")
+print(f"Mean results over {config.resolved['repeats']} validation subsets ({report.wall_time_s:.1f}s):\n")
 header = "  ".join(f"{lab:>12s}" for lab in labels)
 print(f"{'':24s}{header}")
 for source in (0, 1, 2):

@@ -158,17 +158,9 @@ def apply_strategy(data: Dataset, strategy: Strategy) -> Dataset:
 
 @dataclass(frozen=True)
 class PerturbSpec:
-    """Validation-set corruption knobs; the all-zero spec is the identity.
-
-    ``friedman_alpha``/``friedman_beta`` describe how the validation set is
-    *generated* (pass them to :func:`friedman_generate`); only
-    ``validation_noise_sd`` and ``sorted_fraction`` are applied by
-    :func:`perturb_validation` itself.
-    """
+    """Validation-set corruption knobs; the default spec is the identity."""
 
     validation_noise_sd: float = 0.0
-    friedman_alpha: float = 0.0
-    friedman_beta: float = 0.0
     sorted_fraction: float = 1.0
 
     def __post_init__(self) -> None:

@@ -19,7 +19,7 @@ import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
@@ -57,18 +57,6 @@ from .valuation import (
     build_char_table,
 )
 
-SWEEP_AXES = (
-    "strategy-grid",
-    "validation-fraction",
-    "validation-noise",
-    "friedman-alpha",
-    "friedman-beta",
-    "sorted-fraction",
-    "weight-family",
-)
-
-_STRATEGY_KEYS = ("frac", "level", "copies", "offset", "fill", "sd")
-
 
 @contextmanager
 def _stage(name: str):
@@ -81,286 +69,247 @@ def _stage(name: str):
         raise type(exc)(f"[{name}] {exc}") from exc
 
 
-# -- config -------------------------------------------------------------------
+# -- config schema ------------------------------------------------------------
+#
+# One table per section, and per variant of a section: key -> (JSON type,
+# default). ``_walk`` rejects every key a table does not name, checks JSON
+# types and fills in defaults; its output is the resolved config that reports
+# echo and the runner reads. _REQUIRED keys must be given. _OPTIONAL keys may
+# be omitted and are then not echoed: the class the section is passed to (a
+# model or ``Strategy``) owns their defaults, and strategy labels show only
+# the parameters given.
+
+_REQUIRED = object()
+_OPTIONAL = object()
+
+_INT = ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool))
+_COUNT = ("an integer >= 1", lambda v: _INT[1](v) and v >= 1)
+_NUMBER = ("a number", lambda v: _INT[1](v) or isinstance(v, float) and math.isfinite(v))
+_NUMBERS = ("a list of numbers", lambda v: isinstance(v, list) and all(map(_NUMBER[1], v)))
+_NUMBER_OR_LIST = ("a number or a list of numbers", lambda v: _NUMBER[1](v) or _NUMBERS[1](v))
+_STRING = ("a string", lambda v: isinstance(v, str))
+_BOOL = ("true or false", lambda v: isinstance(v, bool))
+_VARIANT = ("'breve' or 'grave'", lambda v: v in ("breve", "grave"))
+_OPT_NUMBER = (_NUMBER, _OPTIONAL)  # a number that may be omitted
 
 
-def _json_int(value: Any, what: str) -> int:
-    """``value`` itself if it is a JSON integer; booleans and floats are rejected."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigurationError(f"{what} must be an integer, got {value!r}")
-    return value
+@dataclass(frozen=True)
+class _Named:
+    """A section whose table is chosen by the value of its ``key``.
+
+    ``implied`` is the variant when ``key`` is omitted. ``bare`` admits a bare
+    name as shorthand for ``{key: name}``: "expand" echoes it as that object,
+    "keep" echoes the name as given (such tables fill in nothing).
+    """
+
+    key: str
+    what: str
+    tables: dict
+    implied: str | None = None
+    bare: str | None = None
 
 
-def _build_model(spec: Any):
-    if not isinstance(spec, dict) or "family" not in spec:
-        raise ConfigurationError("model must be an object with a 'family' key")
-    family = spec["family"]
-    if family == "beta-bernoulli":
-        return BetaBernoulliModel(spec.get("alpha", 1.0), spec.get("beta", 1.0))
-    if family == "gaussian-known-var":
-        return GaussianMeanModel(
-            spec.get("prior_mean", 0.0),
-            spec.get("prior_var", 1.0),
-            spec.get("noise_var", 1.0),
-        )
-    if family == "bayes-linreg":
-        if "n_features" not in spec:
-            raise ConfigurationError("bayes-linreg model requires n_features")
-        return LinearRegressionModel(
-            _json_int(spec["n_features"], "model n_features"),
-            spec.get("prior_var", 1.0),
-            spec.get("noise_var", 1.0),
-        )
-    if family == "gp":
-        return GpHyper(
-            spec.get("lengthscales", 1.0),
-            spec.get("signal_var", 1.0),
-            spec.get("noise_var", 1.0),
-            spec.get("jitter", 0.0),
-        )
-    raise ConfigurationError(f"unknown model family {family!r}")
+_MODEL = _Named("family", "model", {
+    "beta-bernoulli": {"alpha": _OPT_NUMBER, "beta": _OPT_NUMBER},
+    "gaussian-known-var": {
+        "prior_mean": _OPT_NUMBER, "prior_var": _OPT_NUMBER, "noise_var": _OPT_NUMBER,
+    },
+    "bayes-linreg": {
+        "n_features": (_INT, _REQUIRED), "prior_var": _OPT_NUMBER, "noise_var": _OPT_NUMBER,
+    },
+    "gp": {
+        "lengthscales": (_NUMBER_OR_LIST, _OPTIONAL), "signal_var": _OPT_NUMBER,
+        "noise_var": _OPT_NUMBER, "jitter": _OPT_NUMBER,
+    },
+})
+_MODELS = (BetaBernoulliModel, GaussianMeanModel, LinearRegressionModel, GpHyper)
+
+# A data spec without a generator loads a CSV file.
+_DATA = _Named("generator", "data spec", {
+    "friedman": {
+        "n_points": (_INT, _REQUIRED), "alpha": (_NUMBER, 0.0), "beta": (_NUMBER, 0.0),
+        "noise_sd": (_NUMBER, 1.0),
+    },
+    "linear": {
+        "n_points": (_INT, _REQUIRED), "weights": (_NUMBERS, [1.0]),
+        "intercept": (_NUMBER, 0.0), "noise_sd": (_NUMBER, 1.0),
+        "x_low": (_NUMBER, 0.0), "x_high": (_NUMBER, 1.0),
+    },
+    "bernoulli": {"n_points": (_INT, _REQUIRED), "p": (_NUMBER, 0.5)},
+    "csv": {
+        "csv": (_STRING, _REQUIRED), "output_column": (_STRING, _REQUIRED),
+        "kind": (_STRING, REGRESSION),
+    },
+}, implied="csv")
+# A validation spec is a data spec plus these keys. ``noise_sd`` has two
+# readers there: the Friedman and linear generators draw output noise with it
+# (default 1.0) and ``perturb_validation`` adds that much noise again (default
+# 0.0), so it stays optional and each reader applies its own default.
+_VALIDATION_ONLY = {
+    "subset_fraction": (_NUMBER, 0.5), "sorted_fraction": (_NUMBER, 1.0), "noise_sd": _OPT_NUMBER,
+}
+_VALIDATION = _Named("generator", "validation spec", {
+    name: {**table, **_VALIDATION_ONLY} for name, table in _DATA.tables.items()
+}, implied="csv")
+
+_STRATEGY = _Named("tag", "strategy", {
+    "truthful": {},
+    "subset": {"frac": _OPT_NUMBER},
+    "noise-output": {"level": _OPT_NUMBER},
+    "duplicate": {"copies": (_INT, _OPTIONAL)},
+    "inject": {"frac": _OPT_NUMBER, "offset": _OPT_NUMBER, "fill": _OPT_NUMBER},
+    "noise-input": {"sd": _OPT_NUMBER},
+}, bare="keep")
+
+_WEIGHT_TABLES = {
+    "shapley": {}, "banzhaf": {}, "individual": {},
+    "beta": {"alpha": (_NUMBER, _REQUIRED), "beta": (_NUMBER, _REQUIRED)},
+}
+_WEIGHTS = _Named("family", "weight family", _WEIGHT_TABLES, bare="expand")
+
+_POST = _Named("kind", "post-processing", {
+    "none": {},
+    "budget": {"budget": (_NUMBER, _REQUIRED), "a": (_NUMBER, 1.0)},
+    "scaled": {"budget": (_NUMBER, _REQUIRED), "gamma": (_NUMBER, 0.0)},
+    "cross-validation": {"variant": (_VARIANT, "breve"), "validation_frac": (_NUMBER, 0.25)},
+}, implied="none", bare="expand")
+
+_ESTIMATE = {"permutations": (_COUNT, 3000), "exact_limit": (_INT, 20)}
+_ESTIMATOR = _Named(
+    "kind", "estimator", {"auto": _ESTIMATE, "exact": _ESTIMATE, "sampled": _ESTIMATE},
+    implied="auto", bare="expand",
+)
+
+_DVF = _Named("kind", "valuation", {kind: {} for kind in DVF_KINDS}, bare="expand")
+
+# The validation key each numeric sweep axis sets.
+_NUMERIC_SWEEPS = {
+    "validation-fraction": "subset_fraction", "validation-noise": "noise_sd",
+    "friedman-alpha": "alpha", "friedman-beta": "beta", "sorted-fraction": "sorted_fraction",
+}
+_WEIGHT_SWEEP_VALUE = _Named("family", "weight-family sweep value", _WEIGHT_TABLES, bare="keep")
+_SWEEP = _Named("axis", "sweep", {
+    "strategy-grid": {"source": (_INT, _REQUIRED), "values": ([_STRATEGY], _REQUIRED)},
+    **{axis: {"values": ([_NUMBER], _REQUIRED)} for axis in _NUMERIC_SWEEPS},
+    "weight-family": {"values": ([_WEIGHT_SWEEP_VALUE], _REQUIRED)},
+})
+
+_CONFIG = {
+    "seed": (_INT, 0),
+    "repeats": (_COUNT, 1),
+    "threads": (_COUNT, 1),
+    "model": (_MODEL, _REQUIRED),
+    "sources": ([_DATA], _REQUIRED),
+    "strategies": ([_STRATEGY], _OPTIONAL),  # default, all truthful, needs the source count
+    "validation": (_VALIDATION, None),
+    "dvf": (_DVF, LOG_SCORE),
+    "weights": (_WEIGHTS, {"family": "shapley"}),
+    "post": (_POST, {"kind": "none"}),
+    "estimator": (_ESTIMATOR, {}),
+    "sweep": (_SWEEP, None),
+    "standardize_outputs": (_BOOL, _OPTIONAL),  # default depends on the model
+}
 
 
-def _build_strategy(spec: Any, seed: int) -> Strategy:
-    if isinstance(spec, str):
-        return Strategy(tag=spec, seed=seed)
-    if isinstance(spec, dict):
-        if "tag" not in spec:
-            raise ConfigurationError(f"strategy object needs a 'tag': {spec!r}")
-        unknown = set(spec) - {"tag", *_STRATEGY_KEYS}
-        if unknown:
-            raise ConfigurationError(f"unknown strategy keys {sorted(unknown)}")
-        params = {k: spec[k] for k in _STRATEGY_KEYS if k in spec}
-        return Strategy(tag=spec["tag"], seed=seed, **params)
-    raise ConfigurationError(f"strategy must be a tag or an object, got {spec!r}")
+def _walk(value: Any, spec: Any, where: str, variant: str = "") -> Any:
+    """``value`` checked against ``spec`` (a type, a table, a ``_Named``
+    section or a one-element list of them), with defaults filled in.
+
+    ``where`` is the path of ``value`` in the config, ``variant`` names the
+    variant whose table ``spec`` is, for messages.
+    """
+    if isinstance(spec, _Named):
+        return _walk_named(value, spec, where)
+    if isinstance(spec, list):
+        if not isinstance(value, list) or not value:
+            raise ConfigurationError(f"{where} must be a non-empty list, got {value!r}")
+        return [_walk(item, spec[0], f"{where}[{i}]") for i, item in enumerate(value)]
+    if isinstance(spec, tuple):
+        name, test = spec
+        if not test(value):
+            raise ConfigurationError(f"{where} must be {name}, got {value!r}")
+        return list(value) if isinstance(value, list) else value  # table defaults stay unshared
+    if not isinstance(value, dict):
+        raise ConfigurationError(f"{where or 'config'} must be a JSON object, got {value!r}")
+    path = {key: f"{where}[{key!r}]" if where else key for key in {*value, *spec}}
+    for key in value:
+        if key not in spec:
+            raise ConfigurationError(f"unknown config key {path[key]}{variant}")
+    out = {}
+    for key, (item, default) in spec.items():
+        if key in value and not (value[key] is None and default is None):
+            out[key] = _walk(value[key], item, path[key])
+        elif default is _REQUIRED:
+            raise ConfigurationError(f"{path[key]} is required{variant}")
+        elif default is not _OPTIONAL:
+            out[key] = None if default is None else _walk(default, item, path[key])
+    return out
 
 
-def _strategy_label(spec: Any) -> str:
-    if isinstance(spec, str):
-        return spec
-    parts = [f"{k}={spec[k]}" for k in _STRATEGY_KEYS if k in spec]
-    return spec["tag"] + (f"({','.join(parts)})" if parts else "")
+def _walk_named(value: Any, spec: _Named, where: str) -> Any:
+    if isinstance(value, str) and spec.bare:
+        obj = {spec.key: value}
+    elif isinstance(value, dict):
+        obj = value
+    else:
+        shape = f"a {spec.key} name or an object" if spec.bare else "an object"
+        raise ConfigurationError(f"{where} must be {shape} ({spec.what}), got {value!r}")
+    name = obj.get(spec.key, spec.implied)
+    key_path = f"{where}[{spec.key!r}]" if where else spec.key
+    if name is None:
+        raise ConfigurationError(f"{key_path} is required ({spec.what})")
+    if not isinstance(name, str) or name not in spec.tables:
+        choices = ", ".join(map(repr, spec.tables))
+        raise ConfigurationError(f"{key_path} must be one of {choices}, got {name!r}")
+    rest = {k: v for k, v in obj.items() if k != spec.key}
+    out = {spec.key: name, **_walk(rest, spec.tables[name], where, f" ({spec.key} {name!r})")}
+    return value if spec.bare == "keep" and isinstance(value, str) else out
 
 
-def _weights_label(spec: Any) -> str:
-    if isinstance(spec, str):
-        return spec
-    family = spec.get("family", "?")
-    if family == "beta":
-        return f"beta({spec.get('alpha')},{spec.get('beta')})"
-    return family
-
-
-def _spec_object(spec: Any, what: str, name_key: str) -> dict:
-    """A config section as an object: a bare ``name_key`` value or an object."""
-    if isinstance(spec, str):
-        return {name_key: spec}
-    if not isinstance(spec, dict):
-        raise ConfigurationError(
-            f"{what} must be a {name_key} name or an object, got {spec!r}"
-        )
-    return spec
-
-
-def _check_csv_spec(spec: dict, what: str) -> None:
-    if "csv" in spec and "output_column" not in spec:
-        raise ConfigurationError(f"{what} loads a CSV file and needs an 'output_column'")
+def _named(spec: Any, key: str) -> dict:
+    """A resolved section that may be a bare name, as an object."""
+    return {key: spec} if isinstance(spec, str) else spec
 
 
 @dataclass
 class ExperimentConfig:
-    """Validated experiment description; ``resolved`` echoes the full config."""
+    """A checked config. ``resolved`` is the schema walk's output with every
+    default filled in; reports echo it and the runner reads only it and
+    ``model``, which is built from its ``model`` section."""
 
-    seed: int
-    repeats: int
-    threads: int
+    resolved: dict
     model: Any
-    source_specs: list
-    strategy_specs: list
-    validation_spec: dict | None
-    dvf_kind: str
-    weights_spec: dict
-    post_spec: dict
-    estimator_spec: dict
-    sweep_spec: dict | None
-    standardize: bool
-    resolved: dict = field(repr=False)
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
-        if not isinstance(raw, dict):
-            raise ConfigurationError("config must be a JSON object")
-        known = {
-            "seed",
-            "repeats",
-            "threads",
-            "model",
-            "sources",
-            "strategies",
-            "validation",
-            "dvf",
-            "weights",
-            "post",
-            "estimator",
-            "sweep",
-            "standardize_outputs",
-        }
-        unknown = set(raw) - known
-        if unknown:
-            raise ConfigurationError(f"unknown config keys {sorted(unknown)}")
-
-        seed = _json_int(raw.get("seed", 0), "seed")
-        repeats = _json_int(raw.get("repeats", 1), "repeats")
-        if repeats < 1:
-            raise ConfigurationError(f"repeats must be >= 1, got {repeats}")
-        threads = _json_int(raw.get("threads", 1), "threads")
-        if threads < 1:
-            raise ConfigurationError(f"threads must be >= 1, got {threads}")
-
-        model = _build_model(raw.get("model"))
-
-        sources = raw.get("sources")
-        if not isinstance(sources, list) or not sources:
-            raise ConfigurationError("config needs a non-empty 'sources' list")
-        for i, spec in enumerate(sources):
-            if not isinstance(spec, dict) or not ({"generator", "csv"} & set(spec)):
-                raise ConfigurationError(
-                    f"source {i} must specify a 'generator' or a 'csv' path"
-                )
-            _check_csv_spec(spec, f"source {i}")
-
-        strategies = raw.get("strategies", ["truthful"] * len(sources))
-        if len(strategies) != len(sources):
-            raise ConfigurationError(
-                f"{len(strategies)} strategies for {len(sources)} sources"
-            )
-        for i, spec in enumerate(strategies):
-            _build_strategy(spec, 0)  # validate shape early
-
-        dvf_kind = raw.get("dvf", LOG_SCORE)
-        if isinstance(dvf_kind, dict):
-            dvf_kind = dvf_kind.get("kind")
-        if dvf_kind not in DVF_KINDS:
-            raise ConfigurationError(f"unknown dvf kind {dvf_kind!r}")
-
-        weights_spec = _spec_object(raw.get("weights", {"family": "shapley"}), "weights", "family")
-
-        post_spec = _spec_object(raw.get("post", {"kind": "none"}), "post", "kind")
-        post_kind = post_spec.get("kind", "none")
-        if post_kind not in ("none", "budget", "scaled", "cross-validation"):
-            raise ConfigurationError(f"unknown post-processing {post_kind!r}")
-        if post_kind == "cross-validation":
-            variant = post_spec.get("variant", "breve")
-            if variant not in ("breve", "grave"):
-                raise ConfigurationError(
-                    f"cross-validation variant must be 'breve' or 'grave', got {variant!r}"
-                )
-            post_spec = {**post_spec, "variant": variant}
-        if post_kind in ("budget", "scaled"):
-            for key, default in (("budget", None), ("a", 1.0), ("gamma", 0.0)):
-                value = post_spec.get(key, default)
-                if isinstance(value, bool) or not isinstance(value, (int, float)):
-                    raise ConfigurationError(
-                        f"post-processing {post_kind!r} needs a numeric {key!r}, got {value!r}"
-                    )
-        validation_spec = raw.get("validation")
-        if dvf_kind in LOG_SCORE_KINDS and post_kind != "cross-validation":
-            if not isinstance(validation_spec, dict):
-                raise ConfigurationError(
-                    f"dvf {dvf_kind!r} needs a 'validation' section"
-                )
-        if isinstance(validation_spec, dict):
-            _check_csv_spec(validation_spec, "validation")
-
-        estimator_spec = _spec_object(raw.get("estimator", {}), "estimator", "kind")
-        unknown = set(estimator_spec) - {"kind", "permutations", "exact_limit"}
-        if unknown:
-            raise ConfigurationError(f"unknown estimator keys {sorted(unknown)}")
-        est_kind = estimator_spec.get("kind", "auto")
-        if est_kind not in ("auto", "exact", "sampled"):
-            raise ConfigurationError(f"unknown estimator kind {est_kind!r}")
-        estimator_spec = {
-            "kind": est_kind,
-            "permutations": _json_int(
-                estimator_spec.get("permutations", 3000), "estimator permutations"
-            ),
-            "exact_limit": _json_int(
-                estimator_spec.get("exact_limit", 20), "estimator exact_limit"
-            ),
-        }
-        if estimator_spec["permutations"] < 1:
-            raise ConfigurationError("estimator permutations must be >= 1")
-        if post_kind == "cross-validation" and est_kind == "sampled":
+        cfg = _walk(raw, _CONFIG, "")
+        params = dict(cfg["model"])
+        family = params.pop("family")
+        model = next(m for m in _MODELS if m.family == family)(**params)
+        n = len(cfg["sources"])
+        cfg.setdefault("strategies", ["truthful"] * n)
+        cfg.setdefault("standardize_outputs", model.data_kind == REGRESSION)
+        cfg["dvf"] = cfg["dvf"]["kind"]  # echoed and read as the bare kind name
+        config = cls({key: cfg[key] for key in _CONFIG}, model)
+        if len(cfg["strategies"]) != n:
+            raise ConfigurationError(f"{len(cfg['strategies'])} strategies for {n} sources")
+        post_kind = cfg["post"]["kind"]
+        if cfg["dvf"] in LOG_SCORE_KINDS and post_kind != "cross-validation":
+            if cfg["validation"] is None:
+                raise ConfigurationError(f"dvf {cfg['dvf']!r} needs a 'validation' section")
+        if post_kind == "cross-validation" and cfg["estimator"]["kind"] == "sampled":
             raise ConfigurationError(
                 "cross-validation rewards enumerate every game exactly; "
                 "the sampled estimator is not available with them"
             )
-
-        sweep_spec = raw.get("sweep")
-        if sweep_spec is not None:
-            if not isinstance(sweep_spec, dict):
-                raise ConfigurationError(f"sweep must be an object, got {sweep_spec!r}")
-            axis = sweep_spec.get("axis")
-            if axis not in SWEEP_AXES:
-                raise ConfigurationError(f"unknown sweep axis {axis!r}")
-            values = sweep_spec.get("values")
-            if not isinstance(values, list) or not values:
-                raise ConfigurationError("sweep needs a non-empty 'values' list")
-            if axis == "strategy-grid":
-                src = sweep_spec.get("source")
-                if not isinstance(src, int) or not 0 <= src < len(sources):
-                    raise ConfigurationError(
-                        f"strategy-grid sweep needs a valid 'source' index, got {src!r}"
-                    )
-                for v in values:
-                    _build_strategy(v, 0)
-            elif axis == "weight-family":
-                for v in values:
-                    _spec_object(v, "weight-family sweep value", "family")
-            else:
-                numeric = [float(v) for v in values]
-                if not all(math.isfinite(v) for v in numeric):
-                    raise ConfigurationError("sweep values must be finite")
-                if sorted(numeric) != numeric:
-                    raise ConfigurationError("numeric sweep values must be ascending")
-
-        standardize = raw.get("standardize_outputs", model.data_kind == REGRESSION)
-        if not isinstance(standardize, bool):
+        sweep = cfg["sweep"] or {"axis": None}
+        if sweep["axis"] == "strategy-grid" and not 0 <= sweep["source"] < n:
             raise ConfigurationError(
-                f"standardize_outputs must be true or false, got {standardize!r}"
+                f"strategy-grid sweep needs a valid 'source' index, got {sweep['source']!r}"
             )
-
-        resolved = {
-            "seed": seed,
-            "repeats": repeats,
-            "threads": threads,
-            "model": raw.get("model"),
-            "sources": sources,
-            "strategies": strategies,
-            "validation": validation_spec,
-            "dvf": dvf_kind,
-            "weights": weights_spec,
-            "post": post_spec,
-            "estimator": estimator_spec,
-            "sweep": sweep_spec,
-            "standardize_outputs": standardize,
-        }
-        return cls(
-            seed=seed,
-            repeats=repeats,
-            threads=threads,
-            model=model,
-            source_specs=sources,
-            strategy_specs=list(strategies),
-            validation_spec=validation_spec,
-            dvf_kind=dvf_kind,
-            weights_spec=weights_spec,
-            post_spec=post_spec,
-            estimator_spec=estimator_spec,
-            sweep_spec=sweep_spec,
-            standardize=standardize,
-            resolved=resolved,
-        )
+        if sweep["axis"] in _NUMERIC_SWEEPS and sorted(sweep["values"]) != sweep["values"]:
+            raise ConfigurationError("numeric sweep values must be ascending")
+        return config
 
 
 # -- data materialization ------------------------------------------------------
@@ -372,150 +321,99 @@ def _generate_linear(spec: dict, seed: int) -> Dataset:
     With centered inputs (x_low = -x_high) and zero intercept this is exactly
     the Bayesian linear-regression likelihood, i.e. a well-specified study.
     """
-    weights = np.asarray(spec.get("weights", [1.0]), dtype=float)
-    n = _json_int(spec.get("n_points"), "n_points")
+    weights = np.asarray(spec["weights"], dtype=float)
+    n = spec["n_points"]
     rng = np.random.default_rng(seed)
-    x = rng.uniform(
-        float(spec.get("x_low", 0.0)), float(spec.get("x_high", 1.0)),
-        size=(n, weights.size),
-    )
-    y = x @ weights + float(spec.get("intercept", 0.0))
-    noise_sd = float(spec.get("noise_sd", 1.0))
-    if noise_sd > 0:
-        y = y + rng.normal(0.0, noise_sd, size=n)
+    x = rng.uniform(spec["x_low"], spec["x_high"], size=(n, weights.size))
+    y = x @ weights + spec["intercept"]
+    if spec["noise_sd"] > 0:
+        y = y + rng.normal(0.0, spec["noise_sd"], size=n)
     return Dataset(x, y, REGRESSION)
 
 
-def _materialize(spec: dict, seed: int, alpha: float = 0.0, beta: float = 0.0) -> Dataset:
-    if "csv" in spec:
-        return load_csv(spec["csv"], spec["output_column"], spec.get("kind", REGRESSION))
-    generator = spec.get("generator")
+def _materialize(spec: dict, seed: int) -> Dataset:
+    """The dataset a (raw or resolved) data spec describes."""
+    spec = _walk(spec, _DATA, "")
+    generator = spec["generator"]
+    if generator == "csv":
+        return load_csv(spec["csv"], spec["output_column"], spec["kind"])
     if generator == "friedman":
         return friedman_generate(
-            _json_int(spec.get("n_points"), "n_points"),
-            seed,
-            alpha=alpha,
-            beta=beta,
-            noise_sd=float(spec.get("noise_sd", 1.0)),
+            spec["n_points"], seed, alpha=spec["alpha"], beta=spec["beta"],
+            noise_sd=spec["noise_sd"],
         )
     if generator == "linear":
         return _generate_linear(spec, seed)
-    if generator == "bernoulli":
-        rng = np.random.default_rng(seed)
-        p = float(spec.get("p", 0.5))
-        labels = (rng.random(_json_int(spec.get("n_points"), "n_points")) < p).astype(float)
-        return Dataset(np.empty((labels.size, 0)), labels, "binary")
-    raise ConfigurationError(f"unknown generator {generator!r}")
+    rng = np.random.default_rng(seed)
+    labels = (rng.random(spec["n_points"]) < spec["p"]).astype(float)
+    return Dataset(np.empty((labels.size, 0)), labels, "binary")
 
 
 # -- sweep handling -------------------------------------------------------------
 
 
-@dataclass
-class _Point:
-    label: str | None
-    strategy_specs: list
-    validation_spec: dict | None
-    weights_spec: dict
-
-
-def _sweep_points(config: ExperimentConfig) -> list[_Point]:
-    base = _Point(
-        None, list(config.strategy_specs), config.validation_spec, config.weights_spec
-    )
-    if config.sweep_spec is None:
-        return [base]
-    axis = config.sweep_spec["axis"]
-    values = config.sweep_spec["values"]
+def _sweep_points(cfg: dict) -> list[tuple[str | None, dict]]:
+    """(label, config) per sweep point: the resolved config with the swept value in place."""
+    sweep = cfg["sweep"]
+    if sweep is None:
+        return [(None, cfg)]
     points = []
     labels_seen: dict[str, int] = {}
-    for value in values:
-        point = _Point(
-            None, list(base.strategy_specs), base.validation_spec, base.weights_spec
-        )
-        if axis == "strategy-grid":
-            point.strategy_specs[config.sweep_spec["source"]] = value
-            label = _strategy_label(value)
-        elif axis == "weight-family":
-            point.weights_spec = dict(_spec_object(value, "weight-family sweep value", "family"))
-            label = _weights_label(value)
+    for value in sweep["values"]:
+        if sweep["axis"] == "strategy-grid":
+            strategies = list(cfg["strategies"])
+            strategies[sweep["source"]] = value
+            spec = _named(value, "tag")
+            params = ",".join(f"{k}={v}" for k, v in spec.items() if k != "tag")
+            label = spec["tag"] + (f"({params})" if params else "")
+            point = {**cfg, "strategies": strategies}
+        elif sweep["axis"] == "weight-family":
+            weights = _named(value, "family")
+            label = weights["family"]
+            if label == "beta":
+                label = f"beta({weights['alpha']},{weights['beta']})"
+            point = {**cfg, "weights": weights}
         else:
-            key = {
-                "validation-fraction": "subset_fraction",
-                "validation-noise": "noise_sd",
-                "friedman-alpha": "alpha",
-                "friedman-beta": "beta",
-                "sorted-fraction": "sorted_fraction",
-            }[axis]
-            point.validation_spec = {**(base.validation_spec or {}), key: float(value)}
-            label = f"{float(value):g}"
-        if label in labels_seen:
-            labels_seen[label] += 1
-            label = f"{label}#{labels_seen[label]}"
-        else:
-            labels_seen[label] = 0
-        point.label = label
-        points.append(point)
+            validation = {**(cfg["validation"] or {}), _NUMERIC_SWEEPS[sweep["axis"]]: value}
+            point, label = {**cfg, "validation": validation}, f"{value:g}"
+        labels_seen[label] = labels_seen.get(label, -1) + 1
+        points.append((f"{label}#{labels_seen[label]}" if labels_seen[label] else label, point))
     return points
 
 
 # -- reward computation ----------------------------------------------------------
 
 
-def _uses_sampling(estimator_spec: dict, n_sources: int) -> bool:
-    kind = estimator_spec["kind"]
-    return kind == "sampled" or (kind == "auto" and n_sources > estimator_spec["exact_limit"])
+def _post_process(phi: np.ndarray, post: dict) -> np.ndarray:
+    if post["kind"] == "budget":
+        return budget_cap(phi, post["a"], post["budget"])
+    if post["kind"] == "scaled":
+        return scaled_reward(phi, post["budget"], post["gamma"])
+    return phi
 
 
-def _build_weights(spec: dict, n: int):
-    family = spec.get("family")
-    if family is None:
-        raise ConfigurationError("weights need a 'family'")
-    return make_weights(family, n, alpha=spec.get("alpha"), beta=spec.get("beta"))
-
-
-def _post_process(phi: np.ndarray, post_spec: dict) -> np.ndarray:
-    kind = post_spec.get("kind", "none")
-    if kind == "none":
-        return phi
-    if kind == "budget":
-        a = float(post_spec.get("a", 1.0))
-        budget = float(post_spec["budget"])
-        return budget_cap(phi, a, budget)
-    if kind == "scaled":
-        budget = float(post_spec["budget"])
-        gamma = float(post_spec.get("gamma", 0.0))
-        return scaled_reward(phi, budget, gamma)
-    raise ConfigurationError(f"unknown post-processing {kind!r}")
-
-
-def _validation_pool(config: ExperimentConfig, point: _Point) -> Dataset:
-    vcfg = point.validation_spec
-    if vcfg is None:
-        raise ConfigurationError("log-score valuation needs a 'validation' section")
+def _validation_pool(point: dict) -> Dataset:
+    vcfg = point["validation"]
+    data_keys = {"generator", *_DATA.tables[vcfg["generator"]]}
     pool = _materialize(
-        vcfg,
-        derive_seed(config.seed, "validation"),
-        alpha=float(vcfg.get("alpha", 0.0)),
-        beta=float(vcfg.get("beta", 0.0)),
+        {k: v for k, v in vcfg.items() if k in data_keys},
+        derive_seed(point["seed"], "validation"),
     )
     spec = PerturbSpec(
-        validation_noise_sd=float(vcfg.get("noise_sd", 0.0)),
-        friedman_alpha=float(vcfg.get("alpha", 0.0)),
-        friedman_beta=float(vcfg.get("beta", 0.0)),
-        sorted_fraction=float(vcfg.get("sorted_fraction", 1.0)),
+        validation_noise_sd=vcfg.get("noise_sd", 0.0),
+        sorted_fraction=vcfg["sorted_fraction"],
     )
-    return perturb_validation(pool, spec, derive_seed(config.seed, "validation-perturb"))
+    return perturb_validation(pool, spec, derive_seed(point["seed"], "validation-perturb"))
 
 
-def _repeat_subsets(config: ExperimentConfig, point: _Point, pool: Dataset) -> list[np.ndarray]:
-    fraction = float((point.validation_spec or {}).get("subset_fraction", 0.5))
+def _repeat_subsets(point: dict, pool: Dataset) -> list[np.ndarray]:
+    fraction = point["validation"]["subset_fraction"]
     if not 0.0 < fraction <= 1.0:
         raise ConfigurationError(f"subset_fraction must be in (0, 1], got {fraction}")
     k = math.ceil(fraction * len(pool))
     subsets = []
-    for r in range(config.repeats):
-        rng = np.random.default_rng(derive_seed(config.seed, "repeat", r))
+    for r in range(point["repeats"]):
+        rng = np.random.default_rng(derive_seed(point["seed"], "repeat", r))
         subsets.append(np.sort(rng.choice(len(pool), size=k, replace=False)))
     return subsets
 
@@ -558,7 +456,7 @@ class RunReport:
 
 
 def _repeat_rows(
-    point: _Point, r: int, strategies: list[Strategy], values, rewards
+    label: str | None, r: int, strategies: list[Strategy], values, rewards
 ) -> list[ReportRow]:
     """Report rows of repeat ``r``, one per source; every number must be finite."""
     values = np.asarray(values, dtype=float)
@@ -569,7 +467,7 @@ def _repeat_rows(
             f"source {int(np.argmin(finite))} has a non-finite value or reward in repeat {r}"
         )
     return [
-        ReportRow(point.label, r, i, s.tag, float(values[i]), float(rewards[i]))
+        ReportRow(label, r, i, s.tag, float(values[i]), float(rewards[i]))
         for i, s in enumerate(strategies)
     ]
 
@@ -613,44 +511,41 @@ def _summarize(rows: list[ReportRow]) -> list[dict]:
 
 def run_experiment(config: ExperimentConfig) -> RunReport:
     start = time.perf_counter()
+    cfg = config.resolved
     with _stage("sources"):
         raw_sources = [
-            _materialize(spec, derive_seed(config.seed, "source", i))
-            for i, spec in enumerate(config.source_specs)
+            _materialize(spec, derive_seed(cfg["seed"], "source", i))
+            for i, spec in enumerate(cfg["sources"])
         ]
-    points = _sweep_points(config)
     rows: list[ReportRow] = []
-    for point in points:
+    for label, point in _sweep_points(cfg):
         with _stage("strategies"):
             strategies = [
-                _build_strategy(spec, derive_seed(config.seed, "strategy", i))
-                for i, spec in enumerate(point.strategy_specs)
+                Strategy(seed=derive_seed(cfg["seed"], "strategy", i), **_named(spec, "tag"))
+                for i, spec in enumerate(point["strategies"])
             ]
             submissions = [
                 apply_strategy(src, strat) for src, strat in zip(raw_sources, strategies)
             ]
-        if config.post_spec.get("kind") == "cross-validation":
-            point_rows = _run_cross_point(config, point, submissions, strategies)
+        if cfg["post"]["kind"] == "cross-validation":
+            point_rows = _run_cross_point(config.model, point, label, submissions, strategies)
         else:
-            point_rows = _run_standard_point(config, point, submissions, strategies)
+            point_rows = _run_standard_point(config.model, point, label, submissions, strategies)
         rows.extend(point_rows)
-    resolved = config.resolved
-    blob = json.dumps(resolved, sort_keys=True, default=str).encode()
+    blob = json.dumps(cfg, sort_keys=True, default=str).encode()
     return RunReport(
-        config=resolved,
+        config=cfg,
         config_hash=hashlib.sha256(blob).hexdigest()[:16],
-        seed=config.seed,
-        sweep_axis=config.sweep_spec["axis"] if config.sweep_spec else None,
+        seed=cfg["seed"],
+        sweep_axis=cfg["sweep"]["axis"] if cfg["sweep"] else None,
         rows=rows,
         summary=_summarize(rows),
         wall_time_s=time.perf_counter() - start,
     )
 
 
-def _standardize_all(
-    config: ExperimentConfig, submissions: list[Dataset], pool: Dataset | None
-):
-    if not config.standardize or submissions[0].kind != REGRESSION:
+def _standardize_all(point: dict, submissions: list[Dataset], pool: Dataset | None):
+    if not point["standardize_outputs"] or submissions[0].kind != REGRESSION:
         return submissions, pool
     mean, sd = output_moments(submissions)
     submissions = [shift_scale_outputs(ds, mean, sd) for ds in submissions]
@@ -660,114 +555,112 @@ def _standardize_all(
 
 
 def _run_standard_point(
-    config: ExperimentConfig,
-    point: _Point,
+    model: Any,
+    point: dict,
+    label: str | None,
     submissions: list[Dataset],
     strategies: list[Strategy],
 ) -> list[ReportRow]:
     n = len(submissions)
-    model = config.model
     with _stage("weights"):
-        weights = _build_weights(point.weights_spec, n)
-    needs_validation = config.dvf_kind in LOG_SCORE_KINDS
+        weights = make_weights(n=n, **point["weights"])
+    needs_validation = point["dvf"] in LOG_SCORE_KINDS
     pool = None
     if needs_validation:
         with _stage("validation"):
-            pool = _validation_pool(config, point)
+            pool = _validation_pool(point)
     with _stage("standardize"):
-        submissions, pool = _standardize_all(config, submissions, pool)
+        submissions, pool = _standardize_all(point, submissions, pool)
 
-    est = config.estimator_spec
+    est = point["estimator"]
     singletons = np.uint64(1) << np.arange(n, dtype=np.uint64)
 
     if not needs_validation:
         # Validation-free baselines: the table does not change across repeats.
         with _stage("table"):
-            spec = DvfSpec(config.dvf_kind, model=model)
+            spec = DvfSpec(point["dvf"], model=model)
             table = build_char_table(submissions, spec, exact_limit=est["exact_limit"])
             phi = exact_semivalue(table, weights)
         with _stage("rewards"):
-            rewards = _post_process(phi, config.post_spec)
+            rewards = _post_process(phi, point["post"])
             values = table.values[singletons]
             return [
                 row
-                for r in range(config.repeats)
-                for row in _repeat_rows(point, r, strategies, values, rewards)
+                for r in range(point["repeats"])
+                for row in _repeat_rows(label, r, strategies, values, rewards)
             ]
 
     with _stage("validation"):
-        subsets = _repeat_subsets(config, point, pool)
+        subsets = _repeat_subsets(point, pool)
 
-    if not _uses_sampling(est, n):
+    if est["kind"] == "exact" or (est["kind"] == "auto" and n <= est["exact_limit"]):
         if n > est["exact_limit"]:
             raise ConfigurationError(
                 f"{n} sources exceed the exact limit {est['exact_limit']}; "
                 "set estimator.kind to 'sampled'"
             )
         with _stage("table"):
-            tables = CoalitionScorer(model, config.dvf_kind, submissions, pool, subsets).table()
+            tables = CoalitionScorer(model, point["dvf"], submissions, pool, subsets).table()
         rows: list[ReportRow] = []
         with _stage("rewards"):
             for r, table in enumerate(tables):
                 phi = exact_semivalue(table, weights)
-                rewards = _post_process(phi, config.post_spec)
-                rows += _repeat_rows(point, r, strategies, table.values[singletons], rewards)
+                rewards = _post_process(phi, point["post"])
+                rows += _repeat_rows(label, r, strategies, table.values[singletons], rewards)
         return rows
 
     def sampled_repeat(r: int) -> list[ReportRow]:
         validation = take_rows(pool, subsets[r])
-        scorer = CoalitionScorer(model, config.dvf_kind, submissions, validation)
+        scorer = CoalitionScorer(model, point["dvf"], submissions, validation)
 
         def evaluate(masks):
             return scorer.values(masks)[0]
 
         estimate = sampled_semivalue(
-            evaluate, weights, est["permutations"], derive_seed(config.seed, "permutations", r)
+            evaluate, weights, est["permutations"], derive_seed(point["seed"], "permutations", r)
         )
-        rewards = _post_process(estimate.values, config.post_spec)
-        return _repeat_rows(point, r, strategies, evaluate(singletons), rewards)
+        rewards = _post_process(estimate.values, point["post"])
+        return _repeat_rows(label, r, strategies, evaluate(singletons), rewards)
 
     with _stage("rewards"):
-        return [row for chunk in _map_repeats(config, sampled_repeat) for row in chunk]
+        return [row for chunk in _map_repeats(point, sampled_repeat) for row in chunk]
 
 
 def _run_cross_point(
-    config: ExperimentConfig,
-    point: _Point,
+    model: Any,
+    point: dict,
+    label: str | None,
     submissions: list[Dataset],
     strategies: list[Strategy],
 ) -> list[ReportRow]:
     n = len(submissions)
-    model = config.model
     with _stage("weights"):
-        weights = _build_weights(point.weights_spec, n)
+        weights = make_weights(n=n, **point["weights"])
     with _stage("standardize"):
-        submissions, _ = _standardize_all(config, submissions, None)
-    frac = float(config.post_spec.get("validation_frac", 0.25))
-    variant = config.post_spec["variant"]
+        submissions, _ = _standardize_all(point, submissions, None)
 
     def one_repeat(r: int) -> list[ReportRow]:
-        split_seeds = [derive_seed(config.seed, "split", r, j) for j in range(n)]
+        split_seeds = [derive_seed(point["seed"], "split", r, j) for j in range(n)]
         cg = cross_validation_rewards(
             submissions,
-            frac,
+            point["post"]["validation_frac"],
             weights,
             model,
-            config.seed,
+            point["seed"],
             split_seeds=split_seeds,
-            exact_limit=config.estimator_spec["exact_limit"],
+            exact_limit=point["estimator"]["exact_limit"],
         )
-        rewards = cg.breve if variant == "breve" else cg.grave
-        return _repeat_rows(point, r, strategies, np.diag(cg.per_game), rewards)
+        rewards = cg.breve if point["post"]["variant"] == "breve" else cg.grave
+        return _repeat_rows(label, r, strategies, np.diag(cg.per_game), rewards)
 
     with _stage("rewards"):
-        return [row for chunk in _map_repeats(config, one_repeat) for row in chunk]
+        return [row for chunk in _map_repeats(point, one_repeat) for row in chunk]
 
 
-def _map_repeats(config: ExperimentConfig, fn) -> list:
-    indices = range(config.repeats)
-    if config.threads > 1:
-        with ThreadPoolExecutor(max_workers=config.threads) as pool:
+def _map_repeats(point: dict, fn) -> list:
+    indices = range(point["repeats"])
+    if point["threads"] > 1:
+        with ThreadPoolExecutor(max_workers=point["threads"]) as pool:
             return list(pool.map(fn, indices))
     return [fn(r) for r in indices]
 

@@ -271,6 +271,83 @@ class TestConfigurationErrorsExit1:
         assert err.startswith("configuration error:") and "permutaions" in err
 
 
+def _with(cfg, path, value):
+    """``cfg`` with the entry at ``path`` (a tuple of keys and indices) set to ``value``."""
+    target = cfg
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    return cfg
+
+
+class TestSchemaErrorsExit1:
+    """Values of the wrong JSON type and keys no section uses are configuration
+    errors, never tracebacks or silently ignored settings."""
+
+    def run(self, tmp_path, capsys, config_path, path, value):
+        cfg = _with(json.loads(config_path.read_text()), path, value)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        code = main(["--config", str(cfg_path)])
+        return code, capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "path, value",
+        [
+            (("sweep",), {"axis": "validation-noise", "values": ["a"]}),
+            (("sweep",), {"axis": "validation-noise", "values": [None]}),
+            (("model", "alpha"), "2"),
+            (("model", "alpha"), None),
+            (("model",), {"family": "gp", "lengthscales": "a"}),
+            (("model",), {"family": "gp", "jitter": "x"}),
+            (("sources", 0, "p"), "x"),
+            (("sources", 0), {"generator": "linear", "n_points": 5, "weights": "ab"}),
+            (("strategies",), [{"tag": "subset", "frac": "x"}, "truthful"]),
+            (("validation", "subset_fraction"), "a"),
+            (("validation", "noise_sd"), "x"),
+            (("post",), {"kind": "cross-validation", "validation_frac": "x"}),
+            (("weights",), {"family": "beta", "alpha": "2", "beta": 1}),
+        ],
+        ids=[
+            "sweep-value-string", "sweep-value-null", "model-alpha-string",
+            "model-alpha-null", "gp-lengthscales", "gp-jitter", "bernoulli-p",
+            "linear-weights", "strategy-frac", "subset-fraction", "validation-noise-sd",
+            "validation-frac", "beta-weights-alpha",
+        ],
+    )
+    def test_non_numeric_value(self, tmp_path, capsys, config_path, path, value):
+        code, err = self.run(tmp_path, capsys, config_path, path, value)
+        assert code == 1
+        assert err.startswith("configuration error:")
+
+    @pytest.mark.parametrize(
+        "path, value, key",
+        [
+            (("sources", 0, "pp"), 0.7, "pp"),
+            (("model", "alpah"), 2.0, "alpah"),
+            (("validation", "subset_fracton"), 0.5, "subset_fracton"),
+            (("post",), {"kind": "scaled", "budget": 1.0, "gama": 0.1}, "gama"),
+            (("weights",), {"family": "shapley", "alpha": 2.0}, "alpha"),
+            (("sweep",), {"axis": "validation-noise", "source": 0, "values": [0.0]}, "source"),
+            (("dvf",), {"kind": "log-score", "extra": 1}, "extra"),
+            (("strategies",), "truthful", "strategies"),
+            (
+                ("sweep",),
+                {"axis": "strategy-grid", "source": True, "values": ["truthful"]},
+                "source",
+            ),
+        ],
+        ids=[
+            "source-typo", "model-typo", "validation-typo", "post-typo", "shapley-alpha",
+            "numeric-sweep-source", "dvf-extra-key", "strategies-string", "sweep-source-bool",
+        ],
+    )
+    def test_error_names_the_key(self, tmp_path, capsys, config_path, path, value, key):
+        code, err = self.run(tmp_path, capsys, config_path, path, value)
+        assert code == 1
+        assert err.startswith("configuration error:") and key in err
+
+
 class TestInconsistentSources:
     @pytest.mark.parametrize("path", ["exact", "sampled", "cross-validation"])
     def test_feature_count_mismatch_exits_2_with_one_message(self, tmp_path, capsys, path):

@@ -7,6 +7,7 @@ import json
 import numpy as np
 import pytest
 
+from truthval import experiment
 from truthval.errors import ConfigurationError
 from truthval.experiment import (
     ExperimentConfig,
@@ -17,24 +18,43 @@ from truthval.experiment import (
 )
 
 
+def _schema_sections(spec, found):
+    """Every named section reachable from ``spec`` in the config schema."""
+    if isinstance(spec, experiment._Named):
+        if spec not in found:
+            found.append(spec)
+        tables = list(spec.tables.values())
+    elif isinstance(spec, list):
+        return _schema_sections(spec[0], found)
+    elif isinstance(spec, dict):
+        tables = [spec]
+    else:
+        return found
+    for table in tables:
+        for item, _ in table.values():
+            _schema_sections(item, found)
+    return found
+
+
+BERNOULLI = {
+    "seed": 11,
+    "repeats": 3,
+    "model": {"family": "beta-bernoulli"},
+    "sources": [
+        {"generator": "bernoulli", "n_points": 10, "p": 0.7},
+        {"generator": "bernoulli", "n_points": 6, "p": 0.4},
+    ],
+    "validation": {
+        "generator": "bernoulli",
+        "n_points": 16,
+        "p": 0.7,
+        "subset_fraction": 0.5,
+    },
+}
+
+
 def bernoulli_config(**overrides):
-    base = {
-        "seed": 11,
-        "repeats": 3,
-        "model": {"family": "beta-bernoulli"},
-        "sources": [
-            {"generator": "bernoulli", "n_points": 10, "p": 0.7},
-            {"generator": "bernoulli", "n_points": 6, "p": 0.4},
-        ],
-        "validation": {
-            "generator": "bernoulli",
-            "n_points": 16,
-            "p": 0.7,
-            "subset_fraction": 0.5,
-        },
-    }
-    base.update(overrides)
-    return ExperimentConfig.from_dict(base)
+    return ExperimentConfig.from_dict({**BERNOULLI, **overrides})
 
 
 class TestConfigValidation:
@@ -67,10 +87,63 @@ class TestConfigValidation:
                 }
             )
 
-    def test_config_echo_round_trips_through_json(self):
-        cfg = bernoulli_config()
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {},
+            {"validation": {"generator": "bernoulli", "n_points": 8}},
+            {"model": {"family": "gaussian-known-var"}},
+            {"model": {"family": "bayes-linreg", "n_features": 1}},
+            {"model": {"family": "gp", "lengthscales": [0.5]}},
+            {"sources": [{"generator": "friedman", "n_points": 5, "alpha": 0.3}] * 2},
+            {"sources": [{"generator": "linear", "n_points": 5, "weights": [1.0]}] * 2},
+            {"sources": [{"csv": "data.csv", "output_column": "y"}] * 2},
+            {"post": {"kind": "budget", "budget": 0.5}},
+            {"post": {"kind": "scaled", "budget": 1}},
+            {"post": "cross-validation"},
+            {"sweep": {"axis": "strategy-grid", "source": 1,
+                       "values": ["truthful", {"tag": "duplicate", "copies": 2}]}},
+            {"sweep": {"axis": "validation-fraction", "values": [0.25, 1]}},
+            {"sweep": {"axis": "validation-noise", "values": [0.0, 0.5]}},
+            {"sweep": {"axis": "friedman-alpha", "values": [0, 1]}},
+            {"sweep": {"axis": "friedman-beta", "values": [0, 1]}},
+            {"sweep": {"axis": "sorted-fraction", "values": [0.5, 1.0]}},
+            {"sweep": {"axis": "weight-family",
+                       "values": ["shapley", {"family": "beta", "alpha": 4, "beta": 1}]}},
+        ],
+        ids=[
+            "base", "validation-defaults", "gaussian-known-var", "bayes-linreg", "gp", "friedman",
+            "linear", "csv", "budget", "scaled", "cross-validation", "strategy-grid",
+            "validation-fraction", "validation-noise", "friedman-alpha", "friedman-beta",
+            "sorted-fraction", "weight-family",
+        ],
+    )
+    def test_config_echo_round_trips_through_json(self, overrides):
+        cfg = bernoulli_config(**overrides)
         again = ExperimentConfig.from_dict(json.loads(json.dumps(cfg.resolved)))
         assert again.resolved == cfg.resolved
+        # The echo holds the defaults that ran.
+        resolved, given = cfg.resolved, {**BERNOULLI, **overrides}
+        assert resolved["strategies"] == ["truthful"] * 2 and resolved["dvf"] == "log-score"
+        assert resolved["estimator"] == {"kind": "auto", "permutations": 3000, "exact_limit": 20}
+        assert resolved["validation"]["subset_fraction"] == given["validation"].get(
+            "subset_fraction", 0.5
+        )
+        assert resolved["validation"]["sorted_fraction"] == 1.0
+        assert all("generator" in spec for spec in resolved["sources"])
+
+    @pytest.mark.parametrize(
+        "section, variant",
+        [
+            (section, variant)
+            for section in _schema_sections(experiment._CONFIG, [])
+            for variant in section.tables
+        ],
+        ids=lambda item: item if isinstance(item, str) else item.what.replace(" ", "-"),
+    )
+    def test_every_schema_section_rejects_unknown_keys(self, section, variant):
+        with pytest.raises(ConfigurationError, match="zz_typo"):
+            experiment._walk({section.key: variant, "zz_typo": 1}, section, section.what)
 
     @pytest.mark.parametrize(
         "overrides",
@@ -130,6 +203,13 @@ class TestSampledWeights:
 
 
 class TestConfigShapes:
+    def test_filled_in_defaults_are_not_shared_between_configs(self):
+        def linear_config():
+            return bernoulli_config(sources=[{"generator": "linear", "n_points": 4}])
+
+        linear_config().resolved["sources"][0]["weights"].append(2.0)
+        assert linear_config().resolved["sources"][0]["weights"] == [1.0]
+
     def test_csv_source_needs_output_column(self):
         with pytest.raises(ConfigurationError, match="output_column"):
             bernoulli_config(sources=[{"csv": "data.csv"}])
@@ -409,6 +489,24 @@ class TestGenerators:
             seed=3,
         )
         assert ds.inputs.shape == (12, 2)
+
+    def test_friedman_source_alpha_changes_its_value(self):
+        def source0_value(alpha):
+            cfg = ExperimentConfig.from_dict(
+                {
+                    "seed": 5,
+                    "model": {"family": "gaussian-known-var"},
+                    "sources": [
+                        {"generator": "friedman", "n_points": 8, "alpha": alpha, "beta": 9.0},
+                        {"generator": "friedman", "n_points": 8},
+                    ],
+                    "validation": {"generator": "friedman", "n_points": 10},
+                    "standardize_outputs": False,
+                }
+            )
+            return run_experiment(cfg).rows[0].value
+
+        assert source0_value(0.9) != source0_value(0.0)
 
     def test_unknown_generator(self):
         with pytest.raises(ConfigurationError):
