@@ -294,9 +294,9 @@ class ExperimentConfig:
         if len(cfg["strategies"]) != n:
             raise ConfigurationError(f"{len(cfg['strategies'])} strategies for {n} sources")
         post_kind = cfg["post"]["kind"]
-        if cfg["dvf"] in LOG_SCORE_KINDS and post_kind != "cross-validation":
-            if cfg["validation"] is None:
-                raise ConfigurationError(f"dvf {cfg['dvf']!r} needs a 'validation' section")
+        reads_validation = cfg["dvf"] in LOG_SCORE_KINDS and post_kind != "cross-validation"
+        if reads_validation and cfg["validation"] is None:
+            raise ConfigurationError(f"dvf {cfg['dvf']!r} needs a 'validation' section")
         if post_kind == "cross-validation" and cfg["estimator"]["kind"] == "sampled":
             raise ConfigurationError(
                 "cross-validation rewards enumerate every game exactly; "
@@ -307,8 +307,20 @@ class ExperimentConfig:
             raise ConfigurationError(
                 f"strategy-grid sweep needs a valid 'source' index, got {sweep['source']!r}"
             )
-        if sweep["axis"] in _NUMERIC_SWEEPS and sorted(sweep["values"]) != sweep["values"]:
-            raise ConfigurationError("numeric sweep values must be ascending")
+        if sweep["axis"] in _NUMERIC_SWEEPS:
+            if sorted(sweep["values"]) != sweep["values"]:
+                raise ConfigurationError("numeric sweep values must be ascending")
+            key, validation = _NUMERIC_SWEEPS[sweep["axis"]], cfg["validation"]
+            if not reads_validation:
+                raise ConfigurationError(
+                    f"sweep axis {sweep['axis']!r} sets validation[{key!r}], but this "
+                    "run reads no validation set"
+                )
+            if key not in _VALIDATION.tables[validation["generator"]]:
+                raise ConfigurationError(
+                    f"sweep axis {sweep['axis']!r} sets validation[{key!r}], which a "
+                    f"{validation['generator']!r} validation spec does not use"
+                )
         return config
 
 
@@ -374,7 +386,7 @@ def _sweep_points(cfg: dict) -> list[tuple[str | None, dict]]:
                 label = f"beta({weights['alpha']},{weights['beta']})"
             point = {**cfg, "weights": weights}
         else:
-            validation = {**(cfg["validation"] or {}), _NUMERIC_SWEEPS[sweep["axis"]]: value}
+            validation = {**cfg["validation"], _NUMERIC_SWEEPS[sweep["axis"]]: value}
             point, label = {**cfg, "validation": validation}, f"{value:g}"
         labels_seen[label] = labels_seen.get(label, -1) + 1
         points.append((f"{label}#{labels_seen[label]}" if labels_seen[label] else label, point))

@@ -12,6 +12,7 @@ input-volume, information gain, and posterior divergence from the prior.
 
 from __future__ import annotations
 
+import os
 import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -224,18 +225,52 @@ class _GpLevel(NamedTuple):
     spread: object = None
 
 
+class _GpBlock(NamedTuple):
+    """One source as the GP lattice appends it: its distinct input rows in
+    order of first appearance, the mean output of each and how often each
+    occurs. c outputs observed at one input x constrain f(x) exactly as their
+    mean with noise variance noise_var / c does, since
+    prod_c N(y_c | f(x), s^2) is proportional in f to N(mean y | f(x), s^2 / c);
+    so the posterior, and every log score, is that of the raw rows."""
+
+    inputs: np.ndarray
+    outputs: np.ndarray
+    counts: np.ndarray
+
+
+def _gp_block(data: Dataset) -> _GpBlock:
+    _, first, inverse, counts = np.unique(
+        data.inputs, axis=0, return_index=True, return_inverse=True, return_counts=True
+    )
+    if counts.size == len(data):  # no repeated row: the rows as given
+        return _GpBlock(data.inputs, data.outputs, np.ones(len(data)))
+    order = np.argsort(first)
+    rank = np.argsort(order)  # a row's position in order of first appearance
+    counts = counts[order].astype(float)
+    sums = np.bincount(rank[inverse.ravel()], weights=data.outputs, minlength=order.size)
+    return _GpBlock(data.inputs[first[order]], sums / counts, counts)
+
+
+def _physical_memory() -> int:
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
 class _GpPath:
-    """Scratch of the coalitions on the lattice path, one row per training row:
-    the inputs, the Cholesky factor L of the noisy training kernel,
-    V = L^-1 K(train, pool) and w = L^-1 y. A level's rows are overwritten
-    when the path turns, so one factor's worth of memory serves every
-    coalition."""
+    """Scratch of the coalitions on the lattice path, one row per distinct
+    input row of each member source: the inputs, the Cholesky factor L of the
+    noisy training kernel, V = L^-1 K(train, pool) and w = L^-1 y. A level's
+    rows are overwritten when the path turns, so one factor's worth of memory
+    serves every coalition."""
 
     def __init__(self, rows: int, pool: Dataset):
         self.inputs = np.empty((rows, pool.n_features))
         self.factor = np.empty((rows, rows))
         self.proj = np.empty((rows, len(pool)))
         self.white = np.empty(rows)
+
+    @staticmethod
+    def nbytes(rows: int, pool: Dataset) -> int:
+        return 8 * rows * (pool.n_features + rows + len(pool) + 1)
 
 
 class CoalitionScorer:
@@ -257,8 +292,11 @@ class CoalitionScorer:
     GP walks the requested coalitions as a lattice: each coalition extends a
     smaller one by the rows of one source, so its Cholesky factor and its
     posterior on the pool are the parent's plus one appended block, and no
-    coalition is factorized from scratch. The posterior is kept only where
-    the scores read it: a covariance block per validation set, or the
+    coalition is factorized from scratch. A source's repeated input rows enter
+    its block once, with their mean output and noise divided by their count
+    (:class:`_GpBlock`), and a lattice whose scratch would not fit in physical
+    memory is refused before anything is allocated. The posterior is kept only
+    where the scores read it: a covariance block per validation set, or the
     variances alone for ``mean-log-score``.
     """
 
@@ -278,9 +316,18 @@ class CoalitionScorer:
         self._model = model
         self._pool = pool
         self._subsets = subsets
-        self._counts = np.array([len(ds) for ds in sources], dtype=float)
         if isinstance(model, GpHyper):
             self._sources = list(sources)
+            self._blocks = [_gp_block(ds) for ds in sources]
+            self._rows = sum(block.counts.size for block in self._blocks)
+            need, have = _GpPath.nbytes(self._rows, pool), _physical_memory()
+            if need > have:
+                raise ConfigurationError(
+                    f"GP coalition scoring needs {need / 1e9:.3g} GB for "
+                    f"{self._rows} distinct training rows and a {len(pool)}-row "
+                    f"validation pool, more than the {have / 1e9:.3g} GB of "
+                    "physical memory"
+                )
             self._mean_kind = kind == MEAN_LOG_SCORE
             if self._mean_kind:
                 spread = np.full(len(pool), model.signal_var)
@@ -289,6 +336,7 @@ class CoalitionScorer:
             self._gp_root = _GpLevel(0, np.zeros(len(pool)), spread)
             self._prior_scores = self._gp_scores(self._gp_root)
             return
+        self._counts = np.array([len(ds) for ds in sources], dtype=float)
         self._vectors = np.vstack([suff_stats(ds, model).vector for ds in sources])
         params = prior_params(model)
         self._nu0, self._sums0 = params.nu0, params.nu0 * params.sigma0
@@ -335,7 +383,7 @@ class CoalitionScorer:
         remaining members one source at a time."""
         out = np.zeros((len(self._subsets), masks.size))
         members = [coalition_members(int(mask), self.n) for mask in masks]
-        path = _GpPath(int(self._counts.sum()), self._pool)
+        path = _GpPath(self._rows, self._pool)
         on_path: list[int] = []
         stack = [self._gp_root]
         for j in sorted(range(masks.size), key=members.__getitem__):
@@ -363,16 +411,16 @@ class CoalitionScorer:
         return out
 
     def _gp_append(self, parent: _GpLevel, source: int, path: _GpPath) -> _GpLevel:
-        """Extend ``parent`` by the rows S of ``source``, which follow every
+        """Extend ``parent`` by the block S of ``source``, which follows every
         member of ``parent``, with the block-Cholesky append of the partitioned
         inverse (Rasmussen and Williams, GPML, 2006, App. A.3):
 
-            L21 = K(S, C) L_C^-T,  L22 = chol(K(S, S) + noise I - L21 L21^T),
+            L21 = K(S, C) L_C^-T,  L22 = chol(K(S, S) + diag(noise / counts) - L21 L21^T),
             V_S = L22^-1 (K(S, pool) - L21 V_C),  w_S = L22^-1 (y_S - L21 w_C),
             mean += V_S^T w_S,  cov -= V_S^T V_S.
         """
-        data, model = self._sources[source], self._model
-        start, end = parent.end, parent.end + len(data)
+        data, model = self._blocks[source], self._model
+        start, end = parent.end, parent.end + data.counts.size
         if parent.mean is None or start == end:
             return parent._replace(end=end)
         x = data.inputs
@@ -382,8 +430,8 @@ class CoalitionScorer:
         ).T
         block = se_ard_kernel(x, x, model)
         diag = np.diag_indices_from(block)
-        block[diag] += model.noise_var
-        block[diag] += model.jitter
+        block[diag] += model.noise_var / data.counts
+        block[diag] += model.jitter / data.counts
         block -= l21 @ l21.T
         try:
             l22 = np.linalg.cholesky(block)

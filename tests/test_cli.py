@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from truthval import valuation
 from truthval.cli import main
 
 
@@ -218,6 +219,39 @@ class TestConfigurationErrorsExit1:
         assert code == 1
         assert err.startswith("configuration error:") and "exact" in err
 
+    @pytest.mark.parametrize(
+        "axis, changes, reason",
+        [
+            ("friedman-alpha", {}, "'bernoulli' validation spec"),
+            ("friedman-beta", {"validation": {"generator": "linear", "n_points": 8}},
+             "'linear' validation spec"),
+            ("validation-noise", {"validation": None, "dvf": "cardinality"}, "no validation"),
+            ("validation-fraction", {"post": "cross-validation"}, "no validation"),
+            ("sorted-fraction", {"dvf": "cardinality"}, "no validation"),
+        ],
+        ids=["alpha-bernoulli-pool", "beta-linear-pool", "no-validation-section",
+             "cross-validation", "validation-free-dvf"],
+    )
+    def test_numeric_sweep_that_changes_nothing(
+        self, tmp_path, capsys, config_path, axis, changes, reason
+    ):
+        cfg = {**json.loads(config_path.read_text()), **changes}
+        cfg["sweep"] = {"axis": axis, "values": [0.25, 0.5]}
+        code, err = self.run(tmp_path, capsys, cfg)
+        assert code == 1
+        assert err.startswith("configuration error:") and axis in err and reason in err
+
+    def test_gp_lattice_beyond_physical_memory(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(valuation, "_physical_memory", lambda: 100_000)
+        cfg = {
+            "model": {"family": "gp"},
+            "sources": [{"generator": "friedman", "n_points": 60}] * 2,
+            "validation": {"generator": "friedman", "n_points": 20},
+        }
+        code, err = self.run(tmp_path, capsys, cfg)
+        assert code == 1
+        # 8 bytes x 120 rows x (6 inputs + 120 factor + 20 pool + 1 white).
+        assert err.startswith("configuration error:") and "needs 0.000141 GB" in err
 
     def test_standardize_outputs_must_be_boolean(self, tmp_path, capsys, config_path):
         cfg = json.loads(config_path.read_text())

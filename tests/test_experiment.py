@@ -53,6 +53,9 @@ BERNOULLI = {
 }
 
 
+FRIEDMAN_POOL = {"generator": "friedman", "n_points": 8}
+
+
 def bernoulli_config(**overrides):
     return ExperimentConfig.from_dict({**BERNOULLI, **overrides})
 
@@ -105,8 +108,8 @@ class TestConfigValidation:
                        "values": ["truthful", {"tag": "duplicate", "copies": 2}]}},
             {"sweep": {"axis": "validation-fraction", "values": [0.25, 1]}},
             {"sweep": {"axis": "validation-noise", "values": [0.0, 0.5]}},
-            {"sweep": {"axis": "friedman-alpha", "values": [0, 1]}},
-            {"sweep": {"axis": "friedman-beta", "values": [0, 1]}},
+            {"sweep": {"axis": "friedman-alpha", "values": [0, 1]}, "validation": FRIEDMAN_POOL},
+            {"sweep": {"axis": "friedman-beta", "values": [0, 1]}, "validation": FRIEDMAN_POOL},
             {"sweep": {"axis": "sorted-fraction", "values": [0.5, 1.0]}},
             {"sweep": {"axis": "weight-family",
                        "values": ["shapley", {"family": "beta", "alpha": 4, "beta": 1}]}},

@@ -22,7 +22,10 @@ from truthval import (
     concat_datasets,
     cross_validation_rewards,
     dvf_value,
+    empty_like,
     exact_semivalue,
+    gp_log_predictive,
+    gp_pointwise_log_predictive,
     make_weights,
     outputs_dataset,
     split_train_validation,
@@ -199,6 +202,11 @@ FAMILIES = {
         GpHyper(lengthscales=[0.5, 1.5], signal_var=0.9, noise_var=0.1, jitter=0.05),
         lambda rng, k: Dataset(rng.uniform(size=(k, 2)), rng.normal(size=k)),
     ),
+    # Four distinct inputs, so rows repeat within a source and across sources.
+    "gp-replicated": (
+        GpHyper(lengthscales=[0.6, 0.9], signal_var=1.2, noise_var=0.15, jitter=0.03),
+        lambda rng, k: Dataset(rng.integers(0, 2, (k, 2)) * 0.5, rng.normal(size=k)),
+    ),
 }
 
 
@@ -343,6 +351,52 @@ class TestGpLattice:
         np.testing.assert_allclose(
             scorer.values(masks), tables[:, masks], rtol=1e-12, atol=1e-13
         )
+
+    @pytest.mark.parametrize("kind", ["log-score", "mean-log-score"])
+    @pytest.mark.parametrize("copies", [2, 3, 7])
+    def test_duplicated_source_scores_as_one_copy_with_noise_over_copies(self, kind, copies):
+        rng = np.random.default_rng(63)
+        model = GpHyper(lengthscales=0.6, signal_var=1.3, noise_var=0.25)
+        data = Dataset(rng.uniform(size=(6, 2)), rng.normal(size=6))
+        pool = Dataset(rng.uniform(size=(5, 2)), rng.normal(size=5))
+        got = CoalitionScorer(model, kind, [concat_datasets([data] * copies)], pool).values([1])
+        noise = model.noise_var / copies
+        if kind == "log-score":
+            prior = gp_log_predictive(empty_like(data), pool, model)
+            want = gp_log_predictive(data, pool, model, train_noise_var=noise) - prior
+        else:
+            want = np.mean(
+                gp_pointwise_log_predictive(data, pool, model, train_noise_var=noise)
+                - gp_pointwise_log_predictive(empty_like(data), pool, model)
+            )
+        np.testing.assert_allclose(got, [[want]], rtol=1e-12)
+
+    def test_duplicated_source_needs_no_more_scratch(self, monkeypatch):
+        sizes = []
+
+        class RecordedPath(valuation._GpPath):
+            def __init__(self, rows, pool):
+                sizes.append(rows)
+                super().__init__(rows, pool)
+
+        monkeypatch.setattr(valuation, "_GpPath", RecordedPath)
+        rng = np.random.default_rng(64)
+        model, rows = FAMILIES["gp"]
+        data, other, pool = rows(rng, 9), rows(rng, 4), rows(rng, 6)
+        for copies in (1, 10):
+            sources = [concat_datasets([data] * copies), other]
+            CoalitionScorer(model, "log-score", sources, pool).table()
+        assert sizes == [13, 13]
+
+    def test_refuses_scratch_beyond_physical_memory(self, monkeypatch):
+        monkeypatch.setattr(valuation, "_physical_memory", lambda: 10_000)
+        rng = np.random.default_rng(65)
+        model, rows = FAMILIES["gp"]
+        data, pool = rows(rng, 30), rows(rng, 5)
+        # 8 bytes x 30 rows x (2 inputs + 30 factor + 5 pool + 1 white) = 9,120.
+        CoalitionScorer(model, "log-score", [concat_datasets([data] * 10)], pool)
+        with pytest.raises(ConfigurationError, match="33 distinct training rows"):
+            CoalitionScorer(model, "log-score", [data, rows(rng, 3)], pool)
 
     def test_cross_game_scorer_matches_per_game_tables(self):
         rng = np.random.default_rng(62)
