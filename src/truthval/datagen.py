@@ -10,7 +10,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -114,9 +114,6 @@ class Strategy:
             raise ConfigurationError("noise-output level must be >= 0")
         if self.tag == NOISE_INPUT and self.sd < 0:
             raise ConfigurationError("noise-input sd must be >= 0")
-
-    def with_seed(self, seed: int) -> "Strategy":
-        return replace(self, seed=seed)
 
 
 def apply_strategy(data: Dataset, strategy: Strategy) -> Dataset:

@@ -50,11 +50,14 @@ from .semivalues import (
 )
 from .valuation import (
     DVF_KINDS,
+    EXACT_LIMIT,
     LOG_SCORE,
     LOG_SCORE_KINDS,
+    MASK_BITS,
     CoalitionScorer,
     DvfSpec,
     build_char_table,
+    check_source_count,
 )
 
 
@@ -174,7 +177,7 @@ _POST = _Named("kind", "post-processing", {
     "cross-validation": {"variant": (_VARIANT, "breve"), "validation_frac": (_NUMBER, 0.25)},
 }, implied="none", bare="expand")
 
-_ESTIMATE = {"permutations": (_COUNT, 3000), "exact_limit": (_INT, 20)}
+_ESTIMATE = {"permutations": (_COUNT, 3000)}
 _ESTIMATOR = _Named(
     "kind", "estimator", {"auto": _ESTIMATE, "exact": _ESTIMATE, "sampled": _ESTIMATE},
     implied="auto", bare="expand",
@@ -297,11 +300,21 @@ class ExperimentConfig:
         reads_validation = cfg["dvf"] in LOG_SCORE_KINDS and post_kind != "cross-validation"
         if reads_validation and cfg["validation"] is None:
             raise ConfigurationError(f"dvf {cfg['dvf']!r} needs a 'validation' section")
-        if post_kind == "cross-validation" and cfg["estimator"]["kind"] == "sampled":
-            raise ConfigurationError(
-                "cross-validation rewards enumerate every game exactly; "
-                "the sampled estimator is not available with them"
+        # The estimator, chosen once and echoed as chosen. Only log-score
+        # values on a validation set can be sampled; everything else is
+        # enumerated exactly.
+        estimator = cfg["estimator"]
+        if estimator["kind"] == "sampled" and not reads_validation:
+            why = (
+                "cross-validation rewards enumerate every game"
+                if post_kind == "cross-validation"
+                else f"dvf {cfg['dvf']!r} reads no validation set, so its table is enumerated"
             )
+            raise ConfigurationError(f"{why} exactly; the sampled estimator is not available")
+        if estimator["kind"] == "auto":
+            sample = reads_validation and n > EXACT_LIMIT
+            estimator["kind"] = "sampled" if sample else "exact"
+        check_source_count(n, EXACT_LIMIT if estimator["kind"] == "exact" else MASK_BITS)
         sweep = cfg["sweep"] or {"axis": None}
         if sweep["axis"] == "strategy-grid" and not 0 <= sweep["source"] < n:
             raise ConfigurationError(
@@ -321,6 +334,13 @@ class ExperimentConfig:
                     f"sweep axis {sweep['axis']!r} sets validation[{key!r}], which a "
                     f"{validation['generator']!r} validation spec does not use"
                 )
+        if cfg["validation"] is not None and not reads_validation:
+            reason = (
+                "cross-validation rewards score each source on the others' splits"
+                if post_kind == "cross-validation"
+                else f"dvf {cfg['dvf']!r} is validation-set-free"
+            )
+            raise ConfigurationError(f"this run never reads its 'validation' section: {reason}")
         return config
 
 
@@ -584,14 +604,12 @@ def _run_standard_point(
     with _stage("standardize"):
         submissions, pool = _standardize_all(point, submissions, pool)
 
-    est = point["estimator"]
     singletons = np.uint64(1) << np.arange(n, dtype=np.uint64)
 
     if not needs_validation:
         # Validation-free baselines: the table does not change across repeats.
         with _stage("table"):
-            spec = DvfSpec(point["dvf"], model=model)
-            table = build_char_table(submissions, spec, exact_limit=est["exact_limit"])
+            table = build_char_table(submissions, DvfSpec(point["dvf"], model=model))
             phi = exact_semivalue(table, weights)
         with _stage("rewards"):
             rewards = _post_process(phi, point["post"])
@@ -605,12 +623,8 @@ def _run_standard_point(
     with _stage("validation"):
         subsets = _repeat_subsets(point, pool)
 
-    if est["kind"] == "exact" or (est["kind"] == "auto" and n <= est["exact_limit"]):
-        if n > est["exact_limit"]:
-            raise ConfigurationError(
-                f"{n} sources exceed the exact limit {est['exact_limit']}; "
-                "set estimator.kind to 'sampled'"
-            )
+    est = point["estimator"]
+    if est["kind"] == "exact":
         with _stage("table"):
             tables = CoalitionScorer(model, point["dvf"], submissions, pool, subsets).table()
         rows: list[ReportRow] = []
@@ -660,7 +674,6 @@ def _run_cross_point(
             model,
             point["seed"],
             split_seeds=split_seeds,
-            exact_limit=point["estimator"]["exact_limit"],
         )
         rewards = cg.breve if point["post"]["variant"] == "breve" else cg.grave
         return _repeat_rows(label, r, strategies, np.diag(cg.per_game), rewards)

@@ -19,7 +19,7 @@ from .data import Dataset, concat_datasets
 from .datagen import derive_seed, split_train_validation
 from .errors import ConfigurationError
 from .semivalues import SemivalueWeights, exact_semivalue
-from .valuation import LOG_SCORE, CoalitionScorer
+from .valuation import EXACT_LIMIT, LOG_SCORE, CoalitionScorer, check_source_count
 
 
 @dataclass(frozen=True)
@@ -49,25 +49,20 @@ def cross_validation_rewards(
     model,
     seed: int,
     split_seeds: Sequence[int] | None = None,
-    exact_limit: int = 20,
 ) -> CrossGameRewards:
     """Split each source, build one game per split, and sum the semivalues.
 
     By default the split seed of source j is derived from (seed, j); passing
     explicit ``split_seeds`` lets identical datasets be split identically,
     which is what the modified-symmetry condition requires. Every game is
-    enumerated exactly, so more than ``exact_limit`` sources are rejected.
+    enumerated exactly, so more than ``EXACT_LIMIT`` sources are rejected.
     """
     n = len(sources)
     if n < 2:
         raise ConfigurationError("cross-validation rewards need at least 2 sources")
     if weights.n != n:
         raise ConfigurationError(f"weights are for n={weights.n}, have {n} sources")
-    if n > exact_limit:
-        raise ConfigurationError(
-            f"cross-validation rewards enumerate all 2^{n} coalitions of every game; "
-            f"{n} sources exceed the exact limit ({exact_limit})"
-        )
+    check_source_count(n, EXACT_LIMIT)
     if split_seeds is None:
         split_seeds = [derive_seed(seed, "split", j) for j in range(n)]
     elif len(split_seeds) != n:

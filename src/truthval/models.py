@@ -272,7 +272,13 @@ def validation_summary(model: ConjugateModel, validation: Dataset):
         mean = float(y.mean())
         return len(y), mean, float(np.sum((y - mean) ** 2))
     if isinstance(model, LinearRegressionModel):
-        return linreg_validation_summary(model, validation)
+        if validation.n_features != model.n_features:
+            raise InputError(
+                f"validation has {validation.n_features} features, model expects "
+                f"{model.n_features}"
+            )
+        xs = validation.inputs
+        return len(y), float(y @ y), xs.T @ y, xs.T @ xs
     raise ConfigurationError(f"no closed-form predictive for model {model!r}")
 
 
@@ -352,29 +358,6 @@ def log_predictive_from_params(
         raise ConfigurationError(
             f"params family {params.family!r} does not match model {model.family!r}"
         )
-    return float(log_predictive_batch(model, *_one_row(params), summary)[0])
-
-
-def linreg_validation_summary(model: LinearRegressionModel, validation: Dataset):
-    """Validation-set moments (count, y'y, X'y, X'X) for repeated scoring.
-
-    The joint predictive density depends on the validation set only through
-    these moments, so computing them once makes scoring many posteriors cheap.
-    """
-    _check_validation(model, validation)
-    if validation.n_features != model.n_features:
-        raise InputError(
-            f"validation has {validation.n_features} features, model expects "
-            f"{model.n_features}"
-        )
-    xs, ys = validation.inputs, validation.outputs
-    return len(ys), float(ys @ ys), xs.T @ ys, xs.T @ xs
-
-
-def linreg_log_predictive_from_summary(
-    model: LinearRegressionModel, params: NaturalParams, summary
-) -> float:
-    """Joint log predictive density from precomputed validation moments."""
     return float(log_predictive_batch(model, *_one_row(params), summary)[0])
 
 

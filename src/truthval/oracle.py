@@ -39,11 +39,10 @@ from .data import Dataset, binary_dataset
 from .errors import InputError, NumericalError, UnsupportedConfigurationError
 from .models import BetaBernoulliModel
 from .semivalues import SemivalueWeights, exact_semivalue, make_weights
-from .valuation import CharacteristicTable
+from .valuation import EXACT_LIMIT, CharacteristicTable, check_source_count
 
 _IDENTITY_TOL = 1e-9
 _RANK_TOL = 1e-10
-_MAX_SOURCES = 20  # the expected tables have 2^n entries; build_char_table's exact limit
 
 
 @dataclass(frozen=True)
@@ -100,13 +99,6 @@ def _joint_law(model, h: float, m: int, rows: int, k: int) -> np.ndarray:
     return law
 
 
-def _check_budget(bits: int, max_outcomes: int | None, what: str) -> None:
-    if max_outcomes is not None and 2**bits > max_outcomes:
-        raise UnsupportedConfigurationError(
-            f"2^{bits} {what} exceed the budget {max_outcomes}"
-        )
-
-
 def _scores(model, h: float, m: int, extra: int, k: int) -> np.ndarray:
     """Log probability of a k-label sequence with t successes given h + s
     successes in m + extra rows, on the (extra + 1) x (k + 1) grid of (s, t)."""
@@ -158,11 +150,7 @@ def _expectations(model, true_datasets, alt_data, target, weights, k):
 
 def _validate(model, n: int, target: int, weights: SemivalueWeights, k: int) -> None:
     _require_enumerable(model)
-    if n > _MAX_SOURCES:
-        raise UnsupportedConfigurationError(
-            f"{n} sources need 2^{n}-entry expected tables; the limit is "
-            f"{_MAX_SOURCES} sources"
-        )
+    check_source_count(n, EXACT_LIMIT)  # the expected tables hold 2^n values
     if not 0 <= target < n:
         raise InputError(f"target index {target} out of range for {n} sources")
     if weights.n != n:
@@ -187,7 +175,6 @@ def oracle_dvf_truthfulness(
     true_data: Dataset,
     alt_data: Dataset,
     validation_size: int,
-    max_outcomes: int | None = None,
 ) -> OracleVerdict:
     """Exact expected log-score values of the true and the alternative data.
 
@@ -195,12 +182,10 @@ def oracle_dvf_truthfulness(
     predictive given ``true_data``; it is the one-source case of the
     semivalue oracle. The returned ``kl_total`` is computed directly from the
     two posteriors and must equal the gap; a mismatch raises
-    :class:`NumericalError`. ``max_outcomes``, when given, caps the size
-    2^validation_size of the binary outcome space.
+    :class:`NumericalError`.
     """
     one = make_weights("individual", 1)
     _validate(model, 1, 0, one, validation_size)
-    _check_budget(validation_size, max_outcomes, "validation outcomes")
     phi_true, phi_alt, kl_total = _expectations(
         model, [true_data], alt_data, 0, one, validation_size
     )
@@ -215,9 +200,7 @@ def oracle_dvf_truthfulness(
     return _verdict(phi_true[0], phi_alt[0], kl_total, strict)
 
 
-def _semivalue_expectations(
-    model, true_datasets, alt_data, target, weights, validation_size, max_outcomes
-):
+def _semivalue_expectations(model, true_datasets, alt_data, target, weights, validation_size):
     """Shared set-up for the semivalue and rank-gap oracles.
 
     Returns the exact expected semivalue vectors, the weighted predictive-KL
@@ -226,12 +209,6 @@ def _semivalue_expectations(
     """
     n = len(true_datasets)
     _validate(model, n, target, weights, validation_size)
-    other_sizes = [len(ds) for j, ds in enumerate(true_datasets) if j != target]
-    _check_budget(
-        validation_size + sum(other_sizes), max_outcomes,
-        f"joint outcomes ({validation_size} validation bits + others of sizes "
-        f"{other_sizes})",
-    )
     phi_true, phi_alt, kl_total = _expectations(
         model, true_datasets, alt_data, target, weights, validation_size
     )
@@ -246,15 +223,10 @@ def oracle_semivalue_truthfulness(
     target: int,
     weights: SemivalueWeights,
     validation_size: int,
-    max_outcomes: int | None = None,
 ) -> OracleVerdict:
-    """Exact expected semivalue of ``target`` under truthful vs alternative data.
-
-    ``max_outcomes``, when given, caps the size of the binary outcome space:
-    2^(validation_size + the other sources' total rows).
-    """
+    """Exact expected semivalue of ``target`` under truthful vs alternative data."""
     phi_true, phi_alt, kl_total, strict = _semivalue_expectations(
-        model, true_datasets, alt_data, target, weights, validation_size, max_outcomes
+        model, true_datasets, alt_data, target, weights, validation_size
     )
     return _verdict(phi_true[target], phi_alt[target], kl_total, strict)
 
@@ -267,7 +239,6 @@ def oracle_rank_gap(
     other: int,
     weights: SemivalueWeights,
     validation_size: int,
-    max_outcomes: int | None = None,
 ) -> tuple[float, float]:
     """Expected semivalue drop of the deviating source vs any other source.
 
@@ -279,7 +250,7 @@ def oracle_rank_gap(
     if not 0 <= other < len(true_datasets):
         raise InputError(f"other index {other} out of range")
     phi_true, phi_alt, _, _ = _semivalue_expectations(
-        model, true_datasets, alt_data, target, weights, validation_size, max_outcomes
+        model, true_datasets, alt_data, target, weights, validation_size
     )
     gap_target = float(phi_true[target] - phi_alt[target])
     gap_other = float(phi_true[other] - phi_alt[other])

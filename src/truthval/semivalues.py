@@ -19,7 +19,7 @@ import numpy as np
 from scipy.special import betaln
 
 from .errors import ConfigurationError
-from .valuation import CharacteristicTable
+from .valuation import MASK_BITS, CharacteristicTable, check_source_count
 
 SHAPLEY = "shapley"
 BANZHAF = "banzhaf"
@@ -154,8 +154,7 @@ def sampled_semivalue(
     once, with every prefix of every permutation.
     """
     n = weights.n
-    if n > 64:
-        raise ConfigurationError(f"coalition bitmasks cover at most 64 sources, got {n}")
+    check_source_count(n, MASK_BITS)
     if n_permutations < 1:
         raise ConfigurationError("need at least one permutation")
     rng = np.random.default_rng(seed)

@@ -51,6 +51,23 @@ KL_FROM_PRIOR = "kl-from-prior"
 DVF_KINDS = (LOG_SCORE, MEAN_LOG_SCORE, CARDINALITY, VOLUME, INFO_GAIN, KL_FROM_PRIOR)
 LOG_SCORE_KINDS = (LOG_SCORE, MEAN_LOG_SCORE)
 
+# The two source limits. Anything that holds all 2^n coalition values (a
+# characteristic table, exact semivalues, the oracle's expected tables)
+# stops at EXACT_LIMIT sources; coalition bitmasks are uint64, so the
+# sampled estimator stops at MASK_BITS.
+EXACT_LIMIT = 20
+MASK_BITS = 64
+
+
+def check_source_count(n: int, limit: int) -> None:
+    """Refuse more than ``limit`` sources, ``EXACT_LIMIT`` or ``MASK_BITS``."""
+    if n > limit:
+        raise UnsupportedConfigurationError(
+            f"{n} sources exceed the limit of {limit}: exact enumeration holds 2^n "
+            f"coalition values and covers at most {EXACT_LIMIT} sources, the sampled "
+            f"estimator's coalition bitmasks at most {MASK_BITS}"
+        )
+
 
 class RankDeficientVolumeWarning(UserWarning):
     """Volume of a rank-deficient Gram matrix; the value is reported as 0."""
@@ -181,8 +198,9 @@ class CharacteristicTable:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        if not 1 <= self.n <= 64:
-            raise ConfigurationError(f"source count must be in [1, 64], got {self.n}")
+        if self.n < 1:
+            raise ConfigurationError(f"a table needs at least one source, got {self.n}")
+        check_source_count(self.n, EXACT_LIMIT)
         values = np.array(self.values, dtype=float)
         if values.shape != (2**self.n,):
             raise ConfigurationError(
@@ -294,10 +312,10 @@ class CoalitionScorer:
     posterior on the pool are the parent's plus one appended block, and no
     coalition is factorized from scratch. A source's repeated input rows enter
     its block once, with their mean output and noise divided by their count
-    (:class:`_GpBlock`), and a lattice whose scratch would not fit in physical
-    memory is refused before anything is allocated. The posterior is kept only
-    where the scores read it: a covariance block per validation set, or the
-    variances alone for ``mean-log-score``.
+    (:class:`_GpBlock`), and a lattice whose scratch and kept posteriors would
+    not fit in physical memory is refused before anything is allocated. The
+    posterior is kept only where the scores read it: a covariance block per
+    validation set, or the variances alone for ``mean-log-score``.
     """
 
     def __init__(self, model, kind: str, sources: list[Dataset], pool: Dataset, subsets=None):
@@ -305,6 +323,7 @@ class CoalitionScorer:
             raise ConfigurationError(f"{kind!r} is not a log-score valuation")
         if not sources:
             raise ConfigurationError("need at least one source")
+        check_source_count(len(sources), MASK_BITS)
         _check_kind(model, pool, "validation")
         check_consistent([*sources, pool])
         if subsets is None:
@@ -320,7 +339,13 @@ class CoalitionScorer:
             self._sources = list(sources)
             self._blocks = [_gp_block(ds) for ds in sources]
             self._rows = sum(block.counts.size for block in self._blocks)
-            need, have = _GpPath.nbytes(self._rows, pool), _physical_memory()
+            self._mean_kind = kind == MEAN_LOG_SCORE
+            # The path scratch, plus the pool mean and the spread (pool
+            # variances, or a covariance block per validation set) that each
+            # of up to n + 1 stack levels keeps.
+            floats = len(pool) if self._mean_kind else sum(idx.size**2 for idx in subsets)
+            need = _GpPath.nbytes(self._rows, pool) + 8 * (self.n + 1) * (len(pool) + floats)
+            have = _physical_memory()
             if need > have:
                 raise ConfigurationError(
                     f"GP coalition scoring needs {need / 1e9:.3g} GB for "
@@ -328,7 +353,6 @@ class CoalitionScorer:
                     f"validation pool, more than the {have / 1e9:.3g} GB of "
                     "physical memory"
                 )
-            self._mean_kind = kind == MEAN_LOG_SCORE
             if self._mean_kind:
                 spread = np.full(len(pool), model.signal_var)
             else:
@@ -365,6 +389,7 @@ class CoalitionScorer:
 
     def table(self) -> list[CharacteristicTable]:
         """One characteristic table per validation set, over all 2^n coalitions."""
+        check_source_count(self.n, EXACT_LIMIT)
         return [CharacteristicTable(self.n, row) for row in self.values(np.arange(2**self.n))]
 
     def _score_conjugate(self, masks: np.ndarray) -> np.ndarray:
@@ -491,24 +516,19 @@ class CoalitionScorer:
         return lambda batch: log_predictive_batch(model, *batch, summary)
 
 
-def build_char_table(
-    sources: list[Dataset], spec: DvfSpec, exact_limit: int = 20
-) -> CharacteristicTable:
+def build_char_table(sources: list[Dataset], spec: DvfSpec) -> CharacteristicTable:
     """Evaluate the valuation on every coalition of sources.
 
-    This is exhaustive (2^n evaluations); beyond ``exact_limit`` sources the
-    caller should switch to :func:`truthval.semivalues.sampled_semivalue` with
-    :meth:`CoalitionScorer.values` as the evaluator instead. Log-score kinds are
+    This is exhaustive (2^n evaluations), so more than ``EXACT_LIMIT`` sources
+    are refused before anything is scored; beyond that, log-score kinds go
+    through :func:`truthval.semivalues.sampled_semivalue` with
+    :meth:`CoalitionScorer.values` as the evaluator. Log-score kinds are
     scored by :class:`CoalitionScorer`, baselines by :func:`dvf_value`.
     """
     n = len(sources)
     if n < 1:
         raise ConfigurationError("need at least one source")
-    if n > exact_limit:
-        raise ConfigurationError(
-            f"{n} sources means 2^{n} coalition evaluations; beyond the exact "
-            f"limit ({exact_limit}), use the sampled estimator"
-        )
+    check_source_count(n, EXACT_LIMIT)
     if spec.kind in LOG_SCORE_KINDS:
         return CoalitionScorer(spec.model, spec.kind, sources, spec.validation).table()[0]
     values = np.empty(2**n)

@@ -214,10 +214,50 @@ class TestConfigurationErrorsExit1:
 
     def test_cross_validation_honors_exact_limit(self, tmp_path, capsys):
         assert self.run(tmp_path, capsys, two_source_cross_validation())[0] == 0
-        cfg = two_source_cross_validation(estimator={"exact_limit": 1})
+        cfg = two_source_cross_validation(sources=[{"generator": "bernoulli", "n_points": 6}] * 21)
         code, err = self.run(tmp_path, capsys, cfg)
         assert code == 1
-        assert err.startswith("configuration error:") and "exact" in err
+        assert err.startswith("configuration error:") and "21 sources exceed the limit of 20" in err
+
+    @pytest.mark.parametrize(
+        "n, changes, reason",
+        [
+            (2, {"dvf": "cardinality", "estimator": "sampled"}, "sampled estimator is not"),
+            (21, {"estimator": "exact"}, "21 sources exceed the limit of 20"),
+            (21, {"dvf": "cardinality"}, "21 sources exceed the limit of 20"),
+            (65, {"estimator": "sampled"}, "65 sources exceed the limit of 64"),
+        ],
+        ids=["sampled-cardinality", "exact-21", "cardinality-21", "sampled-65"],
+    )
+    def test_source_limits(self, tmp_path, capsys, n, changes, reason):
+        cfg = {
+            "model": {"family": "beta-bernoulli"},
+            "sources": [{"generator": "bernoulli", "n_points": 3}] * n,
+            "validation": {"generator": "bernoulli", "n_points": 4},
+            **changes,
+        }
+        if "dvf" in changes:
+            del cfg["validation"]
+        code, err = self.run(tmp_path, capsys, cfg)
+        assert code == 1
+        assert err.startswith("configuration error:") and reason in err
+
+    def test_source_limit_is_checked_before_any_source_is_read(self, tmp_path, capsys):
+        missing = {"csv": str(tmp_path / "missing.csv"), "output_column": "y", "kind": "binary"}
+        code, err = self.run(tmp_path, capsys, two_source_cross_validation(sources=[missing] * 21))
+        assert code == 1
+        assert err.startswith("configuration error:") and "limit of 20" in err
+
+    @pytest.mark.parametrize(
+        "changes",
+        [{"dvf": "cardinality"}, {"post": "cross-validation"}],
+        ids=["validation-free-dvf", "cross-validation"],
+    )
+    def test_validation_section_that_is_never_read(self, tmp_path, capsys, config_path, changes):
+        cfg = {**json.loads(config_path.read_text()), **changes}
+        code, err = self.run(tmp_path, capsys, cfg)
+        assert code == 1
+        assert err.startswith("configuration error:") and "never reads" in err
 
     @pytest.mark.parametrize(
         "axis, changes, reason",
@@ -250,8 +290,9 @@ class TestConfigurationErrorsExit1:
         }
         code, err = self.run(tmp_path, capsys, cfg)
         assert code == 1
-        # 8 bytes x 120 rows x (6 inputs + 120 factor + 20 pool + 1 white).
-        assert err.startswith("configuration error:") and "needs 0.000141 GB" in err
+        # 8 bytes x (120 rows x (6 inputs + 120 factor + 20 pool + 1 white)
+        # + 3 stack levels x (20 pool means + a 10 x 10 validation covariance)).
+        assert err.startswith("configuration error:") and "needs 0.000144 GB" in err
 
     def test_standardize_outputs_must_be_boolean(self, tmp_path, capsys, config_path):
         cfg = json.loads(config_path.read_text())

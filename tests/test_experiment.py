@@ -103,7 +103,7 @@ class TestConfigValidation:
             {"sources": [{"csv": "data.csv", "output_column": "y"}] * 2},
             {"post": {"kind": "budget", "budget": 0.5}},
             {"post": {"kind": "scaled", "budget": 1}},
-            {"post": "cross-validation"},
+            {"post": "cross-validation", "validation": None},
             {"sweep": {"axis": "strategy-grid", "source": 1,
                        "values": ["truthful", {"tag": "duplicate", "copies": 2}]}},
             {"sweep": {"axis": "validation-fraction", "values": [0.25, 1]}},
@@ -128,11 +128,13 @@ class TestConfigValidation:
         # The echo holds the defaults that ran.
         resolved, given = cfg.resolved, {**BERNOULLI, **overrides}
         assert resolved["strategies"] == ["truthful"] * 2 and resolved["dvf"] == "log-score"
-        assert resolved["estimator"] == {"kind": "auto", "permutations": 3000, "exact_limit": 20}
-        assert resolved["validation"]["subset_fraction"] == given["validation"].get(
-            "subset_fraction", 0.5
-        )
-        assert resolved["validation"]["sorted_fraction"] == 1.0
+        # auto is echoed as the estimator it chose.
+        assert resolved["estimator"] == {"kind": "exact", "permutations": 3000}
+        if given["validation"] is not None:
+            assert resolved["validation"]["subset_fraction"] == given["validation"].get(
+                "subset_fraction", 0.5
+            )
+            assert resolved["validation"]["sorted_fraction"] == 1.0
         assert all("generator" in spec for spec in resolved["sources"])
 
     @pytest.mark.parametrize(
@@ -155,10 +157,9 @@ class TestConfigValidation:
             {"repeats": True},
             {"threads": "2"},
             {"estimator": {"permutations": 100.0}},
-            {"estimator": {"exact_limit": False}},
             {"model": {"family": "bayes-linreg", "n_features": 2.0}},
         ],
-        ids=["seed", "repeats", "threads", "permutations", "exact_limit", "n_features"],
+        ids=["seed", "repeats", "threads", "permutations", "n_features"],
     )
     def test_integer_fields_reject_non_integers(self, overrides):
         with pytest.raises(ConfigurationError, match="must be an integer"):
@@ -194,15 +195,27 @@ class TestSampledWeights:
         # Source 0's Shapley, Banzhaf and individual rewards are far apart here.
         assert abs(got[0] - want[0]) < abs(got[0] - shapley) / 5
 
-    def test_auto_beyond_exact_limit_runs_weight_sweep(self):
+    def test_sampled_runs_weight_sweep(self):
         report = run_experiment(
             skewed_bernoulli_config(
-                estimator={"kind": "auto", "exact_limit": 2},
+                estimator="sampled",
                 sweep={"axis": "weight-family", "values": ["shapley", "banzhaf"]},
             )
         )
         rewards = {row.sweep: row.reward for row in report.rows if row.source == 0}
         assert rewards["banzhaf"] < rewards["shapley"] - 0.01
+
+    def test_auto_samples_beyond_exact_limit(self):
+        sources = [{"generator": "bernoulli", "n_points": 3, "p": 0.6}] * 21
+        auto, sampled = (
+            bernoulli_config(sources=sources, estimator={"kind": kind, "permutations": 20})
+            for kind in ("auto", "sampled")
+        )
+        assert auto.resolved == sampled.resolved
+        assert auto.resolved["estimator"]["kind"] == "sampled"
+        rows = run_experiment(auto).rows
+        assert len(rows) == 3 * 21
+        assert rows == run_experiment(sampled).rows
 
 
 class TestConfigShapes:

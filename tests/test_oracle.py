@@ -77,12 +77,6 @@ class TestDvfOracle:
                 GaussianMeanModel(), binary_dataset([1]), binary_dataset([0]), 1
             )
 
-    def test_budget_guard(self):
-        with pytest.raises(UnsupportedConfigurationError):
-            oracle_dvf_truthfulness(
-                MODEL, binary_dataset([1]), binary_dataset([0]), 12, max_outcomes=128
-            )
-
 
 class TestSemivalueOracle:
     def test_truth_vs_truth_gap_zero(self):
@@ -142,15 +136,6 @@ class TestSemivalueOracle:
                 )
                 assert verdict.gap >= -1e-10
                 assert verdict.gap == pytest.approx(verdict.kl_total, abs=1e-9)
-
-    def test_budget_guard_reports_sizes(self):
-        sources = [binary_dataset([1] * 10), binary_dataset([0] * 10)]
-        with pytest.raises(UnsupportedConfigurationError, match="outcomes"):
-            oracle_semivalue_truthfulness(
-                MODEL, sources, sources[0], target=0,
-                weights=make_weights("shapley", 2), validation_size=4,
-                max_outcomes=1024,
-            )
 
 
 class TestRankOracle:

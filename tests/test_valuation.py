@@ -1,6 +1,8 @@
 """Valuation functions and characteristic tables."""
 
 import math
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,6 +26,7 @@ from truthval import (
     dvf_value,
     empty_like,
     exact_semivalue,
+    friedman_generate,
     gp_log_predictive,
     gp_pointwise_log_predictive,
     make_weights,
@@ -179,6 +182,11 @@ class TestCharTable:
         with pytest.raises(ConfigurationError):
             CharacteristicTable(2, np.zeros(3))
 
+    def test_table_beyond_exact_limit_rejected(self):
+        # The limit is checked before the 2^21 values are looked at.
+        with pytest.raises(UnsupportedConfigurationError, match="21 sources .* limit of 20"):
+            CharacteristicTable(21, np.zeros(3))
+
 
 # One instance per model family: the model and a factory for k random rows.
 FAMILIES = {
@@ -301,6 +309,16 @@ class TestCoalitionScorer:
         with pytest.raises(InputError):
             CoalitionScorer(model, "log-score", sources, binary_dataset([1]), [[]])
 
+    def test_source_limits(self):
+        model = FAMILIES["beta-bernoulli"][0]
+        one, pool = binary_dataset([1, 0]), binary_dataset([1])
+        with pytest.raises(UnsupportedConfigurationError, match="65 sources .* limit of 64"):
+            CoalitionScorer(model, "log-score", [one] * 65, pool)
+        scorer = CoalitionScorer(model, "log-score", [one] * 21, pool)
+        assert scorer.values(np.array([0, 2**21 - 1])).shape == (1, 2)
+        with pytest.raises(UnsupportedConfigurationError, match="21 sources .* limit of 20"):
+            scorer.table()
+
 
 def gp_dvf_values(model, kind, sources, pool):
     spec = DvfSpec(kind, model=model, validation=pool)
@@ -393,10 +411,29 @@ class TestGpLattice:
         rng = np.random.default_rng(65)
         model, rows = FAMILIES["gp"]
         data, pool = rows(rng, 30), rows(rng, 5)
-        # 8 bytes x 30 rows x (2 inputs + 30 factor + 5 pool + 1 white) = 9,120.
+        # 8 bytes x (30 rows x (2 inputs + 30 factor + 5 pool + 1 white)
+        # + 2 stack levels x (5 pool means + a 5 x 5 covariance)) = 9,600.
         CoalitionScorer(model, "log-score", [concat_datasets([data] * 10)], pool)
         with pytest.raises(ConfigurationError, match="33 distinct training rows"):
             CoalitionScorer(model, "log-score", [data, rows(rng, 3)], pool)
+
+    def test_estimate_counts_the_pool_covariances_of_every_level(self, monkeypatch):
+        # Each of the n + 1 stack levels keeps one pool covariance per
+        # validation set: here 4 x 5 x 400^2 floats, 25.6 MB of the peak.
+        sources = [friedman_generate(50, seed) for seed in range(3)]
+        pool = friedman_generate(400, 3)
+        args = (GpHyper(noise_var=0.1), "log-score", sources, pool, [np.arange(400)] * 5)
+        tracemalloc.start()
+        try:
+            CoalitionScorer(*args).table()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        monkeypatch.setattr(valuation, "_physical_memory", lambda: 0)
+        with pytest.raises(ConfigurationError) as refused:
+            CoalitionScorer(*args)
+        need = float(re.search(r"needs (\S+) GB", str(refused.value)).group(1)) * 1e9
+        assert 0.8 * peak <= need <= 1.25 * peak
 
     def test_cross_game_scorer_matches_per_game_tables(self):
         rng = np.random.default_rng(62)
