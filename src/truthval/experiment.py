@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
-from scipy.special import stdtrit
 
 from .data import REGRESSION, Dataset, take_rows
 from .datagen import (
@@ -144,10 +143,11 @@ _DATA = _Named("generator", "data spec", {
         "kind": (_STRING, REGRESSION),
     },
 }, implied="csv")
-# A validation spec is a data spec plus these keys. ``noise_sd`` has two
-# readers there: the Friedman and linear generators draw output noise with it
-# (default 1.0) and ``perturb_validation`` adds that much noise again (default
-# 0.0), so it stays optional and each reader applies its own default.
+# A validation spec is a data spec plus these keys. ``noise_sd`` is the
+# output noise of the pool: the Friedman and linear generators draw it
+# themselves (default 1.0), and ``perturb_validation`` adds it to a CSV or
+# Bernoulli pool (default 0.0), so it stays optional and each reader applies
+# its own default.
 _VALIDATION_ONLY = {
     "subset_fraction": (_NUMBER, 0.5), "sorted_fraction": (_NUMBER, 1.0), "noise_sd": _OPT_NUMBER,
 }
@@ -424,18 +424,26 @@ def _post_process(phi: np.ndarray, post: dict) -> np.ndarray:
     return phi
 
 
-def _validation_pool(point: dict) -> Dataset:
+def _validation_pool(point: dict, pools: dict[str, Dataset]) -> Dataset:
+    """The perturbed validation pool of ``point``, built once per distinct
+    validation spec and kept in ``pools``. ``subset_fraction`` does not change
+    the pool (:func:`_repeat_subsets` applies it), so it is not part of the key."""
     vcfg = point["validation"]
+    key = json.dumps({k: v for k, v in vcfg.items() if k != "subset_fraction"}, sort_keys=True)
+    if key in pools:
+        return pools[key]
     data_keys = {"generator", *_DATA.tables[vcfg["generator"]]}
     pool = _materialize(
         {k: v for k, v in vcfg.items() if k in data_keys},
         derive_seed(point["seed"], "validation"),
     )
+    # A generator that draws its own output noise has consumed ``noise_sd``.
     spec = PerturbSpec(
-        validation_noise_sd=vcfg.get("noise_sd", 0.0),
+        validation_noise_sd=0.0 if "noise_sd" in data_keys else vcfg.get("noise_sd", 0.0),
         sorted_fraction=vcfg["sorted_fraction"],
     )
-    return perturb_validation(pool, spec, derive_seed(point["seed"], "validation-perturb"))
+    pools[key] = perturb_validation(pool, spec, derive_seed(point["seed"], "validation-perturb"))
+    return pools[key]
 
 
 def _repeat_subsets(point: dict, pool: Dataset) -> list[np.ndarray]:
@@ -528,6 +536,8 @@ def _summarize(rows: list[ReportRow]) -> list[dict]:
             "mean_reward": float(rewards.mean()),
         }
         if k >= 2:
+            from scipy.special import stdtrit
+
             crit = float(stdtrit(k - 1, 0.975)) / math.sqrt(k)
             entry["ci_value"] = float(values.std(ddof=1)) * crit
             entry["ci_reward"] = float(rewards.std(ddof=1)) * crit
@@ -550,6 +560,7 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
             for i, spec in enumerate(cfg["sources"])
         ]
     rows: list[ReportRow] = []
+    pools: dict[str, Dataset] = {}
     for label, point in _sweep_points(cfg):
         with _stage("strategies"):
             strategies = [
@@ -562,7 +573,13 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
         if cfg["post"]["kind"] == "cross-validation":
             point_rows = _run_cross_point(config.model, point, label, submissions, strategies)
         else:
-            point_rows = _run_standard_point(config.model, point, label, submissions, strategies)
+            pool = None
+            if point["dvf"] in LOG_SCORE_KINDS:
+                with _stage("validation"):
+                    pool = _validation_pool(point, pools)
+            point_rows = _run_standard_point(
+                config.model, point, label, submissions, strategies, pool
+            )
         rows.extend(point_rows)
     blob = json.dumps(cfg, sort_keys=True, default=str).encode()
     return RunReport(
@@ -592,21 +609,19 @@ def _run_standard_point(
     label: str | None,
     submissions: list[Dataset],
     strategies: list[Strategy],
+    pool: Dataset | None,
 ) -> list[ReportRow]:
+    """Rows of one sweep point; ``pool`` is the validation pool of a
+    log-score run and None for a validation-free baseline."""
     n = len(submissions)
     with _stage("weights"):
         weights = make_weights(n=n, **point["weights"])
-    needs_validation = point["dvf"] in LOG_SCORE_KINDS
-    pool = None
-    if needs_validation:
-        with _stage("validation"):
-            pool = _validation_pool(point)
     with _stage("standardize"):
         submissions, pool = _standardize_all(point, submissions, pool)
 
     singletons = np.uint64(1) << np.arange(n, dtype=np.uint64)
 
-    if not needs_validation:
+    if pool is None:
         # Validation-free baselines: the table does not change across repeats.
         with _stage("table"):
             table = build_char_table(submissions, DvfSpec(point["dvf"], model=model))

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import ClassVar
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .data import REGRESSION, Dataset
 from .errors import ConfigurationError, InputError, NumericalError
@@ -120,6 +119,8 @@ def _factor_train_kernel(k_train: np.ndarray, hyper: GpHyper):
     Each rung's jitter is written onto the diagonal of ``k_train`` in place, so
     the caller's matrix holds the last rung tried when this returns.
     """
+    from scipy.linalg import cho_factor
+
     diag = np.diag_indices_from(k_train)
     noisy = k_train[diag].copy()
     for extra in (0.0,) + tuple(r * hyper.signal_var for r in _JITTER_RUNGS):
@@ -151,6 +152,8 @@ def gp_posterior(
     the training outputs, per point (scalar or length-n vector); the agreed
     model noise still applies when scoring validation outputs.
     """
+    from scipy.linalg import cho_solve
+
     _check_train(train)
     test_inputs = np.asarray(test_inputs, dtype=float)
     if test_inputs.ndim != 2:
@@ -180,6 +183,8 @@ def gp_posterior(
 
 def gaussian_logpdf(y: np.ndarray, mean: np.ndarray, cov: np.ndarray) -> float:
     """Multivariate normal log density; raises NumericalError if cov is not PD."""
+    from scipy.linalg import cho_factor, cho_solve
+
     try:
         factor = cho_factor(cov, lower=True)
     except np.linalg.LinAlgError as exc:

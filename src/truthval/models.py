@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from typing import ClassVar, Union
 
 import numpy as np
-from scipy.special import betaln
 
 from . import gp as _gp
 from .data import BINARY, REGRESSION, Dataset
@@ -292,6 +291,8 @@ def log_predictive_batch(
     updating the posterior after each one gives the same total.
     """
     if isinstance(model, BetaBernoulliModel):
+        from scipy.special import betaln
+
         m, s = summary
         a = sums[:, 0]
         b = nu - a

@@ -33,7 +33,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.special import betaln, gammaln
 
 from .data import Dataset, binary_dataset
 from .errors import InputError, NumericalError, UnsupportedConfigurationError
@@ -79,12 +78,16 @@ def _counts(dataset: Dataset) -> tuple[float, int]:
 
 def _log_predictive(a, b, k: int, t):
     """Log probability of one k-label sequence with t successes under Beta(a, b)."""
+    from scipy.special import betaln
+
     return betaln(a + t, b + k - t) - betaln(a, b)
 
 
 def _joint_law(model, h: float, m: int, rows: int, k: int) -> np.ndarray:
     """P(s, t) on the (rows + 1) x (k + 1) grid of success counts, given h
     successes in m rows."""
+    from scipy.special import gammaln
+
     s = np.arange(rows + 1)[:, None]
     t = np.arange(k + 1)[None, :]
     log_comb = gammaln(rows + 1) - gammaln(s + 1) - gammaln(rows - s + 1)

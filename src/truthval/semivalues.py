@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import betaln
 
 from .errors import ConfigurationError
 from .valuation import MASK_BITS, CharacteristicTable, check_source_count
@@ -79,6 +78,8 @@ def make_weights(
     elif family == BETA:
         if alpha is None or beta is None or alpha < 1 or beta < 1:
             raise ConfigurationError("beta weights require alpha >= 1 and beta >= 1")
+        from scipy.special import betaln
+
         raw = np.exp(
             np.array([betaln(c + beta, n - c - 1 + alpha) for c in range(n)])
             - betaln(alpha, beta)

@@ -18,8 +18,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import solve_triangular
-from scipy.special import betaln, digamma
 
 from .data import Dataset, check_consistent, concat_datasets, empty_like, take_rows
 from .errors import ConfigurationError, InputError, UnsupportedConfigurationError
@@ -150,6 +148,8 @@ def _info_gain(model, data: Dataset) -> float:
 def _kl_from_prior(model, data: Dataset) -> float:
     post = posterior_params(model, data)
     if isinstance(model, BetaBernoulliModel):
+        from scipy.special import betaln, digamma
+
         a1, b1 = _beta_ab(post)
         a0, b0 = model.alpha, model.beta
         return float(
@@ -340,11 +340,17 @@ class CoalitionScorer:
             self._blocks = [_gp_block(ds) for ds in sources]
             self._rows = sum(block.counts.size for block in self._blocks)
             self._mean_kind = kind == MEAN_LOG_SCORE
-            # The path scratch, plus the pool mean and the spread (pool
-            # variances, or a covariance block per validation set) that each
-            # of up to n + 1 stack levels keeps.
+            # The path scratch, the pool mean and the spread (pool variances,
+            # or a covariance block per validation set) that each of up to
+            # n + 1 stack levels keeps, and the temporaries of appending the
+            # largest block b after the other rows: two b x start cross
+            # terms, a b x b kernel and three b x pool projections.
             floats = len(pool) if self._mean_kind else sum(idx.size**2 for idx in subsets)
-            need = _GpPath.nbytes(self._rows, pool) + 8 * (self.n + 1) * (len(pool) + floats)
+            b = max(block.counts.size for block in self._blocks)
+            append = b * (2 * (self._rows - b) + b + 3 * len(pool))
+            need = _GpPath.nbytes(self._rows, pool) + 8 * (
+                (self.n + 1) * (len(pool) + floats) + append
+            )
             have = _physical_memory()
             if need > have:
                 raise ConfigurationError(
@@ -444,6 +450,8 @@ class CoalitionScorer:
             V_S = L22^-1 (K(S, pool) - L21 V_C),  w_S = L22^-1 (y_S - L21 w_C),
             mean += V_S^T w_S,  cov -= V_S^T V_S.
         """
+        from scipy.linalg import solve_triangular
+
         data, model = self._blocks[source], self._model
         start, end = parent.end, parent.end + data.counts.size
         if parent.mean is None or start == end:

@@ -291,8 +291,9 @@ class TestConfigurationErrorsExit1:
         code, err = self.run(tmp_path, capsys, cfg)
         assert code == 1
         # 8 bytes x (120 rows x (6 inputs + 120 factor + 20 pool + 1 white)
-        # + 3 stack levels x (20 pool means + a 10 x 10 validation covariance)).
-        assert err.startswith("configuration error:") and "needs 0.000144 GB" in err
+        # + 3 stack levels x (20 pool means + a 10 x 10 validation covariance)
+        # + a 60-row append after 60 rows: 60 x (2 x 60 + 60 + 3 x 20)).
+        assert err.startswith("configuration error:") and "needs 0.000259 GB" in err
 
     def test_standardize_outputs_must_be_boolean(self, tmp_path, capsys, config_path):
         cfg = json.loads(config_path.read_text())

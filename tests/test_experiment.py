@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from truthval import experiment
+from truthval.datagen import derive_seed, load_csv
 from truthval.errors import ConfigurationError
 from truthval.experiment import (
     ExperimentConfig,
@@ -407,6 +408,79 @@ class TestRunner:
         report = run_experiment(cfg)
         values = {row.source: row.value for row in report.rows}
         assert values == {0: 5.0, 1: 3.0}
+
+
+def _csv_pool_config(tmp_path, **overrides):
+    """Two 1-feature linear sources scored on a CSV pool."""
+    rng = np.random.default_rng(9)
+    x = rng.uniform(size=40)
+    y = 2.0 * x + rng.normal(size=40)
+    path = tmp_path / "pool.csv"
+    path.write_text("x,y\n" + "".join(f"{a!r},{b!r}\n" for a, b in zip(x.tolist(), y.tolist())))
+    source = {"generator": "linear", "n_points": 12, "weights": [2.0]}
+    return ExperimentConfig.from_dict({
+        "seed": 6,
+        "repeats": 2,
+        "model": {"family": "bayes-linreg", "n_features": 1},
+        "sources": [source, {**source, "n_points": 7}],
+        "validation": {"csv": str(path), "output_column": "y"},
+        **overrides,
+    })
+
+
+class TestValidationPool:
+    @pytest.fixture
+    def reads(self, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return load_csv(*args, **kwargs)
+
+        monkeypatch.setattr(experiment, "load_csv", counted)
+        return calls
+
+    @pytest.mark.parametrize(
+        "sweep",
+        [
+            {"axis": "strategy-grid", "source": 0,
+             "values": ["truthful", {"tag": "subset", "frac": 0.5}, "duplicate"]},
+            {"axis": "validation-fraction", "values": [0.25, 0.5, 1.0]},
+        ],
+        ids=["strategy-grid", "validation-fraction"],
+    )
+    def test_pool_is_read_once_per_run(self, tmp_path, reads, sweep):
+        swept = run_experiment(_csv_pool_config(tmp_path, sweep=sweep))
+        assert len(reads) == 1
+        # Every sweep point gives the rows of the same point run on its own.
+        for label, point in experiment._sweep_points(swept.config):
+            alone = run_experiment(ExperimentConfig.from_dict({**point, "sweep": None}))
+            got = [(r.repeat, r.source, r.strategy, r.value, r.reward)
+                   for r in swept.rows if r.sweep == label]
+            assert got == [(r.repeat, r.source, r.strategy, r.value, r.reward)
+                           for r in alone.rows]
+
+    @pytest.mark.parametrize("generator", ["linear", "friedman"])
+    def test_noise_sd_is_the_generators_own_noise(self, generator):
+        spec = {"generator": generator, "n_points": 30, "noise_sd": 0.5}
+        point = ExperimentConfig.from_dict({
+            "seed": 4,
+            "model": {"family": "gaussian-known-var"},
+            "sources": [{"generator": "linear", "n_points": 5}],
+            "validation": spec,
+        }).resolved
+        pool = experiment._validation_pool(point, {})
+        expected = _materialize(spec, derive_seed(4, "validation"))
+        assert np.array_equal(pool.outputs, expected.outputs)
+        assert np.array_equal(pool.inputs, expected.inputs)
+
+    def test_noise_sd_perturbs_a_csv_pool(self, tmp_path):
+        cfg = _csv_pool_config(tmp_path)
+        point = {**cfg.resolved, "validation": {**cfg.resolved["validation"], "noise_sd": 0.5}}
+        pool = experiment._validation_pool(point, {})
+        raw = load_csv(point["validation"]["csv"], "y")
+        noise = np.random.default_rng(derive_seed(6, "validation-perturb")).normal(0, 0.5, 40)
+        assert np.array_equal(pool.outputs, raw.outputs + noise)
 
 
 class TestReports:

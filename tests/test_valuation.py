@@ -407,22 +407,28 @@ class TestGpLattice:
         assert sizes == [13, 13]
 
     def test_refuses_scratch_beyond_physical_memory(self, monkeypatch):
-        monkeypatch.setattr(valuation, "_physical_memory", lambda: 10_000)
+        monkeypatch.setattr(valuation, "_physical_memory", lambda: 20_400)
         rng = np.random.default_rng(65)
         model, rows = FAMILIES["gp"]
         data, pool = rows(rng, 30), rows(rng, 5)
         # 8 bytes x (30 rows x (2 inputs + 30 factor + 5 pool + 1 white)
-        # + 2 stack levels x (5 pool means + a 5 x 5 covariance)) = 9,600.
+        # + 2 stack levels x (5 pool means + a 5 x 5 covariance)
+        # + a 30-row append after 0 rows: 30 x (30 kernel + 3 x 5 pool)) = 20,400.
         CoalitionScorer(model, "log-score", [concat_datasets([data] * 10)], pool)
         with pytest.raises(ConfigurationError, match="33 distinct training rows"):
             CoalitionScorer(model, "log-score", [data, rows(rng, 3)], pool)
 
-    def test_estimate_counts_the_pool_covariances_of_every_level(self, monkeypatch):
-        # Each of the n + 1 stack levels keeps one pool covariance per
-        # validation set: here 4 x 5 x 400^2 floats, 25.6 MB of the peak.
+    @pytest.mark.parametrize("kind", ["log-score", "mean-log-score"])
+    def test_estimate_counts_the_pool_covariances_of_every_level(self, kind, monkeypatch):
+        # For log-score, each of the n + 1 stack levels keeps one pool
+        # covariance per validation set: here 4 x 5 x 400^2 floats, 25.6 MB of
+        # the peak. For mean-log-score the temporaries of the last 50-row
+        # append (50 x 100 cross terms, 50 x 400 projections) weigh most.
+        import scipy.linalg  # noqa: F401  (loaded first: its import is not the scorer's)
+
         sources = [friedman_generate(50, seed) for seed in range(3)]
         pool = friedman_generate(400, 3)
-        args = (GpHyper(noise_var=0.1), "log-score", sources, pool, [np.arange(400)] * 5)
+        args = (GpHyper(noise_var=0.1), kind, sources, pool, [np.arange(400)] * 5)
         tracemalloc.start()
         try:
             CoalitionScorer(*args).table()
