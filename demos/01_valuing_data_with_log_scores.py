@@ -24,7 +24,6 @@ from truthval import (
     log_predictive,
     posterior_params,
 )
-from truthval.models import _beta_ab
 
 model = BetaBernoulliModel(alpha=1.0, beta=1.0)
 
@@ -33,8 +32,10 @@ clinic_b = binary_dataset([0, 0, 1, 0])
 validation = binary_dataset([1, 0, 1, 1])
 
 print("Posterior after observing clinic A:", end=" ")
-a, b = _beta_ab(posterior_params(model, clinic_a))
-print(f"Beta({a:g}, {b:g})")
+# The posterior holds nu pseudo-observations with success rate sigma: a = nu * sigma.
+post = posterior_params(model, clinic_a)
+a = post.nu0 * post.sigma0[0]
+print(f"Beta({a:g}, {post.nu0 - a:g})")
 
 print(f"log p(validation)             = {log_predictive(model, binary_dataset([]), validation):+.4f}")
 print(f"log p(validation | clinic A)  = {log_predictive(model, clinic_a, validation):+.4f}")

@@ -54,8 +54,6 @@ from .valuation import (
     LOG_SCORE_KINDS,
     MASK_BITS,
     CoalitionScorer,
-    DvfSpec,
-    build_char_table,
     check_source_count,
 )
 
@@ -93,6 +91,12 @@ _STRING = ("a string", lambda v: isinstance(v, str))
 _BOOL = ("true or false", lambda v: isinstance(v, bool))
 _VARIANT = ("'breve' or 'grave'", lambda v: v in ("breve", "grave"))
 _OPT_NUMBER = (_NUMBER, _OPTIONAL)  # a number that may be omitted
+_SIZE = ("an integer >= 0", lambda v: _INT[1](v) and v >= 0)
+_NONNEGATIVE = ("a number >= 0", lambda v: _NUMBER[1](v) and v >= 0)
+_POSITIVE = ("a number > 0", lambda v: _NUMBER[1](v) and v > 0)
+_PROBABILITY = ("a number in [0, 1]", lambda v: _NUMBER[1](v) and 0 <= v <= 1)
+_FRACTION = ("a number in (0, 1]", lambda v: _NUMBER[1](v) and 0 < v <= 1)
+_OPEN_UNIT = ("a number in (0, 1)", lambda v: _NUMBER[1](v) and 0 < v < 1)
 
 
 @dataclass(frozen=True)
@@ -129,15 +133,15 @@ _MODELS = (BetaBernoulliModel, GaussianMeanModel, LinearRegressionModel, GpHyper
 # A data spec without a generator loads a CSV file.
 _DATA = _Named("generator", "data spec", {
     "friedman": {
-        "n_points": (_INT, _REQUIRED), "alpha": (_NUMBER, 0.0), "beta": (_NUMBER, 0.0),
-        "noise_sd": (_NUMBER, 1.0),
+        "n_points": (_SIZE, _REQUIRED), "alpha": (_NUMBER, 0.0), "beta": (_NUMBER, 0.0),
+        "noise_sd": (_NONNEGATIVE, 1.0),
     },
     "linear": {
-        "n_points": (_INT, _REQUIRED), "weights": (_NUMBERS, [1.0]),
-        "intercept": (_NUMBER, 0.0), "noise_sd": (_NUMBER, 1.0),
+        "n_points": (_SIZE, _REQUIRED), "weights": (_NUMBERS, [1.0]),
+        "intercept": (_NUMBER, 0.0), "noise_sd": (_NONNEGATIVE, 1.0),
         "x_low": (_NUMBER, 0.0), "x_high": (_NUMBER, 1.0),
     },
-    "bernoulli": {"n_points": (_INT, _REQUIRED), "p": (_NUMBER, 0.5)},
+    "bernoulli": {"n_points": (_SIZE, _REQUIRED), "p": (_PROBABILITY, 0.5)},
     "csv": {
         "csv": (_STRING, _REQUIRED), "output_column": (_STRING, _REQUIRED),
         "kind": (_STRING, REGRESSION),
@@ -149,7 +153,8 @@ _DATA = _Named("generator", "data spec", {
 # Bernoulli pool (default 0.0), so it stays optional and each reader applies
 # its own default.
 _VALIDATION_ONLY = {
-    "subset_fraction": (_NUMBER, 0.5), "sorted_fraction": (_NUMBER, 1.0), "noise_sd": _OPT_NUMBER,
+    "subset_fraction": (_FRACTION, 0.5), "sorted_fraction": (_FRACTION, 1.0),
+    "noise_sd": (_NONNEGATIVE, _OPTIONAL),
 }
 _VALIDATION = _Named("generator", "validation spec", {
     name: {**table, **_VALIDATION_ONLY} for name, table in _DATA.tables.items()
@@ -172,9 +177,9 @@ _WEIGHTS = _Named("family", "weight family", _WEIGHT_TABLES, bare="expand")
 
 _POST = _Named("kind", "post-processing", {
     "none": {},
-    "budget": {"budget": (_NUMBER, _REQUIRED), "a": (_NUMBER, 1.0)},
-    "scaled": {"budget": (_NUMBER, _REQUIRED), "gamma": (_NUMBER, 0.0)},
-    "cross-validation": {"variant": (_VARIANT, "breve"), "validation_frac": (_NUMBER, 0.25)},
+    "budget": {"budget": (_POSITIVE, _REQUIRED), "a": (_POSITIVE, 1.0)},
+    "scaled": {"budget": (_POSITIVE, _REQUIRED), "gamma": (_NUMBER, 0.0)},
+    "cross-validation": {"variant": (_VARIANT, "breve"), "validation_frac": (_OPEN_UNIT, 0.25)},
 }, implied="none", bare="expand")
 
 _ESTIMATE = {"permutations": (_COUNT, 3000)}
@@ -329,11 +334,14 @@ class ExperimentConfig:
                     f"sweep axis {sweep['axis']!r} sets validation[{key!r}], but this "
                     "run reads no validation set"
                 )
-            if key not in _VALIDATION.tables[validation["generator"]]:
+            table = _VALIDATION.tables[validation["generator"]]
+            if key not in table:
                 raise ConfigurationError(
                     f"sweep axis {sweep['axis']!r} sets validation[{key!r}], which a "
                     f"{validation['generator']!r} validation spec does not use"
                 )
+            for i, value in enumerate(sweep["values"]):
+                _walk(value, table[key][0], f"sweep['values'][{i}]")
         if cfg["validation"] is not None and not reads_validation:
             reason = (
                 "cross-validation rewards score each source on the others' splits"
@@ -447,10 +455,7 @@ def _validation_pool(point: dict, pools: dict[str, Dataset]) -> Dataset:
 
 
 def _repeat_subsets(point: dict, pool: Dataset) -> list[np.ndarray]:
-    fraction = point["validation"]["subset_fraction"]
-    if not 0.0 < fraction <= 1.0:
-        raise ConfigurationError(f"subset_fraction must be in (0, 1], got {fraction}")
-    k = math.ceil(fraction * len(pool))
+    k = math.ceil(point["validation"]["subset_fraction"] * len(pool))
     subsets = []
     for r in range(point["repeats"]):
         rng = np.random.default_rng(derive_seed(point["seed"], "repeat", r))
@@ -620,23 +625,8 @@ def _run_standard_point(
         submissions, pool = _standardize_all(point, submissions, pool)
 
     singletons = np.uint64(1) << np.arange(n, dtype=np.uint64)
-
-    if pool is None:
-        # Validation-free baselines: the table does not change across repeats.
-        with _stage("table"):
-            table = build_char_table(submissions, DvfSpec(point["dvf"], model=model))
-            phi = exact_semivalue(table, weights)
-        with _stage("rewards"):
-            rewards = _post_process(phi, point["post"])
-            values = table.values[singletons]
-            return [
-                row
-                for r in range(point["repeats"])
-                for row in _repeat_rows(label, r, strategies, values, rewards)
-            ]
-
     with _stage("validation"):
-        subsets = _repeat_subsets(point, pool)
+        subsets = None if pool is None else _repeat_subsets(point, pool)
 
     est = point["estimator"]
     if est["kind"] == "exact":
@@ -644,9 +634,11 @@ def _run_standard_point(
             tables = CoalitionScorer(model, point["dvf"], submissions, pool, subsets).table()
         rows: list[ReportRow] = []
         with _stage("rewards"):
-            for r, table in enumerate(tables):
-                phi = exact_semivalue(table, weights)
-                rewards = _post_process(phi, point["post"])
+            for r in range(point["repeats"]):
+                # A validation-free valuation has one table, the same in every repeat.
+                if r < len(tables):
+                    table = tables[r]
+                    rewards = _post_process(exact_semivalue(table, weights), point["post"])
                 rows += _repeat_rows(label, r, strategies, table.values[singletons], rewards)
         return rows
 

@@ -12,8 +12,10 @@ Every family exposes additive sufficient statistics, the standard conjugate
 posterior update in the (pseudo-count, mean-sufficient-statistic)
 parametrization, and the exact log density of a validation set under the
 posterior predictive, both jointly (chain-rule consistent) and per point.
-Gaussian-process regression lives in :mod:`truthval.gp`; the dispatch
-functions here accept its hyperparameter object and delegate.
+The Beta-Bernoulli and Gaussian-mean families also give the divergence of
+the posterior from the prior in closed form. Gaussian-process regression
+lives in :mod:`truthval.gp`; the dispatch functions here accept its
+hyperparameter object and delegate.
 """
 
 from __future__ import annotations
@@ -217,15 +219,6 @@ def posterior_params(model: ConjugateModel, data: Dataset) -> NaturalParams:
 # -- family-specific parameter decoding --------------------------------------
 
 
-def _beta_ab(params: NaturalParams) -> tuple[float, float]:
-    a = params.nu0 * params.sigma0[0]
-    return a, params.nu0 - a
-
-
-def _gaussian_mean_nu(params: NaturalParams) -> tuple[float, float]:
-    return params.sigma0[0], params.nu0
-
-
 def _one_row(params: NaturalParams) -> tuple[np.ndarray, np.ndarray]:
     """``params`` as a batch of one: pseudo-counts ``nu`` (k,) and summed
     statistics ``sums = nu * sigma`` (k, m)."""
@@ -348,6 +341,29 @@ def pointwise_log_predictive_batch(
     else:
         raise ConfigurationError(f"no closed-form predictive for model {model!r}")
     return -0.5 * (np.log(2.0 * np.pi * var) + (y - mu) ** 2 / var)
+
+
+def kl_from_prior_batch(model: ConjugateModel, nu: np.ndarray, sums: np.ndarray) -> np.ndarray:
+    """KL(posterior || prior) at each of k stacked posterior parameter sets,
+    for the families whose divergence has a closed form."""
+    if isinstance(model, BetaBernoulliModel):
+        from scipy.special import betaln, digamma
+
+        a1 = sums[:, 0]
+        b1 = nu - a1
+        a0, b0 = model.alpha, model.beta
+        return (
+            betaln(a0, b0)
+            - betaln(a1, b1)
+            + (a1 - a0) * digamma(a1)
+            + (b1 - b0) * digamma(b1)
+            + (a0 + b0 - a1 - b1) * digamma(nu)
+        )
+    if isinstance(model, GaussianMeanModel):
+        var1 = model.noise_var / nu
+        mean0, var0 = model.prior_mean, model.prior_var
+        return 0.5 * (np.log(var0 / var1) + (var1 + (sums[:, 0] / nu - mean0) ** 2) / var0 - 1.0)
+    raise ConfigurationError(f"no closed-form divergence from the prior for model {model!r}")
 
 
 def log_predictive_from_params(

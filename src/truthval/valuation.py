@@ -8,6 +8,9 @@ for an agreed Bayesian model and a held-out validation set T, plus a
 per-point (mean) variant. Four classic validation-set-free valuations are
 included as baselines precisely because they are gameable: cardinality,
 input-volume, information gain, and posterior divergence from the prior.
+
+Every kind scores its coalitions through :class:`CoalitionScorer`, and
+:func:`dvf_value` on :func:`coalition_data` is the scalar reference.
 """
 
 from __future__ import annotations
@@ -26,14 +29,12 @@ from .models import (
     BetaBernoulliModel,
     GaussianMeanModel,
     LinearRegressionModel,
-    _beta_ab,
     _check_kind,
-    _gaussian_mean_nu,
+    kl_from_prior_batch,
     log_predictive,
     log_predictive_batch,
     mean_log_predictive,
     pointwise_log_predictive_batch,
-    posterior_params,
     prior_params,
     suff_stats,
     validation_summary,
@@ -113,74 +114,25 @@ class DvfSpec:
                 )
 
 
-def _volume(data: Dataset) -> float:
-    if len(data) == 0 or data.n_features == 0:
-        return 0.0
-    gram = data.inputs.T @ data.inputs
-    det = float(np.linalg.det(gram))
-    if len(data) < data.n_features or det <= 0.0:
-        warnings.warn(
-            f"Gram matrix of {len(data)} x {data.n_features} inputs is rank "
-            "deficient; volume is 0",
-            RankDeficientVolumeWarning,
-            stacklevel=3,
-        )
-        return 0.0
-    return float(np.sqrt(det))
-
-
-def _info_gain(model, data: Dataset) -> float:
-    if len(data) == 0:
-        return 0.0
-    if isinstance(model, GpHyper):
-        kernel = se_ard_kernel(data.inputs, data.inputs, model)
-        noise_var = model.noise_var
-    else:  # LinearRegressionModel, linear kernel with the prior weight variance
-        kernel = model.prior_var * (data.inputs @ data.inputs.T)
-        noise_var = model.noise_var
-    m = np.eye(len(data)) + kernel / noise_var
-    sign, logdet = np.linalg.slogdet(m)
+def _gp_logdet(model: GpHyper, data: Dataset) -> float:
+    """log det(I + K / noise_var) of the raw rows of ``data``, without jitter."""
+    kernel = se_ard_kernel(data.inputs, data.inputs, model)
+    sign, logdet = np.linalg.slogdet(np.eye(len(data)) + kernel / model.noise_var)
     if sign <= 0:
         raise ConfigurationError("information-gain matrix is not positive definite")
-    return 0.5 * float(logdet)
-
-
-def _kl_from_prior(model, data: Dataset) -> float:
-    post = posterior_params(model, data)
-    if isinstance(model, BetaBernoulliModel):
-        from scipy.special import betaln, digamma
-
-        a1, b1 = _beta_ab(post)
-        a0, b0 = model.alpha, model.beta
-        return float(
-            betaln(a0, b0)
-            - betaln(a1, b1)
-            + (a1 - a0) * digamma(a1)
-            + (b1 - b0) * digamma(b1)
-            + (a0 + b0 - a1 - b1) * digamma(a1 + b1)
-        )
-    mean1, nu1 = _gaussian_mean_nu(post)
-    var1 = model.noise_var / nu1
-    mean0, var0 = model.prior_mean, model.prior_var
-    return float(
-        0.5 * (np.log(var0 / var1) + (var1 + (mean1 - mean0) ** 2) / var0 - 1.0)
-    )
+    return float(logdet)
 
 
 def dvf_value(spec: DvfSpec, data: Dataset) -> float:
-    """Evaluate the valuation function on one dataset."""
-    if spec.kind == CARDINALITY:
-        return float(len(data))
-    if spec.kind == VOLUME:
-        return _volume(data)
-    if spec.kind == INFO_GAIN:
-        return _info_gain(spec.model, data)
-    if spec.kind == KL_FROM_PRIOR:
-        return _kl_from_prior(spec.model, data)
-    # Log-score kinds. An empty dataset carries no information about the
-    # validation set, so its value is exactly zero.
+    """Evaluate the valuation function on one dataset; an empty one is worth
+    exactly zero. Baselines other than GP information gain are the stacked
+    formulas of :class:`CoalitionScorer`, run on one row."""
     if len(data) == 0:
         return 0.0
+    if spec.kind == INFO_GAIN and isinstance(spec.model, GpHyper):
+        return 0.5 * _gp_logdet(spec.model, data)
+    if spec.kind not in LOG_SCORE_KINDS:
+        return float(CoalitionScorer(spec.model, spec.kind, [data]).values(1)[0])
     if spec.kind == LOG_SCORE:
         return log_predictive(spec.model, data, spec.validation) - log_predictive(
             spec.model, empty_like(data), spec.validation
@@ -233,14 +185,16 @@ class _GpLevel(NamedTuple):
     Its training rows are rows ``[0, end)`` of the path's scratch (see
     :class:`_GpPath`). Its latent posterior on the pool is ``mean`` plus
     ``spread``: one covariance block per validation set for ``log-score``,
-    the pool variances for ``mean-log-score``. ``mean`` is None when an
-    appended block was not positive definite; that coalition and its
-    extensions are scored by :func:`gp_posterior` instead.
+    the pool variances for ``mean-log-score``. For ``info-gain`` the pool has
+    no rows and ``logdet`` is log det(I + K / noise_var) of the raw training
+    rows. ``mean`` is None when an appended block was not positive definite;
+    that coalition and its extensions are scored from their raw rows instead.
     """
 
     end: int
     mean: np.ndarray | None = None
     spread: object = None
+    logdet: float = 0.0
 
 
 class _GpBlock(NamedTuple):
@@ -292,22 +246,24 @@ class _GpPath:
 
 
 class CoalitionScorer:
-    """Log-score value of every coalition of ``sources`` on validation sets drawn
-    from one ``pool``.
+    """Value of every coalition of ``sources`` under valuation ``kind``: on
+    validation sets drawn from one ``pool`` for the log-score kinds, and with
+    ``pool`` None for the validation-set-free kinds.
 
     Each entry of ``subsets`` holds the pool rows of one validation set; without
     ``subsets`` the whole pool is the one validation set. The value of the
     coalition with bitmask ``mask`` is ``log p(T | D_C) - log p(T)`` for kind
-    ``log-score`` and its per-point mean for ``mean-log-score``, the same
-    quantity as :func:`dvf_value` on :func:`coalition_data`. A coalition with no
-    rows is worth exactly zero, and the empty coalition is scored once per
-    validation set. Every source and the pool must share one feature count
-    and kind.
+    ``log-score``, its per-point mean for ``mean-log-score``, and the baseline
+    of its rows otherwise: the same quantity as :func:`dvf_value` on
+    :func:`coalition_data`. A coalition with no rows is worth exactly zero, and
+    the empty coalition is scored once per validation set. Every source and
+    the pool must share one feature count and kind.
 
-    Conjugate families score blocks of coalitions at once: a membership
-    matrix times the stacked per-source sufficient statistics gives every
-    coalition's posterior, and the predictive formulas run over the stack. A
-    GP walks the requested coalitions as a lattice: each coalition extends a
+    Conjugate families and the baselines score blocks of coalitions at once:
+    a membership matrix times stacked per-source sums (sufficient statistics,
+    or input Gram matrices for volume and linear information gain) gives
+    every coalition's statistics, and one formula runs over the stack. A GP
+    walks the requested coalitions as a lattice: each coalition extends a
     smaller one by the rows of one source, so its Cholesky factor and its
     posterior on the pool are the parent's plus one appended block, and no
     coalition is factorized from scratch. A source's repeated input rows enter
@@ -315,27 +271,37 @@ class CoalitionScorer:
     (:class:`_GpBlock`), and a lattice whose scratch and kept posteriors would
     not fit in physical memory is refused before anything is allocated. The
     posterior is kept only where the scores read it: a covariance block per
-    validation set, or the variances alone for ``mean-log-score``.
+    validation set, the variances alone for ``mean-log-score``, and only the
+    log determinant of the factor for information gain.
     """
 
-    def __init__(self, model, kind: str, sources: list[Dataset], pool: Dataset, subsets=None):
-        if kind not in LOG_SCORE_KINDS:
-            raise ConfigurationError(f"{kind!r} is not a log-score valuation")
+    def __init__(self, model, kind: str, sources: list[Dataset], pool=None, subsets=None):
+        if kind not in LOG_SCORE_KINDS or pool is None:
+            DvfSpec(kind, model, pool)  # a known kind, with the model and pool it needs
         if not sources:
             raise ConfigurationError("need at least one source")
         check_source_count(len(sources), MASK_BITS)
-        _check_kind(model, pool, "validation")
-        check_consistent([*sources, pool])
-        if subsets is None:
-            subsets = [np.arange(len(pool))]
-        subsets = [np.asarray(idx, dtype=int) for idx in subsets]
-        if any(idx.size == 0 for idx in subsets):
-            raise InputError("validation set must be non-empty")
+        if pool is None:
+            if subsets is not None:
+                raise ConfigurationError(f"{kind} has no validation sets to take subsets of")
+            check_consistent(sources)
+            pool, subsets = empty_like(sources[0]), []  # no pool rows to score
+        else:
+            _check_kind(model, pool, "validation")
+            check_consistent([*sources, pool])
+            if subsets is None:
+                subsets = [np.arange(len(pool))]
+            subsets = [np.asarray(idx, dtype=int) for idx in subsets]
+            if any(idx.size == 0 for idx in subsets):
+                raise InputError("validation set must be non-empty")
         self.n = len(sources)
         self._model = model
+        self._kind = kind
         self._pool = pool
         self._subsets = subsets
-        if isinstance(model, GpHyper):
+        self._rank_deficient = 0  # coalitions given volume 0, warned of once per call
+        self._lattice = isinstance(model, GpHyper) and kind in (*LOG_SCORE_KINDS, INFO_GAIN)
+        if self._lattice:
             self._sources = list(sources)
             self._blocks = [_gp_block(ds) for ds in sources]
             self._rows = sum(block.counts.size for block in self._blocks)
@@ -367,34 +333,47 @@ class CoalitionScorer:
             self._prior_scores = self._gp_scores(self._gp_root)
             return
         self._counts = np.array([len(ds) for ds in sources], dtype=float)
-        self._vectors = np.vstack([suff_stats(ds, model).vector for ds in sources])
-        params = prior_params(model)
-        self._nu0, self._sums0 = params.nu0, params.nu0 * params.sigma0
-        self._subset_scores = [self._subset_score(idx, kind) for idx in subsets]
+        if kind in (*LOG_SCORE_KINDS, KL_FROM_PRIOR):
+            self._vectors = np.vstack([suff_stats(ds, model).vector for ds in sources])
+            params = prior_params(model)
+            self._nu0, self._sums0 = params.nu0, params.nu0 * params.sigma0
+        else:  # the input Gram matrices, which cardinality ignores
+            self._vectors = np.vstack([(ds.inputs.T @ ds.inputs).ravel() for ds in sources])
+            self._nu0, self._sums0 = 0.0, np.zeros(self._vectors.shape[1])
+        if kind in LOG_SCORE_KINDS:
+            self._subset_scores = [self._subset_score(idx, kind) for idx in subsets]
+        else:
+            self._subset_scores = [lambda batch: self._baseline(kind, pool.n_features, *batch)]
         prior = (np.array([self._nu0]), self._sums0[None, :])
         self._prior_scores = np.ravel([score(prior) for score in self._subset_scores])
 
     def values(self, masks) -> np.ndarray:
         """Values of the coalitions in the integer array ``masks`` (any shape)
-        on every validation set, shape ``(len(subsets),) + masks.shape``."""
+        on every validation set, shape ``(len(subsets),) + masks.shape``, or
+        ``(1,) + masks.shape`` for a validation-set-free kind."""
         masks = np.asarray(masks)
         if not np.issubdtype(masks.dtype, np.integer):
             raise ConfigurationError(f"coalition masks must be integers, got {masks.dtype}")
         if masks.size and (masks.min() < 0 or int(masks.max()) >> self.n):
             raise ConfigurationError(f"coalition masks must lie in [0, 2^{self.n})")
         unique, inverse = np.unique(masks.astype(np.uint64).ravel(), return_inverse=True)
-        if isinstance(self._model, GpHyper):
+        if self._lattice:
             scored = self._score_gp(unique)
         else:
-            scored = np.empty((len(self._subsets), unique.size))
+            scored = np.empty((len(self._prior_scores), unique.size))
             for start in range(0, unique.size, _BLOCK):
                 scored[:, start : start + _BLOCK] = self._score_conjugate(
                     unique[start : start + _BLOCK]
                 )
+        if self._rank_deficient:
+            count, self._rank_deficient = self._rank_deficient, 0
+            message = f"{count} coalitions have a rank-deficient Gram matrix; their volume is 0"
+            warnings.warn(message, RankDeficientVolumeWarning, stacklevel=2)
         return scored[:, inverse.reshape(masks.shape)]
 
     def table(self) -> list[CharacteristicTable]:
-        """One characteristic table per validation set, over all 2^n coalitions."""
+        """One characteristic table per validation set (one for a
+        validation-set-free kind), over all 2^n coalitions."""
         check_source_count(self.n, EXACT_LIMIT)
         return [CharacteristicTable(self.n, row) for row in self.values(np.arange(2**self.n))]
 
@@ -412,7 +391,7 @@ class CoalitionScorer:
         coalition of the first k members of the current one, and the next
         coalition pops the levels past their common prefix and appends its
         remaining members one source at a time."""
-        out = np.zeros((len(self._subsets), masks.size))
+        out = np.zeros((len(self._prior_scores), masks.size))
         members = [coalition_members(int(mask), self.n) for mask in masks]
         path = _GpPath(self._rows, self._pool)
         on_path: list[int] = []
@@ -431,13 +410,16 @@ class CoalitionScorer:
                 continue  # no training rows: worth exactly zero
             if level.mean is None:
                 train = coalition_data(self._sources, int(masks[j]))
-                post = gp_posterior(train, self._pool.inputs, self._model)
-                spread = (
-                    np.diag(post.cov)
-                    if self._mean_kind
-                    else [post.cov[np.ix_(idx, idx)] for idx in self._subsets]
-                )
-                level = _GpLevel(level.end, post.mean, spread)
+                if self._kind == INFO_GAIN:
+                    level = _GpLevel(level.end, logdet=_gp_logdet(self._model, train))
+                else:
+                    post = gp_posterior(train, self._pool.inputs, self._model)
+                    spread = (
+                        np.diag(post.cov)
+                        if self._mean_kind
+                        else [post.cov[np.ix_(idx, idx)] for idx in self._subsets]
+                    )
+                    level = _GpLevel(level.end, post.mean, spread)
             out[:, j] = self._gp_scores(level) - self._prior_scores
         return out
 
@@ -449,6 +431,10 @@ class CoalitionScorer:
             L21 = K(S, C) L_C^-T,  L22 = chol(K(S, S) + diag(noise / counts) - L21 L21^T),
             V_S = L22^-1 (K(S, pool) - L21 V_C),  w_S = L22^-1 (y_S - L21 w_C),
             mean += V_S^T w_S,  cov -= V_S^T V_S.
+
+        Information gain keeps only log det(I + K / noise) of the raw rows: no
+        jitter, no projections. By the determinant lemma, a block whose distinct
+        rows occur c times adds 2 sum log diag(L22) + sum log(c / noise).
         """
         from scipy.linalg import solve_triangular
 
@@ -456,24 +442,30 @@ class CoalitionScorer:
         start, end = parent.end, parent.end + data.counts.size
         if parent.mean is None or start == end:
             return parent._replace(end=end)
-        x = data.inputs
-        cross = se_ard_kernel(x, path.inputs[:start], model)
+        x, rows = data.inputs, slice(start, end)
+        path.inputs[rows] = x
+        if self._kind == INFO_GAIN:  # K(S, C) and K(S, S) from one kernel call
+            kernel = se_ard_kernel(x, path.inputs[:end], model)
+            cross, block = kernel[:, :start], kernel[:, start:]
+        else:
+            cross, block = se_ard_kernel(x, path.inputs[:start], model), se_ard_kernel(x, x, model)
         l21 = solve_triangular(
             path.factor[:start, :start], cross.T, lower=True, check_finite=False
         ).T
-        block = se_ard_kernel(x, x, model)
-        diag = np.diag_indices_from(block)
+        diag = np.diag_indices(end - start)
         block[diag] += model.noise_var / data.counts
-        block[diag] += model.jitter / data.counts
+        if self._kind != INFO_GAIN:
+            block[diag] += model.jitter / data.counts
         block -= l21 @ l21.T
         try:
             l22 = np.linalg.cholesky(block)
         except np.linalg.LinAlgError:
             return _GpLevel(end)
-        rows = slice(start, end)
-        path.inputs[rows] = x
         path.factor[rows, :start] = l21
         path.factor[rows, rows] = l22
+        if self._kind == INFO_GAIN:
+            logdet = 2.0 * np.log(np.diag(l22)).sum() + np.log(data.counts / model.noise_var).sum()
+            return parent._replace(end=end, logdet=parent.logdet + logdet)
         k_pool = se_ard_kernel(x, self._pool.inputs, model)
         proj = solve_triangular(
             l22, k_pool - l21 @ path.proj[:start], lower=True, check_finite=False
@@ -493,7 +485,9 @@ class CoalitionScorer:
 
     def _gp_scores(self, level: _GpLevel) -> np.ndarray:
         """Log score of every validation set under the noisy predictive of
-        ``level``'s posterior."""
+        ``level``'s posterior, or its information gain."""
+        if self._kind == INFO_GAIN:
+            return np.array([0.5 * level.logdet])
         noise = self._model.noise_var
         scores = np.empty(len(self._subsets))
         for s, idx in enumerate(self._subsets):
@@ -507,6 +501,25 @@ class CoalitionScorer:
                 cov[diag] = np.maximum(cov[diag], 0.0) + noise
                 scores[s] = gaussian_logpdf(y, mean, cov)
         return scores
+
+    def _baseline(self, kind: str, d: int, nu: np.ndarray, sums: np.ndarray) -> np.ndarray:
+        """A validation-set-free kind at a stacked batch of row counts ``nu`` and
+        flattened d x d Gram matrices ``sums`` (posteriors for kl-from-prior)."""
+        if kind == CARDINALITY:
+            return nu
+        if kind == KL_FROM_PRIOR:
+            return kl_from_prior_batch(self._model, nu, sums)
+        grams = sums.reshape(-1, d, d)
+        if kind == INFO_GAIN:
+            # 1/2 log det(I + X X^T s) is the d x d 1/2 log det(I + X^T X s) (Sylvester).
+            scale = self._model.prior_var / self._model.noise_var
+            return 0.5 * np.linalg.slogdet(np.eye(d) + grams * scale)[1]
+        # Volume sqrt(det G): 0 without rows or features, and 0, counted for one
+        # warning, where G is rank deficient (fewer rows than features, det G <= 0).
+        det = np.linalg.det(grams) if d else np.zeros(nu.size)
+        deficient = (nu > 0) & (d > 0) & ((nu < d) | (det <= 0.0))
+        self._rank_deficient += int(deficient.sum())
+        return np.where(deficient, 0.0, np.sqrt(np.maximum(det, 0.0)))
 
     def _subset_score(self, idx: np.ndarray, kind: str):
         """Log score of the conjugate family on pool rows ``idx`` as a function
@@ -525,21 +538,9 @@ class CoalitionScorer:
 
 
 def build_char_table(sources: list[Dataset], spec: DvfSpec) -> CharacteristicTable:
-    """Evaluate the valuation on every coalition of sources.
-
-    This is exhaustive (2^n evaluations), so more than ``EXACT_LIMIT`` sources
-    are refused before anything is scored; beyond that, log-score kinds go
-    through :func:`truthval.semivalues.sampled_semivalue` with
-    :meth:`CoalitionScorer.values` as the evaluator. Log-score kinds are
-    scored by :class:`CoalitionScorer`, baselines by :func:`dvf_value`.
-    """
-    n = len(sources)
-    if n < 1:
-        raise ConfigurationError("need at least one source")
-    check_source_count(n, EXACT_LIMIT)
-    if spec.kind in LOG_SCORE_KINDS:
-        return CoalitionScorer(spec.model, spec.kind, sources, spec.validation).table()[0]
-    values = np.empty(2**n)
-    for mask in range(2**n):
-        values[mask] = dvf_value(spec, coalition_data(sources, mask))
-    return CharacteristicTable(n, values)
+    """The :class:`CoalitionScorer` table of ``spec`` on every coalition of
+    ``sources``. It holds 2^n values, so more than ``EXACT_LIMIT`` sources are
+    refused before it is built; beyond that, log-score kinds go through
+    :func:`truthval.semivalues.sampled_semivalue` with
+    :meth:`CoalitionScorer.values` as the evaluator."""
+    return CoalitionScorer(spec.model, spec.kind, sources, spec.validation).table()[0]

@@ -397,6 +397,41 @@ class TestSchemaErrorsExit1:
         assert err.startswith("configuration error:")
 
     @pytest.mark.parametrize(
+        "path, value",
+        [
+            (("sources", 0, "n_points"), -1),
+            (("sources", 0), {"generator": "linear", "n_points": -1}),
+            (("sources", 0), {"generator": "friedman", "n_points": -1}),
+            (("sources", 0), {"generator": "linear", "n_points": 5, "noise_sd": -1}),
+            (("sources", 0, "p"), 1.5),
+            (("sources", 0, "p"), -0.1),
+            (("validation", "subset_fraction"), 0),
+            (("validation", "subset_fraction"), 1.5),
+            (("validation", "sorted_fraction"), 0.0),
+            (("validation", "noise_sd"), -1),
+            (("sweep",), {"axis": "validation-noise", "values": [-1, 0]}),
+            (("sweep",), {"axis": "validation-fraction", "values": [0.5, 2.0]}),
+            (("sweep",), {"axis": "sorted-fraction", "values": [0.0, 1.0]}),
+            (("post",), {"kind": "budget", "budget": -1}),
+            (("post",), {"kind": "budget", "budget": 1.0, "a": 0}),
+            (("post",), {"kind": "scaled", "budget": 0}),
+            (("post",), {"kind": "cross-validation", "validation_frac": 1.0}),
+        ],
+        ids=[
+            "bernoulli-n-points", "linear-n-points", "friedman-n-points", "linear-noise-sd",
+            "p-above-1", "p-below-0", "subset-fraction-0", "subset-fraction-above-1",
+            "sorted-fraction-0", "validation-noise-sd", "validation-noise-sweep",
+            "validation-fraction-sweep", "sorted-fraction-sweep", "budget", "budget-a",
+            "scaled-budget", "validation-frac-1",
+        ],
+    )
+    def test_out_of_range_value(self, tmp_path, capsys, config_path, path, value):
+        code, err = self.run(tmp_path, capsys, config_path, path, value)
+        assert code == 1
+        assert err.startswith("configuration error:")
+        assert "must be" in err
+
+    @pytest.mark.parametrize(
         "path, value, key",
         [
             (("sources", 0, "pp"), 0.7, "pp"),

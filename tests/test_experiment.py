@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import time
 
 import numpy as np
 import pytest
@@ -408,6 +409,34 @@ class TestRunner:
         report = run_experiment(cfg)
         values = {row.source: row.value for row in report.rows}
         assert values == {0: 5.0, 1: 3.0}
+
+    def test_twenty_source_baselines_stay_within_a_minute(self):
+        # Each baseline kind at the exact-enumeration limit: 20 ten-row
+        # sources, one 2^20 table shared by both repeats.
+        bernoulli = ({"family": "beta-bernoulli"}, {"generator": "bernoulli", "n_points": 10})
+        linear = (
+            {"family": "bayes-linreg", "n_features": 3},
+            {"generator": "linear", "n_points": 10, "weights": [1.0, -0.5, 0.25]},
+        )
+        runs = {
+            "cardinality": bernoulli, "volume": linear, "info-gain": linear,
+            "kl-from-prior": bernoulli,
+        }
+        start = time.perf_counter()
+        for dvf, (model, source) in runs.items():
+            cfg = ExperimentConfig.from_dict(
+                {"seed": 5, "repeats": 2, "model": model, "dvf": dvf, "sources": [source] * 20}
+            )
+            rows = run_experiment(cfg).rows
+            assert [(r.value, r.reward) for r in rows[:20]] == [
+                (r.value, r.reward) for r in rows[20:]
+            ]
+            assert np.isfinite([r.reward for r in rows]).all()
+            if dvf == "cardinality":
+                assert [r.value for r in rows] == [10.0] * 40
+                np.testing.assert_allclose([r.reward for r in rows], 10.0, rtol=1e-12)
+        elapsed = time.perf_counter() - start
+        assert elapsed < 60.0, f"four 20-source baseline runs took {elapsed:.0f}s"
 
 
 def _csv_pool_config(tmp_path, **overrides):

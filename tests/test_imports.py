@@ -91,6 +91,13 @@ def test_one_repeat_linear_regression_run_loads_no_scipy(tmp_path):
     assert loaded == [], f"the run loaded {loaded}"
 
 
+@pytest.mark.parametrize("dvf", ["cardinality", "info-gain"])
+def test_linear_regression_baseline_run_loads_no_scipy(tmp_path, dvf):
+    # The stacked baseline formulas are numpy alone.
+    loaded = _loaded_scipy(_cli_run(tmp_path, {**LINREG, "validation": None, "dvf": dvf}))
+    assert loaded == [], f"the {dvf} run loaded {loaded}"
+
+
 @pytest.mark.parametrize(
     "cfg, wanted, unwanted",
     [

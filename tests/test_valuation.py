@@ -218,16 +218,19 @@ FAMILIES = {
 }
 
 
-def assert_tables_match_dvf_value(model, kind, sources, pool, subsets):
+def assert_tables_match_dvf_value(model, kind, sources, pool=None, subsets=None, atol=1e-13):
+    """The scorer's tables against dvf_value on each coalition's rows; a
+    validation-set-free kind (``pool`` None) has one table."""
     tables = CoalitionScorer(model, kind, sources, pool, subsets).table()
-    assert len(tables) == len(subsets)
-    for idx, table in zip(subsets, tables):
-        spec = DvfSpec(kind, model=model, validation=take_rows(pool, idx))
+    validations = [None] if pool is None else [take_rows(pool, idx) for idx in subsets]
+    assert len(tables) == len(validations)
+    for validation, table in zip(validations, tables):
+        spec = DvfSpec(kind, model=model, validation=validation)
         want = [dvf_value(spec, coalition_data(sources, m)) for m in range(2 ** len(sources))]
         assert table.values[0] == 0.0
         # The absolute floor only matters for values near zero, where
         # log p(T | D) - log p(T) loses digits to cancellation.
-        np.testing.assert_allclose(table.values, want, rtol=1e-12, atol=1e-13)
+        np.testing.assert_allclose(table.values, want, rtol=1e-12, atol=atol)
 
 
 class TestCoalitionScorer:
@@ -318,6 +321,160 @@ class TestCoalitionScorer:
         assert scorer.values(np.array([0, 2**21 - 1])).shape == (1, 2)
         with pytest.raises(UnsupportedConfigurationError, match="21 sources .* limit of 20"):
             scorer.table()
+
+
+# Each validation-set-free kind with a model and a factory for k random rows:
+# every family it accepts, GP information gain also with jitter > 0 and rows
+# repeated within and across sources.
+BASELINES = {
+    "cardinality": ("cardinality", None, FAMILIES["beta-bernoulli"][1]),
+    "volume": ("volume", None, FAMILIES["bayes-linreg"][1]),
+    "info-gain-linreg": ("info-gain", *FAMILIES["bayes-linreg"]),
+    "info-gain-gp": ("info-gain", *FAMILIES["gp"]),
+    "info-gain-gp-replicated": ("info-gain", *FAMILIES["gp-replicated"]),
+    "kl-beta": ("kl-from-prior", *FAMILIES["beta-bernoulli"]),
+    "kl-gaussian": ("kl-from-prior", *FAMILIES["gaussian-known-var"]),
+}
+
+
+def se_kernel(x, model):
+    """The SE-ARD kernel written out, independent of truthval.gp."""
+    scaled = x / np.broadcast_to(model.lengthscales, (x.shape[1],))
+    sq = ((scaled[:, None, :] - scaled[None, :, :]) ** 2).sum(axis=-1)
+    return model.signal_var * np.exp(-0.5 * sq)
+
+
+class TestBaselineTables:
+    @pytest.mark.filterwarnings("ignore::truthval.valuation.RankDeficientVolumeWarning")
+    @settings(max_examples=80, deadline=None)
+    @given(
+        case=st.sampled_from(sorted(BASELINES)),
+        sizes=st.lists(st.integers(0, 6), min_size=1, max_size=5),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_random_instances_match_dvf_value(self, case, sizes, seed):
+        # A table sums per-source statistics (Gram matrices, sufficient
+        # statistics, lattice blocks), dvf_value takes them of the
+        # concatenated rows: they agree to 1e-12 relative. The determinant of
+        # a nearly singular Gram matrix loses digits, so volumes are compared
+        # to 1e-12 of the Hadamard bound sqrt(prod diag G) of all rows' Gram
+        # matrix G, which bounds every coalition's volume.
+        kind, model, rows = BASELINES[case]
+        rng = np.random.default_rng(seed)
+        sources = [rows(rng, k) for k in sizes]
+        atol = 1e-13
+        if kind == "volume":
+            x = concat_datasets(sources).inputs
+            atol = 1e-12 * math.sqrt(np.prod((x**2).sum(axis=0)))
+        assert_tables_match_dvf_value(model, kind, sources, atol=atol)
+
+    def test_info_gain_matches_raw_row_references(self):
+        # 1/2 log det(I_N + K / noise) on the raw rows for a GP, and
+        # 1/2 log det(I_N + X X^T prior_var / noise_var) for linear regression.
+        rng = np.random.default_rng(70)
+        for family in ("gp-replicated", "gp-jitter", "bayes-linreg"):
+            model, rows = FAMILIES[family]
+            sources = [rows(rng, k) for k in (5, 0, 3, 6)]
+            table = build_char_table(sources, DvfSpec("info-gain", model=model)).values
+            for mask in range(16):
+                x = coalition_data(sources, mask).inputs
+                if family == "bayes-linreg":
+                    scaled = x @ x.T * (model.prior_var / model.noise_var)
+                else:
+                    scaled = se_kernel(x, model) / model.noise_var
+                want = 0.5 * np.linalg.slogdet(np.eye(len(x)) + scaled)[1]
+                assert table[mask] == pytest.approx(want, rel=1e-12, abs=1e-13), (family, mask)
+
+    def test_kl_from_prior_matches_closed_forms(self):
+        from scipy.special import betaln, digamma
+
+        rng = np.random.default_rng(71)
+        for family in ("beta-bernoulli", "gaussian-known-var"):
+            model, rows = FAMILIES[family]
+            sources = [rows(rng, k) for k in (4, 7, 2)]
+            table = build_char_table(sources, DvfSpec("kl-from-prior", model=model)).values
+            for mask in range(1, 8):
+                y = coalition_data(sources, mask).outputs
+                if family == "beta-bernoulli":
+                    a0, b0 = model.alpha, model.beta
+                    a1, b1 = a0 + y.sum(), b0 + len(y) - y.sum()
+                    want = (
+                        betaln(a0, b0) - betaln(a1, b1) + (a1 - a0) * digamma(a1)
+                        + (b1 - b0) * digamma(b1) + (a0 + b0 - a1 - b1) * digamma(a1 + b1)
+                    )
+                else:
+                    var0 = model.prior_var
+                    var1 = 1.0 / (1.0 / var0 + len(y) / model.noise_var)
+                    mean1 = var1 * (model.prior_mean / var0 + y.sum() / model.noise_var)
+                    want = 0.5 * (
+                        math.log(var0 / var1) + (var1 + (mean1 - model.prior_mean) ** 2) / var0 - 1
+                    )
+                assert table[mask] == pytest.approx(want, rel=1e-12, abs=1e-14), (family, mask)
+
+    def test_rank_deficient_table_warns_once(self):
+        # Ten one-row sources of three features: the 55 non-empty coalitions
+        # of one or two sources have fewer rows than features. The 1,024
+        # coalitions span two scoring blocks, and still warn once.
+        rng = np.random.default_rng(72)
+        sources = [Dataset(rng.uniform(size=(1, 3)), rng.normal(size=1)) for _ in range(10)]
+        with pytest.warns(RankDeficientVolumeWarning) as caught:
+            table = build_char_table(sources, DvfSpec("volume")).values
+        assert len(caught) == 1
+        assert "55 coalitions" in str(caught[0].message)
+        assert (table == 0).sum() == 56 and (table[[0b111, 2**10 - 1]] > 0).all()
+
+    @pytest.mark.parametrize(
+        "kind, family",
+        [
+            ("log-score", "gp"),
+            ("mean-log-score", "bayes-linreg"),
+            ("cardinality", "beta-bernoulli"),
+            ("volume", "gp"),
+            ("info-gain", "gp-replicated"),
+            ("info-gain", "bayes-linreg"),
+            ("kl-from-prior", "gaussian-known-var"),
+        ],
+    )
+    def test_tables_are_built_without_dvf_value(self, kind, family, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("build_char_table called dvf_value")
+
+        monkeypatch.setattr(valuation, "dvf_value", refuse)
+        model, rows = FAMILIES[family]
+        rng = np.random.default_rng(73)
+        sources = [rows(rng, k) for k in (4, 3, 5)]
+        validation = rows(rng, 4) if kind in ("log-score", "mean-log-score") else None
+        if kind in ("cardinality", "volume"):
+            model = None
+        spec = DvfSpec(kind, model=model, validation=validation)
+        assert np.isfinite(build_char_table(sources, spec).values).all()
+
+    def test_gp_info_gain_block_that_is_not_positive_definite_falls_back(self, monkeypatch):
+        # Source 1's block (the only 3 x 3 one) is made to fail its Cholesky
+        # factorization, so every coalition holding it is scored on its raw rows.
+        fallbacks = []
+        original_factor, original_logdet = np.linalg.cholesky, valuation._gp_logdet
+
+        def failing(a):
+            if a.shape == (3, 3):
+                raise np.linalg.LinAlgError("not positive definite")
+            return original_factor(a)
+
+        def counted(model, data):
+            fallbacks.append(len(data))
+            return original_logdet(model, data)
+
+        monkeypatch.setattr(np.linalg, "cholesky", failing)
+        monkeypatch.setattr(valuation, "_gp_logdet", counted)
+        model, rows = FAMILIES["gp-jitter"]
+        rng = np.random.default_rng(74)
+        sources = [rows(rng, k) for k in (4, 3, 2)]
+        got = CoalitionScorer(model, "info-gain", sources).table()[0].values
+        assert sorted(fallbacks) == [3, 5, 7, 9]  # {1}, {1, 2}, {0, 1}, {0, 1, 2}
+        monkeypatch.undo()
+        spec = DvfSpec("info-gain", model=model)
+        want = [dvf_value(spec, coalition_data(sources, m)) for m in range(8)]
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-13)
 
 
 def gp_dvf_values(model, kind, sources, pool):
