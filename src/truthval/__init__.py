@@ -53,13 +53,9 @@ from .models import (
     BetaBernoulliModel,
     GaussianMeanModel,
     LinearRegressionModel,
-    NaturalParams,
-    SuffStats,
-    combine_stats,
     log_predictive,
     mean_log_predictive,
     posterior_params,
-    posterior_update,
     prior_params,
     suff_stats,
 )

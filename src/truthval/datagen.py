@@ -69,6 +69,8 @@ def friedman_generate(
     """Friedman dataset: 6 uniform features, standard Gaussian output noise."""
     if n_points < 0:
         raise InputError(f"n_points must be >= 0, got {n_points}")
+    if not noise_sd >= 0:  # NaN included
+        raise InputError(f"noise_sd must be >= 0, got {noise_sd}")
     rng = np.random.default_rng(seed)
     x = rng.uniform(size=(n_points, 6))
     y = friedman_mean(x, alpha=alpha, beta=beta)

@@ -349,6 +349,11 @@ class ExperimentConfig:
                 else f"dvf {cfg['dvf']!r} is validation-set-free"
             )
             raise ConfigurationError(f"this run never reads its 'validation' section: {reason}")
+        if post_kind == "cross-validation" and cfg["dvf"] != LOG_SCORE:
+            raise ConfigurationError(
+                f"post 'cross-validation' scores every game by {LOG_SCORE!r}, "
+                f"so dvf {cfg['dvf']!r} is not available with it"
+            )
         return config
 
 

@@ -104,15 +104,6 @@ def se_ard_kernel(xa: np.ndarray, xb: np.ndarray, hyper: GpHyper) -> np.ndarray:
     return sq
 
 
-def _noise_diagonal(hyper: GpHyper, n: int, train_noise_var) -> np.ndarray:
-    if train_noise_var is None:
-        return np.full(n, hyper.noise_var)
-    noise = np.broadcast_to(np.asarray(train_noise_var, dtype=float), (n,)).copy()
-    if (noise <= 0).any():
-        raise ConfigurationError("per-point noise variances must be positive")
-    return noise
-
-
 def _factor_train_kernel(k_train: np.ndarray, hyper: GpHyper):
     """Cholesky of the noisy training kernel, escalating jitter on failure.
 
@@ -144,14 +135,8 @@ def gp_posterior(
     train: Dataset,
     test_inputs: np.ndarray,
     hyper: GpHyper,
-    train_noise_var=None,
 ) -> GpPosterior:
-    """Exact latent posterior at ``test_inputs`` given ``train``.
-
-    ``train_noise_var`` optionally overrides the observation-noise variance of
-    the training outputs, per point (scalar or length-n vector); the agreed
-    model noise still applies when scoring validation outputs.
-    """
+    """Exact latent posterior at ``test_inputs`` given ``train``."""
     from scipy.linalg import cho_solve
 
     _check_train(train)
@@ -167,9 +152,7 @@ def gp_posterior(
             f"{test_inputs.shape[1]}"
         )
     k_train = se_ard_kernel(train.inputs, train.inputs, hyper)
-    k_train[np.diag_indices_from(k_train)] += _noise_diagonal(
-        hyper, len(train), train_noise_var
-    )
+    k_train[np.diag_indices_from(k_train)] += hyper.noise_var
     factor = _factor_train_kernel(k_train, hyper)
     k_cross = se_ard_kernel(train.inputs, test_inputs, hyper)
     solved = cho_solve(factor, k_cross)
@@ -199,13 +182,12 @@ def gp_log_predictive(
     train: Dataset,
     validation: Dataset,
     hyper: GpHyper,
-    train_noise_var=None,
 ) -> float:
     """Joint log density of the validation outputs under the noisy predictive."""
     if len(validation) == 0:
         raise InputError("validation set must be non-empty")
     _check_train(validation)
-    post = gp_posterior(train, validation.inputs, hyper, train_noise_var)
+    post = gp_posterior(train, validation.inputs, hyper)
     cov = post.cov + hyper.noise_var * np.eye(len(validation))
     return gaussian_logpdf(validation.outputs, post.mean, cov)
 
@@ -214,13 +196,12 @@ def gp_pointwise_log_predictive(
     train: Dataset,
     validation: Dataset,
     hyper: GpHyper,
-    train_noise_var=None,
 ) -> np.ndarray:
     """Per-point log predictive density, each point scored independently."""
     if len(validation) == 0:
         raise InputError("validation set must be non-empty")
     _check_train(validation)
-    post = gp_posterior(train, validation.inputs, hyper, train_noise_var)
+    post = gp_posterior(train, validation.inputs, hyper)
     var = np.diag(post.cov) + hyper.noise_var
     r = validation.outputs - post.mean
     return -0.5 * (np.log(2.0 * np.pi * var) + r**2 / var)

@@ -8,9 +8,10 @@ Three conjugate families are implemented with family-specific closed forms:
 * Bayesian linear regression with known noise variance and a zero-mean
   isotropic Gaussian prior on the weights.
 
-Every family exposes additive sufficient statistics, the standard conjugate
-posterior update in the (pseudo-count, mean-sufficient-statistic)
-parametrization, and the exact log density of a validation set under the
+A prior or posterior has one form, ``(nu, sums)``: a pseudo-count and the
+summed sufficient statistics of the data plus the prior's pseudo-data. The
+statistics of disjoint datasets add, so the conjugate update is one sum.
+Every family gives the exact log density of a validation set under the
 posterior predictive, both jointly (chain-rule consistent) and per point.
 The Beta-Bernoulli and Gaussian-mean families also give the divergence of
 the posterior from the prior in closed form. Gaussian-process regression
@@ -31,45 +32,6 @@ from .data import BINARY, REGRESSION, Dataset
 from .errors import ConfigurationError, InputError
 
 LOG_2PI = math.log(2.0 * math.pi)
-
-
-@dataclass(frozen=True)
-class SuffStats:
-    """Additive sufficient statistics of a dataset.
-
-    ``vector`` holds family-specific sums; statistics of disjoint datasets
-    add elementwise, and an empty dataset has all-zero statistics.
-    """
-
-    family: str
-    count: int
-    vector: np.ndarray
-
-    def __post_init__(self) -> None:
-        vector = np.array(self.vector, dtype=float)
-        vector.setflags(write=False)
-        object.__setattr__(self, "vector", vector)
-
-
-@dataclass(frozen=True)
-class NaturalParams:
-    """Conjugate prior/posterior parameters.
-
-    ``nu0`` is the pseudo-count and ``sigma0`` the mean sufficient-statistic
-    vector, so the conjugate update is a weighted average of ``sigma0`` and
-    the observed statistics.
-    """
-
-    family: str
-    nu0: float
-    sigma0: np.ndarray
-
-    def __post_init__(self) -> None:
-        if self.nu0 < 0:
-            raise ConfigurationError(f"pseudo-count must be >= 0, got {self.nu0}")
-        sigma0 = np.array(self.sigma0, dtype=float)
-        sigma0.setflags(write=False)
-        object.__setattr__(self, "sigma0", sigma0)
 
 
 @dataclass(frozen=True)
@@ -141,14 +103,13 @@ def _check_kind(model, data: Dataset, what: str) -> None:
         )
 
 
-def suff_stats(data: Dataset, model: ConjugateModel) -> SuffStats:
-    """Family-specific additive sufficient statistics of ``data``."""
+def suff_stats(data: Dataset, model: ConjugateModel) -> np.ndarray:
+    """Family-specific sufficient statistics of ``data``: a vector whose
+    entries add over disjoint datasets and are all zero for an empty one."""
     _check_kind(model, data, "data")
     n = len(data)
-    if isinstance(model, BetaBernoulliModel):
-        return SuffStats(model.family, n, np.array([data.outputs.sum()]))
-    if isinstance(model, GaussianMeanModel):
-        return SuffStats(model.family, n, np.array([data.outputs.sum()]))
+    if isinstance(model, (BetaBernoulliModel, GaussianMeanModel)):
+        return np.array([data.outputs.sum()])
     if isinstance(model, LinearRegressionModel):
         d = model.n_features
         if n and data.n_features != d:
@@ -157,72 +118,38 @@ def suff_stats(data: Dataset, model: ConjugateModel) -> SuffStats:
             )
         x, y = data.inputs, data.outputs
         if n == 0:
-            return SuffStats(model.family, 0, np.zeros(1 + d + d * d))
-        vec = np.concatenate([[y @ y], x.T @ y, (x.T @ x).ravel()])
-        return SuffStats(model.family, n, vec)
+            return np.zeros(1 + d + d * d)
+        return np.concatenate([[y @ y], x.T @ y, (x.T @ x).ravel()])
     raise ConfigurationError(f"no sufficient statistics for model {model!r}")
 
 
-def combine_stats(*stats: SuffStats) -> SuffStats:
-    """Sum statistics of disjoint datasets (multiset-union semantics)."""
-    if not stats:
-        raise InputError("combine_stats requires at least one argument")
-    family = stats[0].family
-    for s in stats[1:]:
-        if s.family != family:
-            raise ConfigurationError(f"family mismatch: {s.family} vs {family}")
-    count = sum(s.count for s in stats)
-    vector = np.sum([s.vector for s in stats], axis=0)
-    return SuffStats(family, count, vector)
-
-
-def prior_params(model: ConjugateModel) -> NaturalParams:
-    """Prior in the (pseudo-count, mean sufficient statistics) parametrization."""
+def prior_params(model: ConjugateModel) -> tuple[float, np.ndarray]:
+    """The prior as ``(nu0, sums0)``: a pseudo-count and the summed statistics
+    of that many pseudo-observations, e.g. ``(alpha + beta, [alpha])`` for
+    Beta-Bernoulli."""
     if isinstance(model, BetaBernoulliModel):
-        nu0 = model.alpha + model.beta
-        return NaturalParams(model.family, nu0, np.array([model.alpha / nu0]))
+        return model.alpha + model.beta, np.array([model.alpha])
     if isinstance(model, GaussianMeanModel):
         nu0 = model.noise_var / model.prior_var
-        return NaturalParams(model.family, nu0, np.array([model.prior_mean]))
+        return nu0, np.array([nu0 * model.prior_mean])
     if isinstance(model, LinearRegressionModel):
         d = model.n_features
         nu0 = model.noise_var / model.prior_var
         # Pseudo-data worth nu0 points whose Gram matrix is the ridge term
         # (noise_var / prior_var) * I and whose output moments are zero.
-        sums = np.concatenate([[0.0], np.zeros(d), (nu0 * np.eye(d)).ravel()])
-        return NaturalParams(model.family, nu0, sums / nu0)
+        return nu0, np.concatenate([[0.0], np.zeros(d), (nu0 * np.eye(d)).ravel()])
     raise ConfigurationError(f"no conjugate prior for model {model!r}")
 
 
-def posterior_update(prior: NaturalParams, stats: SuffStats) -> NaturalParams:
-    """Conjugate update: add counts, average the mean sufficient statistics.
-
-    Composes: updating with stats(A) then stats(B) equals one update with
-    stats(A) + stats(B). Updating with empty statistics returns ``prior``
-    unchanged (bit-identical).
-    """
-    if prior.family != stats.family:
-        raise ConfigurationError(
-            f"family mismatch: prior {prior.family!r} vs stats {stats.family!r}"
-        )
-    if stats.count == 0:
-        return prior
-    nu = prior.nu0 + stats.count
-    sigma = (prior.nu0 * prior.sigma0 + stats.vector) / nu
-    return NaturalParams(prior.family, nu, sigma)
-
-
-def posterior_params(model: ConjugateModel, data: Dataset) -> NaturalParams:
-    return posterior_update(prior_params(model), suff_stats(data, model))
+def posterior_params(model: ConjugateModel, data: Dataset) -> tuple[float, np.ndarray]:
+    """The conjugate posterior ``(nu, sums)`` given ``data``: the observations
+    add to the pseudo-count and their statistics to the prior's. Empty
+    ``data`` gives the prior, and updating in steps gives the same sums."""
+    nu0, sums0 = prior_params(model)
+    return nu0 + len(data), sums0 + suff_stats(data, model)
 
 
 # -- family-specific parameter decoding --------------------------------------
-
-
-def _one_row(params: NaturalParams) -> tuple[np.ndarray, np.ndarray]:
-    """``params`` as a batch of one: pseudo-counts ``nu`` (k,) and summed
-    statistics ``sums = nu * sigma`` (k, m)."""
-    return np.array([params.nu0]), (params.nu0 * params.sigma0)[None, :]
 
 
 def _linreg_design(model: LinearRegressionModel, sums: np.ndarray):
@@ -243,8 +170,8 @@ def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 # -- log predictive densities -------------------------------------------------
 #
 # Each family has one formula, written over a batch of k parameter sets given
-# as stacked (nu, sums) arrays; the single-parameter functions below are
-# one-row calls into it.
+# as stacked (nu, sums) arrays: nu (k,) and sums (k, m). log_predictive and
+# mean_log_predictive at the end call it on the one row of a posterior.
 
 
 def _check_validation(model, validation: Dataset) -> None:
@@ -366,26 +293,6 @@ def kl_from_prior_batch(model: ConjugateModel, nu: np.ndarray, sums: np.ndarray)
     raise ConfigurationError(f"no closed-form divergence from the prior for model {model!r}")
 
 
-def log_predictive_from_params(
-    model: ConjugateModel, params: NaturalParams, validation: Dataset
-) -> float:
-    """Joint log density of ``validation`` under the predictive at ``params``."""
-    summary = validation_summary(model, validation)
-    if params.family != model.family:
-        raise ConfigurationError(
-            f"params family {params.family!r} does not match model {model.family!r}"
-        )
-    return float(log_predictive_batch(model, *_one_row(params), summary)[0])
-
-
-def pointwise_log_predictive_from_params(
-    model: ConjugateModel, params: NaturalParams, validation: Dataset
-) -> np.ndarray:
-    """Per-point log predictive density, every point scored at the same params."""
-    _check_validation(model, validation)
-    return pointwise_log_predictive_batch(model, *_one_row(params), validation)[0]
-
-
 def log_predictive(model: BayesianModel, data: Dataset, validation: Dataset) -> float:
     """Exact joint log density of the validation set given ``data``.
 
@@ -395,7 +302,9 @@ def log_predictive(model: BayesianModel, data: Dataset, validation: Dataset) -> 
         _check_validation(model, validation)
         _check_kind(model, data, "data")
         return _gp.gp_log_predictive(data, validation, model)
-    return log_predictive_from_params(model, posterior_params(model, data), validation)
+    nu, sums = posterior_params(model, data)
+    summary = validation_summary(model, validation)
+    return float(log_predictive_batch(model, np.array([nu]), sums[None, :], summary)[0])
 
 
 def mean_log_predictive(model: BayesianModel, data: Dataset, validation: Dataset) -> float:
@@ -404,5 +313,7 @@ def mean_log_predictive(model: BayesianModel, data: Dataset, validation: Dataset
         _check_validation(model, validation)
         _check_kind(model, data, "data")
         return float(np.mean(_gp.gp_pointwise_log_predictive(data, validation, model)))
-    params = posterior_params(model, data)
-    return float(np.mean(pointwise_log_predictive_from_params(model, params, validation)))
+    nu, sums = posterior_params(model, data)
+    _check_validation(model, validation)
+    pointwise = pointwise_log_predictive_batch(model, np.array([nu]), sums[None, :], validation)
+    return float(np.mean(pointwise))

@@ -334,9 +334,8 @@ class CoalitionScorer:
             return
         self._counts = np.array([len(ds) for ds in sources], dtype=float)
         if kind in (*LOG_SCORE_KINDS, KL_FROM_PRIOR):
-            self._vectors = np.vstack([suff_stats(ds, model).vector for ds in sources])
-            params = prior_params(model)
-            self._nu0, self._sums0 = params.nu0, params.nu0 * params.sigma0
+            self._vectors = np.vstack([suff_stats(ds, model) for ds in sources])
+            self._nu0, self._sums0 = prior_params(model)
         else:  # the input Gram matrices, which cardinality ignores
             self._vectors = np.vstack([(ds.inputs.T @ ds.inputs).ravel() for ds in sources])
             self._nu0, self._sums0 = 0.0, np.zeros(self._vectors.shape[1])

@@ -219,6 +219,15 @@ class TestConfigurationErrorsExit1:
         assert code == 1
         assert err.startswith("configuration error:") and "21 sources exceed the limit of 20" in err
 
+    @pytest.mark.parametrize("dvf", ["mean-log-score", "cardinality"])
+    def test_cross_validation_rejects_other_dvf(self, tmp_path, capsys, dvf):
+        # Cross-validation games are scored by log-score; any other dvf
+        # would be ignored, so it is refused.
+        code, err = self.run(tmp_path, capsys, two_source_cross_validation(dvf=dvf))
+        assert code == 1
+        assert err.startswith("configuration error:")
+        assert "post 'cross-validation'" in err and f"dvf {dvf!r}" in err
+
     @pytest.mark.parametrize(
         "n, changes, reason",
         [

@@ -177,24 +177,6 @@ class TestLogPredictive:
         val = Dataset(np.array([[0.2]]), np.array([0.4]))
         assert math.isfinite(gp_log_predictive(train, val, unit_hyper()))
 
-    def test_per_point_train_noise_override(self):
-        # A per-row noise override must match building the kernel by hand.
-        hyper = GpHyper(noise_var=1.0)
-        train = Dataset(np.array([[0.1], [0.7]]), np.array([0.3, -0.2]))
-        val = Dataset(np.array([[0.5]]), np.array([0.1]))
-        noise = np.array([2.0, 0.5])
-        got = gp_log_predictive(train, val, hyper, train_noise_var=noise)
-        k_train = se_ard_kernel(train.inputs, train.inputs, hyper) + np.diag(noise)
-        k_cross = se_ard_kernel(train.inputs, val.inputs, hyper)
-        mean = k_cross.T @ np.linalg.solve(k_train, train.outputs)
-        var = (
-            se_ard_kernel(val.inputs, val.inputs, hyper)
-            - k_cross.T @ np.linalg.solve(k_train, k_cross)
-            + hyper.noise_var
-        )
-        expected = -0.5 * (math.log(2 * math.pi * var[0, 0]) + (0.1 - mean[0]) ** 2 / var[0, 0])
-        assert got == pytest.approx(expected, abs=1e-10)
-
     def test_jitter_ladder_matches_adding_the_rung_to_a_copy(self):
         # A rank-one kernel fails without jitter. The rung that succeeds is
         # written onto the diagonal in place, and the factor is bit-identical
@@ -209,9 +191,8 @@ class TestLogPredictive:
         assert np.array_equal(factor, want)
 
     def test_unsalvageable_kernel_raises(self):
-        # Negative "noise" drives the matrix indefinite beyond what the jitter
-        # ladder can repair.
-        train = Dataset(np.array([[0.0], [0.0]]), np.array([0.0, 0.0]))
-        val = Dataset(np.array([[0.1]]), np.array([0.0]))
-        with pytest.raises((NumericalError, ConfigurationError)):
-            gp_log_predictive(train, val, GpHyper(), train_noise_var=-5.0)
+        # A kernel plus a negative diagonal is indefinite beyond what the
+        # jitter ladder can repair.
+        k_train = np.ones((2, 2)) - 5.0 * np.eye(2)
+        with pytest.raises(NumericalError, match="jitter escalation"):
+            _factor_train_kernel(k_train, GpHyper())

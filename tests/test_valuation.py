@@ -244,6 +244,23 @@ class TestCoalitionScorer:
         subsets = [np.array([0, 2, 5]), np.array([1, 3, 4, 6, 7])]
         assert_tables_match_dvf_value(model, kind, sources, pool, subsets)
 
+    @pytest.mark.parametrize("kind", ["log-score", "mean-log-score", "kl-from-prior"])
+    def test_beta_prior_enters_as_alpha_itself(self, kind):
+        # (alpha + beta) * (alpha / (alpha + beta)) is not alpha for this prior.
+        # The scorer's stacked sums and dvf_value's one-row posterior both
+        # start from alpha, so every coalition's statistics and value agree
+        # exactly.
+        model = BetaBernoulliModel(1.75, 4.5)
+        assert (1.75 + 4.5) * (1.75 / (1.75 + 4.5)) != 1.75
+        rng = np.random.default_rng(65)
+        rows = FAMILIES["beta-bernoulli"][1]
+        sources = [rows(rng, k) for k in (4, 0, 3, 5)]
+        pool = rows(rng, 6) if kind != "kl-from-prior" else None
+        table = CoalitionScorer(model, kind, sources, pool).table()[0].values
+        spec = DvfSpec(kind, model=model, validation=pool)
+        want = [dvf_value(spec, coalition_data(sources, m)) for m in range(16)]
+        np.testing.assert_array_equal(table, want)
+
     @settings(max_examples=60, deadline=None)
     @given(
         family=st.sampled_from(sorted(FAMILIES)),
@@ -534,14 +551,14 @@ class TestGpLattice:
         model = GpHyper(lengthscales=0.6, signal_var=1.3, noise_var=0.25)
         data = Dataset(rng.uniform(size=(6, 2)), rng.normal(size=6))
         pool = Dataset(rng.uniform(size=(5, 2)), rng.normal(size=5))
-        got = CoalitionScorer(model, kind, [concat_datasets([data] * copies)], pool).values([1])
-        noise = model.noise_var / copies
+        raw = concat_datasets([data] * copies)
+        got = CoalitionScorer(model, kind, [raw], pool).values([1])
         if kind == "log-score":
             prior = gp_log_predictive(empty_like(data), pool, model)
-            want = gp_log_predictive(data, pool, model, train_noise_var=noise) - prior
+            want = gp_log_predictive(raw, pool, model) - prior
         else:
             want = np.mean(
-                gp_pointwise_log_predictive(data, pool, model, train_noise_var=noise)
+                gp_pointwise_log_predictive(raw, pool, model)
                 - gp_pointwise_log_predictive(empty_like(data), pool, model)
             )
         np.testing.assert_allclose(got, [[want]], rtol=1e-12)
