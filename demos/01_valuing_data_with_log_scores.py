@@ -6,7 +6,10 @@ dataset by the log density it lends to a held-out validation set. The same
 walk-through also shows why the classic validation-free valuations
 (cardinality, volume, information gain, divergence from the prior) invite
 manipulation: duplicating rows inflates all of them, while the log-score
-sees straight through it on average.
+sees straight through it on average. What no test checks, it shows on one
+realized validation set: there the tripled rows do score higher than the
+original, because the log-score's guarantee is about the expectation over
+validation sets (demo 02), not about every draw.
 """
 
 import math
@@ -75,5 +78,7 @@ print(f"  volume        v(X) = {dvf_value(volume, reg):7.4f}  v(2xX) = {dvf_valu
       f"   (exactly sqrt(2) = {math.sqrt(2):.4f} times larger)")
 print(f"  info-gain     v(X) = {dvf_value(info, reg):7.4f}  v(2xX) = {dvf_value(info, doubled):7.4f}")
 
-print("\nThe log-score is anchored at zero for empty data and cannot be")
-print("pumped by resubmitting the same information; the baselines can.")
+print("\nThe log-score is anchored at zero for empty data. On this one validation")
+print("set the tripled rows happen to score higher, but in expectation over")
+print("validation sets resubmitting the same information never pays (demo 02);")
+print("the baselines grow with every copy.")

@@ -14,6 +14,9 @@ at hundreds of rows and validation labels. It confirms three facts:
      is averaged out too;
   3. lying drags the liar down at least as far as it drags anyone else, so
      it can never improve the liar's ranking.
+
+What no test checks, the rank lines show: a lie can raise the other source's
+expected reward (a negative drop), not only lower it less than the liar's.
 """
 
 from truthval import (

@@ -5,7 +5,10 @@ earn the same, a null player earns nothing, and strengthening a player's
 contributions strictly raises its reward under any all-positive weighting.
 The same game then goes through the Monte-Carlo estimator, under Shapley and
 Beta(4,1) weights, to show that permutation sampling is an unbiased stand-in
-for full enumeration.
+for full enumeration. What no test checks, the estimates show: player 2
+adds exactly 1 to every coalition, so its Shapley estimate has zero standard
+error, while the Beta(4,1) estimator reweights each marginal by coalition
+size and gives the same player a nonzero one.
 """
 
 import numpy as np

@@ -4,7 +4,9 @@ Raw semivalues are unbounded, so a mediator with budget B per source must
 post-process. Capping at B keeps truth optimal but stops distinguishing
 submissions whose value clears the cap (any of them collects exactly B).
 Scaling by the maximum semivalue plus a margin keeps every reward under B
-while preserving relative sizes.
+while preserving relative sizes. What no test checks, the printout shows
+side by side on one game: the cap narrows the raw 2.5 : 2.5 : 1 rewards to
+2 : 2 : 1, while every scaling keeps their ratios.
 """
 
 import numpy as np

@@ -6,6 +6,8 @@ in every game. Summing source i's semivalues over the games of the others
 (the "safe" sum) keeps truth optimal. Including its own game (the "unsafe"
 sum) invites manipulation: a source can inject a self-consistent synthetic
 cluster that its own remaining rows predict perfectly, inflating its reward.
+What no test checks, the table shows: which play gains most under the unsafe
+sum, here duplicating its rows three times, ahead of the injected cluster.
 """
 
 import numpy as np

@@ -19,7 +19,7 @@ import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Any
 
 import numpy as np
@@ -354,6 +354,11 @@ class ExperimentConfig:
                 f"post 'cross-validation' scores every game by {LOG_SCORE!r}, "
                 f"so dvf {cfg['dvf']!r} is not available with it"
             )
+        if cfg["standardize_outputs"] and model.data_kind != REGRESSION:
+            raise ConfigurationError(
+                f"standardize_outputs applies to regression outputs; model {family!r} "
+                f"scores {model.data_kind} outputs"
+            )
         return config
 
 
@@ -494,15 +499,7 @@ class RunReport:
     wall_time_s: float
 
     def to_dict(self) -> dict:
-        return {
-            "config": self.config,
-            "config_hash": self.config_hash,
-            "seed": self.seed,
-            "sweep_axis": self.sweep_axis,
-            "rows": [vars(r) for r in self.rows],
-            "summary": self.summary,
-            "wall_time_s": self.wall_time_s,
-        }
+        return asdict(self)
 
 
 def _repeat_rows(
@@ -524,26 +521,22 @@ def _repeat_rows(
 
 def _summarize(rows: list[ReportRow]) -> list[dict]:
     grouped: dict[tuple, list[ReportRow]] = {}
-    order: list[tuple] = []
     for row in rows:
-        key = (row.sweep, row.source)
-        if key not in grouped:
-            grouped[key] = []
-            order.append(key)
-        grouped[key].append(row)
+        grouped.setdefault((row.sweep, row.source), []).append(row)
     summary = []
-    for key in order:
-        bucket = grouped[key]
+    for (sweep, source), bucket in grouped.items():
         values = np.array([r.value for r in bucket])
         rewards = np.array([r.reward for r in bucket])
         k = len(bucket)
         entry = {
-            "sweep": key[0],
-            "source": key[1],
+            "sweep": sweep,
+            "source": source,
             "strategy": bucket[0].strategy,
             "n_repeats": k,
             "mean_value": float(values.mean()),
             "mean_reward": float(rewards.mean()),
+            "ci_value": None,
+            "ci_reward": None,
         }
         if k >= 2:
             from scipy.special import stdtrit
@@ -551,9 +544,6 @@ def _summarize(rows: list[ReportRow]) -> list[dict]:
             crit = float(stdtrit(k - 1, 0.975)) / math.sqrt(k)
             entry["ci_value"] = float(values.std(ddof=1)) * crit
             entry["ci_reward"] = float(rewards.std(ddof=1)) * crit
-        else:
-            entry["ci_value"] = None
-            entry["ci_reward"] = None
         summary.append(entry)
     return summary
 
@@ -580,17 +570,11 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
             submissions = [
                 apply_strategy(src, strat) for src, strat in zip(raw_sources, strategies)
             ]
-        if cfg["post"]["kind"] == "cross-validation":
-            point_rows = _run_cross_point(config.model, point, label, submissions, strategies)
-        else:
-            pool = None
-            if point["dvf"] in LOG_SCORE_KINDS:
-                with _stage("validation"):
-                    pool = _validation_pool(point, pools)
-            point_rows = _run_standard_point(
-                config.model, point, label, submissions, strategies, pool
-            )
-        rows.extend(point_rows)
+        pool = None
+        if point["validation"] is not None:
+            with _stage("validation"):
+                pool = _validation_pool(point, pools)
+        rows.extend(_run_point(config.model, point, label, submissions, strategies, pool))
     blob = json.dumps(cfg, sort_keys=True, default=str).encode()
     return RunReport(
         config=cfg,
@@ -603,17 +587,7 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
     )
 
 
-def _standardize_all(point: dict, submissions: list[Dataset], pool: Dataset | None):
-    if not point["standardize_outputs"] or submissions[0].kind != REGRESSION:
-        return submissions, pool
-    mean, sd = output_moments(submissions)
-    submissions = [shift_scale_outputs(ds, mean, sd) for ds in submissions]
-    if pool is not None:
-        pool = shift_scale_outputs(pool, mean, sd)
-    return submissions, pool
-
-
-def _run_standard_point(
+def _run_point(
     model: Any,
     point: dict,
     label: str | None,
@@ -621,85 +595,68 @@ def _run_standard_point(
     strategies: list[Strategy],
     pool: Dataset | None,
 ) -> list[ReportRow]:
-    """Rows of one sweep point; ``pool`` is the validation pool of a
-    log-score run and None for a validation-free baseline."""
+    """Rows of one sweep point; ``pool`` is the validation pool of a run that
+    reads one and None otherwise."""
     n = len(submissions)
     with _stage("weights"):
         weights = make_weights(n=n, **point["weights"])
     with _stage("standardize"):
-        submissions, pool = _standardize_all(point, submissions, pool)
+        if point["standardize_outputs"]:
+            mean, sd = output_moments(submissions)
+            submissions = [shift_scale_outputs(ds, mean, sd) for ds in submissions]
+            if pool is not None:
+                pool = shift_scale_outputs(pool, mean, sd)
 
     singletons = np.uint64(1) << np.arange(n, dtype=np.uint64)
     with _stage("validation"):
         subsets = None if pool is None else _repeat_subsets(point, pool)
 
-    est = point["estimator"]
-    if est["kind"] == "exact":
+    # repeat(r) -> (each source's value, its reward) in repeat r.
+    post, est = point["post"], point["estimator"]
+    if post["kind"] == "cross-validation":
+
+        def repeat(r: int):
+            cg = cross_validation_rewards(
+                submissions, post["validation_frac"], weights, model, point["seed"],
+                split_seeds=[derive_seed(point["seed"], "split", r, j) for j in range(n)],
+            )
+            return np.diag(cg.per_game), cg.breve if post["variant"] == "breve" else cg.grave
+
+    elif est["kind"] == "exact":
         with _stage("table"):
             tables = CoalitionScorer(model, point["dvf"], submissions, pool, subsets).table()
-        rows: list[ReportRow] = []
         with _stage("rewards"):
-            for r in range(point["repeats"]):
-                # A validation-free valuation has one table, the same in every repeat.
-                if r < len(tables):
-                    table = tables[r]
-                    rewards = _post_process(exact_semivalue(table, weights), point["post"])
-                rows += _repeat_rows(label, r, strategies, table.values[singletons], rewards)
-        return rows
+            results = [
+                (table.values[singletons], _post_process(exact_semivalue(table, weights), post))
+                for table in tables
+            ]
 
-    def sampled_repeat(r: int) -> list[ReportRow]:
-        validation = take_rows(pool, subsets[r])
-        scorer = CoalitionScorer(model, point["dvf"], submissions, validation)
+        def repeat(r: int):
+            # A validation-free valuation has one table, the same in every repeat.
+            return results[min(r, len(results) - 1)]
 
-        def evaluate(masks):
-            return scorer.values(masks)[0]
+    else:
 
-        estimate = sampled_semivalue(
-            evaluate, weights, est["permutations"], derive_seed(point["seed"], "permutations", r)
-        )
-        rewards = _post_process(estimate.values, point["post"])
-        return _repeat_rows(label, r, strategies, evaluate(singletons), rewards)
+        def repeat(r: int):
+            scorer = CoalitionScorer(model, point["dvf"], submissions, take_rows(pool, subsets[r]))
+            estimate = sampled_semivalue(
+                lambda masks: scorer.values(masks)[0], weights, est["permutations"],
+                derive_seed(point["seed"], "permutations", r),
+            )
+            return scorer.values(singletons)[0], _post_process(estimate.values, post)
 
     with _stage("rewards"):
-        return [row for chunk in _map_repeats(point, sampled_repeat) for row in chunk]
-
-
-def _run_cross_point(
-    model: Any,
-    point: dict,
-    label: str | None,
-    submissions: list[Dataset],
-    strategies: list[Strategy],
-) -> list[ReportRow]:
-    n = len(submissions)
-    with _stage("weights"):
-        weights = make_weights(n=n, **point["weights"])
-    with _stage("standardize"):
-        submissions, _ = _standardize_all(point, submissions, None)
-
-    def one_repeat(r: int) -> list[ReportRow]:
-        split_seeds = [derive_seed(point["seed"], "split", r, j) for j in range(n)]
-        cg = cross_validation_rewards(
-            submissions,
-            point["post"]["validation_frac"],
-            weights,
-            model,
-            point["seed"],
-            split_seeds=split_seeds,
-        )
-        rewards = cg.breve if point["post"]["variant"] == "breve" else cg.grave
-        return _repeat_rows(label, r, strategies, np.diag(cg.per_game), rewards)
-
-    with _stage("rewards"):
-        return [row for chunk in _map_repeats(point, one_repeat) for row in chunk]
-
-
-def _map_repeats(point: dict, fn) -> list:
-    indices = range(point["repeats"])
-    if point["threads"] > 1:
-        with ThreadPoolExecutor(max_workers=point["threads"]) as pool:
-            return list(pool.map(fn, indices))
-    return [fn(r) for r in indices]
+        indices = range(point["repeats"])
+        if point["threads"] > 1:
+            with ThreadPoolExecutor(max_workers=point["threads"]) as executor:
+                per_repeat = list(executor.map(repeat, indices))
+        else:
+            per_repeat = [repeat(r) for r in indices]
+        return [
+            row
+            for r, (values, rewards) in enumerate(per_repeat)
+            for row in _repeat_rows(label, r, strategies, values, rewards)
+        ]
 
 
 # -- serialization ----------------------------------------------------------------
@@ -720,15 +677,11 @@ def emit_report(report: RunReport, format: str, path) -> None:
 def render_report(report: RunReport, format: str) -> str:
     if format == "json":
         return json.dumps(report.to_dict(), indent=2) + "\n"
-    columns = ["repeat", "source", "strategy", "value", "reward"]
-    if report.sweep_axis is not None:
-        columns = ["sweep"] + columns
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(columns)
+    # One column per ReportRow field; a report without a sweep has no sweep column.
+    first = 0 if report.sweep_axis is not None else 1
+    writer.writerow(["sweep", "repeat", "source", "strategy", "value", "reward"][first:])
     for row in report.rows:
-        record = [str(row.repeat), str(row.source), row.strategy, repr(row.value), repr(row.reward)]
-        if report.sweep_axis is not None:
-            record = [row.sweep] + record
-        writer.writerow(record)
+        writer.writerow(list(vars(row).values())[first:])
     return buffer.getvalue()

@@ -178,6 +178,10 @@ def _check_validation(model, validation: Dataset) -> None:
     if len(validation) == 0:
         raise InputError("validation set must be non-empty")
     _check_kind(model, validation, "validation")
+    if isinstance(model, LinearRegressionModel) and validation.n_features != model.n_features:
+        raise InputError(
+            f"validation has {validation.n_features} features, model expects {model.n_features}"
+        )
 
 
 def validation_summary(model: ConjugateModel, validation: Dataset):
@@ -191,11 +195,6 @@ def validation_summary(model: ConjugateModel, validation: Dataset):
         mean = float(y.mean())
         return len(y), mean, float(np.sum((y - mean) ** 2))
     if isinstance(model, LinearRegressionModel):
-        if validation.n_features != model.n_features:
-            raise InputError(
-                f"validation has {validation.n_features} features, model expects "
-                f"{model.n_features}"
-            )
         xs = validation.inputs
         return len(y), float(y @ y), xs.T @ y, xs.T @ xs
     raise ConfigurationError(f"no closed-form predictive for model {model!r}")

@@ -49,7 +49,8 @@ class OracleVerdict:
     """Exact expectations under truthful belief, their gap, and the matching KL.
 
     ``strict`` reports whether the two posterior predictive distributions over
-    the scored validation space differ. That is the condition under which the
+    the scored validation space differ, in some coalition of positive weight
+    that holds the source. That is the condition under which the
     gap is strictly positive; a posterior change alone is not always enough
     (e.g. duplicating a balanced dataset moves the Beta posterior but leaves a
     single-point Bernoulli predictive untouched).
@@ -112,12 +113,18 @@ def _scores(model, h: float, m: int, extra: int, k: int) -> np.ndarray:
 
 def _expectations(model, true_datasets, alt_data, target, weights, k):
     """Exact expected semivalue vectors under truthful and alternative
-    submission by the target, and the weighted predictive-KL total.
+    submission by the target, the weighted predictive-KL total, and whether
+    the gap is strict.
 
     The KL total is summed per coalition from the two posteriors directly, not
     from the expected tables, so the gap identity compares two computations.
+    The gap is strict when some coalition of positive weight that holds the
+    target gives some validation sequence a different probability under the
+    two submissions; by exchangeability one sequence per success count covers
+    them all.
     """
     n = len(true_datasets)
+    _validate(model, n, target, weights, k)
     counts = [_counts(ds) for ds in true_datasets]
     truth, alt = counts[target], _counts(alt_data)
     masks = np.arange(2**n, dtype=np.int64)
@@ -130,6 +137,7 @@ def _expectations(model, true_datasets, alt_data, target, weights, k):
             rows += member * m
     distinct, which = np.unique(rows, return_inverse=True)
     with_true, with_alt, without, kl = (np.empty(len(distinct)) for _ in range(4))
+    differs = np.zeros(len(distinct), dtype=bool)
     prior = _scores(model, 0.0, 0, 0, k)
     for r, extra in enumerate(distinct.tolist()):
         law = _joint_law(model, *truth, extra, k)
@@ -140,6 +148,7 @@ def _expectations(model, true_datasets, alt_data, target, weights, k):
         with_alt[r] = np.sum(law * score_alt) - base
         without[r] = np.sum(law * _scores(model, 0.0, 0, extra, k)) - base
         kl[r] = np.sum(law * (score_true - score_alt))
+        differs[r] = np.any(np.abs(np.exp(score_true) - np.exp(score_alt)) > 1e-12)
     holds = (masks >> target) & 1 == 1
     coalition_weight = np.bincount(
         which[holds], weights=weights.w[sizes[holds] - 1], minlength=len(distinct)
@@ -148,7 +157,8 @@ def _expectations(model, true_datasets, alt_data, target, weights, k):
         exact_semivalue(CharacteristicTable(n, np.where(holds, v[which], without[which])), weights)
         for v in (with_true, with_alt)
     )
-    return phi_true, phi_alt, float(coalition_weight @ kl)
+    strict = bool(np.any(differs & (coalition_weight > 0)))
+    return phi_true, phi_alt, float(coalition_weight @ kl), strict
 
 
 def _validate(model, n: int, target: int, weights: SemivalueWeights, k: int) -> None:
@@ -187,36 +197,10 @@ def oracle_dvf_truthfulness(
     two posteriors and must equal the gap; a mismatch raises
     :class:`NumericalError`.
     """
-    one = make_weights("individual", 1)
-    _validate(model, 1, 0, one, validation_size)
-    phi_true, phi_alt, kl_total = _expectations(
-        model, [true_data], alt_data, 0, one, validation_size
+    phi_true, phi_alt, kl_total, strict = _expectations(
+        model, [true_data], alt_data, 0, make_weights("individual", 1), validation_size
     )
-    # Strict: some validation sequence has a different probability under the
-    # two posteriors; by exchangeability one sequence per success count covers
-    # them all.
-    profiles = [
-        np.exp(_scores(model, h, m, 0, validation_size))
-        for h, m in (_counts(true_data), _counts(alt_data))
-    ]
-    strict = bool(np.any(np.abs(profiles[0] - profiles[1]) > 1e-12))
     return _verdict(phi_true[0], phi_alt[0], kl_total, strict)
-
-
-def _semivalue_expectations(model, true_datasets, alt_data, target, weights, validation_size):
-    """Shared set-up for the semivalue and rank-gap oracles.
-
-    Returns the exact expected semivalue vectors, the weighted predictive-KL
-    total and a strictness flag (here: the two submissions have different
-    sufficient statistics, i.e. they change the posterior).
-    """
-    n = len(true_datasets)
-    _validate(model, n, target, weights, validation_size)
-    phi_true, phi_alt, kl_total = _expectations(
-        model, true_datasets, alt_data, target, weights, validation_size
-    )
-    strict = _counts(true_datasets[target]) != _counts(alt_data)
-    return phi_true, phi_alt, kl_total, strict
 
 
 def oracle_semivalue_truthfulness(
@@ -228,7 +212,7 @@ def oracle_semivalue_truthfulness(
     validation_size: int,
 ) -> OracleVerdict:
     """Exact expected semivalue of ``target`` under truthful vs alternative data."""
-    phi_true, phi_alt, kl_total, strict = _semivalue_expectations(
+    phi_true, phi_alt, kl_total, strict = _expectations(
         model, true_datasets, alt_data, target, weights, validation_size
     )
     return _verdict(phi_true[target], phi_alt[target], kl_total, strict)
@@ -252,7 +236,7 @@ def oracle_rank_gap(
         raise InputError("other must differ from target")
     if not 0 <= other < len(true_datasets):
         raise InputError(f"other index {other} out of range")
-    phi_true, phi_alt, _, _ = _semivalue_expectations(
+    phi_true, phi_alt, _, _ = _expectations(
         model, true_datasets, alt_data, target, weights, validation_size
     )
     gap_target = float(phi_true[target] - phi_alt[target])

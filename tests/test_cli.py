@@ -311,6 +311,14 @@ class TestConfigurationErrorsExit1:
         assert code == 1
         assert err.startswith("configuration error:") and "standardize_outputs" in err
 
+    def test_standardize_outputs_needs_a_regression_model(self, tmp_path, capsys, config_path):
+        cfg = json.loads(config_path.read_text())
+        cfg["standardize_outputs"] = True
+        code, err = self.run(tmp_path, capsys, cfg)
+        assert code == 1
+        assert err.startswith("configuration error:") and "standardize_outputs" in err
+        assert "'beta-bernoulli'" in err
+
     @pytest.mark.parametrize(
         "post, key",
         [

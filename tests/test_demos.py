@@ -2,6 +2,7 @@
 
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -11,8 +12,11 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("0*.py"))
 
 
-def test_demos_exist():
-    assert len(DEMOS) >= 6
+def test_readme_lists_exactly_the_demos():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Demos\n", 1)[1].split("\n## ", 1)[0]
+    listed = re.findall(r"`(\S+\.py)`", section)
+    assert sorted(listed) == [d.name for d in sorted((ROOT / "demos").glob("*.py"))]
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])

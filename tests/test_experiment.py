@@ -10,6 +10,7 @@ import pytest
 
 from truthval import experiment
 from truthval.datagen import derive_seed, load_csv
+from truthval.semivalues import exact_semivalue
 from truthval.errors import ConfigurationError
 from truthval.experiment import (
     ExperimentConfig,
@@ -265,14 +266,39 @@ class TestRunner:
         for row in report.rows:
             assert row.reward == pytest.approx(row.value, abs=1e-12)
 
-    def test_deterministic_across_runs_and_threads(self):
-        base = bernoulli_config(repeats=4)
-        threaded = bernoulli_config(repeats=4, threads=3)
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {},
+            {"estimator": {"kind": "sampled", "permutations": 50}},
+            {"dvf": "cardinality", "validation": None},
+        ],
+        ids=["exact", "sampled", "validation-free"],
+    )
+    def test_deterministic_across_runs_and_threads(self, overrides):
+        base = bernoulli_config(repeats=4, **overrides)
+        threaded = bernoulli_config(repeats=4, threads=3, **overrides)
         a, b, c = run_experiment(base), run_experiment(base), run_experiment(threaded)
         for other in (b, c):
-            assert len(a.rows) == len(other.rows)
+            assert len(a.rows) == len(other.rows) == 4 * 2
             for ra, rb in zip(a.rows, other.rows):
                 assert (ra.value, ra.reward) == (rb.value, rb.reward)
+
+    @pytest.mark.parametrize("dvf, calls", [("cardinality", 1), ("log-score", 3)])
+    def test_one_exact_semivalue_per_table(self, monkeypatch, dvf, calls):
+        # A validation-free valuation has one table for every repeat; a
+        # log-score valuation has one per repeat's validation subset.
+        seen = []
+
+        def counting(table, weights):
+            seen.append(table)
+            return exact_semivalue(table, weights)
+
+        monkeypatch.setattr(experiment, "exact_semivalue", counting)
+        validation = None if dvf == "cardinality" else BERNOULLI["validation"]
+        report = run_experiment(bernoulli_config(dvf=dvf, validation=validation))
+        assert len(seen) == calls
+        assert len(report.rows) == 3 * 2
 
     def test_report_bytes_identical_modulo_wall_time(self):
         cfg = bernoulli_config()

@@ -273,6 +273,15 @@ class TestMeanLogPredictive:
         assert got == pytest.approx(math.log(3 / 5), abs=1e-12)
 
 
+@pytest.mark.parametrize("score", [log_predictive, mean_log_predictive])
+def test_validation_feature_count_is_checked(score):
+    rng = np.random.default_rng(5)
+    model = LinearRegressionModel(n_features=2)
+    data, validation = random_regression(rng, 3, 2), random_regression(rng, 2, 3)
+    with pytest.raises(InputError, match="validation has 3 features, model expects 2"):
+        score(model, data, validation)
+
+
 class TestDatasetContainer:
     def test_row_count_mismatch(self):
         with pytest.raises(InputError):

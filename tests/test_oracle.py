@@ -101,6 +101,18 @@ class TestSemivalueOracle:
         dvf = oracle_dvf_truthfulness(MODEL, truth, alt, validation_size=1)
         assert semi.gap == pytest.approx(dvf.gap, abs=1e-12)
 
+    def test_posterior_change_with_unchanged_predictive_is_not_strict(self):
+        # Duplicating the balanced [1, 0] moves the Beta posterior but leaves
+        # the one-label predictive at 1/2; with all weight on the target alone
+        # no scored sequence changes probability, so the gap is zero.
+        sources = [binary_dataset([1, 0]), binary_dataset([1])]
+        verdict = oracle_semivalue_truthfulness(
+            MODEL, sources, binary_dataset([1, 0, 1, 0]), target=0,
+            weights=make_weights("individual", 2), validation_size=1,
+        )
+        assert verdict.gap == pytest.approx(0.0, abs=1e-12)
+        assert not verdict.strict
+
     def test_shapley_gap_nonnegative_two_sources(self):
         truth = binary_dataset([1, 0])
         alt = binary_dataset([1, 1])
@@ -182,12 +194,14 @@ def brute_force(model, true_datasets, alt, target, weights, k):
     two characteristic tables per outcome.
 
     Returns the expected semivalue vectors under truthful and alternative
-    submission by ``target`` and the weighted predictive-KL total.
+    submission by ``target``, the weighted predictive-KL total, and whether
+    some coalition of positive weight that holds ``target`` gives some
+    validation sequence a different probability under the two submissions.
     """
     n = len(true_datasets)
     others = [j for j in range(n) if j != target]
     cuts = np.cumsum([0] + [len(true_datasets[j]) for j in others])
-    phi_true, phi_alt, kl, total = np.zeros(n), np.zeros(n), 0.0, 0.0
+    phi_true, phi_alt, kl, total, differs = np.zeros(n), np.zeros(n), 0.0, 0.0, False
     for bits in product((0.0, 1.0), repeat=int(cuts[-1]) + k):
         t = binary_dataset(bits[cuts[-1]:])
         sources = [binary_dataset(ds.outputs) for ds in true_datasets]
@@ -203,12 +217,14 @@ def brute_force(model, true_datasets, alt, target, weights, k):
         phi_alt += weight * exact_semivalue(build_char_table(alt_sources, spec), weights)
         for mask in range(2**n):
             if mask >> target & 1:
-                kl += weight * weights.w[bin(mask).count("1") - 1] * (
-                    log_predictive(model, coalition_data(sources, mask), t)
-                    - log_predictive(model, coalition_data(alt_sources, mask), t)
-                )
+                w = weights.w[bin(mask).count("1") - 1]
+                scores = [
+                    log_predictive(model, coalition_data(s, mask), t) for s in (sources, alt_sources)
+                ]
+                kl += weight * w * (scores[0] - scores[1])
+                differs |= w > 0 and abs(math.exp(scores[0]) - math.exp(scores[1])) > 1e-12
     assert total == pytest.approx(1.0, abs=1e-9)
-    return phi_true, phi_alt, kl
+    return phi_true, phi_alt, kl, differs
 
 
 def sequence_probabilities(model, data, k):
@@ -250,19 +266,18 @@ class TestAgainstBruteForce:
         sources, target, alt, k, family = instance
         n = len(sources)
         weights = family_weights(family, n)
-        phi_true, phi_alt, kl = brute_force(MODEL, sources, alt, target, weights, k)
+        phi_true, phi_alt, kl, differs = brute_force(MODEL, sources, alt, target, weights, k)
 
         semi = oracle_semivalue_truthfulness(MODEL, sources, alt, target, weights, k)
         want = (phi_true[target], phi_alt[target], phi_true[target] - phi_alt[target], kl)
         got = (semi.expected_truthful, semi.expected_alt, semi.gap, semi.kl_total)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
-        counts = [(ds.outputs.sum(), len(ds)) for ds in (sources[target], alt)]
-        assert semi.strict == (counts[0] != counts[1])
+        assert semi.strict == differs
 
         truth = sources[target]
         dvf = oracle_dvf_truthfulness(MODEL, truth, alt, k)
         one = make_weights("individual", 1)
-        d_true, d_alt, d_kl = brute_force(MODEL, [truth], alt, 0, one, k)
+        d_true, d_alt, d_kl, _ = brute_force(MODEL, [truth], alt, 0, one, k)
         got = (dvf.expected_truthful, dvf.expected_alt, dvf.gap, dvf.kl_total)
         want = (d_true[0], d_alt[0], d_true[0] - d_alt[0], d_kl)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
