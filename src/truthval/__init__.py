@@ -43,8 +43,6 @@ from .experiment import ExperimentConfig, RunReport, emit_report, run_experiment
 from .gp import (
     GpHyper,
     GpPosterior,
-    gp_log_predictive,
-    gp_pointwise_log_predictive,
     gp_posterior,
     se_ard_kernel,
 )

@@ -181,6 +181,8 @@ def perturb_validation(validation: Dataset, spec: PerturbSpec, seed: int) -> Dat
         noisy = ds.outputs + rng.normal(0.0, spec.validation_noise_sd, size=len(ds))
         ds = Dataset(ds.inputs, noisy, ds.kind)
     if spec.sorted_fraction < 1.0 and len(ds) > 0:
+        if ds.n_features == 0:
+            raise InputError("a validation pool without input features has no order to sort by")
         perm = rng.permutation(ds.n_features)
         # lexsort uses its last key as the primary one
         order = np.lexsort(tuple(ds.inputs[:, c] for c in perm[::-1]))

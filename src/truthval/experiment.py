@@ -24,7 +24,7 @@ from typing import Any
 
 import numpy as np
 
-from .data import REGRESSION, Dataset, take_rows
+from .data import BINARY, REGRESSION, Dataset, take_rows
 from .datagen import (
     PerturbSpec,
     Strategy,
@@ -359,6 +359,24 @@ class ExperimentConfig:
                 f"standardize_outputs applies to regression outputs; model {family!r} "
                 f"scores {model.data_kind} outputs"
             )
+        validation = cfg["validation"]
+        specs = [(f"sources[{i}]", spec) for i, spec in enumerate(cfg["sources"])]
+        if validation is not None:
+            specs.append(("validation", validation))
+            swept = sweep["values"] if sweep["axis"] == "sorted-fraction" else []
+            fractions = [validation["sorted_fraction"], *swept]
+            if validation["generator"] == "bernoulli" and min(fractions) < 1:
+                raise ConfigurationError(
+                    "validation['sorted_fraction'] must be 1 for a 'bernoulli' validation spec: "
+                    "its pool has no input features to sort by"
+                )
+        for where, spec in specs:  # a data spec's output kind is known before it is read
+            kind = spec.get("kind", BINARY if spec["generator"] == "bernoulli" else REGRESSION)
+            if kind != model.data_kind:
+                raise ConfigurationError(
+                    f"{where} holds {kind} data, but model {family!r} scores "
+                    f"{model.data_kind} outputs"
+                )
         return config
 
 

@@ -7,14 +7,16 @@ The posterior over test inputs X* given training data (X, y) is
 
 where S is the observation-noise diagonal. Scoring a validation set uses the
 observed-output predictive, i.e. noise_var is added back onto the covariance
-diagonal. All factorizations are Cholesky on the jittered training kernel.
+diagonal. Every training kernel is factorized by :func:`append_block`, which
+extends the Cholesky factor of a training set by one block of rows; the
+posterior given one training set is the append of its block to no rows.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import ClassVar
+from typing import ClassVar, NamedTuple
 
 import numpy as np
 
@@ -32,8 +34,8 @@ class GpHyper:
 
     ``lengthscales`` may be a scalar (shared by all features) or a
     per-feature vector; it is resolved against the data dimension at use.
-    ``jitter`` is always added to the training-kernel diagonal before
-    factorization.
+    ``jitter`` is added to the training-kernel diagonal before every
+    factorization except that of information gain.
     """
 
     lengthscales: float | np.ndarray = 1.0
@@ -104,31 +106,93 @@ def se_ard_kernel(xa: np.ndarray, xb: np.ndarray, hyper: GpHyper) -> np.ndarray:
     return sq
 
 
-def _factor_train_kernel(k_train: np.ndarray, hyper: GpHyper):
-    """Cholesky of the noisy training kernel, escalating jitter on failure.
+class GpBlock(NamedTuple):
+    """A block of training rows as :func:`append_block` takes it: the distinct
+    input rows in order of first appearance, the mean output of each and how
+    often each occurs. c outputs observed at one input x constrain f(x) exactly
+    as their mean with noise variance noise_var / c does, since
+    prod_c N(y_c | f(x), s^2) is proportional in f to N(mean y | f(x), s^2 / c);
+    so the posterior, and every log score, is that of the raw rows."""
 
-    Each rung's jitter is written onto the diagonal of ``k_train`` in place, so
-    the caller's matrix holds the last rung tried when this returns.
-    """
-    from scipy.linalg import cho_factor
+    inputs: np.ndarray
+    outputs: np.ndarray
+    counts: np.ndarray
 
-    diag = np.diag_indices_from(k_train)
-    noisy = k_train[diag].copy()
-    for extra in (0.0,) + tuple(r * hyper.signal_var for r in _JITTER_RUNGS):
-        k_train[diag] = noisy + (hyper.jitter + extra)
-        try:
-            return cho_factor(k_train, lower=True)
-        except np.linalg.LinAlgError:
-            continue
-    raise NumericalError(
-        "training kernel is not positive definite even after jitter escalation "
-        f"up to {_JITTER_RUNGS[-1] * hyper.signal_var:g}"
+
+def gp_block(data: Dataset) -> GpBlock:
+    """The rows of ``data`` as one :class:`GpBlock`."""
+    _, first, inverse, counts = np.unique(
+        data.inputs, axis=0, return_index=True, return_inverse=True, return_counts=True
     )
+    if counts.size == len(data):  # no repeated row: the rows as given
+        return GpBlock(data.inputs, data.outputs, np.ones(len(data)))
+    order = np.argsort(first)
+    rank = np.argsort(order)  # a row's position in order of first appearance
+    counts = counts[order].astype(float)
+    sums = np.bincount(rank[inverse.ravel()], weights=data.outputs, minlength=order.size)
+    return GpBlock(data.inputs[first[order]], sums / counts, counts)
 
 
-def _check_train(train: Dataset) -> None:
-    if train.kind != REGRESSION:
-        raise InputError("GP regression requires regression outputs")
+class GpPath:
+    """Scratch of a training set grown block by block, one row per distinct
+    input row of each block: the inputs, the Cholesky factor L of the noisy
+    training kernel, V = L^-1 K(train, test) and w = L^-1 y. An append at row
+    ``start`` overwrites the rows past it, so one factor's worth of memory
+    serves every training set that extends the rows before it."""
+
+    def __init__(self, rows: int, test_inputs: np.ndarray):
+        self.inputs = np.empty((rows, test_inputs.shape[1]))
+        self.factor = np.empty((rows, rows))
+        self.proj = np.empty((rows, len(test_inputs)))
+        self.white = np.empty(rows)
+
+    @staticmethod
+    def nbytes(rows: int, test_inputs: np.ndarray) -> int:
+        return 8 * rows * (test_inputs.shape[1] + rows + len(test_inputs) + 1)
+
+
+def append_block(
+    path: GpPath, start: int, block: GpBlock, hyper: GpHyper, jitter: float, test_inputs: np.ndarray
+) -> np.ndarray | None:
+    """Extend the training set C in rows ``[0, start)`` of ``path`` by
+    ``block`` S with the block-Cholesky append of the partitioned inverse
+    (Rasmussen and Williams, GPML, 2006, App. A.3):
+
+        L21 = K(S, C) L_C^-T,  L22 = chol(K(S, S) + diag((noise + jitter) / counts) - L21 L21^T),
+        V_S = L22^-1 (K(S, test) - L21 V_C),  w_S = L22^-1 (y_S - L21 w_C).
+
+    They fill S's rows of ``path``, and the latent posterior of C and S at the
+    test inputs is C's with mean += V_S^T w_S and cov -= V_S^T V_S. Returns
+    L22, or None when S's block is not positive definite. Without test inputs
+    it returns before V_S and w_S.
+    """
+    from scipy.linalg import solve_triangular
+
+    end = start + block.counts.size
+    rows = slice(start, end)
+    path.inputs[rows] = block.inputs
+    kernel = se_ard_kernel(block.inputs, path.inputs[:end], hyper)  # K(S, C) and K(S, S)
+    cross, inner = kernel[:, :start], kernel[:, start:]
+    l21 = solve_triangular(path.factor[:start, :start], cross.T, lower=True, check_finite=False).T
+    diag = np.diag_indices(end - start)
+    inner[diag] += (hyper.noise_var + jitter) / block.counts
+    inner -= l21 @ l21.T
+    try:
+        l22 = np.linalg.cholesky(inner)
+    except np.linalg.LinAlgError:
+        return None
+    path.factor[rows, :start] = l21
+    path.factor[rows, rows] = l22
+    if len(test_inputs) == 0:
+        return l22
+    k_test = se_ard_kernel(block.inputs, test_inputs, hyper)
+    path.proj[rows] = solve_triangular(
+        l22, k_test - l21 @ path.proj[:start], lower=True, check_finite=False
+    )
+    path.white[rows] = solve_triangular(
+        l22, block.outputs - l21 @ path.white[:start], lower=True, check_finite=False
+    )
+    return l22
 
 
 def gp_posterior(
@@ -136,10 +200,11 @@ def gp_posterior(
     test_inputs: np.ndarray,
     hyper: GpHyper,
 ) -> GpPosterior:
-    """Exact latent posterior at ``test_inputs`` given ``train``."""
-    from scipy.linalg import cho_solve
-
-    _check_train(train)
+    """Exact latent posterior at ``test_inputs`` given ``train``: the append
+    of the :func:`gp_block` of ``train`` to no rows, its jitter escalated
+    until the block is positive definite."""
+    if train.kind != REGRESSION:
+        raise InputError("GP regression requires regression outputs")
     test_inputs = np.asarray(test_inputs, dtype=float)
     if test_inputs.ndim != 2:
         raise InputError("test_inputs must be a 2-d matrix")
@@ -151,17 +216,16 @@ def gp_posterior(
             f"train has {train.n_features} features, test inputs have "
             f"{test_inputs.shape[1]}"
         )
-    k_train = se_ard_kernel(train.inputs, train.inputs, hyper)
-    k_train[np.diag_indices_from(k_train)] += hyper.noise_var
-    factor = _factor_train_kernel(k_train, hyper)
-    k_cross = se_ard_kernel(train.inputs, test_inputs, hyper)
-    solved = cho_solve(factor, k_cross)
-    mean = solved.T @ train.outputs
-    cov = k_star - k_cross.T @ solved
-    cov = 0.5 * (cov + cov.T)
-    diag = np.diag_indices_from(cov)
-    cov[diag] = np.maximum(cov[diag], 0.0)
-    return GpPosterior(mean, cov)
+    block = gp_block(train)
+    path = GpPath(block.counts.size, test_inputs)
+    for extra in (0.0,) + tuple(r * hyper.signal_var for r in _JITTER_RUNGS):
+        if append_block(path, 0, block, hyper, hyper.jitter + extra, test_inputs) is not None:
+            cov = k_star - path.proj.T @ path.proj
+            return GpPosterior(path.proj.T @ path.white, 0.5 * (cov + cov.T))
+    raise NumericalError(
+        "training kernel is not positive definite even after jitter escalation "
+        f"up to {_JITTER_RUNGS[-1] * hyper.signal_var:g}"
+    )
 
 
 def gaussian_logpdf(y: np.ndarray, mean: np.ndarray, cov: np.ndarray) -> float:
@@ -178,30 +242,15 @@ def gaussian_logpdf(y: np.ndarray, mean: np.ndarray, cov: np.ndarray) -> float:
     return float(-0.5 * (len(y) * math.log(2.0 * math.pi) + logdet + r @ alpha))
 
 
-def gp_log_predictive(
-    train: Dataset,
-    validation: Dataset,
-    hyper: GpHyper,
-) -> float:
-    """Joint log density of the validation outputs under the noisy predictive."""
-    if len(validation) == 0:
-        raise InputError("validation set must be non-empty")
-    _check_train(validation)
-    post = gp_posterior(train, validation.inputs, hyper)
-    cov = post.cov + hyper.noise_var * np.eye(len(validation))
-    return gaussian_logpdf(validation.outputs, post.mean, cov)
-
-
-def gp_pointwise_log_predictive(
-    train: Dataset,
-    validation: Dataset,
-    hyper: GpHyper,
-) -> np.ndarray:
-    """Per-point log predictive density, each point scored independently."""
-    if len(validation) == 0:
-        raise InputError("validation set must be non-empty")
-    _check_train(validation)
-    post = gp_posterior(train, validation.inputs, hyper)
-    var = np.diag(post.cov) + hyper.noise_var
-    r = validation.outputs - post.mean
-    return -0.5 * (np.log(2.0 * np.pi * var) + r**2 / var)
+def predictive_log_density(y: np.ndarray, mean: np.ndarray, latent: np.ndarray, noise_var: float):
+    """Log density of the outputs ``y`` under a latent posterior with
+    observation noise ``noise_var`` added: joint, a float, when ``latent`` is
+    the latent covariance, and per point when it is the vector of latent
+    variances. Negative latent variances, left by rounding, count as 0."""
+    if latent.ndim == 1:
+        var = np.maximum(latent, 0.0) + noise_var
+        return -0.5 * (np.log(2.0 * np.pi * var) + (y - mean) ** 2 / var)
+    cov = latent.copy()
+    diag = np.diag_indices_from(cov)
+    cov[diag] = np.maximum(cov[diag], 0.0) + noise_var
+    return gaussian_logpdf(y, mean, cov)

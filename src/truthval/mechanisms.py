@@ -67,15 +67,16 @@ def cross_validation_rewards(
         split_seeds = [derive_seed(seed, "split", j) for j in range(n)]
     elif len(split_seeds) != n:
         raise ConfigurationError(f"need {n} split seeds, got {len(split_seeds)}")
-    for j, src in enumerate(sources):
-        if len(src) < 2:
-            raise ConfigurationError(
-                f"source {j} has {len(src)} points, too few to split into a "
-                "validation part and a non-empty remainder"
-            )
     remaining, validations = zip(
         *(split_train_validation(src, validation_frac, s) for src, s in zip(sources, split_seeds))
     )
+    for j, (src, rest) in enumerate(zip(sources, remaining)):
+        if len(rest) == 0:
+            raise ConfigurationError(
+                f"source {j} has {len(src)} points, too few to split into a validation part "
+                f"and a non-empty remainder: validation_frac {validation_frac} puts "
+                f"ceil({validation_frac} * {len(src)}) = {len(src)} of them in the validation part"
+            )
     # The games differ only in their validation set, so one scorer values
     # every coalition once against the pool of all splits.
     ends = np.cumsum([len(val) for val in validations])

@@ -300,7 +300,8 @@ def log_predictive(model: BayesianModel, data: Dataset, validation: Dataset) -> 
     if isinstance(model, _gp.GpHyper):
         _check_validation(model, validation)
         _check_kind(model, data, "data")
-        return _gp.gp_log_predictive(data, validation, model)
+        post = _gp.gp_posterior(data, validation.inputs, model)
+        return _gp.predictive_log_density(validation.outputs, post.mean, post.cov, model.noise_var)
     nu, sums = posterior_params(model, data)
     summary = validation_summary(model, validation)
     return float(log_predictive_batch(model, np.array([nu]), sums[None, :], summary)[0])
@@ -311,7 +312,9 @@ def mean_log_predictive(model: BayesianModel, data: Dataset, validation: Dataset
     if isinstance(model, _gp.GpHyper):
         _check_validation(model, validation)
         _check_kind(model, data, "data")
-        return float(np.mean(_gp.gp_pointwise_log_predictive(data, validation, model)))
+        post = _gp.gp_posterior(data, validation.inputs, model)
+        y, var = validation.outputs, np.diag(post.cov)
+        return float(np.mean(_gp.predictive_log_density(y, post.mean, var, model.noise_var)))
     nu, sums = posterior_params(model, data)
     _check_validation(model, validation)
     pointwise = pointwise_log_predictive_batch(model, np.array([nu]), sums[None, :], validation)

@@ -24,7 +24,15 @@ import numpy as np
 
 from .data import Dataset, check_consistent, concat_datasets, empty_like, take_rows
 from .errors import ConfigurationError, InputError, UnsupportedConfigurationError
-from .gp import GpHyper, gaussian_logpdf, gp_posterior, se_ard_kernel
+from .gp import (
+    GpHyper,
+    GpPath,
+    append_block,
+    gp_block,
+    gp_posterior,
+    predictive_log_density,
+    se_ard_kernel,
+)
 from .models import (
     BetaBernoulliModel,
     GaussianMeanModel,
@@ -182,8 +190,8 @@ _BLOCK = 512
 class _GpLevel(NamedTuple):
     """A coalition on the GP lattice path.
 
-    Its training rows are rows ``[0, end)`` of the path's scratch (see
-    :class:`_GpPath`). Its latent posterior on the pool is ``mean`` plus
+    Its training rows are rows ``[0, end)`` of the path's
+    :class:`~truthval.gp.GpPath`. Its latent posterior on the pool is ``mean`` plus
     ``spread``: one covariance block per validation set for ``log-score``,
     the pool variances for ``mean-log-score``. For ``info-gain`` the pool has
     no rows and ``logdet`` is log det(I + K / noise_var) of the raw training
@@ -197,52 +205,8 @@ class _GpLevel(NamedTuple):
     logdet: float = 0.0
 
 
-class _GpBlock(NamedTuple):
-    """One source as the GP lattice appends it: its distinct input rows in
-    order of first appearance, the mean output of each and how often each
-    occurs. c outputs observed at one input x constrain f(x) exactly as their
-    mean with noise variance noise_var / c does, since
-    prod_c N(y_c | f(x), s^2) is proportional in f to N(mean y | f(x), s^2 / c);
-    so the posterior, and every log score, is that of the raw rows."""
-
-    inputs: np.ndarray
-    outputs: np.ndarray
-    counts: np.ndarray
-
-
-def _gp_block(data: Dataset) -> _GpBlock:
-    _, first, inverse, counts = np.unique(
-        data.inputs, axis=0, return_index=True, return_inverse=True, return_counts=True
-    )
-    if counts.size == len(data):  # no repeated row: the rows as given
-        return _GpBlock(data.inputs, data.outputs, np.ones(len(data)))
-    order = np.argsort(first)
-    rank = np.argsort(order)  # a row's position in order of first appearance
-    counts = counts[order].astype(float)
-    sums = np.bincount(rank[inverse.ravel()], weights=data.outputs, minlength=order.size)
-    return _GpBlock(data.inputs[first[order]], sums / counts, counts)
-
-
 def _physical_memory() -> int:
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-
-
-class _GpPath:
-    """Scratch of the coalitions on the lattice path, one row per distinct
-    input row of each member source: the inputs, the Cholesky factor L of the
-    noisy training kernel, V = L^-1 K(train, pool) and w = L^-1 y. A level's
-    rows are overwritten when the path turns, so one factor's worth of memory
-    serves every coalition."""
-
-    def __init__(self, rows: int, pool: Dataset):
-        self.inputs = np.empty((rows, pool.n_features))
-        self.factor = np.empty((rows, rows))
-        self.proj = np.empty((rows, len(pool)))
-        self.white = np.empty(rows)
-
-    @staticmethod
-    def nbytes(rows: int, pool: Dataset) -> int:
-        return 8 * rows * (pool.n_features + rows + len(pool) + 1)
 
 
 class CoalitionScorer:
@@ -268,7 +232,7 @@ class CoalitionScorer:
     posterior on the pool are the parent's plus one appended block, and no
     coalition is factorized from scratch. A source's repeated input rows enter
     its block once, with their mean output and noise divided by their count
-    (:class:`_GpBlock`), and a lattice whose scratch and kept posteriors would
+    (:func:`~truthval.gp.gp_block`), and a lattice whose scratch and kept posteriors would
     not fit in physical memory is refused before anything is allocated. The
     posterior is kept only where the scores read it: a covariance block per
     validation set, the variances alone for ``mean-log-score``, and only the
@@ -303,7 +267,7 @@ class CoalitionScorer:
         self._lattice = isinstance(model, GpHyper) and kind in (*LOG_SCORE_KINDS, INFO_GAIN)
         if self._lattice:
             self._sources = list(sources)
-            self._blocks = [_gp_block(ds) for ds in sources]
+            self._blocks = [gp_block(ds) for ds in sources]
             self._rows = sum(block.counts.size for block in self._blocks)
             self._mean_kind = kind == MEAN_LOG_SCORE
             # The path scratch, the pool mean and the spread (pool variances,
@@ -314,7 +278,7 @@ class CoalitionScorer:
             floats = len(pool) if self._mean_kind else sum(idx.size**2 for idx in subsets)
             b = max(block.counts.size for block in self._blocks)
             append = b * (2 * (self._rows - b) + b + 3 * len(pool))
-            need = _GpPath.nbytes(self._rows, pool) + 8 * (
+            need = GpPath.nbytes(self._rows, pool.inputs) + 8 * (
                 (self.n + 1) * (len(pool) + floats) + append
             )
             have = _physical_memory()
@@ -392,7 +356,7 @@ class CoalitionScorer:
         remaining members one source at a time."""
         out = np.zeros((len(self._prior_scores), masks.size))
         members = [coalition_members(int(mask), self.n) for mask in masks]
-        path = _GpPath(self._rows, self._pool)
+        path = GpPath(self._rows, self._pool.inputs)
         on_path: list[int] = []
         stack = [self._gp_root]
         for j in sorted(range(masks.size), key=members.__getitem__):
@@ -422,58 +386,28 @@ class CoalitionScorer:
             out[:, j] = self._gp_scores(level) - self._prior_scores
         return out
 
-    def _gp_append(self, parent: _GpLevel, source: int, path: _GpPath) -> _GpLevel:
+    def _gp_append(self, parent: _GpLevel, source: int, path: GpPath) -> _GpLevel:
         """Extend ``parent`` by the block S of ``source``, which follows every
-        member of ``parent``, with the block-Cholesky append of the partitioned
-        inverse (Rasmussen and Williams, GPML, 2006, App. A.3):
-
-            L21 = K(S, C) L_C^-T,  L22 = chol(K(S, S) + diag(noise / counts) - L21 L21^T),
-            V_S = L22^-1 (K(S, pool) - L21 V_C),  w_S = L22^-1 (y_S - L21 w_C),
-            mean += V_S^T w_S,  cov -= V_S^T V_S.
+        member of ``parent``, with :func:`~truthval.gp.append_block`, and its
+        pool posterior by mean += V_S^T w_S, cov -= V_S^T V_S.
 
         Information gain keeps only log det(I + K / noise) of the raw rows: no
-        jitter, no projections. By the determinant lemma, a block whose distinct
-        rows occur c times adds 2 sum log diag(L22) + sum log(c / noise).
+        jitter, no pool. By the determinant lemma, a block whose distinct rows
+        occur c times adds 2 sum log diag(L22) + sum log(c / noise).
         """
-        from scipy.linalg import solve_triangular
-
-        data, model = self._blocks[source], self._model
-        start, end = parent.end, parent.end + data.counts.size
+        block, model = self._blocks[source], self._model
+        start, end = parent.end, parent.end + block.counts.size
         if parent.mean is None or start == end:
             return parent._replace(end=end)
-        x, rows = data.inputs, slice(start, end)
-        path.inputs[rows] = x
-        if self._kind == INFO_GAIN:  # K(S, C) and K(S, S) from one kernel call
-            kernel = se_ard_kernel(x, path.inputs[:end], model)
-            cross, block = kernel[:, :start], kernel[:, start:]
-        else:
-            cross, block = se_ard_kernel(x, path.inputs[:start], model), se_ard_kernel(x, x, model)
-        l21 = solve_triangular(
-            path.factor[:start, :start], cross.T, lower=True, check_finite=False
-        ).T
-        diag = np.diag_indices(end - start)
-        block[diag] += model.noise_var / data.counts
-        if self._kind != INFO_GAIN:
-            block[diag] += model.jitter / data.counts
-        block -= l21 @ l21.T
-        try:
-            l22 = np.linalg.cholesky(block)
-        except np.linalg.LinAlgError:
+        jitter = 0.0 if self._kind == INFO_GAIN else model.jitter
+        l22 = append_block(path, start, block, model, jitter, self._pool.inputs)
+        if l22 is None:
             return _GpLevel(end)
-        path.factor[rows, :start] = l21
-        path.factor[rows, rows] = l22
         if self._kind == INFO_GAIN:
-            logdet = 2.0 * np.log(np.diag(l22)).sum() + np.log(data.counts / model.noise_var).sum()
+            logdet = 2.0 * np.log(np.diag(l22)).sum() + np.log(block.counts / model.noise_var).sum()
             return parent._replace(end=end, logdet=parent.logdet + logdet)
-        k_pool = se_ard_kernel(x, self._pool.inputs, model)
-        proj = solve_triangular(
-            l22, k_pool - l21 @ path.proj[:start], lower=True, check_finite=False
-        )
-        white = solve_triangular(
-            l22, data.outputs - l21 @ path.white[:start], lower=True, check_finite=False
-        )
-        path.proj[rows], path.white[rows] = proj, white
-        mean = parent.mean + proj.T @ white
+        proj = path.proj[start:end]
+        mean = parent.mean + proj.T @ path.white[start:end]
         if self._mean_kind:
             return _GpLevel(end, mean, parent.spread - np.einsum("ij,ij->j", proj, proj))
         spread = []
@@ -487,18 +421,11 @@ class CoalitionScorer:
         ``level``'s posterior, or its information gain."""
         if self._kind == INFO_GAIN:
             return np.array([0.5 * level.logdet])
-        noise = self._model.noise_var
         scores = np.empty(len(self._subsets))
         for s, idx in enumerate(self._subsets):
+            latent = level.spread[idx] if self._mean_kind else level.spread[s]
             y, mean = self._pool.outputs[idx], level.mean[idx]
-            if self._mean_kind:
-                var = np.maximum(level.spread[idx], 0.0) + noise
-                scores[s] = np.mean(-0.5 * (np.log(2.0 * np.pi * var) + (y - mean) ** 2 / var))
-            else:
-                cov = level.spread[s].copy()
-                diag = np.diag_indices_from(cov)
-                cov[diag] = np.maximum(cov[diag], 0.0) + noise
-                scores[s] = gaussian_logpdf(y, mean, cov)
+            scores[s] = np.mean(predictive_log_density(y, mean, latent, self._model.noise_var))
         return scores
 
     def _baseline(self, kind: str, d: int, nu: np.ndarray, sums: np.ndarray) -> np.ndarray:

@@ -58,6 +58,21 @@ class TestExitCodes:
         assert main(["--config", str(path)]) == 2
         assert "input error" in capsys.readouterr().err
 
+    def test_featureless_pool_cannot_keep_a_sorted_fraction(self, tmp_path, capsys):
+        data = tmp_path / "outputs.csv"
+        data.write_text("y\n0.3\n-1.2\n0.8\n2.0\n")
+        spec = {"csv": str(data), "output_column": "y"}
+        cfg = {
+            "model": {"family": "gaussian-known-var"},
+            "sources": [spec, spec],
+            "validation": {**spec, "sorted_fraction": 0.5},
+        }
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error:") and "no order to sort by" in err
+
     def test_numerical_error_exit_code(self, config_path, capsys, monkeypatch):
         from truthval.errors import NumericalError
 
@@ -303,6 +318,69 @@ class TestConfigurationErrorsExit1:
         # + 3 stack levels x (20 pool means + a 10 x 10 validation covariance)
         # + a 60-row append after 60 rows: 60 x (2 x 60 + 60 + 3 x 20)).
         assert err.startswith("configuration error:") and "needs 0.000259 GB" in err
+
+    @pytest.mark.parametrize(
+        "changes",
+        [
+            {"validation": {"generator": "bernoulli", "n_points": 10, "sorted_fraction": 0.5}},
+            {"sweep": {"axis": "sorted-fraction", "values": [0.5, 1.0]}},
+        ],
+        ids=["section", "sweep"],
+    )
+    def test_sorted_fraction_of_a_bernoulli_pool(self, tmp_path, capsys, config_path, changes):
+        cfg = {**json.loads(config_path.read_text()), **changes}
+        code, err = self.run(tmp_path, capsys, cfg)
+        assert code == 1
+        assert err.startswith("configuration error:") and "sorted_fraction" in err
+
+    def test_cross_validation_split_that_leaves_no_remainder(self, tmp_path, capsys):
+        cfg = {
+            "model": {"family": "gp"},
+            "sources": [{"generator": "friedman", "n_points": n} for n in (2, 2, 3)],
+            "post": {"kind": "cross-validation", "validation_frac": 0.9},
+        }
+        code, err = self.run(tmp_path, capsys, cfg)
+        assert code == 1
+        assert err.startswith("configuration error:") and "source 0 has 2 points" in err
+
+    @pytest.mark.parametrize(
+        "changes, section",
+        [
+            ({"validation": {"generator": "friedman", "n_points": 8}}, "sources[0]"),
+            ({"dvf": "cardinality"}, "sources[0]"),
+            ({"post": "cross-validation"}, "sources[0]"),
+            (
+                {
+                    "sources": [{"generator": "linear", "n_points": 4}] * 2,
+                    "validation": {"generator": "bernoulli", "n_points": 8},
+                },
+                "validation",
+            ),
+            (
+                {
+                    "sources": [
+                        {"generator": "friedman", "n_points": 4},
+                        {"csv": "missing.csv", "output_column": "y", "kind": "binary"},
+                    ],
+                    "validation": {"generator": "friedman", "n_points": 8},
+                },
+                "sources[1]",
+            ),
+        ],
+        ids=["log-score", "cardinality", "cross-validation", "validation", "csv-unread"],
+    )
+    def test_data_kind_must_match_the_model(self, tmp_path, capsys, changes, section):
+        # Two Bernoulli sources under a regression model, changed as given;
+        # the mismatch is refused before any data is read.
+        cfg = {
+            "model": {"family": "gaussian-known-var"},
+            "sources": [{"generator": "bernoulli", "n_points": 6}] * 2,
+            **changes,
+        }
+        code, err = self.run(tmp_path, capsys, cfg)
+        assert code == 1
+        assert err.startswith(f"configuration error: {section} holds")
+        assert "'gaussian-known-var'" in err
 
     def test_standardize_outputs_must_be_boolean(self, tmp_path, capsys, config_path):
         cfg = json.loads(config_path.read_text())

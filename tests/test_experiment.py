@@ -57,6 +57,12 @@ BERNOULLI = {
 
 
 FRIEDMAN_POOL = {"generator": "friedman", "n_points": 8}
+# Overrides that make BERNOULLI a run on regression data.
+REGRESSION_RUN = {
+    "model": {"family": "gaussian-known-var"},
+    "sources": [{"generator": "friedman", "n_points": 5}] * 2,
+    "validation": FRIEDMAN_POOL,
+}
 
 
 def bernoulli_config(**overrides):
@@ -98,12 +104,14 @@ class TestConfigValidation:
         [
             {},
             {"validation": {"generator": "bernoulli", "n_points": 8}},
-            {"model": {"family": "gaussian-known-var"}},
-            {"model": {"family": "bayes-linreg", "n_features": 1}},
-            {"model": {"family": "gp", "lengthscales": [0.5]}},
-            {"sources": [{"generator": "friedman", "n_points": 5, "alpha": 0.3}] * 2},
-            {"sources": [{"generator": "linear", "n_points": 5, "weights": [1.0]}] * 2},
-            {"sources": [{"csv": "data.csv", "output_column": "y"}] * 2},
+            REGRESSION_RUN,
+            {**REGRESSION_RUN, "model": {"family": "bayes-linreg", "n_features": 1}},
+            {**REGRESSION_RUN, "model": {"family": "gp", "lengthscales": [0.5]}},
+            {**REGRESSION_RUN,
+             "sources": [{"generator": "friedman", "n_points": 5, "alpha": 0.3}] * 2},
+            {**REGRESSION_RUN,
+             "sources": [{"generator": "linear", "n_points": 5, "weights": [1.0]}] * 2},
+            {**REGRESSION_RUN, "sources": [{"csv": "data.csv", "output_column": "y"}] * 2},
             {"post": {"kind": "budget", "budget": 0.5}},
             {"post": {"kind": "scaled", "budget": 1}},
             {"post": "cross-validation", "validation": None},
@@ -111,9 +119,9 @@ class TestConfigValidation:
                        "values": ["truthful", {"tag": "duplicate", "copies": 2}]}},
             {"sweep": {"axis": "validation-fraction", "values": [0.25, 1]}},
             {"sweep": {"axis": "validation-noise", "values": [0.0, 0.5]}},
-            {"sweep": {"axis": "friedman-alpha", "values": [0, 1]}, "validation": FRIEDMAN_POOL},
-            {"sweep": {"axis": "friedman-beta", "values": [0, 1]}, "validation": FRIEDMAN_POOL},
-            {"sweep": {"axis": "sorted-fraction", "values": [0.5, 1.0]}},
+            {**REGRESSION_RUN, "sweep": {"axis": "friedman-alpha", "values": [0, 1]}},
+            {**REGRESSION_RUN, "sweep": {"axis": "friedman-beta", "values": [0, 1]}},
+            {**REGRESSION_RUN, "sweep": {"axis": "sorted-fraction", "values": [0.5, 1.0]}},
             {"sweep": {"axis": "weight-family",
                        "values": ["shapley", {"family": "beta", "alpha": 4, "beta": 1}]}},
         ],
@@ -224,7 +232,9 @@ class TestSampledWeights:
 class TestConfigShapes:
     def test_filled_in_defaults_are_not_shared_between_configs(self):
         def linear_config():
-            return bernoulli_config(sources=[{"generator": "linear", "n_points": 4}])
+            return bernoulli_config(
+                **{**REGRESSION_RUN, "sources": [{"generator": "linear", "n_points": 4}]}
+            )
 
         linear_config().resolved["sources"][0]["weights"].append(2.0)
         assert linear_config().resolved["sources"][0]["weights"] == [1.0]

@@ -4,7 +4,6 @@ import math
 
 import numpy as np
 import pytest
-from scipy.linalg import cho_factor
 
 from truthval import (
     Dataset,
@@ -12,13 +11,13 @@ from truthval import (
     NumericalError,
     concat_datasets,
     empty_dataset,
-    gp_log_predictive,
-    gp_pointwise_log_predictive,
     gp_posterior,
+    log_predictive,
+    mean_log_predictive,
     se_ard_kernel,
 )
 from truthval.errors import ConfigurationError
-from truthval.gp import _JITTER_RUNGS, _factor_train_kernel
+from truthval.gp import _JITTER_RUNGS
 
 
 def unit_hyper(**kwargs):
@@ -122,7 +121,7 @@ class TestLogPredictive:
     def test_single_point_value(self):
         train = Dataset(np.array([[0.0]]), np.array([0.0]))
         val = Dataset(np.array([[0.0]]), np.array([0.0]))
-        got = gp_log_predictive(train, val, unit_hyper())
+        got = log_predictive(unit_hyper(), train, val)
         assert got == pytest.approx(-0.5 * math.log(2 * math.pi * 1.5), abs=1e-12)
 
     def test_far_validation_reverts_to_prior(self):
@@ -132,7 +131,7 @@ class TestLogPredictive:
         train = Dataset(np.array([[0.0]]), np.array([3.0]))
         val = Dataset(np.array([[0.9]]), np.array([0.7]))
         expected = -0.5 * (math.log(2 * math.pi * 2.5) + 0.7**2 / 2.5)
-        assert gp_log_predictive(train, val, hyper) == pytest.approx(expected, abs=1e-9)
+        assert log_predictive(hyper, train, val) == pytest.approx(expected, abs=1e-9)
 
     def test_chain_rule_consistency(self):
         rng = np.random.default_rng(9)
@@ -140,12 +139,12 @@ class TestLogPredictive:
         for _ in range(8):
             train = random_train(rng, int(rng.integers(0, 20)))
             val = random_train(rng, int(rng.integers(1, 6)))
-            joint = gp_log_predictive(train, val, hyper)
+            joint = log_predictive(hyper, train, val)
             chained = 0.0
             seen = train
             for i in range(len(val)):
                 point = Dataset(val.inputs[i : i + 1], val.outputs[i : i + 1])
-                chained += gp_log_predictive(seen, point, hyper)
+                chained += log_predictive(hyper, seen, point)
                 seen = concat_datasets([seen, point])
             assert chained == pytest.approx(joint, abs=1e-8)
 
@@ -157,42 +156,54 @@ class TestLogPredictive:
         p_train, p_val = rng.permutation(9), rng.permutation(4)
         shuffled_train = Dataset(train.inputs[p_train], train.outputs[p_train])
         shuffled_val = Dataset(val.inputs[p_val], val.outputs[p_val])
-        assert gp_log_predictive(shuffled_train, shuffled_val, hyper) == pytest.approx(
-            gp_log_predictive(train, val, hyper), abs=1e-10
+        assert log_predictive(hyper, shuffled_train, shuffled_val) == pytest.approx(
+            log_predictive(hyper, train, val), abs=1e-10
         )
 
     def test_pointwise_matches_joint_for_single_point(self):
         rng = np.random.default_rng(11)
         train = random_train(rng, 6)
         val = random_train(rng, 1)
-        single = gp_pointwise_log_predictive(train, val, unit_hyper())
-        assert single[0] == pytest.approx(
-            gp_log_predictive(train, val, unit_hyper()), abs=1e-10
+        single = mean_log_predictive(unit_hyper(), train, val)
+        assert single == pytest.approx(
+            log_predictive(unit_hyper(), train, val), abs=1e-10
         )
 
     def test_duplicated_train_rows_survive_via_jitter(self):
-        # Identical rows make the noiseless kernel singular; the noise\
-        # diagonal (and jitter ladder if needed) must keep this solvable.
+        # Identical rows make the noiseless kernel singular; they enter as one
+        # row with the noise divided by their count, and the jitter ladder
+        # stands behind that.
         train = Dataset(np.array([[0.5], [0.5], [0.5]]), np.array([1.0, 1.0, 1.0]))
         val = Dataset(np.array([[0.2]]), np.array([0.4]))
-        assert math.isfinite(gp_log_predictive(train, val, unit_hyper()))
+        assert math.isfinite(log_predictive(unit_hyper(), train, val))
 
-    def test_jitter_ladder_matches_adding_the_rung_to_a_copy(self):
-        # A rank-one kernel fails without jitter. The rung that succeeds is
-        # written onto the diagonal in place, and the factor is bit-identical
-        # to factoring k + (jitter + rung) * I.
-        hyper = GpHyper(jitter=1e-17)
-        k_train = np.ones((4, 4))
-        factor, lower = _factor_train_kernel(k_train.copy(), hyper)
+    def test_jitter_ladder_matches_a_dense_solve_with_the_rung_added(self):
+        # Inputs 1e-9 apart are distinct rows, but their kernel is exactly the
+        # all-ones matrix and the noise is below its ulp, so the factorization
+        # fails without jitter and succeeds at the first rung e. At the training
+        # inputs the latent covariance is then e / (3 + e) in every entry, which
+        # tells the rungs apart.
+        hyper = GpHyper(noise_var=1e-20, jitter=1e-17)
+        x = np.array([[0.0], [1e-9], [2e-9]])
+        k_train = se_ard_kernel(x, x, hyper)
+        assert np.array_equal(k_train, np.ones((3, 3)))
         with pytest.raises(np.linalg.LinAlgError):
-            cho_factor(k_train + hyper.jitter * np.eye(4), lower=True)
-        want, _ = cho_factor(k_train + (hyper.jitter + _JITTER_RUNGS[0]) * np.eye(4), lower=True)
-        assert lower
-        assert np.array_equal(factor, want)
+            np.linalg.cholesky(k_train + (hyper.noise_var + hyper.jitter) * np.eye(3))
+        train = Dataset(x, np.array([0.5, -1.0, 2.0]))
+        k_noisy = k_train + (hyper.noise_var + hyper.jitter + _JITTER_RUNGS[0]) * np.eye(3)
+        want_mean = k_train @ np.linalg.solve(k_noisy, train.outputs)
+        want_cov = k_train - k_train @ np.linalg.solve(k_noisy, k_train)
+        post = gp_posterior(train, x, hyper)
+        np.testing.assert_allclose(post.mean, want_mean, rtol=1e-5)
+        np.testing.assert_allclose(post.cov, want_cov, rtol=1e-5)
+        np.testing.assert_allclose(post.cov, _JITTER_RUNGS[0] / 3.0, rtol=1e-5)
 
-    def test_unsalvageable_kernel_raises(self):
-        # A kernel plus a negative diagonal is indefinite beyond what the
-        # jitter ladder can repair.
-        k_train = np.ones((2, 2)) - 5.0 * np.eye(2)
+    def test_unsalvageable_kernel_raises(self, monkeypatch):
+        # A training kernel that no rung of the jitter ladder repairs.
+        def failing(a):
+            raise np.linalg.LinAlgError("not positive definite")
+
+        monkeypatch.setattr(np.linalg, "cholesky", failing)
+        train = random_train(np.random.default_rng(12), 4)
         with pytest.raises(NumericalError, match="jitter escalation"):
-            _factor_train_kernel(k_train, GpHyper())
+            gp_posterior(train, np.zeros((2, 2)), GpHyper())

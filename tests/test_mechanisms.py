@@ -86,6 +86,14 @@ class TestCrossValidationRewards:
         with pytest.raises(ConfigurationError, match="source 1"):
             cross_validation_rewards(sources, 0.5, make_weights("shapley", 2), MODEL, seed=0)
 
+    def test_split_that_leaves_no_remainder_is_refused(self):
+        # ceil(0.9 * n) is all n rows for n = 2 and 3, so no coalition would
+        # hold a row and every value and reward would be exactly 0.
+        sources = [binary_dataset([1, 0]), binary_dataset([0, 1]), binary_dataset([1, 1, 0])]
+        with pytest.raises(ConfigurationError, match=r"source 0 has 2 points.*\(0.9 \* 2\) = 2"):
+            cross_validation_rewards(sources, 0.9, make_weights("shapley", 3), MODEL, seed=0)
+        cross_validation_rewards(sources, 0.4, make_weights("shapley", 3), MODEL, seed=0)
+
     def test_needs_two_sources(self):
         with pytest.raises(ConfigurationError):
             cross_validation_rewards(

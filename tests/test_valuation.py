@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import multivariate_normal, norm
 
 from truthval import (
     BetaBernoulliModel,
@@ -27,10 +28,9 @@ from truthval import (
     empty_like,
     exact_semivalue,
     friedman_generate,
-    gp_log_predictive,
-    gp_pointwise_log_predictive,
     make_weights,
     outputs_dataset,
+    se_ard_kernel,
     split_train_validation,
     take_rows,
 )
@@ -553,25 +553,36 @@ class TestGpLattice:
         pool = Dataset(rng.uniform(size=(5, 2)), rng.normal(size=5))
         raw = concat_datasets([data] * copies)
         got = CoalitionScorer(model, kind, [raw], pool).values([1])
+        # The reference scores the raw rows, every copy in its own row, by
+        # dense solves: the library collapses repeated rows everywhere.
+        noise = model.noise_var * np.eye(len(pool))
+        k_pool = se_ard_kernel(pool.inputs, pool.inputs, model) + noise
+        k_raw = se_ard_kernel(raw.inputs, raw.inputs, model) + model.noise_var * np.eye(len(raw))
+        cross = se_ard_kernel(raw.inputs, pool.inputs, model)
+        posterior = (
+            cross.T @ np.linalg.solve(k_raw, raw.outputs),
+            k_pool - cross.T @ np.linalg.solve(k_raw, cross),
+        )
         if kind == "log-score":
-            prior = gp_log_predictive(empty_like(data), pool, model)
-            want = gp_log_predictive(raw, pool, model) - prior
+            prior = multivariate_normal.logpdf(pool.outputs, np.zeros(len(pool)), k_pool)
+            want = multivariate_normal.logpdf(pool.outputs, *posterior) - prior
         else:
+            mean, cov = posterior
             want = np.mean(
-                gp_pointwise_log_predictive(raw, pool, model)
-                - gp_pointwise_log_predictive(empty_like(data), pool, model)
+                norm.logpdf(pool.outputs, mean, np.sqrt(np.diag(cov)))
+                - norm.logpdf(pool.outputs, 0.0, np.sqrt(np.diag(k_pool)))
             )
         np.testing.assert_allclose(got, [[want]], rtol=1e-12)
 
     def test_duplicated_source_needs_no_more_scratch(self, monkeypatch):
         sizes = []
 
-        class RecordedPath(valuation._GpPath):
-            def __init__(self, rows, pool):
+        class RecordedPath(valuation.GpPath):
+            def __init__(self, rows, test_inputs):
                 sizes.append(rows)
-                super().__init__(rows, pool)
+                super().__init__(rows, test_inputs)
 
-        monkeypatch.setattr(valuation, "_GpPath", RecordedPath)
+        monkeypatch.setattr(valuation, "GpPath", RecordedPath)
         rng = np.random.default_rng(64)
         model, rows = FAMILIES["gp"]
         data, other, pool = rows(rng, 9), rows(rng, 4), rows(rng, 6)
