@@ -377,6 +377,13 @@ class ExperimentConfig:
                     f"{where} holds {kind} data, but model {family!r} scores "
                     f"{model.data_kind} outputs"
                 )
+        noisy = validation is not None and "noise_sd" in validation
+        if model.data_kind != REGRESSION and (noisy or sweep["axis"] == "validation-noise"):
+            raise ConfigurationError(
+                "validation['noise_sd'], given or swept by 'validation-noise', is Gaussian output "
+                f"noise, defined only for regression outputs; model {family!r} scores "
+                f"{model.data_kind} outputs"
+            )
         return config
 
 

@@ -9,7 +9,8 @@ where S is the observation-noise diagonal. Scoring a validation set uses the
 observed-output predictive, i.e. noise_var is added back onto the covariance
 diagonal. Every training kernel is factorized by :func:`append_block`, which
 extends the Cholesky factor of a training set by one block of rows; the
-posterior given one training set is the append of its block to no rows.
+posterior given one training set is the append of its block to no rows, and
+the configured ``jitter`` is the only regulariser of either.
 """
 
 from __future__ import annotations
@@ -23,10 +24,6 @@ import numpy as np
 from .data import REGRESSION, Dataset
 from .errors import ConfigurationError, InputError, NumericalError
 
-# Jitter escalation: each rung is a multiple of signal_var, tried in order
-# after the user-supplied base jitter, before giving up.
-_JITTER_RUNGS = tuple(10.0**e for e in range(-9, -2))
-
 
 @dataclass(frozen=True)
 class GpHyper:
@@ -34,8 +31,9 @@ class GpHyper:
 
     ``lengthscales`` may be a scalar (shared by all features) or a
     per-feature vector; it is resolved against the data dimension at use.
-    ``jitter`` is added to the training-kernel diagonal before every
-    factorization except that of information gain.
+    ``jitter`` is added to the noise of every training row before every
+    factorization except that of information gain; a training kernel that is
+    not positive definite with it raises NumericalError.
     """
 
     lengthscales: float | np.ndarray = 1.0
@@ -152,8 +150,13 @@ class GpPath:
 
 
 def append_block(
-    path: GpPath, start: int, block: GpBlock, hyper: GpHyper, jitter: float, test_inputs: np.ndarray
-) -> np.ndarray | None:
+    path: GpPath,
+    start: int,
+    block: GpBlock,
+    hyper: GpHyper,
+    jitter: float | None,
+    test_inputs: np.ndarray,
+) -> np.ndarray:
     """Extend the training set C in rows ``[0, start)`` of ``path`` by
     ``block`` S with the block-Cholesky append of the partitioned inverse
     (Rasmussen and Williams, GPML, 2006, App. A.3):
@@ -163,8 +166,9 @@ def append_block(
 
     They fill S's rows of ``path``, and the latent posterior of C and S at the
     test inputs is C's with mean += V_S^T w_S and cov -= V_S^T V_S. Returns
-    L22, or None when S's block is not positive definite. Without test inputs
-    it returns before V_S and w_S.
+    L22; without test inputs it returns before V_S and w_S. ``jitter`` is None
+    for information gain, which adds none. A block that is not positive
+    definite raises :class:`~truthval.errors.NumericalError`.
     """
     from scipy.linalg import solve_triangular
 
@@ -175,12 +179,17 @@ def append_block(
     cross, inner = kernel[:, :start], kernel[:, start:]
     l21 = solve_triangular(path.factor[:start, :start], cross.T, lower=True, check_finite=False).T
     diag = np.diag_indices(end - start)
-    inner[diag] += (hyper.noise_var + jitter) / block.counts
+    inner[diag] += (hyper.noise_var + (jitter or 0.0)) / block.counts
     inner -= l21 @ l21.T
     try:
         l22 = np.linalg.cholesky(inner)
-    except np.linalg.LinAlgError:
-        return None
+    except np.linalg.LinAlgError as exc:
+        why = "no jitter (information gain adds none)" if jitter is None else f"jitter {jitter:g}"
+        hint = "" if jitter is None else "; a larger model 'jitter' regularises it"
+        raise NumericalError(
+            f"GP training kernel is not positive definite at noise_var {hyper.noise_var:g} "
+            f"with {why}{hint}"
+        ) from exc
     path.factor[rows, :start] = l21
     path.factor[rows, rows] = l22
     if len(test_inputs) == 0:
@@ -201,8 +210,7 @@ def gp_posterior(
     hyper: GpHyper,
 ) -> GpPosterior:
     """Exact latent posterior at ``test_inputs`` given ``train``: the append
-    of the :func:`gp_block` of ``train`` to no rows, its jitter escalated
-    until the block is positive definite."""
+    of the :func:`gp_block` of ``train`` to no rows, at the model's jitter."""
     if train.kind != REGRESSION:
         raise InputError("GP regression requires regression outputs")
     test_inputs = np.asarray(test_inputs, dtype=float)
@@ -218,14 +226,9 @@ def gp_posterior(
         )
     block = gp_block(train)
     path = GpPath(block.counts.size, test_inputs)
-    for extra in (0.0,) + tuple(r * hyper.signal_var for r in _JITTER_RUNGS):
-        if append_block(path, 0, block, hyper, hyper.jitter + extra, test_inputs) is not None:
-            cov = k_star - path.proj.T @ path.proj
-            return GpPosterior(path.proj.T @ path.white, 0.5 * (cov + cov.T))
-    raise NumericalError(
-        "training kernel is not positive definite even after jitter escalation "
-        f"up to {_JITTER_RUNGS[-1] * hyper.signal_var:g}"
-    )
+    append_block(path, 0, block, hyper, hyper.jitter, test_inputs)
+    cov = k_star - path.proj.T @ path.proj
+    return GpPosterior(path.proj.T @ path.white, 0.5 * (cov + cov.T))
 
 
 def gaussian_logpdf(y: np.ndarray, mean: np.ndarray, cov: np.ndarray) -> float:

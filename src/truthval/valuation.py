@@ -23,16 +23,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .data import Dataset, check_consistent, concat_datasets, empty_like, take_rows
-from .errors import ConfigurationError, InputError, UnsupportedConfigurationError
-from .gp import (
-    GpHyper,
-    GpPath,
-    append_block,
-    gp_block,
-    gp_posterior,
-    predictive_log_density,
-    se_ard_kernel,
-)
+from .errors import ConfigurationError, InputError, NumericalError, UnsupportedConfigurationError
+from .gp import GpHyper, GpPath, append_block, gp_block, predictive_log_density, se_ard_kernel
 from .models import (
     BetaBernoulliModel,
     GaussianMeanModel,
@@ -127,7 +119,7 @@ def _gp_logdet(model: GpHyper, data: Dataset) -> float:
     kernel = se_ard_kernel(data.inputs, data.inputs, model)
     sign, logdet = np.linalg.slogdet(np.eye(len(data)) + kernel / model.noise_var)
     if sign <= 0:
-        raise ConfigurationError("information-gain matrix is not positive definite")
+        raise NumericalError("information-gain matrix is not positive definite")
     return float(logdet)
 
 
@@ -195,13 +187,12 @@ class _GpLevel(NamedTuple):
     ``spread``: one covariance block per validation set for ``log-score``,
     the pool variances for ``mean-log-score``. For ``info-gain`` the pool has
     no rows and ``logdet`` is log det(I + K / noise_var) of the raw training
-    rows. ``mean`` is None when an appended block was not positive definite;
-    that coalition and its extensions are scored from their raw rows instead.
+    rows.
     """
 
     end: int
-    mean: np.ndarray | None = None
-    spread: object = None
+    mean: np.ndarray
+    spread: object
     logdet: float = 0.0
 
 
@@ -266,7 +257,6 @@ class CoalitionScorer:
         self._rank_deficient = 0  # coalitions given volume 0, warned of once per call
         self._lattice = isinstance(model, GpHyper) and kind in (*LOG_SCORE_KINDS, INFO_GAIN)
         if self._lattice:
-            self._sources = list(sources)
             self._blocks = [gp_block(ds) for ds in sources]
             self._rows = sum(block.counts.size for block in self._blocks)
             self._mean_kind = kind == MEAN_LOG_SCORE
@@ -368,22 +358,8 @@ class CoalitionScorer:
             for i in want[depth:]:
                 stack.append(self._gp_append(stack[-1], i, path))
                 on_path.append(i)
-            level = stack[-1]
-            if level.end == 0:
-                continue  # no training rows: worth exactly zero
-            if level.mean is None:
-                train = coalition_data(self._sources, int(masks[j]))
-                if self._kind == INFO_GAIN:
-                    level = _GpLevel(level.end, logdet=_gp_logdet(self._model, train))
-                else:
-                    post = gp_posterior(train, self._pool.inputs, self._model)
-                    spread = (
-                        np.diag(post.cov)
-                        if self._mean_kind
-                        else [post.cov[np.ix_(idx, idx)] for idx in self._subsets]
-                    )
-                    level = _GpLevel(level.end, post.mean, spread)
-            out[:, j] = self._gp_scores(level) - self._prior_scores
+            if stack[-1].end:  # no training rows: worth exactly zero
+                out[:, j] = self._gp_scores(stack[-1]) - self._prior_scores
         return out
 
     def _gp_append(self, parent: _GpLevel, source: int, path: GpPath) -> _GpLevel:
@@ -397,12 +373,10 @@ class CoalitionScorer:
         """
         block, model = self._blocks[source], self._model
         start, end = parent.end, parent.end + block.counts.size
-        if parent.mean is None or start == end:
-            return parent._replace(end=end)
-        jitter = 0.0 if self._kind == INFO_GAIN else model.jitter
+        if start == end:
+            return parent
+        jitter = None if self._kind == INFO_GAIN else model.jitter
         l22 = append_block(path, start, block, model, jitter, self._pool.inputs)
-        if l22 is None:
-            return _GpLevel(end)
         if self._kind == INFO_GAIN:
             logdet = 2.0 * np.log(np.diag(l22)).sum() + np.log(block.counts / model.noise_var).sum()
             return parent._replace(end=end, logdet=parent.logdet + logdet)

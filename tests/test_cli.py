@@ -84,6 +84,42 @@ class TestExitCodes:
         assert "numerical error" in capsys.readouterr().err
 
 
+class TestGpKernelNotPositiveDefinite:
+    def run(self, tmp_path, dvf, jitter):
+        # Two sources share inputs 0..3, 20 lengthscales apart, and the noise
+        # is below half an ulp of the kernel diagonal: appending the second
+        # source to the first leaves a singular block unless jitter is set.
+        specs = []
+        for i, ys in enumerate([(0.3, -1.2, 0.8, 2.0), (1.1, 0.4, -0.6, 0.2)]):
+            path = tmp_path / f"source{i}.csv"
+            path.write_text("x,y\n" + "".join(f"{x},{y}\n" for x, y in enumerate(ys)))
+            specs.append({"csv": str(path), "output_column": "y"})
+        cfg = {
+            "model": {"family": "gp", "lengthscales": 0.05, "noise_var": 1e-17, "jitter": jitter},
+            "sources": specs,
+            "dvf": dvf,
+        }
+        if dvf == "log-score":
+            cfg["validation"] = specs[0]
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        return main(["--config", str(path)])
+
+    def test_log_score_exits_3_naming_noise_and_jitter(self, tmp_path, capsys):
+        assert self.run(tmp_path, "log-score", 0.0) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical error:")
+        assert "noise_var 1e-17 with jitter 0; a larger model 'jitter'" in err
+        assert self.run(tmp_path, "log-score", 1e-6) == 0
+
+    @pytest.mark.parametrize("jitter", [0.0, 1e-6])
+    def test_info_gain_exits_3_at_any_jitter(self, tmp_path, capsys, jitter):
+        assert self.run(tmp_path, "info-gain", jitter) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical error:") and "noise_var 1e-17 with no jitter" in err
+        assert "larger" not in err
+
+
 class TestNonFiniteInput:
     @pytest.mark.parametrize(
         "model",
@@ -332,6 +368,25 @@ class TestConfigurationErrorsExit1:
         code, err = self.run(tmp_path, capsys, cfg)
         assert code == 1
         assert err.startswith("configuration error:") and "sorted_fraction" in err
+
+    @pytest.mark.parametrize(
+        "changes",
+        [
+            {"validation": {"generator": "bernoulli", "n_points": 10, "noise_sd": 0.5}},
+            {"validation": {"csv": "missing.csv", "output_column": "y", "kind": "binary",
+                            "noise_sd": 0.5}},
+            {"sweep": {"axis": "validation-noise", "values": [0.0, 0.5]}},
+        ],
+        ids=["bernoulli-key", "binary-csv-key", "sweep"],
+    )
+    def test_noise_sd_of_a_binary_pool(self, tmp_path, capsys, config_path, changes):
+        # Gaussian output noise is undefined for binary outputs; it is refused
+        # before any data is read, the CSV pool included.
+        cfg = {**json.loads(config_path.read_text()), **changes}
+        code, err = self.run(tmp_path, capsys, cfg)
+        assert code == 1
+        assert err.startswith("configuration error:") and "noise_sd" in err
+        assert "binary outputs" in err
 
     def test_cross_validation_split_that_leaves_no_remainder(self, tmp_path, capsys):
         cfg = {

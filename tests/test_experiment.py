@@ -118,7 +118,7 @@ class TestConfigValidation:
             {"sweep": {"axis": "strategy-grid", "source": 1,
                        "values": ["truthful", {"tag": "duplicate", "copies": 2}]}},
             {"sweep": {"axis": "validation-fraction", "values": [0.25, 1]}},
-            {"sweep": {"axis": "validation-noise", "values": [0.0, 0.5]}},
+            {**REGRESSION_RUN, "sweep": {"axis": "validation-noise", "values": [0.0, 0.5]}},
             {**REGRESSION_RUN, "sweep": {"axis": "friedman-alpha", "values": [0, 1]}},
             {**REGRESSION_RUN, "sweep": {"axis": "friedman-beta", "values": [0, 1]}},
             {**REGRESSION_RUN, "sweep": {"axis": "sorted-fraction", "values": [0.5, 1.0]}},

@@ -17,7 +17,6 @@ from truthval import (
     se_ard_kernel,
 )
 from truthval.errors import ConfigurationError
-from truthval.gp import _JITTER_RUNGS
 
 
 def unit_hyper(**kwargs):
@@ -169,41 +168,45 @@ class TestLogPredictive:
             log_predictive(unit_hyper(), train, val), abs=1e-10
         )
 
-    def test_duplicated_train_rows_survive_via_jitter(self):
+    def test_duplicated_train_rows_collapse_to_one_row(self):
         # Identical rows make the noiseless kernel singular; they enter as one
-        # row with the noise divided by their count, and the jitter ladder
-        # stands behind that.
+        # row with the noise divided by their count, which factors without
+        # any jitter.
         train = Dataset(np.array([[0.5], [0.5], [0.5]]), np.array([1.0, 1.0, 1.0]))
         val = Dataset(np.array([[0.2]]), np.array([0.4]))
         assert math.isfinite(log_predictive(unit_hyper(), train, val))
 
-    def test_jitter_ladder_matches_a_dense_solve_with_the_rung_added(self):
+    def test_jitter_matches_a_dense_solve_with_the_jitter_added(self):
         # Inputs 1e-9 apart are distinct rows, but their kernel is exactly the
         # all-ones matrix and the noise is below its ulp, so the factorization
-        # fails without jitter and succeeds at the first rung e. At the training
+        # fails at a jitter of 1e-17 and succeeds at e = 1e-9. At the training
         # inputs the latent covariance is then e / (3 + e) in every entry, which
-        # tells the rungs apart.
-        hyper = GpHyper(noise_var=1e-20, jitter=1e-17)
+        # tells the jitters apart.
         x = np.array([[0.0], [1e-9], [2e-9]])
+        train = Dataset(x, np.array([0.5, -1.0, 2.0]))
+        with pytest.raises(NumericalError, match="noise_var 1e-20 with jitter 1e-17"):
+            gp_posterior(train, x, GpHyper(noise_var=1e-20, jitter=1e-17))
+        hyper = GpHyper(noise_var=1e-20, jitter=1e-9)
         k_train = se_ard_kernel(x, x, hyper)
         assert np.array_equal(k_train, np.ones((3, 3)))
-        with pytest.raises(np.linalg.LinAlgError):
-            np.linalg.cholesky(k_train + (hyper.noise_var + hyper.jitter) * np.eye(3))
-        train = Dataset(x, np.array([0.5, -1.0, 2.0]))
-        k_noisy = k_train + (hyper.noise_var + hyper.jitter + _JITTER_RUNGS[0]) * np.eye(3)
+        k_noisy = k_train + (hyper.noise_var + hyper.jitter) * np.eye(3)
         want_mean = k_train @ np.linalg.solve(k_noisy, train.outputs)
         want_cov = k_train - k_train @ np.linalg.solve(k_noisy, k_train)
         post = gp_posterior(train, x, hyper)
         np.testing.assert_allclose(post.mean, want_mean, rtol=1e-5)
         np.testing.assert_allclose(post.cov, want_cov, rtol=1e-5)
-        np.testing.assert_allclose(post.cov, _JITTER_RUNGS[0] / 3.0, rtol=1e-5)
+        np.testing.assert_allclose(post.cov, hyper.jitter / 3.0, rtol=1e-5)
 
     def test_unsalvageable_kernel_raises(self, monkeypatch):
-        # A training kernel that no rung of the jitter ladder repairs.
+        # A training kernel that is not positive definite at the configured
+        # jitter raises, naming the noise and the jitter: no jitter is added
+        # behind the configured one.
         def failing(a):
             raise np.linalg.LinAlgError("not positive definite")
 
         monkeypatch.setattr(np.linalg, "cholesky", failing)
         train = random_train(np.random.default_rng(12), 4)
-        with pytest.raises(NumericalError, match="jitter escalation"):
+        with pytest.raises(
+            NumericalError, match="noise_var 1 with jitter 0; a larger model 'jitter'"
+        ):
             gp_posterior(train, np.zeros((2, 2)), GpHyper())

@@ -35,7 +35,12 @@ from truthval import (
     take_rows,
 )
 from truthval import valuation
-from truthval.errors import ConfigurationError, InputError, UnsupportedConfigurationError
+from truthval.errors import (
+    ConfigurationError,
+    InputError,
+    NumericalError,
+    UnsupportedConfigurationError,
+)
 from truthval.valuation import RankDeficientVolumeWarning
 
 
@@ -466,32 +471,25 @@ class TestBaselineTables:
         spec = DvfSpec(kind, model=model, validation=validation)
         assert np.isfinite(build_char_table(sources, spec).values).all()
 
-    def test_gp_info_gain_block_that_is_not_positive_definite_falls_back(self, monkeypatch):
-        # Source 1's block (the only 3 x 3 one) is made to fail its Cholesky
-        # factorization, so every coalition holding it is scored on its raw rows.
-        fallbacks = []
-        original_factor, original_logdet = np.linalg.cholesky, valuation._gp_logdet
+    @pytest.mark.parametrize("jitter", [0.0, 1e-6])
+    def test_gp_info_gain_block_that_is_not_positive_definite_raises(self, jitter):
+        # Information gain adds no jitter, so the singular block of the
+        # shared-input instance raises at any model jitter, and the message
+        # does not offer a larger one.
+        sources, _ = shared_input_instance()
+        model = GpHyper(lengthscales=0.05, noise_var=1e-17, jitter=jitter)
+        with pytest.raises(NumericalError, match=r"noise_var 1e-17 with no jitter \(") as caught:
+            CoalitionScorer(model, "info-gain", sources).table()
+        assert "larger" not in str(caught.value)
 
-        def failing(a):
-            if a.shape == (3, 3):
-                raise np.linalg.LinAlgError("not positive definite")
-            return original_factor(a)
-
-        def counted(model, data):
-            fallbacks.append(len(data))
-            return original_logdet(model, data)
-
-        monkeypatch.setattr(np.linalg, "cholesky", failing)
-        monkeypatch.setattr(valuation, "_gp_logdet", counted)
-        model, rows = FAMILIES["gp-jitter"]
-        rng = np.random.default_rng(74)
-        sources = [rows(rng, k) for k in (4, 3, 2)]
-        got = CoalitionScorer(model, "info-gain", sources).table()[0].values
-        assert sorted(fallbacks) == [3, 5, 7, 9]  # {1}, {1, 2}, {0, 1}, {0, 1, 2}
-        monkeypatch.undo()
-        spec = DvfSpec("info-gain", model=model)
-        want = [dvf_value(spec, coalition_data(sources, m)) for m in range(8)]
-        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-13)
+    def test_gp_info_gain_reference_raises_on_shared_inputs(self):
+        # dvf_value's raw-row log determinant of {0, 1} fails as the lattice
+        # does: a numerical failure, not a configuration error.
+        sources, _ = shared_input_instance()
+        spec = DvfSpec("info-gain", model=GpHyper(lengthscales=0.05, noise_var=1e-17))
+        assert np.isfinite(dvf_value(spec, sources[0]))
+        with pytest.raises(NumericalError, match="information-gain matrix"):
+            dvf_value(spec, coalition_data(sources, 0b011))
 
 
 def gp_dvf_values(model, kind, sources, pool):
@@ -499,36 +497,89 @@ def gp_dvf_values(model, kind, sources, pool):
     return [dvf_value(spec, coalition_data(sources, m)) for m in range(2 ** len(sources))]
 
 
+def shared_input_instance():
+    """Sources 0 and 1 share their inputs 0..3, 20 lengthscales apart, and a
+    third source lies between two of them. At noise_var 1e-17, below half an
+    ulp of the kernel diagonal, appending source 1 after source 0 leaves an
+    exactly singular block unless the model's jitter regularises it."""
+    rng = np.random.default_rng(60)
+    x = np.arange(4.0)[:, None]
+    sources = [
+        Dataset(x, rng.normal(size=4)),
+        Dataset(x.copy(), rng.normal(size=4)),
+        Dataset(x[:2] + 0.5, rng.normal(size=2)),
+    ]
+    return sources, Dataset(rng.uniform(0, 3, size=(5, 1)), rng.normal(size=5))
+
+
+def permuted_table_masks(order, n):
+    """For sources reordered as ``[sources[i] for i in order]``, the mask in
+    the original table of each coalition of the reordered one."""
+    masks = np.arange(2**n)
+    return sum(((masks >> k) & 1) << i for k, i in enumerate(order))
+
+
 class TestGpLattice:
     @pytest.mark.parametrize("kind", ["log-score", "mean-log-score"])
-    def test_block_that_is_not_positive_definite_falls_back(self, kind, monkeypatch):
-        # Sources 0 and 1 share their inputs and the noise is below half an
-        # ulp of the kernel diagonal, so appending source 1 to source 0 leaves
-        # an exactly singular block. Those coalitions go to gp_posterior,
-        # which escalates jitter as dvf_value does.
-        fallbacks = []
-        original = valuation.gp_posterior
-
-        def counted(train, *args, **kwargs):
-            fallbacks.append(len(train))
-            return original(train, *args, **kwargs)
-
-        monkeypatch.setattr(valuation, "gp_posterior", counted)
-        rng = np.random.default_rng(60)
-        x = np.arange(4.0)[:, None]
-        sources = [
-            Dataset(x, rng.normal(size=4)),
-            Dataset(x.copy(), rng.normal(size=4)),
-            Dataset(x[:2] + 0.5, rng.normal(size=2)),
-        ]
-        pool = Dataset(rng.uniform(0, 3, size=(5, 1)), rng.normal(size=5))
+    def test_block_that_is_not_positive_definite_raises_without_jitter(self, kind):
+        sources, pool = shared_input_instance()
         model = GpHyper(lengthscales=0.05, noise_var=1e-17)
+        with pytest.raises(
+            NumericalError, match="noise_var 1e-17 with jitter 0; a larger model 'jitter'"
+        ):
+            CoalitionScorer(model, kind, sources, pool).table()
+
+    @pytest.mark.parametrize("kind", ["log-score", "mean-log-score"])
+    @pytest.mark.parametrize("jitter, rtol", [(1e-6, 1e-11), (1e-9, 1e-8)])
+    def test_jitter_makes_the_lattice_match_dvf_value(self, kind, jitter, rtol):
+        # The lattice puts the jitter on every row of sources 0 and 1;
+        # dvf_value collapses their shared inputs to one row each with noise
+        # and jitter halved, the same model. The appended block has condition
+        # number about 1 / jitter, so agreement loses digits as jitter falls:
+        # 2.9e-12 relative at 1e-6 and 1.7e-9 at 1e-9 on this instance.
+        sources, pool = shared_input_instance()
+        model = GpHyper(lengthscales=0.05, noise_var=1e-17, jitter=jitter)
         got = CoalitionScorer(model, kind, sources, pool).table()[0].values
-        assert sorted(fallbacks) == [8, 10]  # {0, 1} and {0, 1, 2}
-        assert np.isfinite(got).all()
-        np.testing.assert_allclose(
-            got, gp_dvf_values(model, kind, sources, pool), rtol=1e-12, atol=1e-13
-        )
+        want = gp_dvf_values(model, kind, sources, pool)
+        np.testing.assert_allclose(got, want, rtol=rtol, atol=1e-13)
+        # Source 1's outputs, which differ from source 0's, move the value.
+        assert abs(got[0b011] - got[0b001]) > 1e-4
+
+    @pytest.mark.parametrize(
+        "kind, subsets, shared",
+        [
+            ("log-score", [[0, 2, 3], [1, 4, 5]], False),
+            ("mean-log-score", None, False),
+            ("info-gain", None, False),
+            ("log-score", None, True),
+            ("mean-log-score", None, True),
+        ],
+        ids=["log-score-subsets", "mean-log-score", "info-gain", "log-score-shared",
+             "mean-log-score-shared"],
+    )
+    def test_permuting_the_sources_permutes_the_table(self, kind, subsets, shared):
+        # A coalition's value does not depend on the order in which the
+        # lattice appends its members: 1e-12 relative on random inputs, and
+        # 1e-10 on the shared-input instance at jitter 1e-6, whose appended
+        # block has condition number about 1e6 (5.7e-12 observed).
+        rng = np.random.default_rng(64)
+        if shared:
+            sources, pool = shared_input_instance()
+            model, rtol = GpHyper(lengthscales=0.05, noise_var=1e-17, jitter=1e-6), 1e-10
+        else:
+            model, rows = FAMILIES["gp-replicated"]
+            sources, pool, rtol = [rows(rng, k) for k in (4, 0, 3, 5)], rows(rng, 6), 1e-12
+        pool = None if kind == "info-gain" else pool
+        n = len(sources)
+        scorer = CoalitionScorer(model, kind, sources, pool, subsets)
+        tables = np.array([table.values for table in scorer.table()])
+        for order in [rng.permutation(n) for _ in range(4)] + [np.arange(n)[::-1]]:
+            reordered = [sources[i] for i in order]
+            got = CoalitionScorer(model, kind, reordered, pool, subsets).table()
+            np.testing.assert_allclose(
+                [t.values for t in got], tables[:, permuted_table_masks(order, n)],
+                rtol=rtol, atol=1e-13,
+            )
 
     def test_permutation_prefixes_in_any_order_match_table(self):
         rng = np.random.default_rng(61)
