@@ -20,7 +20,6 @@ from .data import (
     take_rows,
 )
 from .datagen import (
-    PerturbSpec,
     Strategy,
     apply_strategy,
     derive_seed,

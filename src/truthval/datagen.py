@@ -155,38 +155,31 @@ def apply_strategy(data: Dataset, strategy: Strategy) -> Dataset:
     return Dataset(noisy, data.outputs, data.kind)
 
 
-@dataclass(frozen=True)
-class PerturbSpec:
-    """Validation-set corruption knobs; the default spec is the identity."""
-
-    validation_noise_sd: float = 0.0
-    sorted_fraction: float = 1.0
-
-    def __post_init__(self) -> None:
-        if self.validation_noise_sd < 0:
-            raise ConfigurationError("validation_noise_sd must be >= 0")
-        if not 0.0 < self.sorted_fraction <= 1.0:
-            raise ConfigurationError(
-                f"sorted_fraction must be in (0, 1], got {self.sorted_fraction}"
-            )
-
-
-def perturb_validation(validation: Dataset, spec: PerturbSpec, seed: int) -> Dataset:
-    """Add output noise and/or keep a sorted fraction of the rows."""
+def perturb_validation(
+    validation: Dataset, noise_sd: float, sorted_fraction: float, seed: int
+) -> Dataset:
+    """``validation`` with N(0, noise_sd^2) added to its outputs, then cut to
+    its first ceil(sorted_fraction * n) rows in a lexicographic order of its
+    features, taken in a random order. ``noise_sd`` 0 and ``sorted_fraction``
+    1 return it unchanged."""
+    if not noise_sd >= 0:  # NaN included
+        raise ConfigurationError(f"noise_sd must be >= 0, got {noise_sd}")
+    if not 0.0 < sorted_fraction <= 1.0:
+        raise ConfigurationError(f"sorted_fraction must be in (0, 1], got {sorted_fraction}")
     rng = np.random.default_rng(seed)
     ds = validation
-    if spec.validation_noise_sd > 0:
+    if noise_sd > 0:
         if ds.kind != REGRESSION:
             raise InputError("Gaussian output noise is only defined for regression outputs")
-        noisy = ds.outputs + rng.normal(0.0, spec.validation_noise_sd, size=len(ds))
+        noisy = ds.outputs + rng.normal(0.0, noise_sd, size=len(ds))
         ds = Dataset(ds.inputs, noisy, ds.kind)
-    if spec.sorted_fraction < 1.0 and len(ds) > 0:
+    if sorted_fraction < 1.0 and len(ds) > 0:
         if ds.n_features == 0:
             raise InputError("a validation pool without input features has no order to sort by")
         perm = rng.permutation(ds.n_features)
         # lexsort uses its last key as the primary one
         order = np.lexsort(tuple(ds.inputs[:, c] for c in perm[::-1]))
-        keep = math.ceil(spec.sorted_fraction * len(ds))
+        keep = math.ceil(sorted_fraction * len(ds))
         ds = take_rows(ds, order[:keep])
     return ds
 

@@ -26,7 +26,6 @@ import numpy as np
 
 from .data import BINARY, REGRESSION, Dataset, take_rows
 from .datagen import (
-    PerturbSpec,
     Strategy,
     apply_strategy,
     derive_seed,
@@ -74,10 +73,11 @@ def _stage(name: str):
 # One table per section, and per variant of a section: key -> (JSON type,
 # default). ``_walk`` rejects every key a table does not name, checks JSON
 # types and fills in defaults; its output is the resolved config that reports
-# echo and the runner reads. _REQUIRED keys must be given. _OPTIONAL keys may
-# be omitted and are then not echoed: the class the section is passed to (a
-# model or ``Strategy``) owns their defaults, and strategy labels show only
-# the parameters given.
+# echo and the runner reads, in one canonical form. _REQUIRED keys must be
+# given. _OPTIONAL keys may be omitted and are then not echoed: the class the
+# section is passed to (a model or ``Strategy``) owns their defaults, strategy
+# labels show only the parameters given, and an ``auto`` estimator that
+# samples takes the ``sampled`` table's default.
 
 _REQUIRED = object()
 _OPTIONAL = object()
@@ -103,16 +103,15 @@ _OPEN_UNIT = ("a number in (0, 1)", lambda v: _NUMBER[1](v) and 0 < v < 1)
 class _Named:
     """A section whose table is chosen by the value of its ``key``.
 
-    ``implied`` is the variant when ``key`` is omitted. ``bare`` admits a bare
-    name as shorthand for ``{key: name}``: "expand" echoes it as that object,
-    "keep" echoes the name as given (such tables fill in nothing).
+    ``implied`` is the variant when ``key`` is omitted. With ``bare`` a bare
+    name is shorthand for ``{key: name}`` and resolves to that object.
     """
 
     key: str
     what: str
     tables: dict
     implied: str | None = None
-    bare: str | None = None
+    bare: bool = False
 
 
 _MODEL = _Named("family", "model", {
@@ -147,17 +146,14 @@ _DATA = _Named("generator", "data spec", {
         "kind": (_STRING, REGRESSION),
     },
 }, implied="csv")
-# A validation spec is a data spec plus these keys. ``noise_sd`` is the
-# output noise of the pool: the Friedman and linear generators draw it
-# themselves (default 1.0), and ``perturb_validation`` adds it to a CSV or
-# Bernoulli pool (default 0.0), so it stays optional and each reader applies
-# its own default.
-_VALIDATION_ONLY = {
-    "subset_fraction": (_FRACTION, 0.5), "sorted_fraction": (_FRACTION, 1.0),
-    "noise_sd": (_NONNEGATIVE, _OPTIONAL),
-}
+# A validation spec is a data spec plus these keys. Its ``noise_sd`` is the
+# Gaussian output noise of the pool: a Friedman or linear generator's own,
+# noise that ``perturb_validation`` adds to a CSV pool, and none for a
+# Bernoulli pool, which refuses the key.
+_VALIDATION_ONLY = {"subset_fraction": (_FRACTION, 0.5), "sorted_fraction": (_FRACTION, 1.0)}
 _VALIDATION = _Named("generator", "validation spec", {
-    name: {**table, **_VALIDATION_ONLY} for name, table in _DATA.tables.items()
+    **{name: {**table, **_VALIDATION_ONLY} for name, table in _DATA.tables.items()},
+    "csv": {**_DATA.tables["csv"], **_VALIDATION_ONLY, "noise_sd": (_NONNEGATIVE, 0.0)},
 }, implied="csv")
 
 _STRATEGY = _Named("tag", "strategy", {
@@ -167,39 +163,37 @@ _STRATEGY = _Named("tag", "strategy", {
     "duplicate": {"copies": (_INT, _OPTIONAL)},
     "inject": {"frac": _OPT_NUMBER, "offset": _OPT_NUMBER, "fill": _OPT_NUMBER},
     "noise-input": {"sd": _OPT_NUMBER},
-}, bare="keep")
+}, bare=True)
 
-_WEIGHT_TABLES = {
+_WEIGHTS = _Named("family", "weight family", {
     "shapley": {}, "banzhaf": {}, "individual": {},
     "beta": {"alpha": (_NUMBER, _REQUIRED), "beta": (_NUMBER, _REQUIRED)},
-}
-_WEIGHTS = _Named("family", "weight family", _WEIGHT_TABLES, bare="expand")
+}, bare=True)
 
 _POST = _Named("kind", "post-processing", {
     "none": {},
     "budget": {"budget": (_POSITIVE, _REQUIRED), "a": (_POSITIVE, 1.0)},
     "scaled": {"budget": (_POSITIVE, _REQUIRED), "gamma": (_NUMBER, 0.0)},
     "cross-validation": {"variant": (_VARIANT, "breve"), "validation_frac": (_OPEN_UNIT, 0.25)},
-}, implied="none", bare="expand")
+}, implied="none", bare=True)
 
-_ESTIMATE = {"permutations": (_COUNT, 3000)}
-_ESTIMATOR = _Named(
-    "kind", "estimator", {"auto": _ESTIMATE, "exact": _ESTIMATE, "sampled": _ESTIMATE},
-    implied="auto", bare="expand",
-)
+_ESTIMATOR = _Named("kind", "estimator", {
+    "auto": {"permutations": (_COUNT, _OPTIONAL)},
+    "exact": {},
+    "sampled": {"permutations": (_COUNT, 3000)},
+}, implied="auto", bare=True)
 
-_DVF = _Named("kind", "valuation", {kind: {} for kind in DVF_KINDS}, bare="expand")
+_DVF = _Named("kind", "valuation", {kind: {} for kind in DVF_KINDS}, bare=True)
 
 # The validation key each numeric sweep axis sets.
 _NUMERIC_SWEEPS = {
     "validation-fraction": "subset_fraction", "validation-noise": "noise_sd",
     "friedman-alpha": "alpha", "friedman-beta": "beta", "sorted-fraction": "sorted_fraction",
 }
-_WEIGHT_SWEEP_VALUE = _Named("family", "weight-family sweep value", _WEIGHT_TABLES, bare="keep")
 _SWEEP = _Named("axis", "sweep", {
     "strategy-grid": {"source": (_INT, _REQUIRED), "values": ([_STRATEGY], _REQUIRED)},
     **{axis: {"values": ([_NUMBER], _REQUIRED)} for axis in _NUMERIC_SWEEPS},
-    "weight-family": {"values": ([_WEIGHT_SWEEP_VALUE], _REQUIRED)},
+    "weight-family": {"values": ([_WEIGHTS], _REQUIRED)},
 })
 
 _CONFIG = {
@@ -270,13 +264,7 @@ def _walk_named(value: Any, spec: _Named, where: str) -> Any:
         choices = ", ".join(map(repr, spec.tables))
         raise ConfigurationError(f"{key_path} must be one of {choices}, got {name!r}")
     rest = {k: v for k, v in obj.items() if k != spec.key}
-    out = {spec.key: name, **_walk(rest, spec.tables[name], where, f" ({spec.key} {name!r})")}
-    return value if spec.bare == "keep" and isinstance(value, str) else out
-
-
-def _named(spec: Any, key: str) -> dict:
-    """A resolved section that may be a bare name, as an object."""
-    return {key: spec} if isinstance(spec, str) else spec
+    return {spec.key: name, **_walk(rest, spec.tables[name], where, f" ({spec.key} {name!r})")}
 
 
 @dataclass
@@ -295,10 +283,9 @@ class ExperimentConfig:
         family = params.pop("family")
         model = next(m for m in _MODELS if m.family == family)(**params)
         n = len(cfg["sources"])
-        cfg.setdefault("strategies", ["truthful"] * n)
+        cfg.setdefault("strategies", [{"tag": "truthful"} for _ in range(n)])
         cfg.setdefault("standardize_outputs", model.data_kind == REGRESSION)
         cfg["dvf"] = cfg["dvf"]["kind"]  # echoed and read as the bare kind name
-        config = cls({key: cfg[key] for key in _CONFIG}, model)
         if len(cfg["strategies"]) != n:
             raise ConfigurationError(f"{len(cfg['strategies'])} strategies for {n} sources")
         post_kind = cfg["post"]["kind"]
@@ -307,18 +294,23 @@ class ExperimentConfig:
             raise ConfigurationError(f"dvf {cfg['dvf']!r} needs a 'validation' section")
         # The estimator, chosen once and echoed as chosen. Only log-score
         # values on a validation set can be sampled; everything else is
-        # enumerated exactly.
+        # enumerated exactly and reads no permutations.
         estimator = cfg["estimator"]
-        if estimator["kind"] == "sampled" and not reads_validation:
+        if "permutations" in estimator and not reads_validation:
             why = (
                 "cross-validation rewards enumerate every game"
                 if post_kind == "cross-validation"
                 else f"dvf {cfg['dvf']!r} reads no validation set, so its table is enumerated"
             )
-            raise ConfigurationError(f"{why} exactly; the sampled estimator is not available")
+            if estimator["kind"] == "sampled":
+                raise ConfigurationError(f"{why} exactly; the sampled estimator is not available")
+            raise ConfigurationError(f"{why} exactly, so estimator['permutations'] is not read")
         if estimator["kind"] == "auto":
-            sample = reads_validation and n > EXACT_LIMIT
-            estimator["kind"] = "sampled" if sample else "exact"
+            if reads_validation and n > EXACT_LIMIT:
+                estimator = _walk({**estimator, "kind": "sampled"}, _ESTIMATOR, "estimator")
+            else:
+                estimator = {"kind": "exact"}
+            cfg["estimator"] = estimator
         check_source_count(n, EXACT_LIMIT if estimator["kind"] == "exact" else MASK_BITS)
         sweep = cfg["sweep"] or {"axis": None}
         if sweep["axis"] == "strategy-grid" and not 0 <= sweep["source"] < n:
@@ -377,14 +369,16 @@ class ExperimentConfig:
                     f"{where} holds {kind} data, but model {family!r} scores "
                     f"{model.data_kind} outputs"
                 )
-        noisy = validation is not None and "noise_sd" in validation
+        # Of the binary pools only a CSV pool has a noise_sd (a Bernoulli
+        # spec refuses the key and the sweep above).
+        noisy = validation is not None and validation.get("noise_sd", 0) > 0
         if model.data_kind != REGRESSION and (noisy or sweep["axis"] == "validation-noise"):
             raise ConfigurationError(
                 "validation['noise_sd'], given or swept by 'validation-noise', is Gaussian output "
                 f"noise, defined only for regression outputs; model {family!r} scores "
                 f"{model.data_kind} outputs"
             )
-        return config
+        return cls({key: cfg[key] for key in _CONFIG}, model)
 
 
 # -- data materialization ------------------------------------------------------
@@ -407,8 +401,7 @@ def _generate_linear(spec: dict, seed: int) -> Dataset:
 
 
 def _materialize(spec: dict, seed: int) -> Dataset:
-    """The dataset a (raw or resolved) data spec describes."""
-    spec = _walk(spec, _DATA, "")
+    """The dataset a resolved data or validation spec describes."""
     generator = spec["generator"]
     if generator == "csv":
         return load_csv(spec["csv"], spec["output_column"], spec["kind"])
@@ -438,16 +431,14 @@ def _sweep_points(cfg: dict) -> list[tuple[str | None, dict]]:
         if sweep["axis"] == "strategy-grid":
             strategies = list(cfg["strategies"])
             strategies[sweep["source"]] = value
-            spec = _named(value, "tag")
-            params = ",".join(f"{k}={v}" for k, v in spec.items() if k != "tag")
-            label = spec["tag"] + (f"({params})" if params else "")
+            params = ",".join(f"{k}={v}" for k, v in value.items() if k != "tag")
+            label = value["tag"] + (f"({params})" if params else "")
             point = {**cfg, "strategies": strategies}
         elif sweep["axis"] == "weight-family":
-            weights = _named(value, "family")
-            label = weights["family"]
+            label = value["family"]
             if label == "beta":
-                label = f"beta({weights['alpha']},{weights['beta']})"
-            point = {**cfg, "weights": weights}
+                label = f"beta({value['alpha']},{value['beta']})"
+            point = {**cfg, "weights": value}
         else:
             validation = {**cfg["validation"], _NUMERIC_SWEEPS[sweep["axis"]]: value}
             point, label = {**cfg, "validation": validation}, f"{value:g}"
@@ -475,17 +466,12 @@ def _validation_pool(point: dict, pools: dict[str, Dataset]) -> Dataset:
     key = json.dumps({k: v for k, v in vcfg.items() if k != "subset_fraction"}, sort_keys=True)
     if key in pools:
         return pools[key]
-    data_keys = {"generator", *_DATA.tables[vcfg["generator"]]}
-    pool = _materialize(
-        {k: v for k, v in vcfg.items() if k in data_keys},
-        derive_seed(point["seed"], "validation"),
+    pool = _materialize(vcfg, derive_seed(point["seed"], "validation"))
+    # A generator has drawn its own output noise; a CSV pool gets it added.
+    noise_sd = vcfg["noise_sd"] if vcfg["generator"] == "csv" else 0.0
+    pools[key] = perturb_validation(
+        pool, noise_sd, vcfg["sorted_fraction"], derive_seed(point["seed"], "validation-perturb")
     )
-    # A generator that draws its own output noise has consumed ``noise_sd``.
-    spec = PerturbSpec(
-        validation_noise_sd=0.0 if "noise_sd" in data_keys else vcfg.get("noise_sd", 0.0),
-        sorted_fraction=vcfg["sorted_fraction"],
-    )
-    pools[key] = perturb_validation(pool, spec, derive_seed(point["seed"], "validation-perturb"))
     return pools[key]
 
 
@@ -589,7 +575,7 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
     for label, point in _sweep_points(cfg):
         with _stage("strategies"):
             strategies = [
-                Strategy(seed=derive_seed(cfg["seed"], "strategy", i), **_named(spec, "tag"))
+                Strategy(seed=derive_seed(cfg["seed"], "strategy", i), **spec)
                 for i, spec in enumerate(point["strategies"])
             ]
             submissions = [

@@ -248,7 +248,8 @@ class TestConfigurationErrorsExit1:
         cfg["sweep"] = {"axis": "weight-family", "values": [3]}
         code, err = self.run(tmp_path, capsys, cfg)
         assert code == 1
-        assert err.startswith("configuration error:") and "weight-family" in err
+        assert err.startswith("configuration error:") and "sweep['values'][0]" in err
+        assert "weight family" in err
 
     def test_weights_list(self, tmp_path, capsys, config_path):
         cfg = json.loads(config_path.read_text())
@@ -262,6 +263,31 @@ class TestConfigurationErrorsExit1:
         code, err = self.run(tmp_path, capsys, cfg)
         assert code == 1
         assert err.startswith("configuration error:") and "sampled" in err
+
+    def test_exact_estimator_takes_no_permutations(self, tmp_path, capsys, config_path):
+        cfg = json.loads(config_path.read_text())
+        cfg["estimator"] = {"kind": "exact", "permutations": 7}
+        code, err = self.run(tmp_path, capsys, cfg)
+        assert code == 1
+        assert err.startswith("configuration error:")
+        assert "estimator['permutations']" in err and "'exact'" in err
+
+    @pytest.mark.parametrize(
+        "changes, why",
+        [
+            ({"post": "none", "dvf": "cardinality"}, "dvf 'cardinality'"),
+            ({}, "cross-validation rewards"),
+        ],
+        ids=["validation-free-dvf", "cross-validation"],
+    )
+    def test_exact_only_run_refuses_permutations(self, tmp_path, capsys, changes, why):
+        # Such a run cannot sample, so an auto estimator is exact there and
+        # would never read the key.
+        cfg = two_source_cross_validation(estimator={"permutations": 7}, **changes)
+        code, err = self.run(tmp_path, capsys, cfg)
+        assert code == 1
+        assert err.startswith("configuration error:") and why in err
+        assert "exactly, so estimator['permutations'] is not read" in err
 
     def test_cross_validation_honors_exact_limit(self, tmp_path, capsys):
         assert self.run(tmp_path, capsys, two_source_cross_validation())[0] == 0
@@ -370,23 +396,26 @@ class TestConfigurationErrorsExit1:
         assert err.startswith("configuration error:") and "sorted_fraction" in err
 
     @pytest.mark.parametrize(
-        "changes",
+        "changes, says",
         [
-            {"validation": {"generator": "bernoulli", "n_points": 10, "noise_sd": 0.5}},
-            {"validation": {"csv": "missing.csv", "output_column": "y", "kind": "binary",
-                            "noise_sd": 0.5}},
-            {"sweep": {"axis": "validation-noise", "values": [0.0, 0.5]}},
+            ({"validation": {"generator": "bernoulli", "n_points": 10, "noise_sd": 0.5}},
+             "'bernoulli'"),
+            ({"sweep": {"axis": "validation-noise", "values": [0.0, 0.5]}}, "'bernoulli'"),
+            ({"validation": {"csv": "missing.csv", "output_column": "y", "kind": "binary",
+                             "noise_sd": 0.5}}, "binary outputs"),
+            ({"validation": {"csv": "missing.csv", "output_column": "y", "kind": "binary"},
+              "sweep": {"axis": "validation-noise", "values": [0.0, 0.5]}}, "binary outputs"),
         ],
-        ids=["bernoulli-key", "binary-csv-key", "sweep"],
+        ids=["bernoulli-key", "sweep", "binary-csv-key", "binary-csv-sweep"],
     )
-    def test_noise_sd_of_a_binary_pool(self, tmp_path, capsys, config_path, changes):
-        # Gaussian output noise is undefined for binary outputs; it is refused
-        # before any data is read, the CSV pool included.
+    def test_noise_sd_of_a_binary_pool(self, tmp_path, capsys, config_path, changes, says):
+        # Gaussian output noise is undefined for binary outputs. A Bernoulli
+        # spec has no noise_sd key, and a binary CSV pool refuses a nonzero
+        # one; both before any data is read.
         cfg = {**json.loads(config_path.read_text()), **changes}
         code, err = self.run(tmp_path, capsys, cfg)
         assert code == 1
-        assert err.startswith("configuration error:") and "noise_sd" in err
-        assert "binary outputs" in err
+        assert err.startswith("configuration error:") and "noise_sd" in err and says in err
 
     def test_cross_validation_split_that_leaves_no_remainder(self, tmp_path, capsys):
         cfg = {
@@ -558,8 +587,8 @@ class TestSchemaErrorsExit1:
             (("validation", "subset_fraction"), 0),
             (("validation", "subset_fraction"), 1.5),
             (("validation", "sorted_fraction"), 0.0),
-            (("validation", "noise_sd"), -1),
-            (("sweep",), {"axis": "validation-noise", "values": [-1, 0]}),
+            (("validation",), {"generator": "friedman", "n_points": 8, "noise_sd": -1}),
+            (("validation",), {"csv": "pool.csv", "output_column": "y", "noise_sd": -1}),
             (("sweep",), {"axis": "validation-fraction", "values": [0.5, 2.0]}),
             (("sweep",), {"axis": "sorted-fraction", "values": [0.0, 1.0]}),
             (("post",), {"kind": "budget", "budget": -1}),
@@ -570,7 +599,7 @@ class TestSchemaErrorsExit1:
         ids=[
             "bernoulli-n-points", "linear-n-points", "friedman-n-points", "linear-noise-sd",
             "p-above-1", "p-below-0", "subset-fraction-0", "subset-fraction-above-1",
-            "sorted-fraction-0", "validation-noise-sd", "validation-noise-sweep",
+            "sorted-fraction-0", "validation-noise-sd", "csv-validation-noise-sd",
             "validation-fraction-sweep", "sorted-fraction-sweep", "budget", "budget-a",
             "scaled-budget", "validation-frac-1",
         ],
@@ -580,6 +609,19 @@ class TestSchemaErrorsExit1:
         assert code == 1
         assert err.startswith("configuration error:")
         assert "must be" in err
+
+    def test_out_of_range_validation_noise_sweep(self, tmp_path, capsys, config_path):
+        # On a regression pool: a Bernoulli pool refuses the axis before its
+        # values are checked.
+        config_path.write_text(json.dumps({
+            "model": {"family": "gaussian-known-var"},
+            "sources": [{"generator": "friedman", "n_points": 5}] * 2,
+            "validation": {"generator": "friedman", "n_points": 8},
+        }))
+        sweep = {"axis": "validation-noise", "values": [-1, 0]}
+        code, err = self.run(tmp_path, capsys, config_path, ("sweep",), sweep)
+        assert code == 1
+        assert err.startswith("configuration error:") and "sweep['values'][0] must be" in err
 
     @pytest.mark.parametrize(
         "path, value, key",
@@ -627,7 +669,7 @@ class TestInconsistentSources:
             cfg["post"] = {"kind": "cross-validation", "validation_frac": 0.5}
         else:
             cfg["validation"] = {"csv": str(one), "output_column": "y"}
-            cfg["estimator"] = {"kind": path, "permutations": 3}
+            cfg["estimator"] = {"kind": "sampled", "permutations": 3} if path == "sampled" else path
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(cfg))
         assert main(["--config", str(cfg_path)]) == 2

@@ -9,7 +9,6 @@ from truthval import (
     BetaBernoulliModel,
     Dataset,
     InputError,
-    PerturbSpec,
     Strategy,
     apply_strategy,
     binary_dataset,
@@ -172,31 +171,46 @@ class TestStrategies:
 
 
 class TestPerturbValidation:
-    def test_identity_spec(self):
+    def test_identity(self):
         ds = friedman_generate(25, seed=13)
-        out = perturb_validation(ds, PerturbSpec(), seed=14)
+        out = perturb_validation(ds, 0.0, 1.0, seed=14)
         np.testing.assert_array_equal(out.inputs, ds.inputs)
         np.testing.assert_array_equal(out.outputs, ds.outputs)
 
     def test_noise_is_seed_deterministic(self):
         ds = friedman_generate(25, seed=13)
-        spec = PerturbSpec(validation_noise_sd=0.5)
-        a = perturb_validation(ds, spec, seed=15)
-        b = perturb_validation(ds, spec, seed=15)
+        a = perturb_validation(ds, 0.5, 1.0, seed=15)
+        b = perturb_validation(ds, 0.5, 1.0, seed=15)
         np.testing.assert_array_equal(a.outputs, b.outputs)
         assert not np.array_equal(a.outputs, ds.outputs)
 
     def test_sorted_fraction_row_count(self):
         ds = friedman_generate(100, seed=16)
-        out = perturb_validation(ds, PerturbSpec(sorted_fraction=0.25), seed=17)
+        out = perturb_validation(ds, 0.0, 0.25, seed=17)
         assert len(out) == 25
 
     def test_sorted_fraction_keeps_sorted_prefix(self):
         ds = friedman_generate(60, seed=18)
-        out = perturb_validation(ds, PerturbSpec(sorted_fraction=0.5), seed=19)
+        out = perturb_validation(ds, 0.0, 0.5, seed=19)
         # the retained rows are all original rows
         rows = {tuple(r) for r in ds.inputs}
         assert all(tuple(r) in rows for r in out.inputs)
+
+    @pytest.mark.parametrize(
+        "noise_sd, sorted_fraction, match",
+        [
+            (-0.1, 1.0, "noise_sd must be >= 0"),
+            (float("nan"), 1.0, "noise_sd must be >= 0"),
+            (0.0, 0.0, r"sorted_fraction must be in \(0, 1\]"),
+            (0.0, 1.5, r"sorted_fraction must be in \(0, 1\]"),
+            (0.0, float("nan"), r"sorted_fraction must be in \(0, 1\]"),
+        ],
+        ids=["negative-noise", "nan-noise", "fraction-0", "fraction-above-1", "nan-fraction"],
+    )
+    def test_checks_its_own_inputs(self, noise_sd, sorted_fraction, match):
+        ds = friedman_generate(10, seed=20)
+        with pytest.raises(ConfigurationError, match=match):
+            perturb_validation(ds, noise_sd, sorted_fraction, seed=21)
 
 
 class TestSplit:

@@ -10,7 +10,7 @@ import pytest
 
 from truthval import experiment
 from truthval.datagen import derive_seed, load_csv
-from truthval.semivalues import exact_semivalue
+from truthval.semivalues import budget_cap, exact_semivalue, scaled_reward
 from truthval.errors import ConfigurationError
 from truthval.experiment import (
     ExperimentConfig,
@@ -138,9 +138,10 @@ class TestConfigValidation:
         assert again.resolved == cfg.resolved
         # The echo holds the defaults that ran.
         resolved, given = cfg.resolved, {**BERNOULLI, **overrides}
-        assert resolved["strategies"] == ["truthful"] * 2 and resolved["dvf"] == "log-score"
-        # auto is echoed as the estimator it chose.
-        assert resolved["estimator"] == {"kind": "exact", "permutations": 3000}
+        assert resolved["strategies"] == [{"tag": "truthful"}] * 2
+        assert resolved["dvf"] == "log-score"
+        # auto is echoed as the estimator it chose, and exact reads no permutations.
+        assert resolved["estimator"] == {"kind": "exact"}
         if given["validation"] is not None:
             assert resolved["validation"]["subset_fraction"] == given["validation"].get(
                 "subset_fraction", 0.5
@@ -178,7 +179,7 @@ class TestConfigValidation:
 
     def test_generator_n_points_must_be_an_integer(self):
         with pytest.raises(ConfigurationError, match="n_points must be an integer"):
-            _materialize({"generator": "bernoulli", "n_points": 4.5}, seed=0)
+            experiment._walk({"generator": "bernoulli", "n_points": 4.5}, experiment._DATA, "")
 
 
 def skewed_bernoulli_config(**overrides):
@@ -229,6 +230,51 @@ class TestSampledWeights:
         assert rows == run_experiment(sampled).rows
 
 
+class TestCanonicalEcho:
+    """Every spelling of one run resolves to one config, hence one hash."""
+
+    def test_spellings_of_one_run_share_one_hash(self):
+        pool = {"generator": "friedman", "n_points": 10}
+        base = {
+            "seed": 3,
+            "repeats": 2,
+            "model": {"family": "gaussian-known-var"},
+            "sources": [{"generator": "friedman", "n_points": n} for n in (6, 4)],
+            "validation": pool,
+        }
+        spellings = [
+            {},
+            {"strategies": ["truthful", "truthful"]},
+            {"strategies": [{"tag": "truthful"}, {"tag": "truthful"}]},
+            {"validation": {**pool, "noise_sd": 1.0}},
+            {"estimator": "exact"},
+            {"estimator": {"kind": "exact"}},
+        ]
+        reports = [run_experiment(ExperimentConfig.from_dict({**base, **s})) for s in spellings]
+        assert {report.config_hash for report in reports} == {reports[0].config_hash}
+        assert all(report.rows == reports[0].rows for report in reports)
+        assert reports[0].config["validation"]["noise_sd"] == 1.0
+
+    @pytest.mark.parametrize(
+        "sweep, names, objects",
+        [
+            ({"axis": "weight-family"}, ["shapley", "banzhaf"],
+             [{"family": "shapley"}, {"family": "banzhaf"}]),
+            ({"axis": "strategy-grid", "source": 0}, ["truthful", "duplicate"],
+             [{"tag": "truthful"}, {"tag": "duplicate"}]),
+        ],
+        ids=["weight-family", "strategy-grid"],
+    )
+    def test_sweep_values_as_names_or_objects_share_one_hash(self, sweep, names, objects):
+        reports = [
+            run_experiment(bernoulli_config(sweep={**sweep, "values": values}))
+            for values in (names, objects)
+        ]
+        assert reports[0].config_hash == reports[1].config_hash
+        assert reports[0].config["sweep"]["values"] == objects
+        assert reports[0].rows == reports[1].rows
+
+
 class TestConfigShapes:
     def test_filled_in_defaults_are_not_shared_between_configs(self):
         def linear_config():
@@ -238,6 +284,10 @@ class TestConfigShapes:
 
         linear_config().resolved["sources"][0]["weights"].append(2.0)
         assert linear_config().resolved["sources"][0]["weights"] == [1.0]
+        # Each source's default strategy is its own object.
+        strategies = bernoulli_config().resolved["strategies"]
+        strategies[0]["frac"] = 0.5
+        assert strategies[1] == {"tag": "truthful"}
 
     def test_csv_source_needs_output_column(self):
         with pytest.raises(ConfigurationError, match="output_column"):
@@ -249,7 +299,7 @@ class TestConfigShapes:
 
     @pytest.mark.parametrize("value", [3, ["shapley"], None])
     def test_weight_family_sweep_values_are_names_or_objects(self, value):
-        with pytest.raises(ConfigurationError, match="weight-family sweep value"):
+        with pytest.raises(ConfigurationError, match=r"sweep\['values'\]\[1\].*weight family"):
             bernoulli_config(sweep={"axis": "weight-family", "values": ["shapley", value]})
 
     def test_weights_must_not_be_a_list(self):
@@ -322,6 +372,27 @@ class TestRunner:
             bernoulli_config(post={"kind": "budget", "a": 1.0, "budget": 0.05})
         )
         assert all(row.reward <= 0.05 + 1e-12 for row in report.rows)
+
+    @pytest.mark.parametrize(
+        "estimator", ["exact", {"kind": "sampled", "permutations": 200}], ids=["exact", "sampled"]
+    )
+    @pytest.mark.parametrize(
+        "post",
+        [{"kind": "budget", "budget": 0.2, "a": 1.5}, {"kind": "scaled", "budget": 0.2, "gamma": 0.1}],
+        ids=["budget", "scaled"],
+    )
+    def test_post_processing_maps_the_runs_own_rewards(self, estimator, post):
+        # Source 0's rewards clear the budget here and source 1's do not.
+        plain = run_experiment(bernoulli_config(estimator=estimator)).rows
+        rows = run_experiment(bernoulli_config(estimator=estimator, post=post)).rows
+        for r in range(BERNOULLI["repeats"]):
+            phi = np.array([row.reward for row in plain if row.repeat == r])
+            if post["kind"] == "budget":
+                want = budget_cap(phi, post["a"], post["budget"])
+            else:
+                want = scaled_reward(phi, post["budget"], post["gamma"])
+            assert [row.reward for row in rows if row.repeat == r] == want.tolist()
+        assert max(row.reward for row in rows) <= post["budget"]
 
     def test_sampled_estimator_close_to_exact_here(self):
         exact = run_experiment(bernoulli_config(repeats=1))
@@ -535,7 +606,8 @@ class TestValidationPool:
             "validation": spec,
         }).resolved
         pool = experiment._validation_pool(point, {})
-        expected = _materialize(spec, derive_seed(4, "validation"))
+        assert point["validation"]["noise_sd"] == 0.5
+        expected = _materialize(point["validation"], derive_seed(4, "validation"))
         assert np.array_equal(pool.outputs, expected.outputs)
         assert np.array_equal(pool.inputs, expected.inputs)
 
@@ -639,10 +711,8 @@ class TestReports:
 
 class TestGenerators:
     def test_linear_generator_shapes(self):
-        ds = _materialize(
-            {"generator": "linear", "n_points": 12, "weights": [1.0, 2.0], "noise_sd": 0.5},
-            seed=3,
-        )
+        spec = {"generator": "linear", "n_points": 12, "weights": [1.0, 2.0], "noise_sd": 0.5}
+        ds = _materialize(experiment._walk(spec, experiment._DATA, ""), seed=3)
         assert ds.inputs.shape == (12, 2)
 
     def test_friedman_source_alpha_changes_its_value(self):
@@ -664,5 +734,5 @@ class TestGenerators:
         assert source0_value(0.9) != source0_value(0.0)
 
     def test_unknown_generator(self):
-        with pytest.raises(ConfigurationError):
-            _materialize({"generator": "cauchy", "n_points": 3}, seed=0)
+        with pytest.raises(ConfigurationError, match="'cauchy'"):
+            bernoulli_config(sources=[{"generator": "cauchy", "n_points": 3}])

@@ -521,6 +521,24 @@ def permuted_table_masks(order, n):
 
 class TestGpLattice:
     @pytest.mark.parametrize("kind", ["log-score", "mean-log-score"])
+    def test_featureless_gp_is_the_gaussian_mean_model(self, kind):
+        # With no input features every kernel entry is signal_var: the latent
+        # function is one constant with prior N(0, signal_var), which is the
+        # Gaussian-mean model with prior_mean 0 and prior_var signal_var.
+        rng = np.random.default_rng(66)
+        sources = [outputs_dataset(rng.normal(0.4, 1.0, size=k)) for k in (4, 2, 5)]
+        pool = outputs_dataset(rng.normal(0.4, 1.0, size=7))
+        subsets = [np.array([0, 2, 3, 6]), np.array([1, 4, 5])]
+        gp = GpHyper(signal_var=0.8, noise_var=0.3)
+        mean = GaussianMeanModel(prior_mean=0.0, prior_var=0.8, noise_var=0.3)
+        got = CoalitionScorer(gp, kind, sources, pool, subsets).table()
+        want = CoalitionScorer(mean, kind, sources, pool, subsets).table()
+        assert len(got) == len(want) == 2
+        for a, b in zip(got, want):
+            # Observed: 3.1e-15 (log-score) and 1.1e-15 (mean-log-score).
+            np.testing.assert_allclose(a.values, b.values, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("kind", ["log-score", "mean-log-score"])
     def test_block_that_is_not_positive_definite_raises_without_jitter(self, kind):
         sources, pool = shared_input_instance()
         model = GpHyper(lengthscales=0.05, noise_var=1e-17)
