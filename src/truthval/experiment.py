@@ -572,20 +572,11 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
         ]
     rows: list[ReportRow] = []
     pools: dict[str, Dataset] = {}
-    for label, point in _sweep_points(cfg):
-        with _stage("strategies"):
-            strategies = [
-                Strategy(seed=derive_seed(cfg["seed"], "strategy", i), **spec)
-                for i, spec in enumerate(point["strategies"])
-            ]
-            submissions = [
-                apply_strategy(src, strat) for src, strat in zip(raw_sources, strategies)
-            ]
-        pool = None
-        if point["validation"] is not None:
-            with _stage("validation"):
-                pool = _validation_pool(point, pools)
-        rows.extend(_run_point(config.model, point, label, submissions, strategies, pool))
+    # A strategy grid's points differ only in its swept source, so they run together.
+    points, sweep = _sweep_points(cfg), cfg["sweep"] or {}
+    swept = sweep.get("source", len(raw_sources) - 1)  # only a strategy grid has one
+    for group in [points] if "source" in sweep else [[point] for point in points]:
+        rows.extend(_run_points(config.model, group, raw_sources, swept, pools))
     blob = json.dumps(cfg, sort_keys=True, default=str).encode()
     return RunReport(
         config=cfg,
@@ -598,58 +589,67 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
     )
 
 
-def _run_point(
-    model: Any,
-    point: dict,
-    label: str | None,
-    submissions: list[Dataset],
-    strategies: list[Strategy],
-    pool: Dataset | None,
-) -> list[ReportRow]:
-    """Rows of one sweep point; ``pool`` is the validation pool of a run that
-    reads one and None otherwise."""
-    n = len(submissions)
+def _run_points(model, points, raw_sources, swept, pools) -> list[ReportRow]:
+    """Rows of the sweep ``points``, (label, config) pairs that differ at most in
+    the strategy of source ``swept``; ``pools`` as in :func:`_validation_pool`."""
+    point, n = points[0][1], len(raw_sources)
+    with _stage("strategies"):
+        seeds = [derive_seed(point["seed"], "strategy", i) for i in range(n)]
+        strategies = [
+            [Strategy(seed=seed, **spec) for seed, spec in zip(seeds, cfg["strategies"])]
+            for _, cfg in points
+        ]
+        submissions = [list(map(apply_strategy, raw_sources, strats)) for strats in strategies]
+    pool = None
+    if point["validation"] is not None:
+        with _stage("validation"):
+            pool = _validation_pool(point, pools)
     with _stage("weights"):
         weights = make_weights(n=n, **point["weights"])
-    with _stage("standardize"):
-        if point["standardize_outputs"]:
-            mean, sd = output_moments(submissions)
-            submissions = [shift_scale_outputs(ds, mean, sd) for ds in submissions]
-            if pool is not None:
-                pool = shift_scale_outputs(pool, mean, sd)
+    with _stage("standardize"):  # each point by its own moments
+        moments = [output_moments(s) for s in submissions] if point["standardize_outputs"] else None
 
     singletons = np.uint64(1) << np.arange(n, dtype=np.uint64)
     with _stage("validation"):
         subsets = None if pool is None else _repeat_subsets(point, pool)
 
-    # repeat(r) -> (each source's value, its reward) in repeat r.
+    # repeat(g, r) -> (each source's value, its reward) at point g in repeat r.
     post, est = point["post"], point["estimator"]
     if post["kind"] == "cross-validation":
 
-        def repeat(r: int):
+        def repeat(g: int, r: int):
+            data = submissions[g]
+            if moments:
+                data = [shift_scale_outputs(ds, *moments[g]) for ds in data]
             cg = cross_validation_rewards(
-                submissions, post["validation_frac"], weights, model, point["seed"],
+                data, post["validation_frac"], weights, model, point["seed"],
                 split_seeds=[derive_seed(point["seed"], "split", r, j) for j in range(n)],
             )
             return np.diag(cg.per_game), cg.breve if post["variant"] == "breve" else cg.grave
 
     elif est["kind"] == "exact":
         with _stage("table"):
-            tables = CoalitionScorer(model, point["dvf"], submissions, pool, subsets).table()
+            variants = (swept, [subs[swept] for subs in submissions])
+            args = (model, point["dvf"], submissions[0], pool, subsets, variants, moments)
+            tables = CoalitionScorer(*args).table()
         with _stage("rewards"):
             results = [
                 (table.values[singletons], _post_process(exact_semivalue(table, weights), post))
                 for table in tables
             ]
+        per_point = len(tables) // len(points)
 
-        def repeat(r: int):
+        def repeat(g: int, r: int):
             # A validation-free valuation has one table, the same in every repeat.
-            return results[min(r, len(results) - 1)]
+            return results[g * per_point + min(r, per_point - 1)]
 
     else:
 
-        def repeat(r: int):
-            scorer = CoalitionScorer(model, point["dvf"], submissions, take_rows(pool, subsets[r]))
+        def repeat(g: int, r: int):
+            scorer = CoalitionScorer(
+                model, point["dvf"], submissions[g], take_rows(pool, subsets[r]),
+                moments=moments and moments[g : g + 1],
+            )
             estimate = sampled_semivalue(
                 lambda masks: scorer.values(masks)[0], weights, est["permutations"],
                 derive_seed(point["seed"], "permutations", r),
@@ -657,16 +657,16 @@ def _run_point(
             return scorer.values(singletons)[0], _post_process(estimate.values, post)
 
     with _stage("rewards"):
-        indices = range(point["repeats"])
+        tasks = [(g, r) for g in range(len(points)) for r in range(point["repeats"])]
         if point["threads"] > 1:
             with ThreadPoolExecutor(max_workers=point["threads"]) as executor:
-                per_repeat = list(executor.map(repeat, indices))
+                per_repeat = list(executor.map(repeat, *zip(*tasks)))
         else:
-            per_repeat = [repeat(r) for r in indices]
+            per_repeat = [repeat(g, r) for g, r in tasks]
         return [
             row
-            for r, (values, rewards) in enumerate(per_repeat)
-            for row in _repeat_rows(label, r, strategies, values, rewards)
+            for (g, r), (values, rewards) in zip(tasks, per_repeat)
+            for row in _repeat_rows(points[g][0], r, strategies[g], values, rewards)
         ]
 
 

@@ -134,19 +134,20 @@ def gp_block(data: Dataset) -> GpBlock:
 class GpPath:
     """Scratch of a training set grown block by block, one row per distinct
     input row of each block: the inputs, the Cholesky factor L of the noisy
-    training kernel, V = L^-1 K(train, test) and w = L^-1 y. An append at row
-    ``start`` overwrites the rows past it, so one factor's worth of memory
-    serves every training set that extends the rows before it."""
+    training kernel, V = L^-1 K(train, test), w = L^-1 y and w_1 = L^-1 1:
+    outputs (y - m) / s whiten to (w - m w_1) / s. An append at row ``start``
+    overwrites the rows past it, so one factor's worth of memory serves every
+    training set that extends the rows before it."""
 
     def __init__(self, rows: int, test_inputs: np.ndarray):
         self.inputs = np.empty((rows, test_inputs.shape[1]))
         self.factor = np.empty((rows, rows))
         self.proj = np.empty((rows, len(test_inputs)))
-        self.white = np.empty(rows)
+        self.white = np.empty((2, rows))
 
     @staticmethod
     def nbytes(rows: int, test_inputs: np.ndarray) -> int:
-        return 8 * rows * (test_inputs.shape[1] + rows + len(test_inputs) + 1)
+        return 8 * rows * (test_inputs.shape[1] + rows + len(test_inputs) + 2)
 
 
 def append_block(
@@ -162,27 +163,32 @@ def append_block(
     (Rasmussen and Williams, GPML, 2006, App. A.3):
 
         L21 = K(S, C) L_C^-T,  L22 = chol(K(S, S) + diag((noise + jitter) / counts) - L21 L21^T),
-        V_S = L22^-1 (K(S, test) - L21 V_C),  w_S = L22^-1 (y_S - L21 w_C).
+        V_S = L22^-1 (K(S, test) - L21 V_C),  w_S = L22^-1 (y_S - L21 w_C),
 
-    They fill S's rows of ``path``, and the latent posterior of C and S at the
-    test inputs is C's with mean += V_S^T w_S and cov -= V_S^T V_S. Returns
+    and w_1 as w for outputs 1. They fill S's rows of ``path``, and the latent
+    posterior of C and S at the test inputs is C's with mean += V_S^T w_S and
+    cov -= V_S^T V_S. Returns
     L22; without test inputs it returns before V_S and w_S. ``jitter`` is None
     for information gain, which adds none. A block that is not positive
     definite raises :class:`~truthval.errors.NumericalError`.
     """
     from scipy.linalg import solve_triangular
+    from scipy.linalg.lapack import dtrtrs
 
     end = start + block.counts.size
     rows = slice(start, end)
     path.inputs[rows] = block.inputs
     kernel = se_ard_kernel(block.inputs, path.inputs[:end], hyper)  # K(S, C) and K(S, S)
     cross, inner = kernel[:, :start], kernel[:, start:]
-    l21 = solve_triangular(path.factor[:start, :start], cross.T, lower=True, check_finite=False).T
+    # L_C^T leads the rows [0, start) read column-major: no copy of L_C to solve.
+    l21 = dtrtrs(path.factor[:start].T, cross.T, trans=1)[0].T if start else cross
     diag = np.diag_indices(end - start)
     inner[diag] += (hyper.noise_var + (jitter or 0.0)) / block.counts
-    inner -= l21 @ l21.T
+    schur = l21 @ l21.T
+    np.subtract(inner, schur, out=schur)  # K(S, S) + noise - L21 L21^T
+    del kernel, cross, inner  # only l21 and the Schur complement are read from here
     try:
-        l22 = np.linalg.cholesky(inner)
+        l22 = np.linalg.cholesky(schur)
     except np.linalg.LinAlgError as exc:
         why = "no jitter (information gain adds none)" if jitter is None else f"jitter {jitter:g}"
         hint = "" if jitter is None else "; a larger model 'jitter' regularises it"
@@ -190,17 +196,18 @@ def append_block(
             f"GP training kernel is not positive definite at noise_var {hyper.noise_var:g} "
             f"with {why}{hint}"
         ) from exc
+    del schur
     path.factor[rows, :start] = l21
     path.factor[rows, rows] = l22
     if len(test_inputs) == 0:
         return l22
     k_test = se_ard_kernel(block.inputs, test_inputs, hyper)
-    path.proj[rows] = solve_triangular(
-        l22, k_test - l21 @ path.proj[:start], lower=True, check_finite=False
-    )
-    path.white[rows] = solve_triangular(
-        l22, block.outputs - l21 @ path.white[:start], lower=True, check_finite=False
-    )
+    k_test -= l21 @ path.proj[:start]
+    path.proj[rows] = solve_triangular(l22, k_test, lower=True, check_finite=False)
+    for white, outputs in zip(path.white, (block.outputs, 1.0)):
+        white[rows] = solve_triangular(
+            l22, outputs - l21 @ white[:start], lower=True, check_finite=False
+        )
     return l22
 
 
@@ -228,30 +235,34 @@ def gp_posterior(
     path = GpPath(block.counts.size, test_inputs)
     append_block(path, 0, block, hyper, hyper.jitter, test_inputs)
     cov = k_star - path.proj.T @ path.proj
-    return GpPosterior(path.proj.T @ path.white, 0.5 * (cov + cov.T))
+    return GpPosterior(path.proj.T @ path.white[0], 0.5 * (cov + cov.T))
 
 
-def gaussian_logpdf(y: np.ndarray, mean: np.ndarray, cov: np.ndarray) -> float:
-    """Multivariate normal log density; raises NumericalError if cov is not PD."""
+def gaussian_logpdf(y: np.ndarray, mean: np.ndarray, cov: np.ndarray):
+    """Multivariate normal log density (per column of (k, p) ``y`` and ``mean``);
+    raises NumericalError if cov is not PD."""
     from scipy.linalg import cho_factor, cho_solve
 
     try:
         factor = cho_factor(cov, lower=True)
     except np.linalg.LinAlgError as exc:
         raise NumericalError("predictive covariance is not positive definite") from exc
-    r = y - mean
+    r = (y - mean).reshape(len(y), -1)
     alpha = cho_solve(factor, r)
     logdet = 2.0 * float(np.sum(np.log(np.diag(factor[0]))))
-    return float(-0.5 * (len(y) * math.log(2.0 * math.pi) + logdet + r @ alpha))
+    quad = np.array([column @ solved for column, solved in zip(r.T, alpha.T)])
+    density = -0.5 * (len(y) * math.log(2.0 * math.pi) + logdet + quad)
+    return density if np.ndim(y) > 1 else float(density[0])
 
 
 def predictive_log_density(y: np.ndarray, mean: np.ndarray, latent: np.ndarray, noise_var: float):
     """Log density of the outputs ``y`` under a latent posterior with
     observation noise ``noise_var`` added: joint, a float, when ``latent`` is
     the latent covariance, and per point when it is the vector of latent
-    variances. Negative latent variances, left by rounding, count as 0."""
+    variances, for each column of ``y`` and ``mean`` when they are (k, p).
+    Negative latent variances, left by rounding, count as 0."""
     if latent.ndim == 1:
-        var = np.maximum(latent, 0.0) + noise_var
+        var = np.maximum(latent, 0.0).reshape(-1, *[1] * (np.ndim(y) - 1)) + noise_var
         return -0.5 * (np.log(2.0 * np.pi * var) + (y - mean) ** 2 / var)
     cov = latent.copy()
     diag = np.diag_indices_from(cov)

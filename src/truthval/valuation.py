@@ -23,6 +23,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .data import Dataset, check_consistent, concat_datasets, empty_like, take_rows
+from .datagen import shift_scale_outputs
 from .errors import ConfigurationError, InputError, NumericalError, UnsupportedConfigurationError
 from .gp import GpHyper, GpPath, append_block, gp_block, predictive_log_density, se_ard_kernel
 from .models import (
@@ -182,12 +183,11 @@ _BLOCK = 512
 class _GpLevel(NamedTuple):
     """A coalition on the GP lattice path.
 
-    Its training rows are rows ``[0, end)`` of the path's
-    :class:`~truthval.gp.GpPath`. Its latent posterior on the pool is ``mean`` plus
-    ``spread``: one covariance block per validation set for ``log-score``,
-    the pool variances for ``mean-log-score``. For ``info-gain`` the pool has
-    no rows and ``logdet`` is log det(I + K / noise_var) of the raw training
-    rows.
+    Its training rows are rows ``[0, end)`` of the path's :class:`~truthval.gp.GpPath`.
+    Its latent posterior on the pool is ``mean``, the rows V^T w and V^T w_1,
+    plus ``spread``: one covariance block per validation set for ``log-score``,
+    the pool variances for ``mean-log-score``. For ``info-gain`` the pool has no
+    rows and ``logdet`` is log det(I + K / noise_var) of the raw training rows.
     """
 
     end: int
@@ -214,42 +214,50 @@ class CoalitionScorer:
     the empty coalition is scored once per validation set. Every source and
     the pool must share one feature count and kind.
 
+    ``variants`` ``(i, [d_0, ..., d_{G-1}])`` makes G points, point g with source
+    i's submission d_g, and ``moments``, one ``(mean, sd)`` per point, scale its
+    outputs and pool to (y - mean) / sd; values are per point, points major.
+
     Conjugate families and the baselines score blocks of coalitions at once:
     a membership matrix times stacked per-source sums (sufficient statistics,
     or input Gram matrices for volume and linear information gain) gives
     every coalition's statistics, and one formula runs over the stack. A GP
-    walks the requested coalitions as a lattice: each coalition extends a
-    smaller one by the rows of one source, so its Cholesky factor and its
-    posterior on the pool are the parent's plus one appended block, and no
-    coalition is factorized from scratch. A source's repeated input rows enter
-    its block once, with their mean output and noise divided by their count
-    (:func:`~truthval.gp.gp_block`), and a lattice whose scratch and kept posteriors would
-    not fit in physical memory is refused before anything is allocated. The
-    posterior is kept only where the scores read it: a covariance block per
-    validation set, the variances alone for ``mean-log-score``, and only the
-    log determinant of the factor for information gain.
+    walks the requested coalitions as one lattice, the other sources, then the
+    variants as leaves: each coalition extends a smaller one by the rows of
+    one source, so its Cholesky factor and its pool posterior are the parent's
+    plus one appended block, and each is factorized once for all points, whose
+    standardizations move only the pool mean (:class:`~truthval.gp.GpPath`). A
+    source's repeated input rows enter its block once, with their mean output
+    and noise divided by their count (:func:`~truthval.gp.gp_block`), and a lattice
+    whose scratch (for the longest coalition) and kept posteriors would not fit
+    in physical memory is refused before anything is allocated. The posterior
+    is kept only where the scores read it: a covariance block per validation
+    set, the variances alone for ``mean-log-score``, and only the log
+    determinant of the factor for information gain.
     """
 
-    def __init__(self, model, kind: str, sources: list[Dataset], pool=None, subsets=None):
+    def __init__(self, model, kind, sources, pool=None, subsets=None, variants=None, moments=None):
         if kind not in LOG_SCORE_KINDS or pool is None:
             DvfSpec(kind, model, pool)  # a known kind, with the model and pool it needs
         if not sources:
             raise ConfigurationError("need at least one source")
         check_source_count(len(sources), MASK_BITS)
+        self.n = len(sources)
+        self._swept, alternatives = variants or (self.n - 1, [sources[-1]])
+        self.points = len(alternatives)
         if pool is None:
             if subsets is not None:
                 raise ConfigurationError(f"{kind} has no validation sets to take subsets of")
-            check_consistent(sources)
+            check_consistent([*sources, *alternatives])
             pool, subsets = empty_like(sources[0]), []  # no pool rows to score
         else:
             _check_kind(model, pool, "validation")
-            check_consistent([*sources, pool])
+            check_consistent([*sources, *alternatives, pool])
             if subsets is None:
                 subsets = [np.arange(len(pool))]
             subsets = [np.asarray(idx, dtype=int) for idx in subsets]
             if any(idx.size == 0 for idx in subsets):
                 raise InputError("validation set must be non-empty")
-        self.n = len(sources)
         self._model = model
         self._kind = kind
         self._pool = pool
@@ -257,19 +265,22 @@ class CoalitionScorer:
         self._rank_deficient = 0  # coalitions given volume 0, warned of once per call
         self._lattice = isinstance(model, GpHyper) and kind in (*LOG_SCORE_KINDS, INFO_GAIN)
         if self._lattice:
-            self._blocks = [gp_block(ds) for ds in sources]
-            self._rows = sum(block.counts.size for block in self._blocks)
+            slots = [*sources[: self._swept], *sources[self._swept + 1 :], *alternatives]
+            self._blocks = [gp_block(ds) for ds in slots]
+            sizes = [block.counts.size for block in self._blocks]
+            self._rows = sum(sizes[: self.n - 1]) + max(sizes[self.n - 1 :])
+            self._moments = np.array(moments or [(0.0, 1.0)] * self.points)
             self._mean_kind = kind == MEAN_LOG_SCORE
-            # The path scratch, the pool mean and the spread (pool variances,
-            # or a covariance block per validation set) that each of up to
-            # n + 1 stack levels keeps, and the temporaries of appending the
-            # largest block b after the other rows: two b x start cross
-            # terms, a b x b kernel and three b x pool projections.
+            # The path scratch, the two pool means and the spread (pool variances,
+            # or a covariance block per validation set) that each of up to n + 1
+            # stack levels keeps, and the temporaries of appending the largest
+            # block b after the other rows: two b x start cross terms, a b x b
+            # kernel and two b x pool projections.
             floats = len(pool) if self._mean_kind else sum(idx.size**2 for idx in subsets)
-            b = max(block.counts.size for block in self._blocks)
-            append = b * (2 * (self._rows - b) + b + 3 * len(pool))
+            b = max(sizes)
+            append = b * (2 * (self._rows - b) + b + 2 * len(pool))
             need = GpPath.nbytes(self._rows, pool.inputs) + 8 * (
-                (self.n + 1) * (len(pool) + floats) + append
+                (self.n + 1) * (2 * len(pool) + floats) + append
             )
             have = _physical_memory()
             if need > have:
@@ -283,27 +294,33 @@ class CoalitionScorer:
                 spread = np.full(len(pool), model.signal_var)
             else:
                 spread = [se_ard_kernel(pool.inputs[i], pool.inputs[i], model) for i in subsets]
-            self._gp_root = _GpLevel(0, np.zeros(len(pool)), spread)
-            self._prior_scores = self._gp_scores(self._gp_root)
+            self._gp_root = _GpLevel(0, np.zeros((2, len(pool))), spread)
+            self._prior_scores = self._gp_scores(self._gp_root, np.arange(self.points))
             return
-        self._counts = np.array([len(ds) for ds in sources], dtype=float)
-        if kind in (*LOG_SCORE_KINDS, KL_FROM_PRIOR):
-            self._vectors = np.vstack([suff_stats(ds, model) for ds in sources])
-            self._nu0, self._sums0 = prior_params(model)
-        else:  # the input Gram matrices, which cardinality ignores
-            self._vectors = np.vstack([(ds.inputs.T @ ds.inputs).ravel() for ds in sources])
-            self._nu0, self._sums0 = 0.0, np.zeros(self._vectors.shape[1])
-        if kind in LOG_SCORE_KINDS:
-            self._subset_scores = [self._subset_score(idx, kind) for idx in subsets]
-        else:
-            self._subset_scores = [lambda batch: self._baseline(kind, pool.n_features, *batch)]
-        prior = (np.array([self._nu0]), self._sums0[None, :])
-        self._prior_scores = np.ravel([score(prior) for score in self._subset_scores])
+        self._conjugate = []  # per point: row counts, per-source sums, scores, prior scores
+        for d, m in zip(alternatives, moments or [None] * self.points):
+            *point, point_pool = [*sources[: self._swept], d, *sources[self._swept + 1 :], pool]
+            if m is not None:  # the point's sources and pool, standardized
+                *point, point_pool = [shift_scale_outputs(ds, *m) for ds in (*point, point_pool)]
+            counts = np.array([len(ds) for ds in point], dtype=float)
+            if kind in (*LOG_SCORE_KINDS, KL_FROM_PRIOR):
+                vectors = np.vstack([suff_stats(ds, model) for ds in point])
+                self._nu0, self._sums0 = prior_params(model)
+            else:  # the input Gram matrices, which cardinality ignores
+                vectors = np.vstack([(ds.inputs.T @ ds.inputs).ravel() for ds in point])
+                self._nu0, self._sums0 = 0.0, np.zeros(vectors.shape[1])
+            if kind in LOG_SCORE_KINDS:
+                scores = [self._subset_score(point_pool, idx, kind) for idx in subsets]
+            else:
+                scores = [lambda batch: self._baseline(kind, pool.n_features, *batch)]
+            prior = (np.array([self._nu0]), self._sums0[None, :])
+            self._conjugate.append((counts, vectors, scores, np.ravel([f(prior) for f in scores])))
+        self._prior_scores = np.concatenate([point[-1] for point in self._conjugate])
 
     def values(self, masks) -> np.ndarray:
-        """Values of the coalitions in the integer array ``masks`` (any shape)
-        on every validation set, shape ``(len(subsets),) + masks.shape``, or
-        ``(1,) + masks.shape`` for a validation-set-free kind."""
+        """Values of the coalitions in the integer array ``masks`` (any shape) at
+        every point on every validation set, shape ``(points * len(subsets),) +
+        masks.shape``, or ``(points,) + masks.shape`` for a validation-set-free kind."""
         masks = np.asarray(masks)
         if not np.issubdtype(masks.dtype, np.integer):
             raise ConfigurationError(f"coalition masks must be integers, got {masks.dtype}")
@@ -313,7 +330,7 @@ class CoalitionScorer:
         if self._lattice:
             scored = self._score_gp(unique)
         else:
-            scored = np.empty((len(self._prior_scores), unique.size))
+            scored = np.empty((self._prior_scores.size, unique.size))
             for start in range(0, unique.size, _BLOCK):
                 scored[:, start : start + _BLOCK] = self._score_conjugate(
                     unique[start : start + _BLOCK]
@@ -325,42 +342,51 @@ class CoalitionScorer:
         return scored[:, inverse.reshape(masks.shape)]
 
     def table(self) -> list[CharacteristicTable]:
-        """One characteristic table per validation set (one for a
-        validation-set-free kind), over all 2^n coalitions."""
+        """One characteristic table per point and validation set (per point for a
+        validation-set-free kind), points major, over all 2^n coalitions."""
         check_source_count(self.n, EXACT_LIMIT)
         return [CharacteristicTable(self.n, row) for row in self.values(np.arange(2**self.n))]
 
     def _score_conjugate(self, masks: np.ndarray) -> np.ndarray:
         members = (masks[:, None] >> np.arange(self.n, dtype=np.uint64)) & np.uint64(1)
         members = members.astype(float)
-        counts = members @ self._counts
-        batch = (self._nu0 + counts, self._sums0 + members @ self._vectors)
-        scores = np.array([score(batch) for score in self._subset_scores])
-        return np.where(counts == 0, 0.0, scores - self._prior_scores[:, None])
+        out = []
+        for counts, vectors, subset_scores, prior_scores in self._conjugate:
+            sizes = members @ counts
+            batch = (self._nu0 + sizes, self._sums0 + members @ vectors)
+            scores = np.array([score(batch) for score in subset_scores])
+            out.append(np.where(sizes == 0, 0.0, scores - prior_scores[:, None]))
+        return np.concatenate(out)
 
     def _score_gp(self, masks: np.ndarray) -> np.ndarray:
-        """Visit the coalitions in the order of their sorted member lists. The
+        """Point g's coalition C is C's other members, with variant g if C holds
+        source i. Visit these in the order of their sorted member lists. The
         stack then holds the path from the empty coalition: its level k is the
-        coalition of the first k members of the current one, and the next
-        coalition pops the levels past their common prefix and appends its
-        remaining members one source at a time."""
-        out = np.zeros((len(self._prior_scores), masks.size))
-        members = [coalition_members(int(mask), self.n) for mask in masks]
+        coalition of the first k members of the current one, and the next pops
+        the levels past their common prefix and appends its remaining members
+        one source at a time."""
+        out = np.zeros(self._prior_scores.shape + (masks.size,))
+        i, wants = self._swept, {}  # lattice coalition -> its (point, mask index) pairs
+        for j, mask in enumerate(masks):
+            others = tuple(m - (m > i) for m in coalition_members(int(mask), self.n) if m != i)
+            for g in range(self.points):
+                want = (*others, self.n - 1 + g) if int(mask) >> i & 1 else others
+                wants.setdefault(want, []).append((g, j))
         path = GpPath(self._rows, self._pool.inputs)
         on_path: list[int] = []
         stack = [self._gp_root]
-        for j in sorted(range(masks.size), key=members.__getitem__):
-            want = members[j]
+        for want in sorted(wants):
             depth = 0
             while depth < min(len(want), len(on_path)) and want[depth] == on_path[depth]:
                 depth += 1
             del on_path[depth:], stack[depth + 1 :]
-            for i in want[depth:]:
-                stack.append(self._gp_append(stack[-1], i, path))
-                on_path.append(i)
+            for slot in want[depth:]:
+                stack.append(self._gp_append(stack[-1], slot, path))
+                on_path.append(slot)
             if stack[-1].end:  # no training rows: worth exactly zero
-                out[:, j] = self._gp_scores(stack[-1]) - self._prior_scores
-        return out
+                g, j = map(list, zip(*wants[want]))
+                out[g, :, j] = self._gp_scores(stack[-1], g) - self._prior_scores[g]
+        return out.reshape(-1, masks.size)
 
     def _gp_append(self, parent: _GpLevel, source: int, path: GpPath) -> _GpLevel:
         """Extend ``parent`` by the block S of ``source``, which follows every
@@ -381,7 +407,7 @@ class CoalitionScorer:
             logdet = 2.0 * np.log(np.diag(l22)).sum() + np.log(block.counts / model.noise_var).sum()
             return parent._replace(end=end, logdet=parent.logdet + logdet)
         proj = path.proj[start:end]
-        mean = parent.mean + proj.T @ path.white[start:end]
+        mean = parent.mean + [proj.T @ white for white in path.white[:, start:end]]
         if self._mean_kind:
             return _GpLevel(end, mean, parent.spread - np.einsum("ij,ij->j", proj, proj))
         spread = []
@@ -390,16 +416,19 @@ class CoalitionScorer:
             spread.append(cov - part.T @ part)
         return _GpLevel(end, mean, spread)
 
-    def _gp_scores(self, level: _GpLevel) -> np.ndarray:
-        """Log score of every validation set under the noisy predictive of
-        ``level``'s posterior, or its information gain."""
+    def _gp_scores(self, level: _GpLevel, points) -> np.ndarray:
+        """Log score of every validation set (columns) at each of ``points`` (rows)
+        under the noisy predictive of ``level``'s posterior, or its information gain."""
         if self._kind == INFO_GAIN:
-            return np.array([0.5 * level.logdet])
-        scores = np.empty(len(self._subsets))
+            return np.full((len(points), 1), 0.5 * level.logdet)
+        shift, scale = self._moments[points].T
+        scores = np.empty((len(points), len(self._subsets)))
         for s, idx in enumerate(self._subsets):
             latent = level.spread[idx] if self._mean_kind else level.spread[s]
-            y, mean = self._pool.outputs[idx], level.mean[idx]
-            scores[s] = np.mean(predictive_log_density(y, mean, latent, self._model.noise_var))
+            y, mean = self._pool.outputs[idx, None], level.mean[:, idx, None]
+            y, mean = (y - shift) / scale, (mean[0] - shift * mean[1]) / scale
+            density = predictive_log_density(y, mean, latent, self._model.noise_var)
+            scores[:, s] = np.mean(density, axis=0) if self._mean_kind else density
         return scores
 
     def _baseline(self, kind: str, d: int, nu: np.ndarray, sums: np.ndarray) -> np.ndarray:
@@ -421,12 +450,12 @@ class CoalitionScorer:
         self._rank_deficient += int(deficient.sum())
         return np.where(deficient, 0.0, np.sqrt(np.maximum(det, 0.0)))
 
-    def _subset_score(self, idx: np.ndarray, kind: str):
-        """Log score of the conjugate family on pool rows ``idx`` as a function
-        of a stacked ``(nu, sums)`` batch of posterior parameters, one score
-        per coalition."""
+    def _subset_score(self, pool: Dataset, idx: np.ndarray, kind: str):
+        """Log score of the conjugate family on rows ``idx`` of ``pool`` as a
+        function of a stacked ``(nu, sums)`` batch of posterior parameters, one
+        score per coalition."""
         model = self._model
-        validation = take_rows(self._pool, idx)
+        validation = take_rows(pool, idx)
         if kind == MEAN_LOG_SCORE:
             return lambda batch: pointwise_log_predictive_batch(model, *batch, validation).mean(
                 axis=1

@@ -376,10 +376,10 @@ class TestConfigurationErrorsExit1:
         }
         code, err = self.run(tmp_path, capsys, cfg)
         assert code == 1
-        # 8 bytes x (120 rows x (6 inputs + 120 factor + 20 pool + 1 white)
-        # + 3 stack levels x (20 pool means + a 10 x 10 validation covariance)
-        # + a 60-row append after 60 rows: 60 x (2 x 60 + 60 + 3 x 20)).
-        assert err.startswith("configuration error:") and "needs 0.000259 GB" in err
+        # 8 bytes x (120 rows x (6 inputs + 120 factor + 20 pool + 2 white)
+        # + 3 stack levels x (2 x 20 pool means + a 10 x 10 validation covariance)
+        # + a 60-row append after 60 rows: 60 x (2 x 60 + 60 + 2 x 20)).
+        assert err.startswith("configuration error:") and "needs 0.000251 GB" in err
 
     @pytest.mark.parametrize(
         "changes",
@@ -682,6 +682,37 @@ class TestInconsistentSources:
 
 
 class TestDeterminism:
+    @staticmethod
+    def payloads(tmp_path, capsys, cfg):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        payloads = []
+        for threads in ("1", "2"):
+            assert main(["--config", str(path), "--threads", threads]) == 0
+            report = json.loads(capsys.readouterr().out)
+            payloads.append(json.dumps([report["rows"], report["summary"]]))
+        return payloads
+
+    def test_gp_strategy_grid_same_rows_at_any_thread_count(self, tmp_path, capsys):
+        # Exact and standardized: one lattice for the three points.
+        cfg = {
+            "seed": 5,
+            "repeats": 2,
+            "model": {"family": "gp", "lengthscales": 0.7, "noise_var": 0.1},
+            "sources": [{"generator": "friedman", "n_points": n} for n in (10, 8, 6)],
+            "validation": {"generator": "friedman", "n_points": 16},
+            "estimator": "exact",
+            "standardize_outputs": True,
+            "sweep": {
+                "axis": "strategy-grid",
+                "source": 1,
+                "values": ["truthful", {"tag": "noise-output", "level": 2.0}, "duplicate"],
+            },
+        }
+        payloads = self.payloads(tmp_path, capsys, cfg)
+        assert payloads[0] == payloads[1]
+        assert len(json.loads(payloads[0])[0]) == 3 * 2 * 3
+
     def test_gp_cross_validation_same_rows_at_any_thread_count(self, tmp_path, capsys):
         cfg = {
             "seed": 3,
@@ -697,11 +728,5 @@ class TestDeterminism:
                 "values": ["truthful", {"tag": "duplicate", "copies": 2}],
             },
         }
-        path = tmp_path / "cfg.json"
-        path.write_text(json.dumps(cfg))
-        payloads = []
-        for threads in ("1", "2"):
-            assert main(["--config", str(path), "--threads", threads]) == 0
-            report = json.loads(capsys.readouterr().out)
-            payloads.append(json.dumps([report["rows"], report["summary"]]))
+        payloads = self.payloads(tmp_path, capsys, cfg)
         assert payloads[0] == payloads[1]

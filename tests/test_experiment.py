@@ -736,3 +736,95 @@ class TestGenerators:
     def test_unknown_generator(self):
         with pytest.raises(ConfigurationError, match="'cauchy'"):
             bernoulli_config(sources=[{"generator": "cauchy", "n_points": 3}])
+
+
+# The strategies of the GP benchmark's grid, in its order.
+SIX_STRATEGIES = [
+    "truthful",
+    {"tag": "subset", "frac": 0.1},
+    {"tag": "noise-output", "level": 3.0},
+    {"tag": "duplicate", "copies": 3},
+    {"tag": "inject", "frac": 0.1, "offset": 0.1},
+    {"tag": "noise-input", "sd": 0.2},
+]
+
+
+def gp_grid_config(source, values, sizes=(8, 6, 5)):
+    return ExperimentConfig.from_dict({
+        "seed": 4,
+        "repeats": 2,
+        "model": {"family": "gp", "lengthscales": 0.7, "noise_var": 0.1},
+        "sources": [{"generator": "friedman", "n_points": k} for k in sizes],
+        "validation": {"generator": "friedman", "n_points": 12},
+        "sweep": {"axis": "strategy-grid", "source": source, "values": values},
+    })
+
+
+def point_rows(report, label):
+    return [(r.repeat, r.source, r.strategy, r.value, r.reward)
+            for r in report.rows if r.sweep == label]
+
+
+class TestStrategyGridLattice:
+    """An exact strategy grid is one lattice: the n - 1 unchanged sources
+    followed by the G variants of the swept source."""
+
+    @pytest.mark.parametrize(
+        "source, values, appends",
+        [
+            # 2^(n-1) - 1 coalitions without the swept source, once, and the
+            # 2^(n-1) with it at each of G points; per point, G (2^n - 1).
+            (1, ["truthful", {"tag": "subset", "frac": 0.5}, "duplicate"], 3 + 3 * 4),  # not 21
+            (0, SIX_STRATEGIES, 3 + 6 * 4),  # the benchmark's shape; not 42
+        ],
+        ids=["three-points", "benchmark-shape"],
+    )
+    def test_unchanged_coalitions_are_appended_once(self, source, values, appends, monkeypatch):
+        from truthval import valuation
+
+        append_block, calls = valuation.append_block, []
+
+        def counted(*args, **kwargs):
+            calls.append(args[1])  # the row the block is appended at
+            return append_block(*args, **kwargs)
+
+        monkeypatch.setattr(valuation, "append_block", counted)
+        report = run_experiment(gp_grid_config(source, values))
+        assert len(calls) == appends
+        assert len(report.rows) == len(values) * 2 * 3
+
+    @pytest.mark.parametrize(
+        "model, source",
+        [
+            ({"family": "bayes-linreg", "n_features": 1}, {"generator": "linear", "n_points": 9}),
+            ({"family": "gaussian-known-var"}, {"generator": "friedman", "n_points": 7}),
+        ],
+        ids=["bayes-linreg", "gaussian-known-var"],
+    )
+    @pytest.mark.parametrize("dvf", ["log-score", "mean-log-score"])
+    def test_conjugate_grid_rows_equal_each_point_run_alone(self, model, source, dvf):
+        grid = ExperimentConfig.from_dict({
+            "seed": 8,
+            "repeats": 2,
+            "model": model,
+            "dvf": dvf,
+            "sources": [source, {**source, "n_points": 5}, {**source, "n_points": 6}],
+            "strategies": ["truthful", {"tag": "noise-output", "level": 0.5}, "truthful"],
+            "validation": {**source, "n_points": 14},
+            "sweep": {"axis": "strategy-grid", "source": 2,
+                      "values": ["truthful", {"tag": "subset", "frac": 0.5}, "duplicate"]},
+        })
+        report = run_experiment(grid)
+        for label, point in experiment._sweep_points(report.config):
+            alone = run_experiment(ExperimentConfig.from_dict({**point, "sweep": None}))
+            assert point_rows(report, label) == point_rows(alone, None)
+
+    def test_gp_grid_rows_match_each_point_run_alone(self):
+        report = run_experiment(gp_grid_config(0, SIX_STRATEGIES))
+        for label, point in experiment._sweep_points(report.config):
+            alone = run_experiment(ExperimentConfig.from_dict({**point, "sweep": None}))
+            got, want = point_rows(report, label), point_rows(alone, None)
+            assert [row[:3] for row in got] == [row[:3] for row in want]
+            np.testing.assert_allclose(
+                [row[3:] for row in got], [row[3:] for row in want], rtol=1e-10, atol=1e-12
+            )

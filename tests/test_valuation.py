@@ -29,8 +29,10 @@ from truthval import (
     exact_semivalue,
     friedman_generate,
     make_weights,
+    output_moments,
     outputs_dataset,
     se_ard_kernel,
+    shift_scale_outputs,
     split_train_validation,
     take_rows,
 )
@@ -694,6 +696,54 @@ class TestGpLattice:
             CoalitionScorer(*args)
         need = float(re.search(r"needs (\S+) GB", str(refused.value)).group(1)) * 1e9
         assert 0.8 * peak <= need <= 1.25 * peak
+
+    @pytest.mark.parametrize("kind", ["log-score", "mean-log-score", "info-gain"])
+    @pytest.mark.parametrize("standardize", [True, False])
+    def test_grid_matches_a_scorer_per_point(self, kind, standardize):
+        # Three variants of source 1 on one lattice, each point standardized
+        # by its own moments, against a scorer per point on the point's
+        # standardized rows: the same model, rows in another order.
+        rng = np.random.default_rng(66)
+        model, rows = FAMILIES["gp"]
+
+        def shifted(k):
+            data = rows(rng, k)
+            return Dataset(data.inputs, 4.0 + 3.0 * data.outputs)
+
+        sources = [shifted(7), shifted(5), shifted(4)]
+        variants = [shifted(6), concat_datasets([sources[1]] * 2), shifted(2)]
+        pool, subsets = shifted(9), [[0, 2, 3, 5], [1, 4, 6, 7, 8]]
+        if kind == "info-gain":  # validation-free: no pool to standardize
+            pool, subsets = None, None
+        points = [[sources[0], d, sources[2]] for d in variants]
+        moments = [output_moments(point) for point in points] if standardize else None
+        grid = CoalitionScorer(model, kind, sources, pool, subsets, (1, variants), moments)
+        got = [table.values for table in grid.table()]
+        want = []
+        for g, point in enumerate(points):
+            ref_pool = pool
+            if standardize:
+                point = [shift_scale_outputs(ds, *moments[g]) for ds in point]
+                ref_pool = None if pool is None else shift_scale_outputs(pool, *moments[g])
+            want += [t.values for t in CoalitionScorer(model, kind, point, ref_pool, subsets).table()]
+        assert len(got) == len(want) == 3 * (1 if pool is None else 2)
+        np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-12)
+
+    def test_grid_scratch_is_sized_by_the_longest_coalition(self, monkeypatch):
+        # 8 bytes x (40 rows x (2 inputs + 40 factor + 5 pool + 2 white)
+        # + 3 stack levels x (2 x 5 pool means + a 5 x 5 covariance)
+        # + a 30-row append after 10 rows: 30 x (2 x 10 + 30 + 2 x 5)) = 30,920:
+        # one fixed 10-row source and a 30-row variant, not the 100 rows of
+        # all sources.
+        monkeypatch.setattr(valuation, "_physical_memory", lambda: 30_920)
+        rng = np.random.default_rng(67)
+        model, rows = FAMILIES["gp"]
+        fixed, pool = rows(rng, 10), rows(rng, 5)
+        variants = [rows(rng, 30) for _ in range(3)]
+        CoalitionScorer(model, "log-score", [fixed, fixed], pool, None, (1, variants))
+        longer = [*variants[:2], rows(rng, 31)]
+        with pytest.raises(ConfigurationError, match="41 distinct training rows"):
+            CoalitionScorer(model, "log-score", [fixed, fixed], pool, None, (1, longer))
 
     def test_cross_game_scorer_matches_per_game_tables(self):
         rng = np.random.default_rng(62)
