@@ -24,7 +24,7 @@ from typing import Any
 
 import numpy as np
 
-from .data import BINARY, REGRESSION, Dataset, take_rows
+from .data import BINARY, REGRESSION, Dataset
 from .datagen import (
     Strategy,
     apply_strategy,
@@ -63,8 +63,6 @@ def _stage(name: str):
     try:
         yield
     except TruthvalError as exc:
-        if str(exc).startswith("["):
-            raise
         raise type(exc)(f"[{name}] {exc}") from exc
 
 
@@ -75,9 +73,8 @@ def _stage(name: str):
 # types and fills in defaults; its output is the resolved config that reports
 # echo and the runner reads, in one canonical form. _REQUIRED keys must be
 # given. _OPTIONAL keys may be omitted and are then not echoed: the class the
-# section is passed to (a model or ``Strategy``) owns their defaults, strategy
-# labels show only the parameters given, and an ``auto`` estimator that
-# samples takes the ``sampled`` table's default.
+# section is passed to (a model or ``Strategy``) owns their defaults, and
+# strategy labels show only the parameters given.
 
 _REQUIRED = object()
 _OPTIONAL = object()
@@ -178,7 +175,7 @@ _POST = _Named("kind", "post-processing", {
 }, implied="none", bare=True)
 
 _ESTIMATOR = _Named("kind", "estimator", {
-    "auto": {"permutations": (_COUNT, _OPTIONAL)},
+    "auto": {},
     "exact": {},
     "sampled": {"permutations": (_COUNT, 3000)},
 }, implied="auto", bare=True)
@@ -294,23 +291,18 @@ class ExperimentConfig:
             raise ConfigurationError(f"dvf {cfg['dvf']!r} needs a 'validation' section")
         # The estimator, chosen once and echoed as chosen. Only log-score
         # values on a validation set can be sampled; everything else is
-        # enumerated exactly and reads no permutations.
+        # enumerated exactly.
         estimator = cfg["estimator"]
-        if "permutations" in estimator and not reads_validation:
+        if estimator["kind"] == "sampled" and not reads_validation:
             why = (
                 "cross-validation rewards enumerate every game"
                 if post_kind == "cross-validation"
                 else f"dvf {cfg['dvf']!r} reads no validation set, so its table is enumerated"
             )
-            if estimator["kind"] == "sampled":
-                raise ConfigurationError(f"{why} exactly; the sampled estimator is not available")
-            raise ConfigurationError(f"{why} exactly, so estimator['permutations'] is not read")
+            raise ConfigurationError(f"{why} exactly; the sampled estimator is not available")
         if estimator["kind"] == "auto":
-            if reads_validation and n > EXACT_LIMIT:
-                estimator = _walk({**estimator, "kind": "sampled"}, _ESTIMATOR, "estimator")
-            else:
-                estimator = {"kind": "exact"}
-            cfg["estimator"] = estimator
+            kind = "sampled" if reads_validation and n > EXACT_LIMIT else "exact"
+            cfg["estimator"] = estimator = _walk({"kind": kind}, _ESTIMATOR, "estimator")
         check_source_count(n, EXACT_LIMIT if estimator["kind"] == "exact" else MASK_BITS)
         sweep = cfg["sweep"] or {"axis": None}
         if sweep["axis"] == "strategy-grid" and not 0 <= sweep["source"] < n:
@@ -613,23 +605,27 @@ def _run_points(model, points, raw_sources, swept, pools) -> list[ReportRow]:
     with _stage("validation"):
         subsets = None if pool is None else _repeat_subsets(point, pool)
 
-    # repeat(g, r) -> (each source's value, its reward) at point g in repeat r.
+    # repeat(r) -> each point's (each source's value, its reward) in repeat r.
     post, est = point["post"], point["estimator"]
+    variants = (swept, [subs[swept] for subs in submissions])
     if post["kind"] == "cross-validation":
 
-        def repeat(g: int, r: int):
-            data = submissions[g]
-            if moments:
-                data = [shift_scale_outputs(ds, *moments[g]) for ds in data]
-            cg = cross_validation_rewards(
-                data, post["validation_frac"], weights, model, point["seed"],
-                split_seeds=[derive_seed(point["seed"], "split", r, j) for j in range(n)],
-            )
-            return np.diag(cg.per_game), cg.breve if post["variant"] == "breve" else cg.grave
+        def repeat(r: int):
+            # Per point: each point's games are scored on its own split of the swept source.
+            results = []
+            for g, data in enumerate(submissions):
+                if moments:
+                    data = [shift_scale_outputs(ds, *moments[g]) for ds in data]
+                cg = cross_validation_rewards(
+                    data, post["validation_frac"], weights, model, point["seed"],
+                    split_seeds=[derive_seed(point["seed"], "split", r, j) for j in range(n)],
+                )
+                rewards = cg.breve if post["variant"] == "breve" else cg.grave
+                results.append((np.diag(cg.per_game), rewards))
+            return results
 
     elif est["kind"] == "exact":
         with _stage("table"):
-            variants = (swept, [subs[swept] for subs in submissions])
             args = (model, point["dvf"], submissions[0], pool, subsets, variants, moments)
             tables = CoalitionScorer(*args).table()
         with _stage("rewards"):
@@ -637,36 +633,38 @@ def _run_points(model, points, raw_sources, swept, pools) -> list[ReportRow]:
                 (table.values[singletons], _post_process(exact_semivalue(table, weights), post))
                 for table in tables
             ]
-        per_point = len(tables) // len(points)
+        sets = len(tables) // len(points)  # tables per point, points major
 
-        def repeat(g: int, r: int):
+        def repeat(r: int):
             # A validation-free valuation has one table, the same in every repeat.
-            return results[g * per_point + min(r, per_point - 1)]
+            return results[min(r, sets - 1) :: sets]
 
     else:
 
-        def repeat(g: int, r: int):
+        def repeat(r: int):
+            # Every point draws the same permutations, so one scorer serves them all.
             scorer = CoalitionScorer(
-                model, point["dvf"], submissions[g], take_rows(pool, subsets[r]),
-                moments=moments and moments[g : g + 1],
+                model, point["dvf"], submissions[0], pool, subsets[r : r + 1], variants, moments
             )
             estimate = sampled_semivalue(
-                lambda masks: scorer.values(masks)[0], weights, est["permutations"],
+                scorer.values, weights, est["permutations"],
                 derive_seed(point["seed"], "permutations", r),
             )
-            return scorer.values(singletons)[0], _post_process(estimate.values, post)
+            phis = [_post_process(phi, post) for phi in estimate.values]
+            return list(zip(scorer.values(singletons), phis))
 
     with _stage("rewards"):
-        tasks = [(g, r) for g in range(len(points)) for r in range(point["repeats"])]
+        repeats = range(point["repeats"])
         if point["threads"] > 1:
             with ThreadPoolExecutor(max_workers=point["threads"]) as executor:
-                per_repeat = list(executor.map(repeat, *zip(*tasks)))
+                per_repeat = list(executor.map(repeat, repeats))
         else:
-            per_repeat = [repeat(g, r) for g, r in tasks]
+            per_repeat = list(map(repeat, repeats))
         return [
             row
-            for (g, r), (values, rewards) in zip(tasks, per_repeat)
-            for row in _repeat_rows(points[g][0], r, strategies[g], values, rewards)
+            for g, (label, _) in enumerate(points)
+            for r, per_point in enumerate(per_repeat)
+            for row in _repeat_rows(label, r, strategies[g], *per_point[g])
         ]
 
 

@@ -85,9 +85,6 @@ def se_ard_kernel(xa: np.ndarray, xb: np.ndarray, hyper: GpHyper) -> np.ndarray:
     """signal_var * exp(-0.5 * sum_d (xa_d - xb_d)^2 / lengthscale_d^2)."""
     d = xa.shape[1]
     ls = hyper.resolved_lengthscales(d)
-    if d == 0:
-        # No features: every pair is maximally similar.
-        return np.full((xa.shape[0], xb.shape[0]), hyper.signal_var)
     sa = xa / ls
     sb = xb / ls
     # In place, in the order of the plain expression (a + b) - 2 sa sb^T, so
@@ -122,8 +119,6 @@ def gp_block(data: Dataset) -> GpBlock:
     _, first, inverse, counts = np.unique(
         data.inputs, axis=0, return_index=True, return_inverse=True, return_counts=True
     )
-    if counts.size == len(data):  # no repeated row: the rows as given
-        return GpBlock(data.inputs, data.outputs, np.ones(len(data)))
     order = np.argsort(first)
     rank = np.argsort(order)  # a row's position in order of first appearance
     counts = counts[order].astype(float)

@@ -150,9 +150,10 @@ def sampled_semivalue(
     probability 1 / (n * binom(n-1, c)), so the scaled marginal is unbiased
     for every semivalue, and the factor is 1 for the Shapley value (Castro,
     Gomez and Tejada, 2009). The estimate is the per-source mean across
-    permutations. ``evaluator`` maps an unsigned integer array of coalition
-    bitmasks to an array of their values of the same shape; it is called
-    once, with every prefix of every permutation.
+    permutations. ``evaluator`` maps the (P, n + 1) unsigned integer array of
+    every prefix of every permutation to their values, in one call; values of
+    shape (..., P, n + 1) are stacked games that share the permutations, and
+    give ``values`` and ``stderr`` of shape (..., n).
     """
     n = weights.n
     check_source_count(n, MASK_BITS)
@@ -162,15 +163,15 @@ def sampled_semivalue(
     perms = np.array([rng.permutation(n) for _ in range(n_permutations)])
     prefixes = np.zeros((n_permutations, n + 1), dtype=np.uint64)
     np.cumsum(np.uint64(1) << perms.astype(np.uint64), axis=1, out=prefixes[:, 1:])
-    gains = np.diff(np.asarray(evaluator(prefixes), dtype=float), axis=1)
+    gains = np.diff(np.asarray(evaluator(prefixes), dtype=float), axis=-1)
     scale = n * weights.w * np.array([math.comb(n - 1, c) for c in range(n)], dtype=float)
-    marginals = np.empty((n_permutations, n))
-    np.put_along_axis(marginals, perms, gains * scale, axis=1)
-    values = marginals.mean(axis=0)
+    marginals = np.empty(gains.shape)
+    np.put_along_axis(marginals, np.broadcast_to(perms, gains.shape), gains * scale, axis=-1)
+    values = marginals.mean(axis=-2)
     if n_permutations >= 2:
-        stderr = marginals.std(axis=0, ddof=1) / math.sqrt(n_permutations)
+        stderr = marginals.std(axis=-2, ddof=1) / math.sqrt(n_permutations)
     else:
-        stderr = np.zeros(n)
+        stderr = np.zeros(values.shape)
     return SemivalueEstimate(values, stderr, n_permutations, seed)
 
 

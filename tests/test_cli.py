@@ -264,30 +264,28 @@ class TestConfigurationErrorsExit1:
         assert code == 1
         assert err.startswith("configuration error:") and "sampled" in err
 
-    def test_exact_estimator_takes_no_permutations(self, tmp_path, capsys, config_path):
+    # A two-source run that could sample: an auto estimator is exact here too.
+    @pytest.mark.parametrize("kind", ["exact", "auto"])
+    def test_exact_estimator_takes_no_permutations(self, tmp_path, capsys, config_path, kind):
         cfg = json.loads(config_path.read_text())
-        cfg["estimator"] = {"kind": "exact", "permutations": 7}
+        cfg["estimator"] = {"kind": kind, "permutations": 7}
         code, err = self.run(tmp_path, capsys, cfg)
         assert code == 1
         assert err.startswith("configuration error:")
-        assert "estimator['permutations']" in err and "'exact'" in err
+        assert f"unknown config key estimator['permutations'] (kind '{kind}')" in err
 
     @pytest.mark.parametrize(
-        "changes, why",
-        [
-            ({"post": "none", "dvf": "cardinality"}, "dvf 'cardinality'"),
-            ({}, "cross-validation rewards"),
-        ],
+        "changes",
+        [{"post": "none", "dvf": "cardinality"}, {}],
         ids=["validation-free-dvf", "cross-validation"],
     )
-    def test_exact_only_run_refuses_permutations(self, tmp_path, capsys, changes, why):
-        # Such a run cannot sample, so an auto estimator is exact there and
-        # would never read the key.
+    def test_exact_only_run_refuses_permutations(self, tmp_path, capsys, changes):
+        # Such a run cannot sample, and no auto estimator takes the key.
         cfg = two_source_cross_validation(estimator={"permutations": 7}, **changes)
         code, err = self.run(tmp_path, capsys, cfg)
         assert code == 1
-        assert err.startswith("configuration error:") and why in err
-        assert "exactly, so estimator['permutations'] is not read" in err
+        assert err.startswith("configuration error:")
+        assert "unknown config key estimator['permutations'] (kind 'auto')" in err
 
     def test_cross_validation_honors_exact_limit(self, tmp_path, capsys):
         assert self.run(tmp_path, capsys, two_source_cross_validation())[0] == 0
@@ -693,15 +691,18 @@ class TestDeterminism:
             payloads.append(json.dumps([report["rows"], report["summary"]]))
         return payloads
 
-    def test_gp_strategy_grid_same_rows_at_any_thread_count(self, tmp_path, capsys):
-        # Exact and standardized: one lattice for the three points.
+    @pytest.mark.parametrize(
+        "estimator", ["exact", {"kind": "sampled", "permutations": 40}], ids=["exact", "sampled"]
+    )
+    def test_gp_strategy_grid_same_rows_at_any_thread_count(self, tmp_path, capsys, estimator):
+        # Standardized: one lattice for the three points, per repeat when sampled.
         cfg = {
             "seed": 5,
             "repeats": 2,
             "model": {"family": "gp", "lengthscales": 0.7, "noise_var": 0.1},
             "sources": [{"generator": "friedman", "n_points": n} for n in (10, 8, 6)],
             "validation": {"generator": "friedman", "n_points": 16},
-            "estimator": "exact",
+            "estimator": estimator,
             "standardize_outputs": True,
             "sweep": {
                 "axis": "strategy-grid",

@@ -168,7 +168,7 @@ class TestConfigValidation:
             {"seed": 1.7},
             {"repeats": True},
             {"threads": "2"},
-            {"estimator": {"permutations": 100.0}},
+            {"estimator": {"kind": "sampled", "permutations": 100.0}},
             {"model": {"family": "bayes-linreg", "n_features": 2.0}},
         ],
         ids=["seed", "repeats", "threads", "permutations", "n_features"],
@@ -219,12 +219,13 @@ class TestSampledWeights:
 
     def test_auto_samples_beyond_exact_limit(self):
         sources = [{"generator": "bernoulli", "n_points": 3, "p": 0.6}] * 21
+        # A bare auto samples with the sampled estimator's default permutations.
         auto, sampled = (
-            bernoulli_config(sources=sources, estimator={"kind": kind, "permutations": 20})
-            for kind in ("auto", "sampled")
+            bernoulli_config(sources=sources, estimator=estimator)
+            for estimator in ({}, {"kind": "sampled"})
         )
         assert auto.resolved == sampled.resolved
-        assert auto.resolved["estimator"]["kind"] == "sampled"
+        assert auto.resolved["estimator"] == {"kind": "sampled", "permutations": 3000}
         rows = run_experiment(auto).rows
         assert len(rows) == 3 * 21
         assert rows == run_experiment(sampled).rows
@@ -749,15 +750,21 @@ SIX_STRATEGIES = [
 ]
 
 
-def gp_grid_config(source, values, sizes=(8, 6, 5)):
+def gp_grid_config(source, values, sizes=(8, 6, 5), estimator="auto"):
     return ExperimentConfig.from_dict({
         "seed": 4,
         "repeats": 2,
         "model": {"family": "gp", "lengthscales": 0.7, "noise_var": 0.1},
         "sources": [{"generator": "friedman", "n_points": k} for k in sizes],
         "validation": {"generator": "friedman", "n_points": 12},
+        "estimator": estimator,
         "sweep": {"axis": "strategy-grid", "source": source, "values": values},
     })
+
+
+ESTIMATORS = pytest.mark.parametrize(
+    "estimator", ["exact", {"kind": "sampled", "permutations": 40}], ids=["exact", "sampled"]
+)
 
 
 def point_rows(report, label):
@@ -766,8 +773,8 @@ def point_rows(report, label):
 
 
 class TestStrategyGridLattice:
-    """An exact strategy grid is one lattice: the n - 1 unchanged sources
-    followed by the G variants of the swept source."""
+    """A strategy grid is one lattice per repeat's scorer: the n - 1 unchanged
+    sources followed by the G variants of the swept source."""
 
     @pytest.mark.parametrize(
         "source, values, appends",
@@ -802,12 +809,14 @@ class TestStrategyGridLattice:
         ids=["bayes-linreg", "gaussian-known-var"],
     )
     @pytest.mark.parametrize("dvf", ["log-score", "mean-log-score"])
-    def test_conjugate_grid_rows_equal_each_point_run_alone(self, model, source, dvf):
+    @ESTIMATORS
+    def test_conjugate_grid_rows_equal_each_point_run_alone(self, model, source, dvf, estimator):
         grid = ExperimentConfig.from_dict({
             "seed": 8,
             "repeats": 2,
             "model": model,
             "dvf": dvf,
+            "estimator": estimator,
             "sources": [source, {**source, "n_points": 5}, {**source, "n_points": 6}],
             "strategies": ["truthful", {"tag": "noise-output", "level": 0.5}, "truthful"],
             "validation": {**source, "n_points": 14},
@@ -819,8 +828,9 @@ class TestStrategyGridLattice:
             alone = run_experiment(ExperimentConfig.from_dict({**point, "sweep": None}))
             assert point_rows(report, label) == point_rows(alone, None)
 
-    def test_gp_grid_rows_match_each_point_run_alone(self):
-        report = run_experiment(gp_grid_config(0, SIX_STRATEGIES))
+    @ESTIMATORS
+    def test_gp_grid_rows_match_each_point_run_alone(self, estimator):
+        report = run_experiment(gp_grid_config(0, SIX_STRATEGIES, estimator=estimator))
         for label, point in experiment._sweep_points(report.config):
             alone = run_experiment(ExperimentConfig.from_dict({**point, "sweep": None}))
             got, want = point_rows(report, label), point_rows(alone, None)
@@ -828,3 +838,34 @@ class TestStrategyGridLattice:
             np.testing.assert_allclose(
                 [row[3:] for row in got], [row[3:] for row in want], rtol=1e-10, atol=1e-12
             )
+
+    def test_sampled_grid_builds_one_scorer_per_repeat(self, monkeypatch):
+        # Every point of a sampled repeat draws the same permutations, so one
+        # scorer serves them all, and its lattice shares the coalitions
+        # without the swept source between the points.
+        from truthval import valuation
+
+        scorer_class, append_block = experiment.CoalitionScorer, valuation.append_block
+        scorers, appends = [], []
+
+        def counted_scorer(*args, **kwargs):
+            scorers.append(args)
+            return scorer_class(*args, **kwargs)
+
+        def counted_append(*args, **kwargs):
+            appends.append(args[1])
+            return append_block(*args, **kwargs)
+
+        monkeypatch.setattr(experiment, "CoalitionScorer", counted_scorer)
+        monkeypatch.setattr(valuation, "append_block", counted_append)
+        values = ["truthful", {"tag": "subset", "frac": 0.5}, "duplicate"]
+        grid = gp_grid_config(1, values, estimator={"kind": "sampled", "permutations": 40})
+        run_experiment(grid)
+        grid_scorers, grid_appends = len(scorers), len(appends)
+        scorers.clear()
+        appends.clear()
+        for _, point in experiment._sweep_points(grid.resolved):
+            run_experiment(ExperimentConfig.from_dict({**point, "sweep": None}))
+        assert grid_scorers == 2  # the repeats
+        assert len(scorers) == 2 * len(values)
+        assert grid_appends < len(appends)

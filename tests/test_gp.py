@@ -17,6 +17,7 @@ from truthval import (
     se_ard_kernel,
 )
 from truthval.errors import ConfigurationError
+from truthval.gp import gp_block
 
 
 def unit_hyper(**kwargs):
@@ -53,6 +54,13 @@ class TestKernel:
 
         for a, b in ((xa, xb), (xa, xa)):
             assert np.array_equal(se_ard_kernel(a, b, hyper), plain(a, b))
+
+    @pytest.mark.parametrize("lengthscales", [0.3, 7.0])
+    def test_no_features_give_exactly_signal_var(self, lengthscales):
+        # Every pair is maximally similar; the general expression gives that.
+        hyper = GpHyper(lengthscales=lengthscales, signal_var=2.7)
+        k = se_ard_kernel(np.empty((4, 0)), np.empty((3, 0)), hyper)
+        assert np.array_equal(k, np.full((4, 3), 2.7))
 
     def test_lengthscale_validation(self):
         with pytest.raises(ConfigurationError):
@@ -175,6 +183,13 @@ class TestLogPredictive:
         train = Dataset(np.array([[0.5], [0.5], [0.5]]), np.array([1.0, 1.0, 1.0]))
         val = Dataset(np.array([[0.2]]), np.array([0.4]))
         assert math.isfinite(log_predictive(unit_hyper(), train, val))
+
+    def test_block_without_repeated_rows_is_the_rows_as_given(self):
+        train = random_train(np.random.default_rng(3), 9)
+        block = gp_block(train)
+        assert np.array_equal(block.inputs, train.inputs)
+        assert np.array_equal(block.outputs, train.outputs)
+        assert np.array_equal(block.counts, np.ones(9))
 
     def test_jitter_matches_a_dense_solve_with_the_jitter_added(self):
         # Inputs 1e-9 apart are distinct rows, but their kernel is exactly the

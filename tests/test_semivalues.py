@@ -269,6 +269,20 @@ class TestSampledSemivalue:
         want[first] = 3 * GAME.values[1 << first]
         np.testing.assert_allclose(est.values, want)
 
+    @pytest.mark.parametrize("n_permutations", [1, 60])
+    def test_stacked_games_equal_separate_calls(self, n_permutations):
+        # An evaluator of G games at once, shape (G, P, n + 1), gives each game
+        # what it gives alone: the games share the permutations.
+        rng = np.random.default_rng(7)
+        tables = np.stack([random_table(rng, 6).values for _ in range(4)])
+        weights = make_weights("beta", 6, alpha=4.0, beta=1.0)
+        stacked = sampled_semivalue(lambda m: tables[:, m], weights, n_permutations, seed=5)
+        assert stacked.values.shape == stacked.stderr.shape == (4, 6)
+        for game, values, stderr in zip(tables, stacked.values, stacked.stderr):
+            alone = sampled_semivalue(lambda m: game[m], weights, n_permutations, seed=5)
+            assert values.tolist() == alone.values.tolist()
+            assert stderr.tolist() == alone.stderr.tolist()
+
     def test_more_than_64_sources_rejected_before_evaluating(self):
         def evaluator(masks):
             raise AssertionError("evaluator must not be called")
