@@ -19,7 +19,7 @@ import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
@@ -501,9 +501,6 @@ class RunReport:
     summary: list[dict]
     wall_time_s: float
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 def _repeat_rows(
     label: str | None, r: int, strategies: list[Strategy], values, rewards
@@ -685,7 +682,9 @@ def emit_report(report: RunReport, format: str, path) -> None:
 
 def render_report(report: RunReport, format: str) -> str:
     if format == "json":
-        return json.dumps(report.to_dict(), indent=2) + "\n"
+        # The fields in order, as dataclasses.asdict gives them, without its deep copy.
+        payload = {**vars(report), "rows": [vars(row) for row in report.rows]}
+        return json.dumps(payload, indent=2) + "\n"
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     # One column per ReportRow field; a report without a sweep has no sweep column.

@@ -187,6 +187,12 @@ def append_block(
     except np.linalg.LinAlgError as exc:
         why = "no jitter (information gain adds none)" if jitter is None else f"jitter {jitter:g}"
         hint = "" if jitter is None else "; a larger model 'jitter' regularises it"
+        if jitter is not None and start:
+            hint += (
+                ". Coalition scoring keeps an input that two sources share as two rows, "
+                "while dvf_value merges a coalition's repeated inputs into one row, so "
+                "it needs a jitter where dvf_value does not"
+            )
         raise NumericalError(
             f"GP training kernel is not positive definite at noise_var {hyper.noise_var:g} "
             f"with {why}{hint}"

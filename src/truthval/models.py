@@ -158,8 +158,19 @@ def _linreg_design(model: LinearRegressionModel, sums: np.ndarray):
     return sums[:, 1 + d :].reshape(-1, d, d), sums[:, 1 : 1 + d]
 
 
-def _chol_logdet(lower: np.ndarray) -> np.ndarray:
-    return 2.0 * np.log(np.diagonal(lower, axis1=-2, axis2=-1)).sum(axis=-1)
+def _augmented_gram(d: int, sums: np.ndarray, noise_var: float) -> np.ndarray:
+    """Stacked augmented Gram [[A, b], [b^T, 2 y^T y + noise_var]] (k, d + 1, d + 1)
+    of the linear-regression rows ``sums``, gathered with one index map. The
+    last pivot squared of its Cholesky factor is y^T y - b^T A^{-1} b plus
+    y^T y + noise_var: positive for any rounding of the first term, which
+    rounds by about eps * y^T y, also where it is 0 (outputs all zero or none)."""
+    index = np.empty((d + 1, d + 1), dtype=int)
+    index[:d, :d] = np.arange(1 + d, 1 + d + d * d).reshape(d, d)
+    index[:d, d] = index[d, :d] = np.arange(1, 1 + d)
+    index[d, d] = 0
+    gram = sums[:, index]
+    gram[:, d, d] += sums[:, 0] + noise_var
+    return gram
 
 
 def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -195,8 +206,7 @@ def validation_summary(model: ConjugateModel, validation: Dataset):
         mean = float(y.mean())
         return len(y), mean, float(np.sum((y - mean) ** 2))
     if isinstance(model, LinearRegressionModel):
-        xs = validation.inputs
-        return len(y), float(y @ y), xs.T @ y, xs.T @ xs
+        return len(y), suff_stats(validation, model)
     raise ConfigurationError(f"no closed-form predictive for model {model!r}")
 
 
@@ -227,20 +237,19 @@ def log_predictive_batch(
         logdet = m * math.log(s2) + np.log1p(m / nu)
         return -0.5 * (m * LOG_2PI + logdet + quad)
     if isinstance(model, LinearRegressionModel):
-        # The predictive covariance is noise_var * (I + Xs A^{-1} Xs^T); both
-        # the log-determinant and the quadratic form reduce to d x d solves.
-        m, yty, xty, xtx = summary
+        # log p(T | D) = log p(D + T) - log p(D), and each evidence needs only
+        # log|A| and y^T y - b^T A^{-1} b (Bishop 2006, PRML 3.5.1). One
+        # Cholesky factor of the augmented Gram gives both: log|A| from its
+        # first d pivots, and the other from its last (see _augmented_gram).
+        m, stats = summary
         s2 = model.noise_var
-        a, b = _linreg_design(model, sums)
-        w_mean = _solve(a, b)
-        full = np.linalg.cholesky(a + xtx)
-        # r'r and Xs'r for the residual r = ys - Xs w, via the moments alone
-        xtx_w = w_mean @ xtx
-        rtr = yty - 2.0 * (w_mean @ xty) + np.einsum("kd,kd->k", w_mean, xtx_w)
-        z = _solve(full, xty - xtx_w)
-        quad = (rtr - np.einsum("kd,kd->k", z, z)) / s2
-        logdet = m * math.log(s2) + _chol_logdet(full) - _chol_logdet(np.linalg.cholesky(a))
-        return -0.5 * (m * LOG_2PI + logdet + quad)
+        rows = np.concatenate([sums, sums + stats])  # D, then D + T
+        lower = np.linalg.cholesky(_augmented_gram(model.n_features, rows, s2))
+        pivots = np.diagonal(lower, axis1=-2, axis2=-1).reshape(2, nu.size, -1)
+        resid = pivots[..., -1] ** 2 - rows[:, 0].reshape(2, -1)  # each plus noise_var
+        logdet = 2.0 * np.log(pivots[1, :, :-1] / pivots[0, :, :-1]).sum(axis=-1)
+        quad = (resid[1] - resid[0]) / s2
+        return -0.5 * (m * (LOG_2PI + math.log(s2)) + logdet + quad)
     raise ConfigurationError(f"no closed-form predictive for model {model!r}")
 
 

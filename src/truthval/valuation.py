@@ -176,8 +176,12 @@ def coalition_data(sources: list[Dataset], mask: int) -> Dataset:
 
 
 # Conjugate coalitions scored per stacked evaluation; bounds the temporaries
-# of a large batch (membership matrix, stacked d x d factors).
-_BLOCK = 512
+# of a batch (the membership matrix, and for linear regression two stacked
+# (d + 1) x (d + 1) augmented Grams and their factors per coalition). Small
+# enough that the allocator reuses them: at 512, a 6-feature linear-regression
+# block's Grams went back to the OS and were faulted in again on every call
+# (1,500 minor page faults per round of 20 sources and 6 strategies, 1 at 256).
+_BLOCK = 256
 
 
 class _GpLevel(NamedTuple):
@@ -221,7 +225,9 @@ class CoalitionScorer:
     Conjugate families and the baselines score blocks of coalitions at once:
     a membership matrix times stacked per-source sums (sufficient statistics,
     or input Gram matrices for volume and linear information gain) gives
-    every coalition's statistics, and one formula runs over the stack. A GP
+    every coalition's statistics, and one formula runs over the stack; points
+    with equal ``moments`` (all of them without) differ only in source i, so
+    only the first of them scores the coalitions without it. A GP
     walks the requested coalitions as one lattice, the other sources, then the
     variants as leaves: each coalition extends a smaller one by the rows of
     one source, so its Cholesky factor and its pool posterior are the parent's
@@ -297,8 +303,11 @@ class CoalitionScorer:
             self._gp_root = _GpLevel(0, np.zeros((2, len(pool))), spread)
             self._prior_scores = self._gp_scores(self._gp_root, np.arange(self.points))
             return
-        self._conjugate = []  # per point: row counts, per-source sums, scores, prior scores
-        for d, m in zip(alternatives, moments or [None] * self.points):
+        # Per point: the first point with its moments, row counts, per-source
+        # sums, scores and prior scores.
+        self._conjugate, first = [], {}
+        for g, (d, m) in enumerate(zip(alternatives, moments or [None] * self.points)):
+            leader = first.setdefault(None if m is None else tuple(m), g)
             *point, point_pool = [*sources[: self._swept], d, *sources[self._swept + 1 :], pool]
             if m is not None:  # the point's sources and pool, standardized
                 *point, point_pool = [shift_scale_outputs(ds, *m) for ds in (*point, point_pool)]
@@ -314,7 +323,8 @@ class CoalitionScorer:
             else:
                 scores = [lambda batch: self._baseline(kind, pool.n_features, *batch)]
             prior = (np.array([self._nu0]), self._sums0[None, :])
-            self._conjugate.append((counts, vectors, scores, np.ravel([f(prior) for f in scores])))
+            prior_scores = np.ravel([f(prior) for f in scores])
+            self._conjugate.append((leader, counts, vectors, scores, prior_scores))
         self._prior_scores = np.concatenate([point[-1] for point in self._conjugate])
 
     def values(self, masks) -> np.ndarray:
@@ -348,14 +358,23 @@ class CoalitionScorer:
         return [CharacteristicTable(self.n, row) for row in self.values(np.arange(2**self.n))]
 
     def _score_conjugate(self, masks: np.ndarray) -> np.ndarray:
+        """Points with equal output moments differ only in the swept source's
+        statistics, so a point scores only the masks that hold it and takes
+        the others from the first point with its moments."""
         members = (masks[:, None] >> np.arange(self.n, dtype=np.uint64)) & np.uint64(1)
         members = members.astype(float)
+        held = members[:, self._swept] == 1.0
         out = []
-        for counts, vectors, subset_scores, prior_scores in self._conjugate:
-            sizes = members @ counts
-            batch = (self._nu0 + sizes, self._sums0 + members @ vectors)
+        for g, (leader, counts, vectors, subset_scores, prior_scores) in enumerate(self._conjugate):
+            rows = members if leader == g else members[held]
+            sizes = rows @ counts
+            batch = (self._nu0 + sizes, self._sums0 + rows @ vectors)
             scores = np.array([score(batch) for score in subset_scores])
-            out.append(np.where(sizes == 0, 0.0, scores - prior_scores[:, None]))
+            scores = np.where(sizes == 0, 0.0, scores - prior_scores[:, None])
+            if leader != g:
+                scores, swept = out[leader].copy(), scores
+                scores[:, held] = swept
+            out.append(scores)
         return np.concatenate(out)
 
     def _score_gp(self, masks: np.ndarray) -> np.ndarray:

@@ -683,6 +683,18 @@ class TestReports:
             assert float(record["reward"]) == row.reward
         assert "inject(frac=0.1,offset=0.1)" in {r["sweep"] for r in parsed}
 
+    def test_json_report_is_the_dataclass_dump(self):
+        # The payload is built from the fields without copying them; the
+        # bytes are those of the deep-copied dataclasses.asdict dump.
+        import dataclasses
+
+        grid = ["truthful", {"tag": "inject", "frac": 0.1, "offset": 0.1}, "duplicate"]
+        report = run_experiment(
+            bernoulli_config(sweep={"axis": "strategy-grid", "source": 0, "values": grid})
+        )
+        want = json.dumps(dataclasses.asdict(report), indent=2) + "\n"
+        assert render_report(report, "json") == want
+
     def test_confidence_interval_needs_two_repeats(self):
         single = run_experiment(bernoulli_config(repeats=1))
         assert all(entry["ci_reward"] is None for entry in single.summary)
@@ -801,22 +813,34 @@ class TestStrategyGridLattice:
         assert len(report.rows) == len(values) * 2 * 3
 
     @pytest.mark.parametrize(
-        "model, source",
+        "model, source, standardize",
         [
-            ({"family": "bayes-linreg", "n_features": 1}, {"generator": "linear", "n_points": 9}),
-            ({"family": "gaussian-known-var"}, {"generator": "friedman", "n_points": 7}),
+            ({"family": "bayes-linreg", "n_features": 1}, {"generator": "linear", "n_points": 9},
+             True),
+            ({"family": "bayes-linreg", "n_features": 1}, {"generator": "linear", "n_points": 9},
+             False),
+            ({"family": "gaussian-known-var"}, {"generator": "friedman", "n_points": 7}, True),
+            ({"family": "gaussian-known-var"}, {"generator": "friedman", "n_points": 7}, False),
+            ({"family": "beta-bernoulli"}, {"generator": "bernoulli", "n_points": 8}, False),
         ],
-        ids=["bayes-linreg", "gaussian-known-var"],
+        ids=["bayes-linreg", "bayes-linreg-raw", "gaussian-known-var", "gaussian-known-var-raw",
+             "beta-bernoulli"],
     )
     @pytest.mark.parametrize("dvf", ["log-score", "mean-log-score"])
     @ESTIMATORS
-    def test_conjugate_grid_rows_equal_each_point_run_alone(self, model, source, dvf, estimator):
+    def test_conjugate_grid_rows_equal_each_point_run_alone(
+        self, model, source, standardize, dvf, estimator
+    ):
+        # Without standardization the points share the coalitions without the
+        # swept source, which are scored in the same blocks as a point run
+        # alone scores them, so the rows are equal, not merely close.
         grid = ExperimentConfig.from_dict({
             "seed": 8,
             "repeats": 2,
             "model": model,
             "dvf": dvf,
             "estimator": estimator,
+            "standardize_outputs": standardize,
             "sources": [source, {**source, "n_points": 5}, {**source, "n_points": 6}],
             "strategies": ["truthful", {"tag": "noise-output", "level": 0.5}, "truthful"],
             "validation": {**source, "n_points": 14},
@@ -827,6 +851,59 @@ class TestStrategyGridLattice:
         for label, point in experiment._sweep_points(report.config):
             alone = run_experiment(ExperimentConfig.from_dict({**point, "sweep": None}))
             assert point_rows(report, label) == point_rows(alone, None)
+
+    @pytest.mark.parametrize(
+        "standardize, values, rows",
+        [
+            # U unique masks per values() call, H of them holding the swept
+            # source: the first point of a moments group scores U, the rest H.
+            (False, ["truthful", {"tag": "subset", "frac": 0.5}, "duplicate"],
+             lambda u, h: u + 2 * h),
+            (True, ["truthful", {"tag": "subset", "frac": 0.5}, "duplicate"],
+             lambda u, h: 3 * u),
+            # noise-input leaves the outputs, so the moments, as truthful's.
+            (True, ["truthful", {"tag": "noise-input", "sd": 0.5}, "duplicate"],
+             lambda u, h: 2 * u + h),
+        ],
+        ids=["raw", "standardized", "standardized-shared"],
+    )
+    def test_conjugate_points_share_coalitions_without_the_swept_source(
+        self, standardize, values, rows, monkeypatch
+    ):
+        from truthval import valuation
+
+        batch, scored, calls = valuation.log_predictive_batch, [0], []
+
+        class Counted(valuation.CoalitionScorer):
+            def values(self, masks):  # the rows scored here, not the priors at construction
+                before = scored[0]
+                out = super().values(masks)
+                calls.append((np.unique(masks), scored[0] - before))
+                return out
+
+        def counted(model, nu, sums, summary):
+            scored[0] += nu.size
+            return batch(model, nu, sums, summary)
+
+        monkeypatch.setattr(valuation, "log_predictive_batch", counted)
+        monkeypatch.setattr(experiment, "CoalitionScorer", Counted)
+        swept = 1
+        run_experiment(ExperimentConfig.from_dict({
+            "seed": 3,
+            "repeats": 2,
+            "model": {"family": "bayes-linreg", "n_features": 2},
+            "estimator": {"kind": "sampled", "permutations": 30},
+            "standardize_outputs": standardize,
+            "sources": [{"generator": "linear", "n_points": k, "weights": [1.0, -0.5]}
+                        for k in (6, 8, 5, 7, 4)],
+            "validation": {"generator": "linear", "n_points": 20, "weights": [1.0, -0.5]},
+            "sweep": {"axis": "strategy-grid", "source": swept, "values": values},
+        }))
+        assert len(calls) == 4  # the permutation prefixes and the singletons, per repeat
+        for masks, count in calls:
+            held = int(np.count_nonzero(masks >> swept & 1))
+            assert 0 < held < masks.size
+            assert count == rows(masks.size, held)
 
     @ESTIMATORS
     def test_gp_grid_rows_match_each_point_run_alone(self, estimator):

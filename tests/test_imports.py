@@ -91,6 +91,19 @@ def test_one_repeat_linear_regression_run_loads_no_scipy(tmp_path):
     assert loaded == [], f"the run loaded {loaded}"
 
 
+def test_sampled_linear_regression_grid_loads_no_scipy(tmp_path):
+    # The shape of the 20-source benchmark: a strategy grid on raw outputs,
+    # whose points share the coalitions without the swept source.
+    cfg = {
+        **LINREG,
+        "estimator": {"kind": "sampled", "permutations": 10},
+        "standardize_outputs": False,
+        "sweep": {"axis": "strategy-grid", "source": 0, "values": ["truthful", "duplicate"]},
+    }
+    loaded = _loaded_scipy(_cli_run(tmp_path, cfg))
+    assert loaded == [], f"the run loaded {loaded}"
+
+
 @pytest.mark.parametrize("dvf", ["cardinality", "info-gain"])
 def test_linear_regression_baseline_run_loads_no_scipy(tmp_path, dvf):
     # The stacked baseline formulas are numpy alone.

@@ -1,6 +1,7 @@
 """Conjugate-family behavior: sufficient statistics, posteriors, predictives."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -29,6 +30,38 @@ def random_binary(rng, n):
 
 def random_regression(rng, n, d):
     return Dataset(rng.normal(size=(n, d)), rng.normal(size=n))
+
+
+def exact_linreg_predictive(model, train, val):
+    """log p(val | train) from the dense marginal N(0, prior_var X X' + noise_var I)
+    of the stacked rows, in exact rational arithmetic: eliminating the
+    covariance bordered by y leaves its pivots and -y' cov^-1 y."""
+
+    def joint(x, y):
+        x = [[Fraction(v) for v in row] for row in x]
+        n = len(y)
+        m = [
+            [
+                Fraction(model.prior_var) * sum(a * b for a, b in zip(x[i], x[j]))
+                + (Fraction(model.noise_var) if i == j else 0)
+                for j in range(n)
+            ]
+            + [Fraction(y[i])]
+            for i in range(n)
+        ]
+        m.append([Fraction(v) for v in y] + [Fraction(0)])
+        logdet = 0.0
+        for k in range(n):
+            logdet += math.log(m[k][k])
+            for i in range(k + 1, n + 1):
+                ratio = m[i][k] / m[k][k]
+                for j in range(k + 1, n + 1):
+                    m[i][j] -= ratio * m[k][j]
+        return -0.5 * (n * math.log(2 * math.pi) + logdet - float(m[n][n]))
+
+    stacked_x = np.vstack([train.inputs, val.inputs])
+    stacked_y = np.concatenate([train.outputs, val.outputs])
+    return joint(stacked_x, stacked_y) - joint(train.inputs, train.outputs)
 
 
 class TestSufficientStatistics:
@@ -213,25 +246,44 @@ class TestLogPredictive:
             log_predictive(model, data, val), abs=1e-10
         )
 
-    def test_linreg_matches_dense_marginal(self):
-        # Independent oracle: the marginal of y* is N(0, prior_var*Xf Xf' + noise*I)
-        # over the stacked (train, validation) rows; condition numerically.
+    @pytest.mark.parametrize(
+        "noise_var, n_train, scale, offset",
+        [
+            (0.4, 5, 1.0, 0.0),
+            (0.4, 5, 0.0, 0.0),  # all-zero outputs
+            (0.4, 0, 1.0, 0.0),  # no training rows
+            (1e-8, 5, 1e-3, 0.0),  # tiny noise, small outputs
+            (0.4, 5, 1.0, 1e4),  # outputs far from the prior mean
+        ],
+        ids=["random", "zero-outputs", "empty-train", "tiny-noise", "offset"],
+    )
+    def test_linreg_matches_dense_marginal(self, noise_var, n_train, scale, offset):
+        # Observed errors on these cases: at most 5.3e-15, 4.4e-16, 1.8e-15,
+        # 1.7e-13 and 3.6e-7 (on a value of -7.2e8). Shifting the augmented
+        # Gram's last entry by 1 instead of y'y + noise_var errs by 1.7e-8 on
+        # tiny-noise, where the shift is 1e8 noise variances.
         rng = np.random.default_rng(6)
-        model = LinearRegressionModel(n_features=3, prior_var=0.9, noise_var=0.4)
-        train = random_regression(rng, 5, 3)
-        val = random_regression(rng, 3, 3)
+        model = LinearRegressionModel(n_features=3, prior_var=0.9, noise_var=noise_var)
 
-        def dense_joint_logpdf(x, y):
-            cov = model.prior_var * (x @ x.T) + model.noise_var * np.eye(len(y))
-            sign, logdet = np.linalg.slogdet(2 * np.pi * cov)
-            return -0.5 * (logdet + y @ np.linalg.solve(cov, y))
+        def shifted(data):
+            return Dataset(data.inputs, data.outputs * scale + offset)
 
-        stacked_x = np.vstack([train.inputs, val.inputs])
-        stacked_y = np.concatenate([train.outputs, val.outputs])
-        expected = dense_joint_logpdf(stacked_x, stacked_y) - dense_joint_logpdf(
-            train.inputs, train.outputs
-        )
-        assert log_predictive(model, train, val) == pytest.approx(expected, abs=1e-9)
+        train = shifted(random_regression(rng, n_train, 3))
+        val = shifted(random_regression(rng, 3, 3))
+        expected = exact_linreg_predictive(model, train, val)
+        assert log_predictive(model, train, val) == pytest.approx(expected, rel=1e-14, abs=1e-12)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_linreg_noiseless_large_inputs_score(self, seed):
+        # Outputs on the span of inputs near 1e5 at noise_var 1e-8: y'y is
+        # about 1e11 and y'y - b'A^-1 b about 1e-8, so its rounding alone could
+        # make the last pivot of the augmented Gram negative.
+        rng = np.random.default_rng(seed)
+        model = LinearRegressionModel(n_features=2, noise_var=1e-8)
+        x, w = rng.uniform(1e5, 2e5, size=(13, 2)), rng.normal(size=2)
+        train, val = Dataset(x[:10], x[:10] @ w), Dataset(x[10:], x[10:] @ np.ones(2))
+        expected = exact_linreg_predictive(model, train, val)
+        assert log_predictive(model, train, val) == pytest.approx(expected, rel=1e-13)
 
     def test_gaussian_mean_matches_dense_joint(self):
         # Independent oracle: given the posterior N(mu, s2 / nu) of the mean, the

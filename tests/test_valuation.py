@@ -542,12 +542,20 @@ class TestGpLattice:
 
     @pytest.mark.parametrize("kind", ["log-score", "mean-log-score"])
     def test_block_that_is_not_positive_definite_raises_without_jitter(self, kind):
+        # dvf_value merges the inputs that sources 0 and 1 share into one row
+        # each and scores {0, 1}; the lattice keeps them as two rows and
+        # raises, so the message says why and that a jitter is needed.
         sources, pool = shared_input_instance()
         model = GpHyper(lengthscales=0.05, noise_var=1e-17)
+        spec = DvfSpec(kind, model=model, validation=pool)
+        assert np.isfinite(dvf_value(spec, coalition_data(sources, 0b011)))
         with pytest.raises(
             NumericalError, match="noise_var 1e-17 with jitter 0; a larger model 'jitter'"
-        ):
+        ) as caught:
             CoalitionScorer(model, kind, sources, pool).table()
+        message = str(caught.value)
+        assert "an input that two sources share as two rows" in message
+        assert "dvf_value merges" in message and "needs a jitter" in message
 
     @pytest.mark.parametrize("kind", ["log-score", "mean-log-score"])
     @pytest.mark.parametrize("jitter, rtol", [(1e-6, 1e-11), (1e-9, 1e-8)])
