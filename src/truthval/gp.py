@@ -187,9 +187,11 @@ def append_block(
     except np.linalg.LinAlgError as exc:
         why = "no jitter (information gain adds none)" if jitter is None else f"jitter {jitter:g}"
         hint = "" if jitter is None else "; a larger model 'jitter' regularises it"
-        if jitter is not None and start:
+        earlier = {row.tobytes() for row in path.inputs[:start]}
+        if jitter is not None and any(row.tobytes() in earlier for row in block.inputs):
             hint += (
-                ". Coalition scoring keeps an input that two sources share as two rows, "
+                ". This block repeats an input of an earlier source: coalition "
+                "scoring keeps an input that two sources share as two rows, "
                 "while dvf_value merges a coalition's repeated inputs into one row, so "
                 "it needs a jitter where dvf_value does not"
             )

@@ -245,7 +245,7 @@ def log_predictive_batch(
         s2 = model.noise_var
         rows = np.concatenate([sums, sums + stats])  # D, then D + T
         lower = np.linalg.cholesky(_augmented_gram(model.n_features, rows, s2))
-        pivots = np.diagonal(lower, axis1=-2, axis2=-1).reshape(2, nu.size, -1)
+        pivots = np.diagonal(lower, axis1=-2, axis2=-1).reshape(2, nu.size, model.n_features + 1)
         resid = pivots[..., -1] ** 2 - rows[:, 0].reshape(2, -1)  # each plus noise_var
         logdet = 2.0 * np.log(pivots[1, :, :-1] / pivots[0, :, :-1]).sum(axis=-1)
         quad = (resid[1] - resid[0]) / s2

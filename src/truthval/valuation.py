@@ -175,13 +175,16 @@ def coalition_data(sources: list[Dataset], mask: int) -> Dataset:
     )
 
 
-# Conjugate coalitions scored per stacked evaluation; bounds the temporaries
-# of a batch (the membership matrix, and for linear regression two stacked
-# (d + 1) x (d + 1) augmented Grams and their factors per coalition). Small
-# enough that the allocator reuses them: at 512, a 6-feature linear-regression
-# block's Grams went back to the OS and were faulted in again on every call
-# (1,500 minor page faults per round of 20 sources and 6 strategies, 1 at 256).
-_BLOCK = 256
+# A stacked evaluation of conjugate coalitions takes _BLOCK_FLOATS // (n + w)
+# of them, each n membership entries and w summed statistics. That bounds the
+# batch's temporaries, for linear regression also two stacked (d + 1) x (d + 1)
+# augmented Grams and their factors per coalition, which grow with
+# w = 1 + d + d^2. Small enough that the allocator reuses them: with 20
+# sources and 6 features a block holds 260 coalitions; at 512 its Grams went
+# back to the OS and were faulted in again on every call (1,800 minor page
+# faults per round of 6 strategies, 0 at 260). The baselines' narrower
+# statistics give 20 sources blocks of 564 to 780 coalitions.
+_BLOCK_FLOATS = 2**14
 
 
 class _GpLevel(NamedTuple):
@@ -226,8 +229,10 @@ class CoalitionScorer:
     a membership matrix times stacked per-source sums (sufficient statistics,
     or input Gram matrices for volume and linear information gain) gives
     every coalition's statistics, and one formula runs over the stack; points
-    with equal ``moments`` (all of them without) differ only in source i, so
-    only the first of them scores the coalitions without it. A GP
+    with equal ``moments`` (all of them without, and for the kinds that read
+    only inputs) differ only in source i, so only the first of them scores
+    the coalitions without it, and a rank-deficient volume warning counts
+    each such coalition once. A GP
     walks the requested coalitions as one lattice, the other sources, then the
     variants as leaves: each coalition extends a smaller one by the rows of
     one source, so its Cholesky factor and its pool posterior are the parent's
@@ -304,15 +309,17 @@ class CoalitionScorer:
             self._prior_scores = self._gp_scores(self._gp_root, np.arange(self.points))
             return
         # Per point: the first point with its moments, row counts, per-source
-        # sums, scores and prior scores.
+        # sums, scores and prior scores. The other kinds read only input Grams,
+        # which standardization leaves alone, so their points form one group.
         self._conjugate, first = [], {}
+        uses_outputs = kind in (*LOG_SCORE_KINDS, KL_FROM_PRIOR)
         for g, (d, m) in enumerate(zip(alternatives, moments or [None] * self.points)):
-            leader = first.setdefault(None if m is None else tuple(m), g)
+            leader = first.setdefault(None if m is None or not uses_outputs else tuple(m), g)
             *point, point_pool = [*sources[: self._swept], d, *sources[self._swept + 1 :], pool]
             if m is not None:  # the point's sources and pool, standardized
                 *point, point_pool = [shift_scale_outputs(ds, *m) for ds in (*point, point_pool)]
             counts = np.array([len(ds) for ds in point], dtype=float)
-            if kind in (*LOG_SCORE_KINDS, KL_FROM_PRIOR):
+            if uses_outputs:
                 vectors = np.vstack([suff_stats(ds, model) for ds in point])
                 self._nu0, self._sums0 = prior_params(model)
             else:  # the input Gram matrices, which cardinality ignores
@@ -341,9 +348,10 @@ class CoalitionScorer:
             scored = self._score_gp(unique)
         else:
             scored = np.empty((self._prior_scores.size, unique.size))
-            for start in range(0, unique.size, _BLOCK):
-                scored[:, start : start + _BLOCK] = self._score_conjugate(
-                    unique[start : start + _BLOCK]
+            block = max(1, _BLOCK_FLOATS // (self.n + self._conjugate[0][2].shape[1]))
+            for start in range(0, unique.size, block):
+                scored[:, start : start + block] = self._score_conjugate(
+                    unique[start : start + block]
                 )
         if self._rank_deficient:
             count, self._rank_deficient = self._rank_deficient, 0
@@ -366,6 +374,9 @@ class CoalitionScorer:
         held = members[:, self._swept] == 1.0
         out = []
         for g, (leader, counts, vectors, subset_scores, prior_scores) in enumerate(self._conjugate):
+            if leader != g and not held.any():  # every mask lacks the swept source
+                out.append(out[leader])
+                continue
             rows = members if leader == g else members[held]
             sizes = rows @ counts
             batch = (self._nu0 + sizes, self._sums0 + rows @ vectors)

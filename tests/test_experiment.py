@@ -852,6 +852,33 @@ class TestStrategyGridLattice:
             alone = run_experiment(ExperimentConfig.from_dict({**point, "sweep": None}))
             assert point_rows(report, label) == point_rows(alone, None)
 
+    @ESTIMATORS
+    def test_conjugate_grid_sweeping_the_last_source_equals_each_point_run_alone(
+        self, estimator, monkeypatch
+    ):
+        # Masks are scored sorted, in blocks, so with the last source swept
+        # the first blocks hold no mask with it, and the followers take them
+        # whole from the first point. Blocks of 4 coalitions (5 membership
+        # entries and 7 statistics each) make that happen on 5 sources.
+        from truthval import valuation
+
+        monkeypatch.setattr(valuation, "_BLOCK_FLOATS", 4 * (5 + 7))
+        source = {"generator": "linear", "n_points": 3, "weights": [1.0, -0.5]}
+        grid = ExperimentConfig.from_dict({
+            "seed": 6,
+            "model": {"family": "bayes-linreg", "n_features": 2},
+            "estimator": estimator,
+            "standardize_outputs": False,
+            "sources": [source] * 5,
+            "validation": {**source, "n_points": 10},
+            "sweep": {"axis": "strategy-grid", "source": 4,
+                      "values": ["truthful", {"tag": "subset", "frac": 0.5}, "duplicate"]},
+        })
+        report = run_experiment(grid)
+        for label, point in experiment._sweep_points(report.config):
+            alone = run_experiment(ExperimentConfig.from_dict({**point, "sweep": None}))
+            assert point_rows(report, label) == point_rows(alone, None)
+
     @pytest.mark.parametrize(
         "standardize, values, rows",
         [

@@ -447,6 +447,25 @@ class TestBaselineTables:
         assert "55 coalitions" in str(caught[0].message)
         assert (table == 0).sum() == 56 and (table[[0b111, 2**10 - 1]] > 0).all()
 
+    @pytest.mark.parametrize("moments", [None, [(0.0, 1.0), (1.0, 2.0), (-1.0, 0.5)]])
+    def test_rank_deficient_grid_counts_each_coalition_once(self, moments):
+        # Four one-row sources of three features, and source 4 swept over
+        # variants of 1, 2 and 3 rows. The 10 coalitions of one or two of
+        # sources 0-3 are deficient at every point and count once; with
+        # source 4 they number 5, 1 and 0. Volume reads only inputs, so
+        # moments that differ do not split the points.
+        rng = np.random.default_rng(73)
+        sources = [Dataset(rng.uniform(size=(1, 3)), rng.normal(size=1)) for _ in range(5)]
+        variants = [Dataset(rng.uniform(size=(k, 3)), rng.normal(size=k)) for k in (1, 2, 3)]
+        scorer = CoalitionScorer(
+            None, "volume", sources, variants=(4, variants), moments=moments
+        )
+        with pytest.warns(RankDeficientVolumeWarning) as caught:
+            tables = scorer.table()
+        assert len(caught) == 1
+        assert "16 coalitions" in str(caught[0].message)
+        assert [int((t.values[1:] == 0).sum()) for t in tables] == [15, 11, 10]
+
     @pytest.mark.parametrize(
         "kind, family",
         [
@@ -556,6 +575,20 @@ class TestGpLattice:
         message = str(caught.value)
         assert "an input that two sources share as two rows" in message
         assert "dvf_value merges" in message and "needs a jitter" in message
+
+    def test_block_singular_on_its_own_inputs_does_not_blame_shared_inputs(self):
+        # Source 1's two inputs lie 1e-9 apart and share no input with source
+        # 0, so the block appended after source 0 fails for its own rows.
+        rng = np.random.default_rng(61)
+        sources = [
+            Dataset(np.array([[0.0]]), rng.normal(size=1)),
+            Dataset(np.array([[2.0], [2.0 + 1e-9]]), rng.normal(size=2)),
+        ]
+        pool = Dataset(rng.uniform(0, 2, size=(3, 1)), rng.normal(size=3))
+        model = GpHyper(lengthscales=0.05, noise_var=1e-17)
+        with pytest.raises(NumericalError, match="with jitter 0; a larger model 'jitter'") as caught:
+            CoalitionScorer(model, "log-score", sources, pool).table()
+        assert "share" not in str(caught.value)
 
     @pytest.mark.parametrize("kind", ["log-score", "mean-log-score"])
     @pytest.mark.parametrize("jitter, rtol", [(1e-6, 1e-11), (1e-9, 1e-8)])
