@@ -8,7 +8,9 @@ The posterior over test inputs X* given training data (X, y) is
 where S is the observation-noise diagonal. Scoring a validation set uses the
 observed-output predictive, i.e. noise_var is added back onto the covariance
 diagonal. Every training kernel is factorized by :func:`append_block`, which
-extends the Cholesky factor of a training set by one block of rows; the
+extends the Cholesky factor of a training set by one block of rows (or by
+its counts and outputs half, :func:`condition_block`, for a block whose
+inputs another block already crossed with the same rows); the
 posterior given one training set is the append of its block to no rows, and
 the configured ``jitter`` is the only regulariser of either.
 """
@@ -145,43 +147,68 @@ class GpPath:
         return 8 * rows * (test_inputs.shape[1] + rows + len(test_inputs) + 2)
 
 
-def append_block(
+class GpCross:
+    """The cross terms of a block of inputs S appended after the rows
+    C = ``[0, start)`` of a path, which every block with S's inputs shares,
+    whatever its counts and outputs: L21 = K(S, C) L_C^-T; K(S, S) as
+    ``inner`` and L21 L21^T as ``schur`` until a block is conditioned on them,
+    then that block's Schur complement as ``schur``, with its ``noise``
+    diagonal; and K(S, test) - L21 V_C as ``test``. :func:`condition_block`
+    consumes them unless asked to keep them."""
+
+    __slots__ = ("start", "l21", "inner", "schur", "noise", "test")
+
+    def __init__(self, start: int, l21: np.ndarray, inner: np.ndarray, schur: np.ndarray):
+        self.start, self.l21, self.inner, self.schur = start, l21, inner, schur
+        self.noise = self.test = None
+
+
+def block_cross(path: GpPath, start: int, inputs: np.ndarray, hyper: GpHyper) -> GpCross:
+    """The :class:`GpCross` of ``inputs`` appended after rows ``[0, start)`` of
+    ``path``, whose input rows it fills; one kernel call for the block."""
+    from scipy.linalg.lapack import dtrtrs
+
+    end = start + len(inputs)
+    path.inputs[start:end] = inputs
+    kernel = se_ard_kernel(inputs, path.inputs[:end], hyper)  # K(S, C) and K(S, S)
+    cross, inner = kernel[:, :start], kernel[:, start:]
+    # L_C^T leads the rows [0, start) read column-major: no copy of L_C to solve.
+    l21 = dtrtrs(path.factor[:start].T, cross.T, trans=1)[0].T if start else cross
+    return GpCross(start, l21, inner, l21 @ l21.T)
+
+
+def condition_block(
     path: GpPath,
-    start: int,
+    cross: GpCross,
     block: GpBlock,
     hyper: GpHyper,
     jitter: float | None,
     test_inputs: np.ndarray,
+    keep: bool = False,
 ) -> np.ndarray:
-    """Extend the training set C in rows ``[0, start)`` of ``path`` by
-    ``block`` S with the block-Cholesky append of the partitioned inverse
-    (Rasmussen and Williams, GPML, 2006, App. A.3):
-
-        L21 = K(S, C) L_C^-T,  L22 = chol(K(S, S) + diag((noise + jitter) / counts) - L21 L21^T),
-        V_S = L22^-1 (K(S, test) - L21 V_C),  w_S = L22^-1 (y_S - L21 w_C),
-
-    and w_1 as w for outputs 1. They fill S's rows of ``path``, and the latent
-    posterior of C and S at the test inputs is C's with mean += V_S^T w_S and
-    cov -= V_S^T V_S. Returns
-    L22; without test inputs it returns before V_S and w_S. ``jitter`` is None
-    for information gain, which adds none. A block that is not positive
-    definite raises :class:`~truthval.errors.NumericalError`.
-    """
+    """Fill ``block``'s rows of ``path`` from the cross terms of its inputs:
+    L22 = chol(K(S, S) + diag((noise + jitter) / counts) - L21 L21^T), then
+    V_S = L22^-1 (K(S, test) - L21 V_C) and w_S, w_1 as in :func:`append_block`.
+    A block after another with its inputs takes the other's Schur complement
+    with the noise diagonal swapped. With ``keep`` the cross terms stay for a
+    further block with these inputs. Returns L22."""
     from scipy.linalg import solve_triangular
-    from scipy.linalg.lapack import dtrtrs
 
+    start, l21, schur = cross.start, cross.l21, cross.schur
     end = start + block.counts.size
     rows = slice(start, end)
-    path.inputs[rows] = block.inputs
-    kernel = se_ard_kernel(block.inputs, path.inputs[:end], hyper)  # K(S, C) and K(S, S)
-    cross, inner = kernel[:, :start], kernel[:, start:]
-    # L_C^T leads the rows [0, start) read column-major: no copy of L_C to solve.
-    l21 = dtrtrs(path.factor[:start].T, cross.T, trans=1)[0].T if start else cross
     diag = np.diag_indices(end - start)
-    inner[diag] += (hyper.noise_var + (jitter or 0.0)) / block.counts
-    schur = l21 @ l21.T
-    np.subtract(inner, schur, out=schur)  # K(S, S) + noise - L21 L21^T
-    del kernel, cross, inner  # only l21 and the Schur complement are read from here
+    noise = (hyper.noise_var + (jitter or 0.0)) / block.counts
+    if cross.inner is None:
+        schur[diag] += noise - cross.noise
+    else:
+        inner = cross.inner
+        inner[diag] += noise
+        np.subtract(inner, schur, out=schur)  # K(S, S) + noise - L21 L21^T
+        del inner  # only l21 and the Schur complement are read from here
+    cross.inner, cross.noise = None, noise
+    if not keep:
+        cross.l21 = cross.schur = None
     try:
         l22 = np.linalg.cholesky(schur)
     except np.linalg.LinAlgError as exc:
@@ -204,14 +231,61 @@ def append_block(
     path.factor[rows, rows] = l22
     if len(test_inputs) == 0:
         return l22
-    k_test = se_ard_kernel(block.inputs, test_inputs, hyper)
-    k_test -= l21 @ path.proj[:start]
+    k_test = cross.test
+    if k_test is None:
+        k_test = se_ard_kernel(block.inputs, test_inputs, hyper)
+        k_test -= l21 @ path.proj[:start]
+    cross.test = k_test if keep else None
     path.proj[rows] = solve_triangular(l22, k_test, lower=True, check_finite=False)
     for white, outputs in zip(path.white, (block.outputs, 1.0)):
         white[rows] = solve_triangular(
             l22, outputs - l21 @ white[:start], lower=True, check_finite=False
         )
     return l22
+
+
+def append_block(
+    path: GpPath,
+    start: int,
+    block: GpBlock,
+    hyper: GpHyper,
+    jitter: float | None,
+    test_inputs: np.ndarray,
+    keep: bool = False,
+) -> tuple[np.ndarray, GpCross]:
+    """Extend the training set C in rows ``[0, start)`` of ``path`` by
+    ``block`` S with the block-Cholesky append of the partitioned inverse
+    (Rasmussen and Williams, GPML, 2006, App. A.3):
+
+        L21 = K(S, C) L_C^-T,  L22 = chol(K(S, S) + diag((noise + jitter) / counts) - L21 L21^T),
+        V_S = L22^-1 (K(S, test) - L21 V_C),  w_S = L22^-1 (y_S - L21 w_C),
+
+    and w_1 as w for outputs 1. They fill S's rows of ``path``, and the latent
+    posterior of C and S at the test inputs is C's with mean += V_S^T w_S and
+    cov -= V_S^T V_S. The input half is :func:`block_cross`, the counts and
+    outputs half :func:`condition_block`. Returns L22 and the block's
+    :class:`GpCross`, kept intact with ``keep`` for blocks with S's inputs;
+    without test inputs it returns before V_S and w_S. ``jitter`` is None
+    for information gain, which adds none. A block that is not positive
+    definite raises :class:`~truthval.errors.NumericalError`.
+    """
+    cross = block_cross(path, start, block.inputs, hyper)
+    return condition_block(path, cross, block, hyper, jitter, test_inputs, keep), cross
+
+
+def whiten_block(path: GpPath, start: int, end: int, outputs: np.ndarray) -> None:
+    """Rewrite w in rows ``[start, end)`` of ``path`` for other ``outputs`` of
+    the same rows: w_S = L22^-1 (y_S - L21 w_C), read from the factor already
+    on the path, which the outputs do not change."""
+    from scipy.linalg import solve_triangular
+
+    rows, white = slice(start, end), path.white[0]
+    white[rows] = solve_triangular(
+        path.factor[rows, rows],
+        outputs - path.factor[rows, :start] @ white[:start],
+        lower=True,
+        check_finite=False,
+    )
 
 
 def gp_posterior(

@@ -24,8 +24,18 @@ import numpy as np
 
 from .data import Dataset, check_consistent, concat_datasets, empty_like, take_rows
 from .datagen import shift_scale_outputs
-from .errors import ConfigurationError, InputError, NumericalError, UnsupportedConfigurationError
-from .gp import GpHyper, GpPath, append_block, gp_block, predictive_log_density, se_ard_kernel
+from .errors import ConfigurationError, InputError, UnsupportedConfigurationError
+from .gp import (
+    GpBlock,
+    GpHyper,
+    GpPath,
+    append_block,
+    condition_block,
+    gp_block,
+    predictive_log_density,
+    se_ard_kernel,
+    whiten_block,
+)
 from .models import (
     BetaBernoulliModel,
     GaussianMeanModel,
@@ -115,23 +125,12 @@ class DvfSpec:
                 )
 
 
-def _gp_logdet(model: GpHyper, data: Dataset) -> float:
-    """log det(I + K / noise_var) of the raw rows of ``data``, without jitter."""
-    kernel = se_ard_kernel(data.inputs, data.inputs, model)
-    sign, logdet = np.linalg.slogdet(np.eye(len(data)) + kernel / model.noise_var)
-    if sign <= 0:
-        raise NumericalError("information-gain matrix is not positive definite")
-    return float(logdet)
-
-
 def dvf_value(spec: DvfSpec, data: Dataset) -> float:
     """Evaluate the valuation function on one dataset; an empty one is worth
-    exactly zero. Baselines other than GP information gain are the stacked
-    formulas of :class:`CoalitionScorer`, run on one row."""
+    exactly zero. The baselines are :class:`CoalitionScorer` on one source,
+    whose repeated GP inputs enter once with noise over their count."""
     if len(data) == 0:
         return 0.0
-    if spec.kind == INFO_GAIN and isinstance(spec.model, GpHyper):
-        return 0.5 * _gp_logdet(spec.model, data)
     if spec.kind not in LOG_SCORE_KINDS:
         return float(CoalitionScorer(spec.model, spec.kind, [data]).values(1)[0])
     if spec.kind == LOG_SCORE:
@@ -203,6 +202,83 @@ class _GpLevel(NamedTuple):
     logdet: float = 0.0
 
 
+@dataclass
+class _LeafStep:
+    """One step of building a variant's leaf: ``append`` rows ``[lo, hi)`` of its
+    block, condition them as a counts ``sibling`` of the segment they replace,
+    whose inputs are the same, or ``whiten`` the segments from row ``lo`` on
+    for its outputs. ``keep`` holds the cross terms for a later sibling."""
+
+    kind: str
+    lo: int
+    hi: int
+    keep: bool = False
+
+
+@dataclass
+class _Segment:
+    """Rows ``[lo, hi)`` of the leaf path, with the inputs and counts of
+    variant ``factored``, whitened for the outputs of variant ``whitened``;
+    ``step`` made its cross terms."""
+
+    factored: int
+    whitened: int
+    lo: int
+    hi: int
+    step: _LeafStep
+
+
+def _leaf_plan(blocks: list[GpBlock], read_outputs: bool) -> list[tuple[int, int, list]]:
+    """How every variant's leaf follows from one parent coalition. The
+    variants' blocks form a trie keyed by their rows (input, count, output),
+    visited in sorted order, so a block comes right before those it begins.
+    The leaf path is a stack of segments above the parent: a variant keeps the
+    segments whose inputs and counts begin its block, whitens those whose
+    outputs differ from its own (outputs count only where ``read_outputs``),
+    conditions the next segment anew from its held cross terms if only the
+    counts differ, and appends the rest of its rows. Returns ``(variant, depth,
+    steps)`` in visiting order: keep ``depth`` segments, then run ``steps``;
+    the top segment is then the variant's leaf."""
+    rows = [
+        (b.inputs, b.counts, b.outputs if read_outputs else np.zeros(b.counts.size))
+        for b in blocks
+    ]
+
+    def agrees(g, seg, field):  # field 0 inputs, 1 counts, 2 outputs
+        owner, part = seg.whitened if field == 2 else seg.factored, slice(seg.lo, seg.hi)
+        return seg.hi <= rows[g][1].size and np.array_equal(
+            rows[g][field][part], rows[owner][field][part]
+        )
+
+    def key(g):
+        return [(x.tobytes(), c, y) for x, c, y in zip(*rows[g])]
+
+    plan, stack = [], []
+    for g in sorted(range(len(blocks)), key=key) if len(blocks) > 1 else [0]:
+        depth = 0
+        while depth < len(stack) and agrees(g, stack[depth], 0) and agrees(g, stack[depth], 1):
+            depth += 1
+        steps = []
+        redo = [j for j in range(depth) if not agrees(g, stack[j], 2)]
+        if redo:
+            steps.append(_LeafStep("whiten", stack[redo[0]].lo, stack[depth - 1].hi))
+            for seg in stack[redo[0] : depth]:
+                seg.whitened = g
+        plan.append((g, depth, steps))
+        if depth < len(stack) and agrees(g, stack[depth], 0):  # only the counts differ
+            seg = stack[depth]
+            seg.step.keep = True
+            steps.append(_LeafStep("sibling", seg.lo, seg.hi))
+            stack[depth] = _Segment(g, g, seg.lo, seg.hi, steps[-1])
+            depth += 1
+        del stack[depth:]
+        end, size = stack[-1].hi if stack else 0, rows[g][1].size
+        if end < size:
+            steps.append(_LeafStep("append", end, size))
+            stack.append(_Segment(g, g, end, size, steps[-1]))
+    return plan
+
+
 def _physical_memory() -> int:
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
@@ -237,11 +313,17 @@ class CoalitionScorer:
     variants as leaves: each coalition extends a smaller one by the rows of
     one source, so its Cholesky factor and its pool posterior are the parent's
     plus one appended block, and each is factorized once for all points, whose
-    standardizations move only the pool mean (:class:`~truthval.gp.GpPath`). A
-    source's repeated input rows enter its block once, with their mean output
-    and noise divided by their count (:func:`~truthval.gp.gp_block`), and a lattice
-    whose scratch (for the longest coalition) and kept posteriors would not fit
-    in physical memory is refused before anything is allocated. The posterior
+    standardizations move only the pool mean (:class:`~truthval.gp.GpPath`).
+    The leaves under one coalition share what their blocks share
+    (:func:`_leaf_plan`): a variant with another's inputs and counts only
+    whitens its outputs, one that extends another appends only its extra
+    rows, and one with another's inputs and other counts is conditioned from
+    the other's held cross terms. A source's repeated input rows enter its
+    block once, with their mean output and noise divided by their count
+    (:func:`~truthval.gp.gp_block`), the lattice's pool is the rows that some
+    validation set reads, and a lattice whose scratch (for the longest
+    coalition), kept posteriors and held cross terms would not fit in
+    physical memory is refused before anything is allocated. The posterior
     is kept only where the scores read it: a covariance block per validation
     set, the variances alone for ``mean-log-score``, and only the log
     determinant of the factor for information gain.
@@ -269,6 +351,10 @@ class CoalitionScorer:
             subsets = [np.asarray(idx, dtype=int) for idx in subsets]
             if any(idx.size == 0 for idx in subsets):
                 raise InputError("validation set must be non-empty")
+            union = np.unique(np.concatenate(subsets))
+            if union.size < len(pool):  # only the pool rows that a validation set reads
+                pool = take_rows(pool, union)
+                subsets = [np.searchsorted(union, idx) for idx in subsets]
         self._model = model
         self._kind = kind
         self._pool = pool
@@ -280,18 +366,31 @@ class CoalitionScorer:
             self._blocks = [gp_block(ds) for ds in slots]
             sizes = [block.counts.size for block in self._blocks]
             self._rows = sum(sizes[: self.n - 1]) + max(sizes[self.n - 1 :])
+            self._plan = _leaf_plan(self._blocks[self.n - 1 :], kind != INFO_GAIN)
             self._moments = np.array(moments or [(0.0, 1.0)] * self.points)
             self._mean_kind = kind == MEAN_LOG_SCORE
-            # The path scratch, the two pool means and the spread (pool variances,
-            # or a covariance block per validation set) that each of up to n + 1
-            # stack levels keeps, and the temporaries of appending the largest
-            # block b after the other rows: two b x start cross terms, a b x b
-            # kernel and two b x pool projections.
+            # The path scratch; the two pool means and the spread (pool variances,
+            # or a covariance block per validation set) that each stack level
+            # keeps: the root, the n - 1 other sources and the deepest leaf's
+            # segments; the temporaries of appending the largest block b after
+            # the other rows: two b x start cross terms, a b x b kernel and two
+            # b x pool projections; and the cross terms that a segment of b' rows
+            # holds for its counts siblings: L21, a Schur complement, K(S, pool).
             floats = len(pool) if self._mean_kind else sum(idx.size**2 for idx in subsets)
+            levels = self.n + max(
+                depth + sum(step.kind != "whiten" for step in steps)
+                for _, depth, steps in self._plan
+            )
+            held = sum(
+                (step.hi - step.lo) * (self._rows + len(pool))
+                for _, _, steps in self._plan
+                for step in steps
+                if step.kind == "append" and step.keep
+            )
             b = max(sizes)
             append = b * (2 * (self._rows - b) + b + 2 * len(pool))
             need = GpPath.nbytes(self._rows, pool.inputs) + 8 * (
-                (self.n + 1) * (2 * len(pool) + floats) + append
+                levels * (2 * len(pool) + floats) + append + held
             )
             have = _physical_memory()
             if need > have:
@@ -389,62 +488,111 @@ class CoalitionScorer:
         return np.concatenate(out)
 
     def _score_gp(self, masks: np.ndarray) -> np.ndarray:
-        """Point g's coalition C is C's other members, with variant g if C holds
-        source i. Visit these in the order of their sorted member lists. The
-        stack then holds the path from the empty coalition: its level k is the
-        coalition of the first k members of the current one, and the next pops
-        the levels past their common prefix and appends its remaining members
-        one source at a time."""
+        """A mask's coalition of the other sources, at every point, and with
+        source i also each point's variant as a leaf on top of it. Visit the
+        other sources' coalitions in the order of their sorted member lists.
+        The stack then holds the path from the empty coalition: its level k is
+        the coalition of the first k members of the current one, and the next
+        pops the levels past their common prefix and appends its remaining
+        members one source at a time."""
         out = np.zeros(self._prior_scores.shape + (masks.size,))
-        i, wants = self._swept, {}  # lattice coalition -> its (point, mask index) pairs
+        i, wants = self._swept, {}  # other sources -> the mask index without i, and with it
         for j, mask in enumerate(masks):
             others = tuple(m - (m > i) for m in coalition_members(int(mask), self.n) if m != i)
-            for g in range(self.points):
-                want = (*others, self.n - 1 + g) if int(mask) >> i & 1 else others
-                wants.setdefault(want, []).append((g, j))
+            wants.setdefault(others, [None, None])[int(mask) >> i & 1] = j
         path = GpPath(self._rows, self._pool.inputs)
         on_path: list[int] = []
         stack = [self._gp_root]
-        for want in sorted(wants):
+        points = np.arange(self.points)
+        for others in sorted(wants):
             depth = 0
-            while depth < min(len(want), len(on_path)) and want[depth] == on_path[depth]:
+            while depth < min(len(others), len(on_path)) and others[depth] == on_path[depth]:
                 depth += 1
             del on_path[depth:], stack[depth + 1 :]
-            for slot in want[depth:]:
-                stack.append(self._gp_append(stack[-1], slot, path))
+            for slot in others[depth:]:
+                stack.append(self._gp_append(stack[-1], self._blocks[slot], path)[0])
                 on_path.append(slot)
-            if stack[-1].end:  # no training rows: worth exactly zero
-                g, j = map(list, zip(*wants[want]))
-                out[g, :, j] = self._gp_scores(stack[-1], g) - self._prior_scores[g]
+            without, with_i = wants[others]
+            if without is not None and stack[-1].end:  # no training rows: worth exactly zero
+                out[:, :, without] = self._gp_scores(stack[-1], points) - self._prior_scores
+            if with_i is not None:
+                out[:, :, with_i] = self._gp_leaf_scores(stack[-1], path)
         return out.reshape(-1, masks.size)
 
-    def _gp_append(self, parent: _GpLevel, source: int, path: GpPath) -> _GpLevel:
-        """Extend ``parent`` by the block S of ``source``, which follows every
-        member of ``parent``, with :func:`~truthval.gp.append_block`, and its
-        pool posterior by mean += V_S^T w_S, cov -= V_S^T V_S.
+    def _gp_leaf_scores(self, parent: _GpLevel, path: GpPath) -> np.ndarray:
+        """Scores at each point (rows) of its leaf, ``parent`` extended by the
+        point's variant, built by the steps of :func:`_leaf_plan`."""
+        scores = np.zeros(self._prior_scores.shape)
+        segments, held = [parent], {}  # the leaf path; cross terms kept per depth
+        for g, depth, steps in self._plan:
+            del segments[depth + 1 :]
+            self._gp_leaf(segments, held, self._blocks[self.n - 1 + g], steps, path)
+            if segments[-1].end:  # no training rows: worth exactly zero
+                scores[g] = self._gp_scores(segments[-1], [g])[0] - self._prior_scores[g]
+        return scores
+
+    def _gp_leaf(self, segments: list, held: dict, block: GpBlock, steps, path: GpPath) -> None:
+        """Run a variant's ``steps`` on the leaf path ``segments``, which starts
+        at the parent coalition, with rows of the variant's ``block``. A method
+        of its own, so that no local outlives it to keep a level that the next
+        variant drops."""
+        start = segments[0].end
+        for step in steps:
+            if step.kind == "whiten":
+                for k in range(1, len(segments)):
+                    below, level = segments[k - 1], segments[k]
+                    if level.end > start + step.lo:
+                        outputs = block.outputs[below.end - start : level.end - start]
+                        segments[k] = self._gp_whiten(below, level, outputs, path)
+                continue
+            part = GpBlock(*(field[step.lo : step.hi] for field in block))
+            depth = len(segments)
+            cross = held.pop(depth) if step.kind == "sibling" else None
+            level, cross = self._gp_append(segments[-1], part, path, cross, step.keep)
+            segments.append(level)
+            if step.keep:
+                held[depth] = cross
+
+    def _gp_append(self, parent, block, path, cross=None, keep=False):
+        """Extend ``parent`` by ``block`` S, which follows every row of ``parent``,
+        with :func:`~truthval.gp.append_block`, or with
+        :func:`~truthval.gp.condition_block` from the ``cross`` terms of S's
+        inputs, and its pool posterior by mean += V_S^T w_S, cov -= V_S^T V_S.
+        Returns the new level and S's cross terms.
 
         Information gain keeps only log det(I + K / noise) of the raw rows: no
         jitter, no pool. By the determinant lemma, a block whose distinct rows
         occur c times adds 2 sum log diag(L22) + sum log(c / noise).
         """
-        block, model = self._blocks[source], self._model
+        model = self._model
         start, end = parent.end, parent.end + block.counts.size
         if start == end:
-            return parent
+            return parent, cross
         jitter = None if self._kind == INFO_GAIN else model.jitter
-        l22 = append_block(path, start, block, model, jitter, self._pool.inputs)
+        if cross is None:
+            l22, cross = append_block(path, start, block, model, jitter, self._pool.inputs, keep)
+        else:
+            l22 = condition_block(path, cross, block, model, jitter, self._pool.inputs, keep)
         if self._kind == INFO_GAIN:
             logdet = 2.0 * np.log(np.diag(l22)).sum() + np.log(block.counts / model.noise_var).sum()
-            return parent._replace(end=end, logdet=parent.logdet + logdet)
+            return parent._replace(end=end, logdet=parent.logdet + logdet), cross
         proj = path.proj[start:end]
         mean = parent.mean + [proj.T @ white for white in path.white[:, start:end]]
         if self._mean_kind:
-            return _GpLevel(end, mean, parent.spread - np.einsum("ij,ij->j", proj, proj))
+            return _GpLevel(end, mean, parent.spread - np.einsum("ij,ij->j", proj, proj)), cross
         spread = []
         for cov, idx in zip(parent.spread, self._subsets):
             part = proj[:, idx]
             spread.append(cov - part.T @ part)
-        return _GpLevel(end, mean, spread)
+        return _GpLevel(end, mean, spread), cross
+
+    def _gp_whiten(self, parent: _GpLevel, level: _GpLevel, outputs, path: GpPath) -> _GpLevel:
+        """``level``, which extends ``parent``, for other ``outputs`` of its rows:
+        only w and the pool mean change."""
+        start, end = parent.end, level.end
+        whiten_block(path, start, end, outputs)
+        mean = parent.mean[0] + path.proj[start:end].T @ path.white[0, start:end]
+        return level._replace(mean=np.stack([mean, level.mean[1]]))
 
     def _gp_scores(self, level: _GpLevel, points) -> np.ndarray:
         """Log score of every validation set (columns) at each of ``points`` (rows)

@@ -774,6 +774,27 @@ def gp_grid_config(source, values, sizes=(8, 6, 5), estimator="auto"):
     })
 
 
+def count_gp_appends(monkeypatch):
+    """Record the rows of every block the GP lattice appends and of every
+    counts sibling it conditions from held cross terms."""
+    from truthval import valuation
+
+    calls = {"append": [], "sibling": []}
+    append_block, condition_block = valuation.append_block, valuation.condition_block
+
+    def appended(path, start, block, *args, **kwargs):
+        calls["append"].append(block.counts.size)
+        return append_block(path, start, block, *args, **kwargs)
+
+    def conditioned(path, cross, block, *args, **kwargs):
+        calls["sibling"].append(block.counts.size)
+        return condition_block(path, cross, block, *args, **kwargs)
+
+    monkeypatch.setattr(valuation, "append_block", appended)
+    monkeypatch.setattr(valuation, "condition_block", conditioned)
+    return calls
+
+
 ESTIMATORS = pytest.mark.parametrize(
     "estimator", ["exact", {"kind": "sampled", "permutations": 40}], ids=["exact", "sampled"]
 )
@@ -789,28 +810,47 @@ class TestStrategyGridLattice:
     sources followed by the G variants of the swept source."""
 
     @pytest.mark.parametrize(
-        "source, values, appends",
+        "source, values, appends, siblings",
         [
             # 2^(n-1) - 1 coalitions without the swept source, once, and the
-            # 2^(n-1) with it at each of G points; per point, G (2^n - 1).
-            (1, ["truthful", {"tag": "subset", "frac": 0.5}, "duplicate"], 3 + 3 * 4),  # not 21
-            (0, SIX_STRATEGIES, 3 + 6 * 4),  # the benchmark's shape; not 42
+            # 2^(n-1) with it, each with a leaf per point; per point, G (2^n - 1).
+            # Of the leaves, duplicate has truthful's inputs with other counts,
+            # so it is conditioned from truthful's cross terms, not appended.
+            (1, ["truthful", {"tag": "subset", "frac": 0.5}, "duplicate"], 3 + 2 * 4, 4),
+            # The benchmark's shape; 42 appends per point, 27 with a leaf per
+            # variant. noise-output has truthful's inputs and counts, so it
+            # only whitens its outputs; inject appends only its extra row
+            # after truthful's leaf; duplicate is a counts sibling. Truthful,
+            # subset, inject's tail and noise-input append: 3 + 4 x 4 = 19.
+            (0, SIX_STRATEGIES, 3 + 4 * 4, 4),
         ],
         ids=["three-points", "benchmark-shape"],
     )
-    def test_unchanged_coalitions_are_appended_once(self, source, values, appends, monkeypatch):
-        from truthval import valuation
-
-        append_block, calls = valuation.append_block, []
-
-        def counted(*args, **kwargs):
-            calls.append(args[1])  # the row the block is appended at
-            return append_block(*args, **kwargs)
-
-        monkeypatch.setattr(valuation, "append_block", counted)
+    def test_unchanged_coalitions_are_appended_once(
+        self, source, values, appends, siblings, monkeypatch
+    ):
+        calls = count_gp_appends(monkeypatch)
         report = run_experiment(gp_grid_config(source, values))
-        assert len(calls) == appends
+        assert len(calls["append"]) == appends
+        assert len(calls["sibling"]) == siblings
         assert len(report.rows) == len(values) * 2 * 3
+
+    def test_noise_output_leaf_appends_nothing(self, monkeypatch):
+        calls = count_gp_appends(monkeypatch)
+        run_experiment(gp_grid_config(0, ["truthful", {"tag": "noise-output", "level": 3.0}]))
+        grid = len(calls["append"])
+        calls["append"].clear()
+        run_experiment(gp_grid_config(0, ["truthful"]))
+        assert grid == len(calls["append"]) == 3 + 4
+        assert not calls["sibling"]
+
+    def test_inject_appends_only_its_extra_rows(self, monkeypatch):
+        # Sources of 8, 6 and 5 rows, source 0 swept: the other sources'
+        # coalitions append 6, 5 and 5 rows, and under each of the 4 parents
+        # truthful appends 8 and inject ceil(0.1 x 8) = 1 row, not 9.
+        calls = count_gp_appends(monkeypatch)
+        run_experiment(gp_grid_config(0, ["truthful", {"tag": "inject", "frac": 0.1, "offset": 0.1}]))
+        assert sorted(calls["append"]) == sorted([6, 5, 5] + [8, 1] * 4)
 
     @pytest.mark.parametrize(
         "model, source, standardize",

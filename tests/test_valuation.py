@@ -3,6 +3,7 @@
 import math
 import re
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -233,7 +234,10 @@ def assert_tables_match_dvf_value(model, kind, sources, pool=None, subsets=None,
     assert len(tables) == len(validations)
     for validation, table in zip(validations, tables):
         spec = DvfSpec(kind, model=model, validation=validation)
-        want = [dvf_value(spec, coalition_data(sources, m)) for m in range(2 ** len(sources))]
+        value = partial(dvf_value, spec)
+        if kind == "info-gain" and isinstance(model, GpHyper):
+            value = partial(gp_info_gain_raw_rows, model)
+        want = [value(coalition_data(sources, m)) for m in range(2 ** len(sources))]
         assert table.values[0] == 0.0
         # The absolute floor only matters for values near zero, where
         # log p(T | D) - log p(T) loses digits to cancellation.
@@ -368,6 +372,16 @@ def se_kernel(x, model):
     return model.signal_var * np.exp(-0.5 * sq)
 
 
+def gp_info_gain_raw_rows(model, data):
+    """GP information gain 1/2 log det(I + K / noise_var) of the raw rows of
+    ``data``, every repeated row in its own row, by a dense slogdet."""
+    if len(data) == 0:
+        return 0.0
+    sign, logdet = np.linalg.slogdet(np.eye(len(data)) + se_kernel(data.inputs, model) / model.noise_var)
+    assert sign > 0
+    return 0.5 * logdet
+
+
 class TestBaselineTables:
     @pytest.mark.filterwarnings("ignore::truthval.valuation.RankDeficientVolumeWarning")
     @settings(max_examples=80, deadline=None)
@@ -401,12 +415,12 @@ class TestBaselineTables:
             sources = [rows(rng, k) for k in (5, 0, 3, 6)]
             table = build_char_table(sources, DvfSpec("info-gain", model=model)).values
             for mask in range(16):
-                x = coalition_data(sources, mask).inputs
+                data = coalition_data(sources, mask)
                 if family == "bayes-linreg":
-                    scaled = x @ x.T * (model.prior_var / model.noise_var)
+                    scaled = data.inputs @ data.inputs.T * (model.prior_var / model.noise_var)
+                    want = 0.5 * np.linalg.slogdet(np.eye(len(data)) + scaled)[1]
                 else:
-                    scaled = se_kernel(x, model) / model.noise_var
-                want = 0.5 * np.linalg.slogdet(np.eye(len(x)) + scaled)[1]
+                    want = gp_info_gain_raw_rows(model, data)
                 assert table[mask] == pytest.approx(want, rel=1e-12, abs=1e-13), (family, mask)
 
     def test_kl_from_prior_matches_closed_forms(self):
@@ -503,14 +517,16 @@ class TestBaselineTables:
             CoalitionScorer(model, "info-gain", sources).table()
         assert "larger" not in str(caught.value)
 
-    def test_gp_info_gain_reference_raises_on_shared_inputs(self):
-        # dvf_value's raw-row log determinant of {0, 1} fails as the lattice
-        # does: a numerical failure, not a configuration error.
+    def test_gp_info_gain_dvf_value_merges_shared_inputs(self):
+        # dvf_value scores {0, 1} as one source, whose 4 inputs occur twice
+        # each and enter once with the noise halved, so it is finite where the
+        # lattice, which keeps the two sources' rows apart, raises (above).
+        # The inputs lie 20 lengthscales apart, so K is the identity to
+        # 1e-87, and each input adds 1/2 log(1 + 2 / noise_var).
         sources, _ = shared_input_instance()
         spec = DvfSpec("info-gain", model=GpHyper(lengthscales=0.05, noise_var=1e-17))
-        assert np.isfinite(dvf_value(spec, sources[0]))
-        with pytest.raises(NumericalError, match="information-gain matrix"):
-            dvf_value(spec, coalition_data(sources, 0b011))
+        got = dvf_value(spec, coalition_data(sources, 0b011))
+        assert got == pytest.approx(2.0 * math.log1p(2.0 / 1e-17), rel=1e-14)
 
 
 def gp_dvf_values(model, kind, sources, pool):
@@ -716,16 +732,20 @@ class TestGpLattice:
             CoalitionScorer(model, "log-score", [data, rows(rng, 3)], pool)
 
     @pytest.mark.parametrize("kind", ["log-score", "mean-log-score"])
-    def test_estimate_counts_the_pool_covariances_of_every_level(self, kind, monkeypatch):
+    @pytest.mark.parametrize("grid", [False, True], ids=["no-grid", "counts-sibling"])
+    def test_estimate_counts_the_pool_covariances_of_every_level(self, kind, grid, monkeypatch):
         # For log-score, each of the n + 1 stack levels keeps one pool
         # covariance per validation set: here 4 x 5 x 400^2 floats, 25.6 MB of
         # the peak. For mean-log-score the temporaries of the last 50-row
-        # append (50 x 100 cross terms, 50 x 400 projections) weigh most.
+        # append (50 x 100 cross terms, 50 x 400 projections) weigh most. The
+        # grid sweeps source 2 over itself and its duplicate, a counts
+        # sibling conditioned from the cross terms its first leaf holds.
         import scipy.linalg  # noqa: F401  (loaded first: its import is not the scorer's)
 
         sources = [friedman_generate(50, seed) for seed in range(3)]
         pool = friedman_generate(400, 3)
-        args = (GpHyper(noise_var=0.1), kind, sources, pool, [np.arange(400)] * 5)
+        variants = (2, [sources[2], concat_datasets([sources[2]] * 2)]) if grid else None
+        args = (GpHyper(noise_var=0.1), kind, sources, pool, [np.arange(400)] * 5, variants)
         tracemalloc.start()
         try:
             CoalitionScorer(*args).table()
@@ -740,10 +760,17 @@ class TestGpLattice:
 
     @pytest.mark.parametrize("kind", ["log-score", "mean-log-score", "info-gain"])
     @pytest.mark.parametrize("standardize", [True, False])
-    def test_grid_matches_a_scorer_per_point(self, kind, standardize):
-        # Three variants of source 1 on one lattice, each point standardized
-        # by its own moments, against a scorer per point on the point's
-        # standardized rows: the same model, rows in another order.
+    @pytest.mark.parametrize("grid", ["three", "trie-rules"])
+    def test_grid_matches_a_scorer_per_point(self, kind, standardize, grid, monkeypatch):
+        # Variants of source 1 on one lattice, each point standardized by its
+        # own moments, against a scorer per point on the point's standardized
+        # rows: the same model, rows in another order. The trie-rules grid
+        # holds a variant for each way a leaf shares another's work: d and d
+        # with other outputs (whitened), d with extra rows (a tail), d twice
+        # (a counts sibling) and with extra rows (a sibling's tail), d with
+        # other outputs and extra rows (a tail whose prefix outputs differ),
+        # the same with outputs above all others (visited last, it whitens two
+        # segments), a subset of d and disjoint inputs (appended).
         rng = np.random.default_rng(66)
         model, rows = FAMILIES["gp"]
 
@@ -752,7 +779,25 @@ class TestGpLattice:
             return Dataset(data.inputs, 4.0 + 3.0 * data.outputs)
 
         sources = [shifted(7), shifted(5), shifted(4)]
-        variants = [shifted(6), concat_datasets([sources[1]] * 2), shifted(2)]
+        if grid == "three":
+            variants = [shifted(6), concat_datasets([sources[1]] * 2), shifted(2)]
+        else:
+            d, extra = sources[1], shifted(3)
+            other = Dataset(d.inputs, d.outputs[::-1] - 1.0)
+            highest = Dataset(d.inputs, np.maximum(d.outputs, other.outputs) + 1.0)
+            variants = [
+                d, other, concat_datasets([d, extra]), concat_datasets([d] * 2),
+                concat_datasets([d, d, extra]), concat_datasets([other, extra]),
+                concat_datasets([highest, extra]), take_rows(d, rng.permutation(5)[:3]),
+                shifted(4),
+            ]
+        calls = {"condition_block": 0, "whiten_block": 0}
+        for name in calls:
+            def counted(*args, _name=name, _call=getattr(valuation, name), **kwargs):
+                calls[_name] += 1
+                return _call(*args, **kwargs)
+
+            monkeypatch.setattr(valuation, name, counted)
         pool, subsets = shifted(9), [[0, 2, 3, 5], [1, 4, 6, 7, 8]]
         if kind == "info-gain":  # validation-free: no pool to standardize
             pool, subsets = None, None
@@ -767,8 +812,45 @@ class TestGpLattice:
                 point = [shift_scale_outputs(ds, *moments[g]) for ds in point]
                 ref_pool = None if pool is None else shift_scale_outputs(pool, *moments[g])
             want += [t.values for t in CoalitionScorer(model, kind, point, ref_pool, subsets).table()]
-        assert len(got) == len(want) == 3 * (1 if pool is None else 2)
+        assert len(got) == len(want) == len(variants) * (1 if pool is None else 2)
         np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-12)
+        if grid == "trie-rules":
+            assert calls["condition_block"] > 0
+            assert (calls["whiten_block"] > 0) == (kind != "info-gain")
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        kind=st.sampled_from(["log-score", "mean-log-score", "info-gain"]),
+        swept=st.integers(0, 2),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_random_grids_of_shared_pieces_match_a_scorer_per_point(self, kind, swept, seed):
+        # Each variant glues one to three pieces, one of them source 1's
+        # rows, each piece maybe with other outputs or repeated, so that
+        # variants begin with, equal or re-weight each other's rows in the
+        # combinations the leaf plan shares, sometimes twice over.
+        rng = np.random.default_rng(seed)
+        model, rows = FAMILIES["gp"]
+        sources = [rows(rng, 3), rows(rng, int(rng.integers(1, 5))), rows(rng, 2)]
+        pieces = [sources[1], rows(rng, 2), rows(rng, 3)]
+        variants = []
+        for _ in range(int(rng.integers(2, 7))):
+            parts = []
+            for _ in range(int(rng.integers(1, 4))):
+                piece, change = pieces[rng.integers(3)], rng.integers(4)
+                if change == 1:
+                    piece = Dataset(piece.inputs, piece.outputs + rng.normal(size=len(piece)))
+                elif change == 2:
+                    piece = concat_datasets([piece] * int(rng.integers(2, 4)))
+                parts.append(piece)
+            variants.append(concat_datasets(parts))
+        pool, subsets = (None, None) if kind == "info-gain" else (rows(rng, 6), [[0, 2, 3], [1, 4, 5]])
+        grid = CoalitionScorer(model, kind, sources, pool, subsets, (swept, variants)).table()
+        want = []
+        for d in variants:
+            point = [d if i == swept else ds for i, ds in enumerate(sources)]
+            want += [t.values for t in CoalitionScorer(model, kind, point, pool, subsets).table()]
+        np.testing.assert_allclose([t.values for t in grid], want, rtol=1e-10, atol=1e-12)
 
     def test_grid_scratch_is_sized_by_the_longest_coalition(self, monkeypatch):
         # 8 bytes x (40 rows x (2 inputs + 40 factor + 5 pool + 2 white)
