@@ -39,12 +39,7 @@ from .errors import (
     UnsupportedConfigurationError,
 )
 from .experiment import ExperimentConfig, RunReport, emit_report, run_experiment
-from .gp import (
-    GpHyper,
-    GpPosterior,
-    gp_posterior,
-    se_ard_kernel,
-)
+from .gp import GpHyper, se_ard_kernel
 from .mechanisms import CrossGameRewards, cross_validation_rewards
 from .models import (
     BetaBernoulliModel,

@@ -128,6 +128,11 @@ def apply_strategy(data: Dataset, strategy: Strategy) -> Dataset:
         return take_rows(data, rng.choice(n, size=k, replace=False)) if n else data
     if strategy.tag == NOISE_OUTPUT:
         if data.kind == BINARY:
+            if strategy.level > 1:
+                raise ConfigurationError(
+                    f"noise-output level is a flip probability on binary labels and "
+                    f"must be in [0, 1], got {strategy.level!r}"
+                )
             flip = rng.random(n) < strategy.level
             return Dataset(data.inputs, np.where(flip, 1.0 - data.outputs, data.outputs), BINARY)
         noisy = data.outputs + rng.normal(0.0, strategy.level, size=n)

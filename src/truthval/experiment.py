@@ -170,7 +170,7 @@ _WEIGHTS = _Named("family", "weight family", {
 _POST = _Named("kind", "post-processing", {
     "none": {},
     "budget": {"budget": (_POSITIVE, _REQUIRED), "a": (_POSITIVE, 1.0)},
-    "scaled": {"budget": (_POSITIVE, _REQUIRED), "gamma": (_NUMBER, 0.0)},
+    "scaled": {"budget": (_POSITIVE, _REQUIRED), "gamma": (_NONNEGATIVE, 0.0)},
     "cross-validation": {"variant": (_VARIANT, "breve"), "validation_frac": (_OPEN_UNIT, 0.25)},
 }, implied="none", bare=True)
 
@@ -361,6 +361,14 @@ class ExperimentConfig:
                     f"{where} holds {kind} data, but model {family!r} scores "
                     f"{model.data_kind} outputs"
                 )
+        grid = sweep["values"] if sweep["axis"] == "strategy-grid" else []
+        for where, strategies in (("strategies", cfg["strategies"]), ("sweep['values']", grid)):
+            for i, strategy in enumerate(strategies):  # only noise-output has a level
+                if model.data_kind == BINARY and strategy.get("level", 0) > 1:
+                    raise ConfigurationError(
+                        f"{where}[{i}]['level'] is a flip probability on binary labels and "
+                        f"must be in [0, 1], got {strategy['level']!r}"
+                    )
         # Of the binary pools only a CSV pool has a noise_sd (a Bernoulli
         # spec refuses the key and the sweep above).
         noisy = validation is not None and validation.get("noise_sd", 0) > 0

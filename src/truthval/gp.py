@@ -10,9 +10,10 @@ observed-output predictive, i.e. noise_var is added back onto the covariance
 diagonal. Every training kernel is factorized by :func:`append_block`, which
 extends the Cholesky factor of a training set by one block of rows (or by
 its counts and outputs half, :func:`condition_block`, for a block whose
-inputs another block already crossed with the same rows); the
-posterior given one training set is the append of its block to no rows, and
-the configured ``jitter`` is the only regulariser of either.
+inputs another block already crossed with the same rows), and the
+configured ``jitter`` is the only regulariser of either. Every posterior,
+one training set's included, is scored on such a path by
+:class:`~truthval.valuation.CoalitionScorer`.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from typing import ClassVar, NamedTuple
 import numpy as np
 
 from .data import REGRESSION, Dataset
-from .errors import ConfigurationError, InputError, NumericalError
+from .errors import ConfigurationError, NumericalError
 
 
 @dataclass(frozen=True)
@@ -65,22 +66,6 @@ class GpHyper:
                 f"{self.lengthscales.size} lengthscales for {n_features} features"
             )
         return self.lengthscales
-
-
-@dataclass(frozen=True)
-class GpPosterior:
-    """Latent posterior at a set of test inputs (no observation noise)."""
-
-    mean: np.ndarray
-    cov: np.ndarray
-
-    def __post_init__(self) -> None:
-        mean = np.array(self.mean, dtype=float)
-        cov = np.array(self.cov, dtype=float)
-        mean.setflags(write=False)
-        cov.setflags(write=False)
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "cov", cov)
 
 
 def se_ard_kernel(xa: np.ndarray, xb: np.ndarray, hyper: GpHyper) -> np.ndarray:
@@ -286,33 +271,6 @@ def whiten_block(path: GpPath, start: int, end: int, outputs: np.ndarray) -> Non
         lower=True,
         check_finite=False,
     )
-
-
-def gp_posterior(
-    train: Dataset,
-    test_inputs: np.ndarray,
-    hyper: GpHyper,
-) -> GpPosterior:
-    """Exact latent posterior at ``test_inputs`` given ``train``: the append
-    of the :func:`gp_block` of ``train`` to no rows, at the model's jitter."""
-    if train.kind != REGRESSION:
-        raise InputError("GP regression requires regression outputs")
-    test_inputs = np.asarray(test_inputs, dtype=float)
-    if test_inputs.ndim != 2:
-        raise InputError("test_inputs must be a 2-d matrix")
-    k_star = se_ard_kernel(test_inputs, test_inputs, hyper)
-    if len(train) == 0:
-        return GpPosterior(np.zeros(test_inputs.shape[0]), k_star)
-    if train.n_features != test_inputs.shape[1]:
-        raise InputError(
-            f"train has {train.n_features} features, test inputs have "
-            f"{test_inputs.shape[1]}"
-        )
-    block = gp_block(train)
-    path = GpPath(block.counts.size, test_inputs)
-    append_block(path, 0, block, hyper, hyper.jitter, test_inputs)
-    cov = k_star - path.proj.T @ path.proj
-    return GpPosterior(path.proj.T @ path.white[0], 0.5 * (cov + cov.T))
 
 
 def gaussian_logpdf(y: np.ndarray, mean: np.ndarray, cov: np.ndarray):

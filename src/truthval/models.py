@@ -15,8 +15,9 @@ Every family gives the exact log density of a validation set under the
 posterior predictive, both jointly (chain-rule consistent) and per point.
 The Beta-Bernoulli and Gaussian-mean families also give the divergence of
 the posterior from the prior in closed form. Gaussian-process regression
-lives in :mod:`truthval.gp`; the dispatch functions here accept its
-hyperparameter object and delegate.
+lives in :mod:`truthval.gp` and is scored only by
+:class:`~truthval.valuation.CoalitionScorer`, which
+:func:`~truthval.valuation.dvf_value` calls on one dataset.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from typing import ClassVar, Union
 
 import numpy as np
 
-from . import gp as _gp
 from .data import BINARY, REGRESSION, Dataset
 from .errors import ConfigurationError, InputError
 
@@ -92,7 +92,6 @@ class LinearRegressionModel:
 
 
 ConjugateModel = Union[BetaBernoulliModel, GaussianMeanModel, LinearRegressionModel]
-BayesianModel = Union[ConjugateModel, _gp.GpHyper]
 
 
 def _check_kind(model, data: Dataset, what: str) -> None:
@@ -138,7 +137,9 @@ def prior_params(model: ConjugateModel) -> tuple[float, np.ndarray]:
         # Pseudo-data worth nu0 points whose Gram matrix is the ridge term
         # (noise_var / prior_var) * I and whose output moments are zero.
         return nu0, np.concatenate([[0.0], np.zeros(d), (nu0 * np.eye(d)).ravel()])
-    raise ConfigurationError(f"no conjugate prior for model {model!r}")
+    raise ConfigurationError(
+        f"no conjugate prior for model {model!r}; score a GP with dvf_value or CoalitionScorer"
+    )
 
 
 def posterior_params(model: ConjugateModel, data: Dataset) -> tuple[float, np.ndarray]:
@@ -301,29 +302,18 @@ def kl_from_prior_batch(model: ConjugateModel, nu: np.ndarray, sums: np.ndarray)
     raise ConfigurationError(f"no closed-form divergence from the prior for model {model!r}")
 
 
-def log_predictive(model: BayesianModel, data: Dataset, validation: Dataset) -> float:
+def log_predictive(model: ConjugateModel, data: Dataset, validation: Dataset) -> float:
     """Exact joint log density of the validation set given ``data``.
 
     With empty ``data`` this is the log marginal density under the prior.
     """
-    if isinstance(model, _gp.GpHyper):
-        _check_validation(model, validation)
-        _check_kind(model, data, "data")
-        post = _gp.gp_posterior(data, validation.inputs, model)
-        return _gp.predictive_log_density(validation.outputs, post.mean, post.cov, model.noise_var)
     nu, sums = posterior_params(model, data)
     summary = validation_summary(model, validation)
     return float(log_predictive_batch(model, np.array([nu]), sums[None, :], summary)[0])
 
 
-def mean_log_predictive(model: BayesianModel, data: Dataset, validation: Dataset) -> float:
+def mean_log_predictive(model: ConjugateModel, data: Dataset, validation: Dataset) -> float:
     """Average per-point log predictive density (no posterior chaining)."""
-    if isinstance(model, _gp.GpHyper):
-        _check_validation(model, validation)
-        _check_kind(model, data, "data")
-        post = _gp.gp_posterior(data, validation.inputs, model)
-        y, var = validation.outputs, np.diag(post.cov)
-        return float(np.mean(_gp.predictive_log_density(y, post.mean, var, model.noise_var)))
     nu, sums = posterior_params(model, data)
     _check_validation(model, validation)
     pointwise = pointwise_log_predictive_batch(model, np.array([nu]), sums[None, :], validation)

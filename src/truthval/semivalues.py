@@ -187,7 +187,8 @@ def budget_cap(phi: np.ndarray, a: float, budget: float) -> np.ndarray:
 
 
 def scaled_reward(phi: np.ndarray, budget: float, gamma: float) -> np.ndarray:
-    """Rewards budget * phi / (max phi + gamma), all guaranteed <= budget.
+    """Rewards budget * phi / (max phi + gamma) for gamma >= 0, which keeps
+    every reward <= budget; a negative gamma could raise one above it.
 
     The denominator depends on the submissions, so only the ratio of
     expectations is known to favor truthful submission. That guarantee is
@@ -195,8 +196,8 @@ def scaled_reward(phi: np.ndarray, budget: float, gamma: float) -> np.ndarray:
     this package exercises it yet.
     """
     phi = np.asarray(phi, dtype=float)
-    if budget <= 0:
-        raise ConfigurationError("scaled_reward requires budget > 0")
+    if budget <= 0 or gamma < 0:
+        raise ConfigurationError("scaled_reward requires budget > 0 and gamma >= 0")
     denom = float(phi.max()) + gamma
     if denom <= 0:
         raise ConfigurationError(

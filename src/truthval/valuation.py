@@ -10,7 +10,7 @@ included as baselines precisely because they are gameable: cardinality,
 input-volume, information gain, and posterior divergence from the prior.
 
 Every kind scores its coalitions through :class:`CoalitionScorer`, and
-:func:`dvf_value` on :func:`coalition_data` is the scalar reference.
+:func:`dvf_value` is that scorer on one dataset: one way to compute v.
 """
 
 from __future__ import annotations
@@ -42,9 +42,7 @@ from .models import (
     LinearRegressionModel,
     _check_kind,
     kl_from_prior_batch,
-    log_predictive,
     log_predictive_batch,
-    mean_log_predictive,
     pointwise_log_predictive_batch,
     prior_params,
     suff_stats,
@@ -126,20 +124,12 @@ class DvfSpec:
 
 
 def dvf_value(spec: DvfSpec, data: Dataset) -> float:
-    """Evaluate the valuation function on one dataset; an empty one is worth
-    exactly zero. The baselines are :class:`CoalitionScorer` on one source,
-    whose repeated GP inputs enter once with noise over their count."""
+    """Evaluate the valuation function on one dataset: :class:`CoalitionScorer`
+    with ``data`` as its one source, so a GP enters each repeated input row
+    once with noise over its count. An empty dataset is worth exactly zero."""
     if len(data) == 0:
         return 0.0
-    if spec.kind not in LOG_SCORE_KINDS:
-        return float(CoalitionScorer(spec.model, spec.kind, [data]).values(1)[0])
-    if spec.kind == LOG_SCORE:
-        return log_predictive(spec.model, data, spec.validation) - log_predictive(
-            spec.model, empty_like(data), spec.validation
-        )
-    return mean_log_predictive(spec.model, data, spec.validation) - mean_log_predictive(
-        spec.model, empty_like(data), spec.validation
-    )
+    return float(CoalitionScorer(spec.model, spec.kind, [data], spec.validation).values(1)[0])
 
 
 @dataclass(frozen=True)

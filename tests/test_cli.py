@@ -251,6 +251,33 @@ class TestConfigurationErrorsExit1:
         assert err.startswith("configuration error:") and "sweep['values'][0]" in err
         assert "weight family" in err
 
+    def test_negative_scaled_gamma(self, tmp_path, capsys, config_path):
+        # budget * phi / (max phi + gamma) exceeds the budget for gamma < 0.
+        cfg = json.loads(config_path.read_text())
+        cfg["post"] = {"kind": "scaled", "budget": 1.0, "gamma": -0.05}
+        code, err = self.run(tmp_path, capsys, cfg)
+        assert code == 1
+        assert err.startswith("configuration error:") and "post['gamma'] must be" in err
+
+    @pytest.mark.parametrize(
+        "section, where",
+        [("strategies", "strategies[1]"), ("sweep", "sweep['values'][1]")],
+    )
+    def test_binary_flip_level_above_one(self, tmp_path, capsys, config_path, section, where):
+        # On binary labels the noise-output level is a flip probability; a
+        # level of 1 flips every label and runs, a level above 1 is refused.
+        cfg = json.loads(config_path.read_text())
+        for level, want in ((1.0, 0), (1.5, 1)):
+            flip = {"tag": "noise-output", "level": level}
+            if section == "strategies":
+                cfg["strategies"] = ["truthful", flip]
+            else:
+                cfg["sweep"] = {"axis": "strategy-grid", "source": 0, "values": ["truthful", flip]}
+            code, err = self.run(tmp_path, capsys, cfg)
+            assert code == want
+        assert err.startswith("configuration error:") and f"{where}['level']" in err
+        assert "flip probability" in err and "1.5" in err
+
     def test_weights_list(self, tmp_path, capsys, config_path):
         cfg = json.loads(config_path.read_text())
         cfg["weights"] = ["shapley"]

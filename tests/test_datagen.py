@@ -102,6 +102,15 @@ class TestStrategies:
         flipped = out.outputs.mean()
         assert 0.2 < flipped < 0.4
 
+    def test_noise_output_binary_level_above_one_raises(self):
+        # A flip probability of 1 flips every label; above 1 is refused on
+        # binary labels, while regression takes it as a standard deviation.
+        data = binary_dataset(np.zeros(5))
+        assert apply_strategy(data, Strategy("noise-output", level=1.0)).outputs.tolist() == [1.0] * 5
+        with pytest.raises(ConfigurationError, match="flip probability.*got 1.5"):
+            apply_strategy(data, Strategy("noise-output", level=1.5))
+        assert len(apply_strategy(self.data, Strategy("noise-output", level=2.0))) == 40
+
     def test_inject_appends_out_of_domain_rows(self):
         out = apply_strategy(self.data, Strategy("inject", frac=0.1, offset=0.1, seed=7))
         k = math.ceil(0.1 * 40)

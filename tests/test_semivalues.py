@@ -334,3 +334,8 @@ class TestPostProcessing:
     def test_scaled_reward_precondition(self):
         with pytest.raises(ConfigurationError):
             scaled_reward(np.array([-1.0, -2.0]), budget=1.0, gamma=0.5)
+
+    def test_scaled_reward_rejects_negative_gamma(self):
+        # With gamma = -0.5 the rewards would be [2.0, 0.4], above the budget.
+        with pytest.raises(ConfigurationError, match="gamma >= 0"):
+            scaled_reward(np.array([1.0, 0.2]), budget=1.0, gamma=-0.5)

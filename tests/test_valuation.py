@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.stats import multivariate_normal, norm
 
 from truthval import (
     BetaBernoulliModel,
@@ -29,10 +28,12 @@ from truthval import (
     empty_like,
     exact_semivalue,
     friedman_generate,
+    log_predictive,
     make_weights,
+    mean_log_predictive,
     output_moments,
     outputs_dataset,
-    se_ard_kernel,
+    posterior_params,
     shift_scale_outputs,
     split_train_validation,
     take_rows,
@@ -44,7 +45,10 @@ from truthval.errors import (
     NumericalError,
     UnsupportedConfigurationError,
 )
+from truthval.models import kl_from_prior_batch
 from truthval.valuation import RankDeficientVolumeWarning
+
+from gp_reference import gp_info_gain_raw_rows, gp_log_score_raw_rows
 
 
 def log_score_spec(validation):
@@ -226,17 +230,39 @@ FAMILIES = {
 }
 
 
-def assert_tables_match_dvf_value(model, kind, sources, pool=None, subsets=None, atol=1e-13):
-    """The scorer's tables against dvf_value on each coalition's rows; a
-    validation-set-free kind (``pool`` None) has one table."""
+def reference_value(model, kind, validation):
+    """v on one dataset by a reference outside the scorer: the closed forms
+    of truthval.models on the dataset's posterior for a conjugate family
+    (log scores as differences from the prior's), dense Gaussians on the raw
+    rows for a GP, and dvf_value, the one-source scorer, for cardinality,
+    volume and linear information gain. An empty dataset is worth zero."""
+    if isinstance(model, GpHyper):
+        if kind == "info-gain":
+            return partial(gp_info_gain_raw_rows, model)
+        return partial(gp_log_score_raw_rows, model, kind, validation)
+    if kind not in ("log-score", "mean-log-score", "kl-from-prior"):
+        return partial(dvf_value, DvfSpec(kind, model=model))
+    score = log_predictive if kind == "log-score" else mean_log_predictive
+
+    def value(data):
+        if len(data) == 0:
+            return 0.0
+        if kind == "kl-from-prior":
+            nu, sums = posterior_params(model, data)
+            return kl_from_prior_batch(model, np.array([nu]), sums[None, :])[0]
+        return score(model, data, validation) - score(model, empty_like(data), validation)
+
+    return value
+
+
+def assert_tables_match_references(model, kind, sources, pool=None, subsets=None, atol=1e-13):
+    """The scorer's tables against :func:`reference_value` on each coalition's
+    rows; a validation-set-free kind (``pool`` None) has one table."""
     tables = CoalitionScorer(model, kind, sources, pool, subsets).table()
     validations = [None] if pool is None else [take_rows(pool, idx) for idx in subsets]
     assert len(tables) == len(validations)
     for validation, table in zip(validations, tables):
-        spec = DvfSpec(kind, model=model, validation=validation)
-        value = partial(dvf_value, spec)
-        if kind == "info-gain" and isinstance(model, GpHyper):
-            value = partial(gp_info_gain_raw_rows, model)
+        value = reference_value(model, kind, validation)
         want = [value(coalition_data(sources, m)) for m in range(2 ** len(sources))]
         assert table.values[0] == 0.0
         # The absolute floor only matters for values near zero, where
@@ -247,20 +273,20 @@ def assert_tables_match_dvf_value(model, kind, sources, pool=None, subsets=None,
 class TestCoalitionScorer:
     @pytest.mark.parametrize("kind", ["log-score", "mean-log-score"])
     @pytest.mark.parametrize("family", sorted(FAMILIES))
-    def test_table_matches_dvf_value(self, family, kind):
+    def test_table_matches_references(self, family, kind):
         rng = np.random.default_rng(50)
         model, rows = FAMILIES[family]
         sources = [rows(rng, k) for k in (5, 3, 6)]
         pool = rows(rng, 8)
         subsets = [np.array([0, 2, 5]), np.array([1, 3, 4, 6, 7])]
-        assert_tables_match_dvf_value(model, kind, sources, pool, subsets)
+        assert_tables_match_references(model, kind, sources, pool, subsets)
 
     @pytest.mark.parametrize("kind", ["log-score", "mean-log-score", "kl-from-prior"])
     def test_beta_prior_enters_as_alpha_itself(self, kind):
         # (alpha + beta) * (alpha / (alpha + beta)) is not alpha for this prior.
-        # The scorer's stacked sums and dvf_value's one-row posterior both
-        # start from alpha, so every coalition's statistics and value agree
-        # exactly.
+        # The scorer's stacked sums and the one-row posterior of
+        # truthval.models both start from alpha, so every coalition's
+        # statistics and value agree exactly.
         model = BetaBernoulliModel(1.75, 4.5)
         assert (1.75 + 4.5) * (1.75 / (1.75 + 4.5)) != 1.75
         rng = np.random.default_rng(65)
@@ -268,8 +294,8 @@ class TestCoalitionScorer:
         sources = [rows(rng, k) for k in (4, 0, 3, 5)]
         pool = rows(rng, 6) if kind != "kl-from-prior" else None
         table = CoalitionScorer(model, kind, sources, pool).table()[0].values
-        spec = DvfSpec(kind, model=model, validation=pool)
-        want = [dvf_value(spec, coalition_data(sources, m)) for m in range(16)]
+        value = reference_value(model, kind, pool)
+        want = [value(coalition_data(sources, m)) for m in range(16)]
         np.testing.assert_array_equal(table, want)
 
     @settings(max_examples=60, deadline=None)
@@ -280,13 +306,13 @@ class TestCoalitionScorer:
         pool_size=st.integers(1, 6),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_random_instances_match_dvf_value(self, family, kind, sizes, pool_size, seed):
+    def test_random_instances_match_references(self, family, kind, sizes, pool_size, seed):
         rng = np.random.default_rng(seed)
         model, rows = FAMILIES[family]
         sources = [rows(rng, k) for k in sizes]
         pool = rows(rng, pool_size)
         subsets = [np.arange(pool_size), np.sort(rng.permutation(pool_size)[: 1 + pool_size // 2])]
-        assert_tables_match_dvf_value(model, kind, sources, pool, subsets)
+        assert_tables_match_references(model, kind, sources, pool, subsets)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -296,7 +322,7 @@ class TestCoalitionScorer:
         shape=st.tuples(st.integers(1, 4), st.integers(1, 5)),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_values_match_dvf_value_for_any_mask_array(self, family, kind, sizes, shape, seed):
+    def test_values_match_references_for_any_mask_array(self, family, kind, sizes, shape, seed):
         rng = np.random.default_rng(seed)
         model, rows = FAMILIES[family]
         sources = [rows(rng, k) for k in sizes]
@@ -309,8 +335,8 @@ class TestCoalitionScorer:
         got = CoalitionScorer(model, kind, sources, pool, subsets).values(masks)
         assert got.shape == (len(subsets),) + shape
         for idx, values in zip(subsets, got):
-            spec = DvfSpec(kind, model=model, validation=take_rows(pool, idx))
-            want = np.vectorize(lambda m: dvf_value(spec, coalition_data(sources, int(m))))(masks)
+            value = reference_value(model, kind, take_rows(pool, idx))
+            want = np.vectorize(lambda m: value(coalition_data(sources, int(m))))(masks)
             assert values[0, 0] == 0.0
             np.testing.assert_allclose(values, want, rtol=1e-12, atol=1e-13)
 
@@ -365,23 +391,6 @@ BASELINES = {
 }
 
 
-def se_kernel(x, model):
-    """The SE-ARD kernel written out, independent of truthval.gp."""
-    scaled = x / np.broadcast_to(model.lengthscales, (x.shape[1],))
-    sq = ((scaled[:, None, :] - scaled[None, :, :]) ** 2).sum(axis=-1)
-    return model.signal_var * np.exp(-0.5 * sq)
-
-
-def gp_info_gain_raw_rows(model, data):
-    """GP information gain 1/2 log det(I + K / noise_var) of the raw rows of
-    ``data``, every repeated row in its own row, by a dense slogdet."""
-    if len(data) == 0:
-        return 0.0
-    sign, logdet = np.linalg.slogdet(np.eye(len(data)) + se_kernel(data.inputs, model) / model.noise_var)
-    assert sign > 0
-    return 0.5 * logdet
-
-
 class TestBaselineTables:
     @pytest.mark.filterwarnings("ignore::truthval.valuation.RankDeficientVolumeWarning")
     @settings(max_examples=80, deadline=None)
@@ -390,10 +399,11 @@ class TestBaselineTables:
         sizes=st.lists(st.integers(0, 6), min_size=1, max_size=5),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_random_instances_match_dvf_value(self, case, sizes, seed):
+    def test_random_instances_match_references(self, case, sizes, seed):
         # A table sums per-source statistics (Gram matrices, sufficient
-        # statistics, lattice blocks), dvf_value takes them of the
-        # concatenated rows: they agree to 1e-12 relative. The determinant of
+        # statistics, lattice blocks), the references take them of the
+        # concatenated rows (:func:`reference_value`): they agree to 1e-12
+        # relative. The determinant of
         # a nearly singular Gram matrix loses digits, so volumes are compared
         # to 1e-12 of the Hadamard bound sqrt(prod diag G) of all rows' Gram
         # matrix G, which bounds every coalition's volume.
@@ -404,7 +414,7 @@ class TestBaselineTables:
         if kind == "volume":
             x = concat_datasets(sources).inputs
             atol = 1e-12 * math.sqrt(np.prod((x**2).sum(axis=0)))
-        assert_tables_match_dvf_value(model, kind, sources, atol=atol)
+        assert_tables_match_references(model, kind, sources, atol=atol)
 
     def test_info_gain_matches_raw_row_references(self):
         # 1/2 log det(I_N + K / noise) on the raw rows for a GP, and
@@ -683,23 +693,7 @@ class TestGpLattice:
         got = CoalitionScorer(model, kind, [raw], pool).values([1])
         # The reference scores the raw rows, every copy in its own row, by
         # dense solves: the library collapses repeated rows everywhere.
-        noise = model.noise_var * np.eye(len(pool))
-        k_pool = se_ard_kernel(pool.inputs, pool.inputs, model) + noise
-        k_raw = se_ard_kernel(raw.inputs, raw.inputs, model) + model.noise_var * np.eye(len(raw))
-        cross = se_ard_kernel(raw.inputs, pool.inputs, model)
-        posterior = (
-            cross.T @ np.linalg.solve(k_raw, raw.outputs),
-            k_pool - cross.T @ np.linalg.solve(k_raw, cross),
-        )
-        if kind == "log-score":
-            prior = multivariate_normal.logpdf(pool.outputs, np.zeros(len(pool)), k_pool)
-            want = multivariate_normal.logpdf(pool.outputs, *posterior) - prior
-        else:
-            mean, cov = posterior
-            want = np.mean(
-                norm.logpdf(pool.outputs, mean, np.sqrt(np.diag(cov)))
-                - norm.logpdf(pool.outputs, 0.0, np.sqrt(np.diag(k_pool)))
-            )
+        want = gp_log_score_raw_rows(model, kind, pool, raw)
         np.testing.assert_allclose(got, [[want]], rtol=1e-12)
 
     def test_duplicated_source_needs_no_more_scratch(self, monkeypatch):
