@@ -1,6 +1,7 @@
 """From coalition values to fair rewards.
 
-A worked 3-player game shows the reward axioms in action: symmetric players
+A game is an array of its 2^n coalition values, indexed by bitmask. A worked
+3-player game shows the reward axioms in action: symmetric players
 earn the same, a null player earns nothing, and strengthening a player's
 contributions strictly raises its reward under any all-positive weighting.
 The same game then goes through the Monte-Carlo estimator, under Shapley and
@@ -8,23 +9,23 @@ Beta(4,1) weights, to show that permutation sampling is an unbiased stand-in
 for full enumeration. What no test checks, the estimates show: player 2
 adds exactly 1 to every coalition, so its Shapley estimate has zero standard
 error, while the Beta(4,1) estimator reweights each marginal by coalition
-size and gives the same player a nonzero one.
+size and gives the same player a nonzero one. Both estimators take stacked
+games: one exact call values the game and its weakened copy together.
 """
 
 import numpy as np
 
 from truthval import (
-    CharacteristicTable,
     exact_semivalue,
     make_weights,
     sampled_semivalue,
 )
 
 # Coalition values, indexed by bitmask over players {0, 1, 2}.
-game = CharacteristicTable(3, np.array([0, 3, 3, 5, 1, 4, 4, 6], dtype=float))
-weakened = CharacteristicTable(3, np.array([0, 3, 2, 4, 1, 4, 3, 5], dtype=float))
+game = np.array([0, 3, 3, 5, 1, 4, 4, 6], dtype=float)
+weakened = np.array([0, 3, 2, 4, 1, 4, 3, 5], dtype=float)
 
-print("Coalition values:", dict(enumerate(game.values)))
+print("Coalition values:", dict(enumerate(game)))
 
 for family in ("shapley", "banzhaf", "individual"):
     w = make_weights(family, 3)
@@ -37,11 +38,10 @@ print(f"  beta(4,1)  rewards {np.round(exact_semivalue(game, beta), 3)}"
       "   (weight tilted toward small coalitions)")
 
 shapley = make_weights("shapley", 3)
-phi = exact_semivalue(game, shapley)
+phi, phi_weak = exact_semivalue(np.stack([game, weakened]), shapley)  # two games, one call
 print(f"\nGroup rationality: rewards sum to {phi.sum():g}, the grand-coalition value.")
 print("Players 0 and 1 contribute identically, and indeed earn the same reward.")
 
-phi_weak = exact_semivalue(weakened, shapley)
 print(
     f"Weakening player 1's contributions drops its reward from "
     f"{phi[1]:g} to {phi_weak[1]:g} (strict monotonicity)."
@@ -49,7 +49,7 @@ print(
 
 print("\nMonte-Carlo estimation with 2000 sampled permutations:")
 for w in (shapley, beta):
-    est = sampled_semivalue(lambda masks: game.values[masks], w, 2000, seed=7)
+    est = sampled_semivalue(lambda masks: game[masks], w, 2000, seed=7)
     exact = exact_semivalue(game, w)
     print(f"  {w.family}:")
     for i in range(3):

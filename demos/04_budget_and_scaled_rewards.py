@@ -12,14 +12,13 @@ side by side on one game: the cap narrows the raw 2.5 : 2.5 : 1 rewards to
 import numpy as np
 
 from truthval import (
-    CharacteristicTable,
     budget_cap,
     exact_semivalue,
     make_weights,
     scaled_reward,
 )
 
-game = CharacteristicTable(3, np.array([0, 3, 3, 5, 1, 4, 4, 6], dtype=float))
+game = np.array([0, 3, 3, 5, 1, 4, 4, 6], dtype=float)  # coalition values by bitmask
 weights = make_weights("shapley", 3)
 phi = exact_semivalue(game, weights)
 print("Raw Shapley rewards:", phi)

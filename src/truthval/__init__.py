@@ -67,7 +67,6 @@ from .semivalues import (
     scaled_reward,
 )
 from .valuation import (
-    CharacteristicTable,
     CoalitionScorer,
     DvfSpec,
     build_char_table,

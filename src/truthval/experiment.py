@@ -632,16 +632,14 @@ def _run_points(model, points, raw_sources, swept, pools) -> list[ReportRow]:
     elif est["kind"] == "exact":
         with _stage("table"):
             args = (model, point["dvf"], submissions[0], pool, subsets, variants, moments)
-            tables = CoalitionScorer(*args).table()
+            games = CoalitionScorer(*args).table()
         with _stage("rewards"):
-            results = [
-                (table.values[singletons], _post_process(exact_semivalue(table, weights), post))
-                for table in tables
-            ]
-        sets = len(tables) // len(points)  # tables per point, points major
+            phis = exact_semivalue(games, weights)
+            results = [(v, _post_process(phi, post)) for v, phi in zip(games[:, singletons], phis)]
+        sets = len(games) // len(points)  # games per point, points major
 
         def repeat(r: int):
-            # A validation-free valuation has one table, the same in every repeat.
+            # A validation-free valuation has one game, the same in every repeat.
             return results[min(r, sets - 1) :: sets]
 
     else:

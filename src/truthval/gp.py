@@ -273,8 +273,8 @@ def whiten_block(path: GpPath, start: int, end: int, outputs: np.ndarray) -> Non
     )
 
 
-def gaussian_logpdf(y: np.ndarray, mean: np.ndarray, cov: np.ndarray):
-    """Multivariate normal log density (per column of (k, p) ``y`` and ``mean``);
+def gaussian_logpdf(y: np.ndarray, mean: np.ndarray, cov: np.ndarray) -> np.ndarray:
+    """Multivariate normal log density per column of (k, p) ``y`` and ``mean``;
     raises NumericalError if cov is not PD."""
     from scipy.linalg import cho_factor, cho_solve
 
@@ -282,22 +282,21 @@ def gaussian_logpdf(y: np.ndarray, mean: np.ndarray, cov: np.ndarray):
         factor = cho_factor(cov, lower=True)
     except np.linalg.LinAlgError as exc:
         raise NumericalError("predictive covariance is not positive definite") from exc
-    r = (y - mean).reshape(len(y), -1)
+    r = y - mean
     alpha = cho_solve(factor, r)
     logdet = 2.0 * float(np.sum(np.log(np.diag(factor[0]))))
     quad = np.array([column @ solved for column, solved in zip(r.T, alpha.T)])
-    density = -0.5 * (len(y) * math.log(2.0 * math.pi) + logdet + quad)
-    return density if np.ndim(y) > 1 else float(density[0])
+    return -0.5 * (len(y) * math.log(2.0 * math.pi) + logdet + quad)
 
 
 def predictive_log_density(y: np.ndarray, mean: np.ndarray, latent: np.ndarray, noise_var: float):
-    """Log density of the outputs ``y`` under a latent posterior with
-    observation noise ``noise_var`` added: joint, a float, when ``latent`` is
-    the latent covariance, and per point when it is the vector of latent
-    variances, for each column of ``y`` and ``mean`` when they are (k, p).
-    Negative latent variances, left by rounding, count as 0."""
+    """Log density of each column of the (k, p) outputs ``y`` under a latent
+    posterior with mean ``mean`` and observation noise ``noise_var`` added:
+    joint, shape (p,), when ``latent`` is the latent covariance, and per
+    point, (k, p), when it is the vector of latent variances. Negative latent
+    variances, left by rounding, count as 0."""
     if latent.ndim == 1:
-        var = np.maximum(latent, 0.0).reshape(-1, *[1] * (np.ndim(y) - 1)) + noise_var
+        var = np.maximum(latent, 0.0)[:, None] + noise_var
         return -0.5 * (np.log(2.0 * np.pi * var) + (y - mean) ** 2 / var)
     cov = latent.copy()
     diag = np.diag_indices_from(cov)

@@ -82,8 +82,8 @@ def cross_validation_rewards(
     ends = np.cumsum([len(val) for val in validations])
     subsets = [np.arange(end - len(val), end) for end, val in zip(ends, validations)]
     pool = concat_datasets(validations)
-    tables = CoalitionScorer(model, LOG_SCORE, list(remaining), pool, subsets).table()
-    per_game = np.column_stack([exact_semivalue(table, weights) for table in tables])
+    games = CoalitionScorer(model, LOG_SCORE, list(remaining), pool, subsets).table()
+    per_game = exact_semivalue(games, weights).T
     totals = per_game.sum(axis=1)
     diagonal = np.diag(per_game)
     return CrossGameRewards(per_game, totals - diagonal, totals)

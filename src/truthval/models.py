@@ -95,11 +95,15 @@ ConjugateModel = Union[BetaBernoulliModel, GaussianMeanModel, LinearRegressionMo
 
 
 def _check_kind(model, data: Dataset, what: str) -> None:
+    """``data`` has the model's kind and, for linear regression, feature count."""
     if data.kind != model.data_kind:
         raise InputError(
             f"{what} kind {data.kind!r} does not match model family "
             f"{model.family!r} (expects {model.data_kind!r})"
         )
+    d = model.n_features if isinstance(model, LinearRegressionModel) else data.n_features
+    if len(data) and data.n_features != d:
+        raise InputError(f"{what} has {data.n_features} features, model expects {d}")
 
 
 def suff_stats(data: Dataset, model: ConjugateModel) -> np.ndarray:
@@ -111,10 +115,6 @@ def suff_stats(data: Dataset, model: ConjugateModel) -> np.ndarray:
         return np.array([data.outputs.sum()])
     if isinstance(model, LinearRegressionModel):
         d = model.n_features
-        if n and data.n_features != d:
-            raise InputError(
-                f"data has {data.n_features} features, model expects {d}"
-            )
         x, y = data.inputs, data.outputs
         if n == 0:
             return np.zeros(1 + d + d * d)
@@ -190,10 +190,6 @@ def _check_validation(model, validation: Dataset) -> None:
     if len(validation) == 0:
         raise InputError("validation set must be non-empty")
     _check_kind(model, validation, "validation")
-    if isinstance(model, LinearRegressionModel) and validation.n_features != model.n_features:
-        raise InputError(
-            f"validation has {validation.n_features} features, model expects {model.n_features}"
-        )
 
 
 def validation_summary(model: ConjugateModel, validation: Dataset):

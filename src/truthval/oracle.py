@@ -23,8 +23,8 @@ of their success counts is the beta-binomial
 
 A coalition's expected value therefore depends only on whether it holds the
 target and on M, and costs one (M + 1) x (k + 1) grid rather than 2^(M + k)
-outcomes. Semivalues are linear in the characteristic table, so the exact
-semivalue of the expected table is the expected semivalue.
+outcomes. Semivalues are linear in the game, so the exact semivalue of the
+expected game, its 2^n expected coalition values, is the expected semivalue.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from .data import Dataset, binary_dataset
 from .errors import InputError, NumericalError, UnsupportedConfigurationError
 from .models import BetaBernoulliModel
 from .semivalues import SemivalueWeights, exact_semivalue, make_weights
-from .valuation import EXACT_LIMIT, CharacteristicTable, check_source_count
+from .valuation import EXACT_LIMIT, check_source_count
 
 _IDENTITY_TOL = 1e-9
 _RANK_TOL = 1e-10
@@ -113,11 +113,12 @@ def _scores(model, h: float, m: int, extra: int, k: int) -> np.ndarray:
 
 def _expectations(model, true_datasets, alt_data, target, weights, k):
     """Exact expected semivalue vectors under truthful and alternative
-    submission by the target, the weighted predictive-KL total, and whether
-    the gap is strict.
+    submission by the target (one :func:`exact_semivalue` call on both
+    expected games), the weighted predictive-KL total, and whether the gap is
+    strict.
 
     The KL total is summed per coalition from the two posteriors directly, not
-    from the expected tables, so the gap identity compares two computations.
+    from the expected games, so the gap identity compares two computations.
     The gap is strict when some coalition of positive weight that holds the
     target gives some validation sequence a different probability under the
     two submissions; by exchangeability one sequence per success count covers
@@ -153,17 +154,15 @@ def _expectations(model, true_datasets, alt_data, target, weights, k):
     coalition_weight = np.bincount(
         which[holds], weights=weights.w[sizes[holds] - 1], minlength=len(distinct)
     )
-    phi_true, phi_alt = (
-        exact_semivalue(CharacteristicTable(n, np.where(holds, v[which], without[which])), weights)
-        for v in (with_true, with_alt)
-    )
+    games = np.where(holds, np.stack([with_true, with_alt])[:, which], without[which])
+    phi_true, phi_alt = exact_semivalue(games, weights)
     strict = bool(np.any(differs & (coalition_weight > 0)))
     return phi_true, phi_alt, float(coalition_weight @ kl), strict
 
 
 def _validate(model, n: int, target: int, weights: SemivalueWeights, k: int) -> None:
     _require_enumerable(model)
-    check_source_count(n, EXACT_LIMIT)  # the expected tables hold 2^n values
+    check_source_count(n, EXACT_LIMIT)  # the expected games hold 2^n values
     if not 0 <= target < n:
         raise InputError(f"target index {target} out of range for {n} sources")
     if weights.n != n:

@@ -7,6 +7,9 @@ A semivalue assigns source i the weighted sum of its marginal contributions,
 with nonnegative coalition-size weights normalized so that
 sum_c w_c * binom(n-1, c) = 1. The Shapley value (w_c * binom(n-1, c) = 1/n)
 additionally satisfies group rationality: the values sum to v(N) - v(empty).
+
+A game v is an array of its coalition values indexed by bitmask. Both
+estimators take stacked games, one per leading index of the values.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigurationError
-from .valuation import MASK_BITS, CharacteristicTable, check_source_count
+from .valuation import EXACT_LIMIT, MASK_BITS, check_source_count
 
 SHAPLEY = "shapley"
 BANZHAF = "banzhaf"
@@ -101,21 +104,26 @@ def _popcounts(size: int) -> np.ndarray:
     return counts
 
 
-def exact_semivalue(table: CharacteristicTable, weights: SemivalueWeights) -> np.ndarray:
-    """Semivalue of every source by full enumeration of coalitions."""
-    if weights.n != table.n:
+def exact_semivalue(values, weights: SemivalueWeights) -> np.ndarray:
+    """Semivalue of every source by full enumeration of coalitions. A game is
+    the 2^n coalition values on the last axis of ``values``, indexed by
+    bitmask (bit i = source i); values of shape (..., 2^n) are stacked games
+    and give semivalues of shape (..., n)."""
+    n = weights.n
+    check_source_count(n, EXACT_LIMIT)  # before the 2^n values are read
+    values = np.asarray(values, dtype=float)
+    if values.shape[-1:] != (2**n,):
         raise ConfigurationError(
-            f"weights are for n={weights.n} but table has n={table.n}"
+            f"a game of {n} sources needs {2**n} values on its last axis, got shape {values.shape}"
         )
-    n = table.n
-    v = table.values
     masks = np.arange(2**n, dtype=np.int64)
     sizes = _popcounts(2**n)
-    phi = np.empty(n)
+    phi = np.empty(values.shape[:-1] + (n,))
     for i in range(n):
         without = masks[(masks >> i) & 1 == 0]
-        gains = v[without | (1 << i)] - v[without]
-        phi[i] = float(np.dot(weights.w[sizes[without]], gains))
+        gains = np.take(values, without | (1 << i), axis=-1) - np.take(values, without, axis=-1)
+        # One (1, m) @ (m, 1) dot product per game, whatever is stacked with it.
+        phi[..., i] = (gains[..., None, :] @ weights.w[sizes[without], None])[..., 0, 0]
     return phi
 
 

@@ -1,4 +1,4 @@
-"""Data valuation functions and characteristic-table construction.
+"""Data valuation functions and the games they define.
 
 The headline valuation is the log-score
 
@@ -10,7 +10,9 @@ included as baselines precisely because they are gameable: cardinality,
 input-volume, information gain, and posterior divergence from the prior.
 
 Every kind scores its coalitions through :class:`CoalitionScorer`, and
-:func:`dvf_value` is that scorer on one dataset: one way to compute v.
+:func:`dvf_value` is that scorer on one dataset: one way to compute v. A game
+is the array of 2^n coalition values by bitmask (bit i = source i), and
+:meth:`CoalitionScorer.table` stacks them as both semivalue estimators take them.
 """
 
 from __future__ import annotations
@@ -60,7 +62,7 @@ DVF_KINDS = (LOG_SCORE, MEAN_LOG_SCORE, CARDINALITY, VOLUME, INFO_GAIN, KL_FROM_
 LOG_SCORE_KINDS = (LOG_SCORE, MEAN_LOG_SCORE)
 
 # The two source limits. Anything that holds all 2^n coalition values (a
-# characteristic table, exact semivalues, the oracle's expected tables)
+# game, exact semivalues, the oracle's expected games)
 # stops at EXACT_LIMIT sources; coalition bitmasks are uint64, so the
 # sampled estimator stops at MASK_BITS.
 EXACT_LIMIT = 20
@@ -85,9 +87,9 @@ class RankDeficientVolumeWarning(UserWarning):
 class DvfSpec:
     """A data valuation function: which score, which model, which validation set.
 
-    Log-score kinds require both a model and a non-empty validation set.
-    Baseline kinds must not be given one; they never see held-out data,
-    which is exactly why they are manipulable.
+    Log-score kinds require both a model and a validation set, whose rows
+    :class:`CoalitionScorer` checks. Baseline kinds must not be given one;
+    they never see held-out data, which is exactly why they are manipulable.
     """
 
     kind: str
@@ -97,11 +99,14 @@ class DvfSpec:
     def __post_init__(self) -> None:
         if self.kind not in DVF_KINDS:
             raise ConfigurationError(f"unknown valuation kind {self.kind!r}")
+        models = (BetaBernoulliModel, GaussianMeanModel, LinearRegressionModel, GpHyper)
+        if self.model is not None and not isinstance(self.model, models):
+            raise ConfigurationError(f"unknown model {self.model!r}")
         if self.kind in LOG_SCORE_KINDS:
             if self.model is None:
                 raise ConfigurationError(f"{self.kind} requires a model")
-            if self.validation is None or len(self.validation) == 0:
-                raise ConfigurationError(f"{self.kind} requires a non-empty validation set")
+            if self.validation is None:
+                raise ConfigurationError(f"{self.kind} requires a validation set")
         else:
             if self.validation is not None:
                 raise ConfigurationError(
@@ -130,26 +135,6 @@ def dvf_value(spec: DvfSpec, data: Dataset) -> float:
     if len(data) == 0:
         return 0.0
     return float(CoalitionScorer(spec.model, spec.kind, [data], spec.validation).values(1)[0])
-
-
-@dataclass(frozen=True)
-class CharacteristicTable:
-    """Cooperative-game values indexed by coalition bitmask (bit i = source i)."""
-
-    n: int
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ConfigurationError(f"a table needs at least one source, got {self.n}")
-        check_source_count(self.n, EXACT_LIMIT)
-        values = np.array(self.values, dtype=float)
-        if values.shape != (2**self.n,):
-            raise ConfigurationError(
-                f"table for n={self.n} needs {2**self.n} values, got {values.shape}"
-            )
-        values.setflags(write=False)
-        object.__setattr__(self, "values", values)
 
 
 def coalition_members(mask: int, n: int) -> list[int]:
@@ -320,8 +305,7 @@ class CoalitionScorer:
     """
 
     def __init__(self, model, kind, sources, pool=None, subsets=None, variants=None, moments=None):
-        if kind not in LOG_SCORE_KINDS or pool is None:
-            DvfSpec(kind, model, pool)  # a known kind, with the model and pool it needs
+        DvfSpec(kind, model, pool)  # a known kind and model, with the pool it needs
         if not sources:
             raise ConfigurationError("need at least one source")
         check_source_count(len(sources), MASK_BITS)
@@ -345,6 +329,9 @@ class CoalitionScorer:
             if union.size < len(pool):  # only the pool rows that a validation set reads
                 pool = take_rows(pool, union)
                 subsets = [np.searchsorted(union, idx) for idx in subsets]
+        if model is not None:  # its kind and, for linear regression, feature count
+            for ds in (*sources, *alternatives):
+                _check_kind(model, ds, "data")
         self._model = model
         self._kind = kind
         self._pool = pool
@@ -448,11 +435,11 @@ class CoalitionScorer:
             warnings.warn(message, RankDeficientVolumeWarning, stacklevel=2)
         return scored[:, inverse.reshape(masks.shape)]
 
-    def table(self) -> list[CharacteristicTable]:
-        """One characteristic table per point and validation set (per point for a
-        validation-set-free kind), points major, over all 2^n coalitions."""
+    def table(self) -> np.ndarray:
+        """Every game's 2^n coalition values by bitmask: one row per point and
+        validation set (per point for a validation-set-free kind), points major."""
         check_source_count(self.n, EXACT_LIMIT)
-        return [CharacteristicTable(self.n, row) for row in self.values(np.arange(2**self.n))]
+        return self.values(np.arange(2**self.n))
 
     def _score_conjugate(self, masks: np.ndarray) -> np.ndarray:
         """Points with equal output moments differ only in the swept source's
@@ -634,10 +621,10 @@ class CoalitionScorer:
         return lambda batch: log_predictive_batch(model, *batch, summary)
 
 
-def build_char_table(sources: list[Dataset], spec: DvfSpec) -> CharacteristicTable:
-    """The :class:`CoalitionScorer` table of ``spec`` on every coalition of
-    ``sources``. It holds 2^n values, so more than ``EXACT_LIMIT`` sources are
-    refused before it is built; beyond that, log-score kinds go through
-    :func:`truthval.semivalues.sampled_semivalue` with
-    :meth:`CoalitionScorer.values` as the evaluator."""
+def build_char_table(sources: list[Dataset], spec: DvfSpec) -> np.ndarray:
+    """The game of ``spec`` on ``sources``, the one row of the
+    :class:`CoalitionScorer` table: 2^n coalition values by bitmask. More than
+    ``EXACT_LIMIT`` sources are refused before it is built; beyond that,
+    log-score kinds go through :func:`truthval.semivalues.sampled_semivalue`
+    with :meth:`CoalitionScorer.values` as the evaluator."""
     return CoalitionScorer(spec.model, spec.kind, sources, spec.validation).table()[0]

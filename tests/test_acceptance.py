@@ -14,7 +14,6 @@ import pytest
 
 from truthval import (
     BetaBernoulliModel,
-    CharacteristicTable,
     Dataset,
     DvfSpec,
     GaussianMeanModel,
@@ -189,7 +188,7 @@ def test_criterion_03_rank_oracle():
 def random_table(rng, n):
     values = rng.normal(size=2**n)
     values[0] = 0.0
-    return CharacteristicTable(n, values)
+    return values
 
 
 @criterion(4, "fairness axioms on 1000 random games")
@@ -206,32 +205,32 @@ def test_criterion_04_fairness_axioms():
         )
         table = random_table(rng, n)
         # Null player: zero marginal contribution everywhere -> exactly 0.
-        values = np.array(table.values)
+        values = table.copy()
         player = int(rng.integers(n))
         for mask in range(2**n):
             if mask >> player & 1:
                 values[mask] = values[mask & ~(1 << player)]
-        assert exact_semivalue(CharacteristicTable(n, values), weights)[player] == 0.0
+        assert exact_semivalue(values, weights)[player] == 0.0
         # Symmetric pair: mirrored contributions -> equal rewards.
         if n >= 2:
-            values = np.array(table.values)
+            values = table.copy()
             for mask in range(2**n):
                 if not mask & 0b11:
                     values[mask | 0b10] = values[mask | 0b01]
-            phi = exact_semivalue(CharacteristicTable(n, values), weights)
+            phi = exact_semivalue(values, weights)
             assert abs(phi[0] - phi[1]) <= 1e-12
         # Monotonicity: raising v(C + i) on some coalitions never hurts i.
-        raised = np.array(table.values)
+        raised = table.copy()
         for mask in range(2**n):
             if mask >> player & 1 and rng.random() < 0.5:
                 raised[mask] += rng.uniform(0.1, 1.0)
         assert (
-            exact_semivalue(CharacteristicTable(n, raised), weights)[player]
+            exact_semivalue(raised, weights)[player]
             >= exact_semivalue(table, weights)[player]
         )
     # Strict monotonicity on the worked 3-player instance.
-    game = CharacteristicTable(3, np.array([0, 3, 3, 5, 1, 4, 4, 6], dtype=float))
-    game_prime = CharacteristicTable(3, np.array([0, 3, 2, 4, 1, 4, 3, 5], dtype=float))
+    game = np.array([0, 3, 3, 5, 1, 4, 4, 6], dtype=float)
+    game_prime = np.array([0, 3, 2, 4, 1, 4, 3, 5], dtype=float)
     shapley = make_weights("shapley", 3)
     phi = exact_semivalue(game, shapley)
     np.testing.assert_allclose(phi, [2.5, 2.5, 1.0], atol=1e-12)
@@ -247,7 +246,7 @@ def test_criterion_05_group_rationality():
         n = int(rng.integers(2, 9))
         table = random_table(rng, n)
         phi = exact_semivalue(table, make_weights("shapley", n))
-        assert abs(phi.sum() - table.values[-1]) <= 1e-9
+        assert abs(phi.sum() - table[-1]) <= 1e-9
 
 
 @criterion(6, "permutation sampling is unbiased and seed-deterministic")
@@ -259,15 +258,15 @@ def test_criterion_06_estimator_unbiasedness():
     exact = exact_semivalue(table, shapley)
     runs = np.vstack(
         [
-            sampled_semivalue(lambda m: table.values[m], shapley, 100, seed=s).values
+            sampled_semivalue(lambda m: table[m], shapley, 100, seed=s).values
             for s in range(200)
         ]
     )
     grand_mean = runs.mean(axis=0)
     se = runs.std(axis=0, ddof=1) / math.sqrt(len(runs))
     assert np.all(np.abs(grand_mean - exact) <= 4 * se)
-    again = sampled_semivalue(lambda m: table.values[m], shapley, 100, seed=123)
-    once = sampled_semivalue(lambda m: table.values[m], shapley, 100, seed=123)
+    again = sampled_semivalue(lambda m: table[m], shapley, 100, seed=123)
+    once = sampled_semivalue(lambda m: table[m], shapley, 100, seed=123)
     np.testing.assert_array_equal(again.values, once.values)
 
 

@@ -58,6 +58,26 @@ class TestExitCodes:
         assert main(["--config", str(path)]) == 2
         assert "input error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "model", [{"family": "gp"}, {"family": "bayes-linreg", "n_features": 1}]
+    )
+    def test_header_only_validation_csv_exits_2(self, tmp_path, capsys, model):
+        data, empty = tmp_path / "data.csv", tmp_path / "empty.csv"
+        data.write_text("x,y\n0.1,1.0\n0.4,0.5\n0.9,-0.2\n")
+        empty.write_text("x,y\n")
+        spec = {"csv": str(data), "output_column": "y"}
+        cfg = {
+            "model": model,
+            "sources": [spec, spec],
+            "validation": {"csv": str(empty), "output_column": "y"},
+        }
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["--config", str(path)]) == 2
+        assert capsys.readouterr().err.strip() == (
+            "input error: [table] validation set must be non-empty"
+        )
+
     def test_featureless_pool_cannot_keep_a_sorted_fraction(self, tmp_path, capsys):
         data = tmp_path / "outputs.csv"
         data.write_text("y\n0.3\n-1.2\n0.8\n2.0\n")

@@ -345,20 +345,21 @@ class TestRunner:
             for ra, rb in zip(a.rows, other.rows):
                 assert (ra.value, ra.reward) == (rb.value, rb.reward)
 
-    @pytest.mark.parametrize("dvf, calls", [("cardinality", 1), ("log-score", 3)])
-    def test_one_exact_semivalue_per_table(self, monkeypatch, dvf, calls):
-        # A validation-free valuation has one table for every repeat; a
-        # log-score valuation has one per repeat's validation subset.
+    @pytest.mark.parametrize("dvf, games", [("cardinality", 1), ("log-score", 3)])
+    def test_one_exact_semivalue_call_per_run(self, monkeypatch, dvf, games):
+        # One call takes every game, 2^2 values each: a validation-free
+        # valuation has one game for every repeat; a log-score valuation has
+        # one per repeat's validation subset.
         seen = []
 
-        def counting(table, weights):
-            seen.append(table)
-            return exact_semivalue(table, weights)
+        def counting(values, weights):
+            seen.append(values.shape)
+            return exact_semivalue(values, weights)
 
         monkeypatch.setattr(experiment, "exact_semivalue", counting)
         validation = None if dvf == "cardinality" else BERNOULLI["validation"]
         report = run_experiment(bernoulli_config(dvf=dvf, validation=validation))
-        assert len(seen) == calls
+        assert seen == [(games, 4)]
         assert len(report.rows) == 3 * 2
 
     def test_report_bytes_identical_modulo_wall_time(self):

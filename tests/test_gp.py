@@ -104,10 +104,10 @@ class TestPosterior:
         hyper = unit_hyper()
         data, val = random_train(rng, 5), random_train(rng, 3)
         table = CoalitionScorer(hyper, "log-score", [empty_dataset(2), data], val).table()[0]
-        assert table.values[0b01] == 0.0
-        assert table.values[0b11] == table.values[0b10]
+        assert table[0b01] == 0.0
+        assert table[0b11] == table[0b10]
         want = gp_log_score_raw_rows(hyper, "log-score", val, data)
-        assert table.values[0b10] == pytest.approx(want, rel=1e-12)
+        assert table[0b10] == pytest.approx(want, rel=1e-12)
 
     def test_single_point_scalar_algebra(self):
         # k = 1 at zero distance: mean stays 0 (zero target), latent variance

@@ -79,7 +79,7 @@ class TestCrossValidationRewards:
             table = build_char_table(
                 remaining, DvfSpec("log-score", model=MODEL, validation=validations[j])
             )
-            assert table.values[0] == 0.0
+            assert table[0] == 0.0
 
     def test_source_too_small_named(self):
         sources = [binary_dataset([1, 0, 1]), binary_dataset([1])]

@@ -191,7 +191,7 @@ class TestRankOracle:
 def brute_force(model, true_datasets, alt, target, weights, k):
     """Reference oracle: enumerate every binary outcome of the other sources'
     rows and the k validation labels, 2^(k + their rows) of them, and build
-    two characteristic tables per outcome.
+    two games per outcome.
 
     Returns the expected semivalue vectors under truthful and alternative
     submission by ``target``, the weighted predictive-KL total, and whether

@@ -1,4 +1,5 @@
-"""The README's config reference names what the schema accepts."""
+"""The README's config reference names what the schema accepts, and its
+Python examples run."""
 
 import re
 from pathlib import Path
@@ -32,3 +33,17 @@ def test_top_level_keys_table_names_every_variant(key):
     alternatives = re.findall(rf'"{section.key}":\s*((?:"[\w-]+"\|?)+)', row)
     names = [name for names in alternatives for name in re.findall(r'"([\w-]+)"', names)]
     assert sorted(names) == sorted(section.tables)
+
+
+PYTHON_BLOCKS = re.findall(r"^```python\n(.*?)^```$", README, re.MULTILINE | re.DOTALL)
+
+
+def test_readme_has_python_blocks():
+    assert len(PYTHON_BLOCKS) >= 2
+
+
+@pytest.mark.parametrize(
+    "block", PYTHON_BLOCKS, ids=[f"block{i}" for i in range(len(PYTHON_BLOCKS))]
+)
+def test_python_block_runs(block):
+    exec(compile(block, "README.md", "exec"), {})

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from truthval import (
-    CharacteristicTable,
     SemivalueWeights,
     budget_cap,
     exact_semivalue,
@@ -19,29 +18,29 @@ from truthval.errors import ConfigurationError
 
 # The worked 3-player game: values for {0}, {1}, {2}, pairs, and the grand
 # coalition, indexed by bitmask.
-GAME = CharacteristicTable(3, np.array([0, 3, 3, 5, 1, 4, 4, 6], dtype=float))
+GAME = np.array([0, 3, 3, 5, 1, 4, 4, 6], dtype=float)
 # Lowering player 1's contributions gives the strict-monotonicity comparison.
-GAME_PRIME = CharacteristicTable(3, np.array([0, 3, 2, 4, 1, 4, 3, 5], dtype=float))
+GAME_PRIME = np.array([0, 3, 2, 4, 1, 4, 3, 5], dtype=float)
 
 
-def permutation_shapley(table: CharacteristicTable) -> np.ndarray:
+def permutation_shapley(game: np.ndarray) -> np.ndarray:
     """Independent oracle: average marginal contributions over all n! orders."""
-    n = table.n
+    n = game.size.bit_length() - 1
     phi = np.zeros(n)
     perms = list(itertools.permutations(range(n)))
     for perm in perms:
         mask = 0
         for player in perm:
-            phi[player] += table.values[mask | (1 << player)] - table.values[mask]
+            phi[player] += game[mask | (1 << player)] - game[mask]
             mask |= 1 << player
     return phi / len(perms)
 
 
-def random_table(rng, n, zero_empty=True) -> CharacteristicTable:
+def random_table(rng, n, zero_empty=True) -> np.ndarray:
     values = rng.normal(size=2**n)
     if zero_empty:
         values[0] = 0.0
-    return CharacteristicTable(n, values)
+    return values
 
 
 class TestWeights:
@@ -111,9 +110,7 @@ class TestExactSemivalue:
                 for mask in range(2**n):
                     if mask >> player & 1:
                         values[mask] = values[mask & ~(1 << player)]
-                phi = exact_semivalue(
-                    CharacteristicTable(n, values), make_weights(family, n)
-                )
+                phi = exact_semivalue(values, make_weights(family, n))
                 assert phi[player] == 0.0
 
     def test_symmetric_players_equal(self):
@@ -126,7 +123,7 @@ class TestExactSemivalue:
             for mask in range(2**n):
                 if not (mask >> i & 1) and not (mask >> j & 1):
                     values[mask | (1 << j)] = values[mask | (1 << i)]
-            phi = exact_semivalue(CharacteristicTable(n, values), make_weights("shapley", n))
+            phi = exact_semivalue(values, make_weights("shapley", n))
             assert abs(phi[i] - phi[j]) <= 1e-12
 
     def test_monotone_in_own_contributions(self):
@@ -137,13 +134,13 @@ class TestExactSemivalue:
                 n = int(rng.integers(2, 7))
                 table = random_table(rng, n)
                 i = int(rng.integers(n))
-                raised = np.array(table.values)
+                raised = table.copy()
                 for mask in range(2**n):
                     if mask >> i & 1 and rng.random() < 0.5:
                         raised[mask] += rng.uniform(0.1, 1.0)
                 w = make_weights(family, n)
                 assert (
-                    exact_semivalue(CharacteristicTable(n, raised), w)[i]
+                    exact_semivalue(raised, w)[i]
                     >= exact_semivalue(table, w)[i]
                 )
 
@@ -151,7 +148,7 @@ class TestExactSemivalue:
         rng = np.random.default_rng(19)
         table = random_table(rng, 4)
         phi = exact_semivalue(table, make_weights("individual", 4))
-        expected = [table.values[1 << i] - table.values[0] for i in range(4)]
+        expected = [table[1 << i] - table[0] for i in range(4)]
         np.testing.assert_allclose(phi, expected, atol=1e-12)
 
     def test_group_rationality(self):
@@ -160,14 +157,14 @@ class TestExactSemivalue:
             n = int(rng.integers(2, 10))
             table = random_table(rng, n)
             phi = exact_semivalue(table, make_weights("shapley", n))
-            assert phi.sum() == pytest.approx(table.values[-1], abs=1e-9)
+            assert phi.sum() == pytest.approx(table[-1], abs=1e-9)
 
     def test_linearity(self):
         rng = np.random.default_rng(21)
         n = 5
         t1, t2 = random_table(rng, n), random_table(rng, n)
         a, b = 1.7, -0.4
-        combo = CharacteristicTable(n, a * t1.values + b * t2.values)
+        combo = a * t1 + b * t2
         w = make_weights("shapley", n)
         np.testing.assert_allclose(
             exact_semivalue(combo, w),
@@ -176,8 +173,21 @@ class TestExactSemivalue:
         )
 
     def test_dimension_mismatch(self):
-        with pytest.raises(ConfigurationError):
+        # Weights for 4 sources need 16 values on the last axis, not 8.
+        with pytest.raises(ConfigurationError, match="needs 16 values"):
             exact_semivalue(GAME, make_weights("shapley", 4))
+
+    @pytest.mark.parametrize("family", ["shapley", "banzhaf", "beta"])
+    def test_stacked_games_match_each_game_alone(self, family):
+        rng = np.random.default_rng(25)
+        n = 5
+        weights = make_weights(family, n, alpha=4.0, beta=1.0)
+        games = rng.normal(size=(2, 3, 2**n))
+        phi = exact_semivalue(games, weights)
+        assert phi.shape == (2, 3, n)
+        for index in np.ndindex(2, 3):
+            alone = exact_semivalue(games[index], weights)
+            np.testing.assert_allclose(phi[index], alone, rtol=1e-13, atol=0)
 
 
 def sampled_shapley(evaluator, n, n_permutations, seed):
@@ -204,13 +214,13 @@ class TestSampledShapley:
         np.testing.assert_allclose(est.values, [3.25])
 
     def test_worked_game_within_three_stderr(self):
-        est = sampled_shapley(lambda masks: GAME.values[masks], 3, 5000, seed=1)
+        est = sampled_shapley(lambda masks: GAME[masks], 3, 5000, seed=1)
         for got, se, exact in zip(est.values, est.stderr, (2.5, 2.5, 1.0)):
             assert abs(got - exact) <= 3 * se + 1e-12
 
     def test_fixed_seed_is_deterministic(self):
-        a = sampled_shapley(lambda masks: GAME.values[masks], 3, 200, seed=42)
-        b = sampled_shapley(lambda masks: GAME.values[masks], 3, 200, seed=42)
+        a = sampled_shapley(lambda masks: GAME[masks], 3, 200, seed=42)
+        b = sampled_shapley(lambda masks: GAME[masks], 3, 200, seed=42)
         np.testing.assert_array_equal(a.values, b.values)
         np.testing.assert_array_equal(a.stderr, b.stderr)
 
@@ -221,7 +231,7 @@ class TestSampledShapley:
         exact = exact_semivalue(table, make_weights("shapley", n))
         runs = np.vstack(
             [
-                sampled_shapley(lambda m: table.values[m], n, 100, seed=s).values
+                sampled_shapley(lambda m: table[m], n, 100, seed=s).values
                 for s in range(200)
             ]
         )
@@ -233,8 +243,8 @@ class TestSampledShapley:
         rng = np.random.default_rng(23)
         n = 6
         table = random_table(rng, n)
-        want = scalar_sampled_shapley(lambda m: table.values[m], n, 300, seed=5)
-        got = sampled_shapley(lambda m: table.values[m], n, 300, seed=5).values
+        want = scalar_sampled_shapley(lambda m: table[m], n, 300, seed=5)
+        got = sampled_shapley(lambda m: table[m], n, 300, seed=5).values
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
@@ -250,7 +260,7 @@ class TestSampledSemivalue:
         exact = exact_semivalue(table, weights)
         runs = np.vstack(
             [
-                sampled_semivalue(lambda m: table.values[m], weights, 100, seed=s).values
+                sampled_semivalue(lambda m: table[m], weights, 100, seed=s).values
                 for s in range(200)
             ]
         )
@@ -263,10 +273,10 @@ class TestSampledSemivalue:
 
     def test_individual_weights_credit_only_first_position(self):
         # w = (1, 0, ..., 0): each source earns n * v({i}) when it comes first.
-        est = sampled_semivalue(lambda m: GAME.values[m], make_weights("individual", 3), 1, 0)
+        est = sampled_semivalue(lambda m: GAME[m], make_weights("individual", 3), 1, 0)
         first = int(np.random.default_rng(0).permutation(3)[0])
         want = np.zeros(3)
-        want[first] = 3 * GAME.values[1 << first]
+        want[first] = 3 * GAME[1 << first]
         np.testing.assert_allclose(est.values, want)
 
     @pytest.mark.parametrize("n_permutations", [1, 60])
@@ -274,7 +284,7 @@ class TestSampledSemivalue:
         # An evaluator of G games at once, shape (G, P, n + 1), gives each game
         # what it gives alone: the games share the permutations.
         rng = np.random.default_rng(7)
-        tables = np.stack([random_table(rng, 6).values for _ in range(4)])
+        tables = np.stack([random_table(rng, 6) for _ in range(4)])
         weights = make_weights("beta", 6, alpha=4.0, beta=1.0)
         stacked = sampled_semivalue(lambda m: tables[:, m], weights, n_permutations, seed=5)
         assert stacked.values.shape == stacked.stderr.shape == (4, 6)

@@ -1,4 +1,4 @@
-"""Valuation functions and characteristic tables."""
+"""Valuation functions and the games, arrays of coalition values, they define."""
 
 import math
 import re
@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from truthval import (
     BetaBernoulliModel,
-    CharacteristicTable,
     CoalitionScorer,
     Dataset,
     DvfSpec,
@@ -71,6 +70,47 @@ class TestSpecValidation:
     def test_kl_from_prior_restricted_to_closed_forms(self):
         with pytest.raises(UnsupportedConfigurationError):
             DvfSpec("kl-from-prior", model=LinearRegressionModel(n_features=2))
+
+
+class TestScorerChecks:
+    """The model and data checks that every kind makes, with a pool or without."""
+
+    @pytest.mark.parametrize("kind", ["log-score", "mean-log-score"])
+    def test_log_score_with_a_pool_requires_a_model(self, kind):
+        pool = binary_dataset([1, 0])
+        with pytest.raises(ConfigurationError, match=f"{kind} requires a model"):
+            CoalitionScorer(None, kind, [binary_dataset([1])], pool)
+
+    @pytest.mark.parametrize("kind", sorted(valuation.DVF_KINDS))
+    def test_unknown_model_is_refused(self, kind):
+        pool = binary_dataset([1, 0]) if kind in valuation.LOG_SCORE_KINDS else None
+        with pytest.raises(ConfigurationError, match="unknown model"):
+            CoalitionScorer(object(), kind, [binary_dataset([1])], pool)
+
+    def test_empty_pool_or_subset_is_an_input_error(self):
+        model, sources = BetaBernoulliModel(), [binary_dataset([1, 0])]
+        with pytest.raises(InputError, match="validation set must be non-empty"):
+            CoalitionScorer(model, "log-score", sources, binary_dataset([]))
+        with pytest.raises(InputError, match="validation set must be non-empty"):
+            CoalitionScorer(model, "log-score", sources, binary_dataset([1, 0]), [[0], []])
+        with pytest.raises(InputError, match="validation set must be non-empty"):
+            dvf_value(log_score_spec(binary_dataset([])), binary_dataset([1]))
+
+    @pytest.mark.parametrize(
+        "model", [GpHyper(), LinearRegressionModel(n_features=2), GaussianMeanModel()],
+        ids=["gp", "bayes-linreg", "gaussian-known-var"],
+    )
+    def test_validation_free_kinds_check_the_data_kind(self, model):
+        kind = "kl-from-prior" if isinstance(model, GaussianMeanModel) else "info-gain"
+        match = f"data kind 'binary' does not match model family '{model.family}'"
+        with pytest.raises(InputError, match=match):
+            dvf_value(DvfSpec(kind, model=model), binary_dataset([1, 0, 1]))
+
+    def test_validation_free_kinds_check_the_feature_count(self):
+        data = Dataset(np.random.default_rng(3).uniform(size=(4, 3)), np.zeros(4))
+        spec = DvfSpec("info-gain", model=LinearRegressionModel(n_features=2))
+        with pytest.raises(InputError, match="data has 3 features, model expects 2"):
+            dvf_value(spec, data)
 
 
 class TestLogScore:
@@ -148,13 +188,13 @@ class TestBaselines:
 class TestCharTable:
     def test_single_source(self):
         table = build_char_table([binary_dataset([1, 1])], log_score_spec(binary_dataset([1])))
-        assert table.values[0] == 0.0
-        assert table.values[1] == pytest.approx(math.log(3 / 4) - math.log(1 / 2), abs=1e-12)
+        assert table[0] == 0.0
+        assert table[1] == pytest.approx(math.log(3 / 4) - math.log(1 / 2), abs=1e-12)
 
     def test_identical_sources_symmetric(self):
         src = binary_dataset([1, 0, 1])
         table = build_char_table([src, src], log_score_spec(binary_dataset([1, 1])))
-        assert table.values[0b01] == table.values[0b10]
+        assert table[0b01] == table[0b10]
 
     def test_anchor_exact_zero(self):
         rng = np.random.default_rng(15)
@@ -162,7 +202,7 @@ class TestCharTable:
             binary_dataset((rng.random(3) < 0.5).astype(float)) for _ in range(3)
         ]
         table = build_char_table(sources, log_score_spec(binary_dataset([1, 0, 1])))
-        assert table.values[0] == 0.0
+        assert table[0] == 0.0
 
     def test_union_order_invariance(self):
         # The table value of a coalition must not depend on how member rows
@@ -191,13 +231,17 @@ class TestCharTable:
             build_char_table(sources, log_score_spec(binary_dataset([1])))
 
     def test_table_shape_validated(self):
-        with pytest.raises(ConfigurationError):
-            CharacteristicTable(2, np.zeros(3))
+        # A game of 2 sources is 4 values on the last axis.
+        with pytest.raises(ConfigurationError, match="needs 4 values"):
+            exact_semivalue(np.zeros(3), make_weights("shapley", 2))
+        with pytest.raises(ConfigurationError, match="needs 4 values"):
+            exact_semivalue(np.zeros((4, 3)), make_weights("shapley", 2))
 
     def test_table_beyond_exact_limit_rejected(self):
-        # The limit is checked before the 2^21 values are looked at.
+        # The limit is checked before the values are read: 3 values would
+        # fail the shape check, with another message.
         with pytest.raises(UnsupportedConfigurationError, match="21 sources .* limit of 20"):
-            CharacteristicTable(21, np.zeros(3))
+            exact_semivalue(np.zeros(3), make_weights("shapley", 21))
 
 
 # One instance per model family: the model and a factory for k random rows.
@@ -264,10 +308,10 @@ def assert_tables_match_references(model, kind, sources, pool=None, subsets=None
     for validation, table in zip(validations, tables):
         value = reference_value(model, kind, validation)
         want = [value(coalition_data(sources, m)) for m in range(2 ** len(sources))]
-        assert table.values[0] == 0.0
+        assert table[0] == 0.0
         # The absolute floor only matters for values near zero, where
         # log p(T | D) - log p(T) loses digits to cancellation.
-        np.testing.assert_allclose(table.values, want, rtol=1e-12, atol=atol)
+        np.testing.assert_allclose(table, want, rtol=1e-12, atol=atol)
 
 
 class TestCoalitionScorer:
@@ -293,7 +337,7 @@ class TestCoalitionScorer:
         rows = FAMILIES["beta-bernoulli"][1]
         sources = [rows(rng, k) for k in (4, 0, 3, 5)]
         pool = rows(rng, 6) if kind != "kl-from-prior" else None
-        table = CoalitionScorer(model, kind, sources, pool).table()[0].values
+        table = CoalitionScorer(model, kind, sources, pool).table()[0]
         value = reference_value(model, kind, pool)
         want = [value(coalition_data(sources, m)) for m in range(16)]
         np.testing.assert_array_equal(table, want)
@@ -345,7 +389,7 @@ class TestCoalitionScorer:
         model, rows = FAMILIES["bayes-linreg"]
         sources = [rows(rng, 4) for _ in range(3)]
         scorer = CoalitionScorer(model, "log-score", sources, rows(rng, 5))
-        table = scorer.table()[0].values
+        table = scorer.table()[0]
         masks = np.array([[5, 0, 5], [7, 1, 5]], dtype=np.uint64)
         np.testing.assert_allclose(scorer.values(masks), table[masks][None], rtol=1e-14, atol=0)
         assert scorer.values(np.zeros((0, 4), dtype=int)).shape == (1, 0, 4)
@@ -423,7 +467,7 @@ class TestBaselineTables:
         for family in ("gp-replicated", "gp-jitter", "bayes-linreg"):
             model, rows = FAMILIES[family]
             sources = [rows(rng, k) for k in (5, 0, 3, 6)]
-            table = build_char_table(sources, DvfSpec("info-gain", model=model)).values
+            table = build_char_table(sources, DvfSpec("info-gain", model=model))
             for mask in range(16):
                 data = coalition_data(sources, mask)
                 if family == "bayes-linreg":
@@ -440,7 +484,7 @@ class TestBaselineTables:
         for family in ("beta-bernoulli", "gaussian-known-var"):
             model, rows = FAMILIES[family]
             sources = [rows(rng, k) for k in (4, 7, 2)]
-            table = build_char_table(sources, DvfSpec("kl-from-prior", model=model)).values
+            table = build_char_table(sources, DvfSpec("kl-from-prior", model=model))
             for mask in range(1, 8):
                 y = coalition_data(sources, mask).outputs
                 if family == "beta-bernoulli":
@@ -466,7 +510,7 @@ class TestBaselineTables:
         rng = np.random.default_rng(72)
         sources = [Dataset(rng.uniform(size=(1, 3)), rng.normal(size=1)) for _ in range(10)]
         with pytest.warns(RankDeficientVolumeWarning) as caught:
-            table = build_char_table(sources, DvfSpec("volume")).values
+            table = build_char_table(sources, DvfSpec("volume"))
         assert len(caught) == 1
         assert "55 coalitions" in str(caught[0].message)
         assert (table == 0).sum() == 56 and (table[[0b111, 2**10 - 1]] > 0).all()
@@ -488,7 +532,7 @@ class TestBaselineTables:
             tables = scorer.table()
         assert len(caught) == 1
         assert "16 coalitions" in str(caught[0].message)
-        assert [int((t.values[1:] == 0).sum()) for t in tables] == [15, 11, 10]
+        assert [int((t[1:] == 0).sum()) for t in tables] == [15, 11, 10]
 
     @pytest.mark.parametrize(
         "kind, family",
@@ -514,7 +558,7 @@ class TestBaselineTables:
         if kind in ("cardinality", "volume"):
             model = None
         spec = DvfSpec(kind, model=model, validation=validation)
-        assert np.isfinite(build_char_table(sources, spec).values).all()
+        assert np.isfinite(build_char_table(sources, spec)).all()
 
     @pytest.mark.parametrize("jitter", [0.0, 1e-6])
     def test_gp_info_gain_block_that_is_not_positive_definite_raises(self, jitter):
@@ -583,7 +627,7 @@ class TestGpLattice:
         assert len(got) == len(want) == 2
         for a, b in zip(got, want):
             # Observed: 3.1e-15 (log-score) and 1.1e-15 (mean-log-score).
-            np.testing.assert_allclose(a.values, b.values, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("kind", ["log-score", "mean-log-score"])
     def test_block_that_is_not_positive_definite_raises_without_jitter(self, kind):
@@ -626,7 +670,7 @@ class TestGpLattice:
         # 2.9e-12 relative at 1e-6 and 1.7e-9 at 1e-9 on this instance.
         sources, pool = shared_input_instance()
         model = GpHyper(lengthscales=0.05, noise_var=1e-17, jitter=jitter)
-        got = CoalitionScorer(model, kind, sources, pool).table()[0].values
+        got = CoalitionScorer(model, kind, sources, pool).table()[0]
         want = gp_dvf_values(model, kind, sources, pool)
         np.testing.assert_allclose(got, want, rtol=rtol, atol=1e-13)
         # Source 1's outputs, which differ from source 0's, move the value.
@@ -659,12 +703,12 @@ class TestGpLattice:
         pool = None if kind == "info-gain" else pool
         n = len(sources)
         scorer = CoalitionScorer(model, kind, sources, pool, subsets)
-        tables = np.array([table.values for table in scorer.table()])
+        tables = scorer.table()
         for order in [rng.permutation(n) for _ in range(4)] + [np.arange(n)[::-1]]:
             reordered = [sources[i] for i in order]
             got = CoalitionScorer(model, kind, reordered, pool, subsets).table()
             np.testing.assert_allclose(
-                [t.values for t in got], tables[:, permuted_table_masks(order, n)],
+                got, tables[:, permuted_table_masks(order, n)],
                 rtol=rtol, atol=1e-13,
             )
 
@@ -674,7 +718,7 @@ class TestGpLattice:
         sources = [rows(rng, k) for k in (4, 0, 3, 5, 2)]
         pool = rows(rng, 6)
         scorer = CoalitionScorer(model, "log-score", sources, pool, [[0, 2, 3], [1, 4, 5]])
-        tables = np.array([table.values for table in scorer.table()])
+        tables = scorer.table()
         perms = np.array([rng.permutation(5) for _ in range(6)])
         prefixes = np.cumsum(np.uint64(1) << perms.astype(np.uint64), axis=1)
         masks = rng.permutation(np.concatenate([prefixes.ravel(), prefixes[:2].ravel()]))
@@ -798,14 +842,14 @@ class TestGpLattice:
         points = [[sources[0], d, sources[2]] for d in variants]
         moments = [output_moments(point) for point in points] if standardize else None
         grid = CoalitionScorer(model, kind, sources, pool, subsets, (1, variants), moments)
-        got = [table.values for table in grid.table()]
+        got = grid.table()
         want = []
         for g, point in enumerate(points):
             ref_pool = pool
             if standardize:
                 point = [shift_scale_outputs(ds, *moments[g]) for ds in point]
                 ref_pool = None if pool is None else shift_scale_outputs(pool, *moments[g])
-            want += [t.values for t in CoalitionScorer(model, kind, point, ref_pool, subsets).table()]
+            want += list(CoalitionScorer(model, kind, point, ref_pool, subsets).table())
         assert len(got) == len(want) == len(variants) * (1 if pool is None else 2)
         np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-12)
         if grid == "trie-rules":
@@ -843,8 +887,8 @@ class TestGpLattice:
         want = []
         for d in variants:
             point = [d if i == swept else ds for i, ds in enumerate(sources)]
-            want += [t.values for t in CoalitionScorer(model, kind, point, pool, subsets).table()]
-        np.testing.assert_allclose([t.values for t in grid], want, rtol=1e-10, atol=1e-12)
+            want += list(CoalitionScorer(model, kind, point, pool, subsets).table())
+        np.testing.assert_allclose(grid, want, rtol=1e-10, atol=1e-12)
 
     def test_grid_scratch_is_sized_by_the_longest_coalition(self, monkeypatch):
         # 8 bytes x (40 rows x (2 inputs + 40 factor + 5 pool + 2 white)
