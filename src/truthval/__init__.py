@@ -14,9 +14,7 @@ from .data import (
     Dataset,
     binary_dataset,
     concat_datasets,
-    empty_dataset,
     empty_like,
-    outputs_dataset,
     take_rows,
 )
 from .datagen import (
@@ -24,7 +22,6 @@ from .datagen import (
     apply_strategy,
     derive_seed,
     friedman_generate,
-    friedman_mean,
     load_csv,
     output_moments,
     perturb_validation,
@@ -70,8 +67,6 @@ from .valuation import (
     CoalitionScorer,
     DvfSpec,
     build_char_table,
-    coalition_data,
-    coalition_members,
     dvf_value,
 )
 

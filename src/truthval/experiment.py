@@ -37,7 +37,7 @@ from .datagen import (
 )
 from .errors import ConfigurationError, InputError, NumericalError, TruthvalError
 from .gp import GpHyper
-from .mechanisms import cross_validation_rewards
+from .mechanisms import cross_game_rewards, cross_game_scorer
 from .models import BetaBernoulliModel, GaussianMeanModel, LinearRegressionModel
 from .semivalues import (
     budget_cap,
@@ -289,19 +289,11 @@ class ExperimentConfig:
         reads_validation = cfg["dvf"] in LOG_SCORE_KINDS and post_kind != "cross-validation"
         if reads_validation and cfg["validation"] is None:
             raise ConfigurationError(f"dvf {cfg['dvf']!r} needs a 'validation' section")
-        # The estimator, chosen once and echoed as chosen. Only log-score
-        # values on a validation set can be sampled; everything else is
-        # enumerated exactly.
+        # The estimator, chosen once and echoed as chosen. Every valuation can
+        # be sampled, so auto enumerates exactly up to the limit and samples beyond.
         estimator = cfg["estimator"]
-        if estimator["kind"] == "sampled" and not reads_validation:
-            why = (
-                "cross-validation rewards enumerate every game"
-                if post_kind == "cross-validation"
-                else f"dvf {cfg['dvf']!r} reads no validation set, so its table is enumerated"
-            )
-            raise ConfigurationError(f"{why} exactly; the sampled estimator is not available")
         if estimator["kind"] == "auto":
-            kind = "sampled" if reads_validation and n > EXACT_LIMIT else "exact"
+            kind = "sampled" if n > EXACT_LIMIT else "exact"
             cfg["estimator"] = estimator = _walk({"kind": kind}, _ESTIMATOR, "estimator")
         check_source_count(n, EXACT_LIMIT if estimator["kind"] == "exact" else MASK_BITS)
         sweep = cfg["sweep"] or {"axis": None}
@@ -597,64 +589,61 @@ def _run_points(model, points, raw_sources, swept, pools) -> list[ReportRow]:
             for _, cfg in points
         ]
         submissions = [list(map(apply_strategy, raw_sources, strats)) for strats in strategies]
-    pool = None
+    pool = subsets = None
     if point["validation"] is not None:
         with _stage("validation"):
             pool = _validation_pool(point, pools)
+            subsets = _repeat_subsets(point, pool)
     with _stage("weights"):
         weights = make_weights(n=n, **point["weights"])
     with _stage("standardize"):  # each point by its own moments
         moments = [output_moments(s) for s in submissions] if point["standardize_outputs"] else None
 
-    singletons = np.uint64(1) << np.arange(n, dtype=np.uint64)
-    with _stage("validation"):
-        subsets = None if pool is None else _repeat_subsets(point, pool)
-
-    # repeat(r) -> each point's (each source's value, its reward) in repeat r.
+    # repeat(r) -> each point's (each source's value, its reward) in repeat r: the
+    # repeat's scorers, their games' semivalues, and each point's reduction of its games.
     post, est = point["post"], point["estimator"]
+    cross = post["kind"] == "cross-validation"
+    singletons = np.uint64(1) << np.arange(n, dtype=np.uint64)
+    args = (model, point["dvf"], submissions[0], pool)
     variants = (swept, [subs[swept] for subs in submissions])
-    if post["kind"] == "cross-validation":
 
-        def repeat(r: int):
-            # Per point: each point's games are scored on its own split of the swept source.
-            results = []
-            for g, data in enumerate(submissions):
-                if moments:
-                    data = [shift_scale_outputs(ds, *moments[g]) for ds in data]
-                cg = cross_validation_rewards(
-                    data, post["validation_frac"], weights, model, point["seed"],
-                    split_seeds=[derive_seed(point["seed"], "split", r, j) for j in range(n)],
-                )
-                rewards = cg.breve if post["variant"] == "breve" else cg.grave
-                results.append((np.diag(cg.per_game), rewards))
-            return results
+    def estimate(scorer, r):
+        """Every game's singleton values and semivalues, a row per game."""
+        if est["kind"] == "exact":
+            games = scorer.table()
+            return games[:, singletons], exact_semivalue(games, weights)
+        seed = derive_seed(point["seed"], "permutations", r)
+        phis = sampled_semivalue(scorer.values, weights, est["permutations"], seed).values
+        return scorer.values(singletons), phis
 
-    elif est["kind"] == "exact":
+    if est["kind"] == "exact" and not cross:  # one scorer and one table for every repeat
         with _stage("table"):
-            args = (model, point["dvf"], submissions[0], pool, subsets, variants, moments)
-            games = CoalitionScorer(*args).table()
-        with _stage("rewards"):
-            phis = exact_semivalue(games, weights)
-            results = [(v, _post_process(phi, post)) for v, phi in zip(games[:, singletons], phis)]
-        sets = len(games) // len(points)  # games per point, points major
+            table = estimate(CoalitionScorer(*args, subsets, variants, moments), None)
 
-        def repeat(r: int):
-            # A validation-free valuation has one game, the same in every repeat.
-            return results[min(r, sets - 1) :: sets]
+    def estimated(r):
+        """The estimated games of repeat r's scorers."""
+        if cross:  # one scorer per point on its own splits, each dropped before the next
+            seeds = [derive_seed(point["seed"], "split", r, j) for j in range(n)]
+            for g, data in enumerate(submissions):
+                if moments:  # each point is split after its own standardization
+                    data = [shift_scale_outputs(ds, *moments[g]) for ds in data]
+                yield estimate(cross_game_scorer(data, post["validation_frac"], model, seeds), r)
+        elif est["kind"] == "exact":
+            yield table
+        else:  # one scorer per repeat for every point, as they all draw the same permutations
+            validation = None if subsets is None else subsets[r : r + 1]
+            yield estimate(CoalitionScorer(*args, validation, variants, moments), r)
 
-    else:
-
-        def repeat(r: int):
-            # Every point draws the same permutations, so one scorer serves them all.
-            scorer = CoalitionScorer(
-                model, point["dvf"], submissions[0], pool, subsets[r : r + 1], variants, moments
-            )
-            estimate = sampled_semivalue(
-                scorer.values, weights, est["permutations"],
-                derive_seed(point["seed"], "permutations", r),
-            )
-            phis = [_post_process(phi, post) for phi in estimate.values]
-            return list(zip(scorer.values(singletons), phis))
+    def repeat(r: int):
+        results = []
+        for values, phis in estimated(r):
+            if cross:  # the n games of one point: own-game values, cross-game rewards
+                results.append((np.diag(phis), getattr(cross_game_rewards(phis), post["variant"])))
+                continue
+            sets = len(phis) // len(points)  # games points major, one per validation set
+            own = slice(min(r, sets - 1), None, sets)  # a validation-free game serves every r
+            results += [(v, _post_process(phi, post)) for v, phi in zip(values[own], phis[own])]
+        return results
 
     with _stage("rewards"):
         repeats = range(point["repeats"])

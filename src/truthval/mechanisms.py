@@ -19,7 +19,7 @@ from .data import Dataset, concat_datasets
 from .datagen import derive_seed, split_train_validation
 from .errors import ConfigurationError
 from .semivalues import SemivalueWeights, exact_semivalue
-from .valuation import EXACT_LIMIT, LOG_SCORE, CoalitionScorer, check_source_count
+from .valuation import LOG_SCORE, CoalitionScorer
 
 
 @dataclass(frozen=True)
@@ -42,30 +42,14 @@ class CrossGameRewards:
             object.__setattr__(self, name, arr)
 
 
-def cross_validation_rewards(
-    sources: Sequence[Dataset],
-    validation_frac: float,
-    weights: SemivalueWeights,
-    model,
-    seed: int,
-    split_seeds: Sequence[int] | None = None,
-) -> CrossGameRewards:
-    """Split each source, build one game per split, and sum the semivalues.
-
-    By default the split seed of source j is derived from (seed, j); passing
-    explicit ``split_seeds`` lets identical datasets be split identically,
-    which is what the modified-symmetry condition requires. Every game is
-    enumerated exactly, so more than ``EXACT_LIMIT`` sources are rejected.
-    """
+def cross_game_scorer(sources: Sequence[Dataset], validation_frac: float, model, split_seeds):
+    """The n games of the sources split by ``split_seeds``: one scorer of the
+    remaining parts whose validation set j is source j's split, as the games
+    differ only in their validation set."""
     n = len(sources)
     if n < 2:
         raise ConfigurationError("cross-validation rewards need at least 2 sources")
-    if weights.n != n:
-        raise ConfigurationError(f"weights are for n={weights.n}, have {n} sources")
-    check_source_count(n, EXACT_LIMIT)
-    if split_seeds is None:
-        split_seeds = [derive_seed(seed, "split", j) for j in range(n)]
-    elif len(split_seeds) != n:
+    if len(split_seeds) != n:
         raise ConfigurationError(f"need {n} split seeds, got {len(split_seeds)}")
     remaining, validations = zip(
         *(split_train_validation(src, validation_frac, s) for src, s in zip(sources, split_seeds))
@@ -77,13 +61,38 @@ def cross_validation_rewards(
                 f"and a non-empty remainder: validation_frac {validation_frac} puts "
                 f"ceil({validation_frac} * {len(src)}) = {len(src)} of them in the validation part"
             )
-    # The games differ only in their validation set, so one scorer values
-    # every coalition once against the pool of all splits.
     ends = np.cumsum([len(val) for val in validations])
     subsets = [np.arange(end - len(val), end) for end, val in zip(ends, validations)]
-    pool = concat_datasets(validations)
-    games = CoalitionScorer(model, LOG_SCORE, list(remaining), pool, subsets).table()
-    per_game = exact_semivalue(games, weights).T
+    return CoalitionScorer(model, LOG_SCORE, list(remaining), concat_datasets(validations), subsets)
+
+
+def cross_game_rewards(phis: np.ndarray) -> CrossGameRewards:
+    """The rewards from the semivalues ``phis[j, i]`` of source i in game j of
+    :func:`cross_game_scorer`, by either semivalue estimator."""
+    per_game = np.asarray(phis).T
     totals = per_game.sum(axis=1)
-    diagonal = np.diag(per_game)
-    return CrossGameRewards(per_game, totals - diagonal, totals)
+    return CrossGameRewards(per_game, totals - np.diag(per_game), totals)
+
+
+def cross_validation_rewards(
+    sources: Sequence[Dataset],
+    validation_frac: float,
+    weights: SemivalueWeights,
+    model,
+    seed: int,
+    split_seeds: Sequence[int] | None = None,
+) -> CrossGameRewards:
+    """The games of :func:`cross_game_scorer` valued exactly, summed by :func:`cross_game_rewards`.
+
+    By default the split seed of source j is derived from (seed, j); passing
+    explicit ``split_seeds`` lets identical datasets be split identically,
+    which is what the modified-symmetry condition requires. Every game is
+    enumerated exactly, so more than ``EXACT_LIMIT`` sources are rejected.
+    """
+    n = len(sources)
+    if weights.n != n:
+        raise ConfigurationError(f"weights are for n={weights.n}, have {n} sources")
+    if split_seeds is None:
+        split_seeds = [derive_seed(seed, "split", j) for j in range(n)]
+    games = cross_game_scorer(sources, validation_frac, model, split_seeds).table()
+    return cross_game_rewards(exact_semivalue(games, weights))

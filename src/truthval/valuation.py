@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .data import Dataset, check_consistent, concat_datasets, empty_like, take_rows
+from .data import Dataset, check_consistent, empty_like, take_rows
 from .datagen import shift_scale_outputs
 from .errors import ConfigurationError, InputError, UnsupportedConfigurationError
 from .gp import (
@@ -139,14 +139,6 @@ def dvf_value(spec: DvfSpec, data: Dataset) -> float:
 
 def coalition_members(mask: int, n: int) -> list[int]:
     return [i for i in range(n) if mask >> i & 1]
-
-
-def coalition_data(sources: list[Dataset], mask: int) -> Dataset:
-    """Multiset union (row concatenation) of the member datasets."""
-    members = [sources[i] for i in coalition_members(mask, len(sources))]
-    return concat_datasets(
-        members, n_features=sources[0].n_features, kind=sources[0].kind
-    )
 
 
 # A stacked evaluation of conjugate coalitions takes _BLOCK_FLOATS // (n + w)
@@ -267,8 +259,8 @@ class CoalitionScorer:
     ``subsets`` the whole pool is the one validation set. The value of the
     coalition with bitmask ``mask`` is ``log p(T | D_C) - log p(T)`` for kind
     ``log-score``, its per-point mean for ``mean-log-score``, and the baseline
-    of its rows otherwise: the same quantity as :func:`dvf_value` on
-    :func:`coalition_data`. A coalition with no rows is worth exactly zero, and
+    of its rows otherwise: the same quantity as :func:`dvf_value` on the
+    union of its members' rows. A coalition with no rows is worth exactly zero, and
     the empty coalition is scored once per validation set. Every source and
     the pool must share one feature count and kind.
 
@@ -625,6 +617,6 @@ def build_char_table(sources: list[Dataset], spec: DvfSpec) -> np.ndarray:
     """The game of ``spec`` on ``sources``, the one row of the
     :class:`CoalitionScorer` table: 2^n coalition values by bitmask. More than
     ``EXACT_LIMIT`` sources are refused before it is built; beyond that,
-    log-score kinds go through :func:`truthval.semivalues.sampled_semivalue`
+    every kind goes through :func:`truthval.semivalues.sampled_semivalue`
     with :meth:`CoalitionScorer.values` as the evaluator."""
     return CoalitionScorer(spec.model, spec.kind, sources, spec.validation).table()[0]

@@ -27,11 +27,11 @@ from truthval import (
     oracle_dvf_truthfulness,
     oracle_rank_gap,
     oracle_semivalue_truthfulness,
-    outputs_dataset,
     sampled_semivalue,
     scaled_reward,
     take_rows,
 )
+from truthval.data import outputs_dataset
 from truthval.errors import ConfigurationError
 from truthval.experiment import ExperimentConfig, run_experiment
 

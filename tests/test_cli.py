@@ -1,6 +1,7 @@
 """CLI flags, exit codes, and report emission."""
 
 import json
+import math
 
 import pytest
 
@@ -247,6 +248,37 @@ def two_source_cross_validation(**overrides):
     return cfg
 
 
+class TestEveryRunCanSample:
+    """Every valuation and cross-validation rewards take either estimator, so
+    runs beyond the exact limit of 20 sources sample their games."""
+
+    LINEAR = {"generator": "linear", "n_points": 8, "weights": [1.0, -0.5]}
+    LINREG = {"model": {"family": "bayes-linreg", "n_features": 2}}
+
+    @pytest.mark.parametrize(
+        "cfg, n",
+        [
+            (two_source_cross_validation(estimator={"kind": "sampled", "permutations": 1}), 2),
+            ({**LINREG, "sources": [LINEAR] * 25, "post": "cross-validation"}, 25),
+            ({**LINREG, "sources": [LINEAR] * 25, "dvf": "volume"}, 25),
+            ({"model": {"family": "beta-bernoulli"}, "dvf": "cardinality", "estimator": "sampled",
+              "sources": [{"generator": "bernoulli", "n_points": 3}] * 2}, 2),
+            ({"model": {"family": "beta-bernoulli"}, "dvf": "cardinality",
+              "sources": [{"generator": "bernoulli", "n_points": 3}] * 21}, 21),
+        ],
+        ids=["cross-validation", "cross-validation-25", "volume-25", "cardinality",
+             "cardinality-21"],
+    )
+    def test_sampled_run_exits_0_with_finite_rows(self, tmp_path, capsys, cfg, n):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["--config", str(path)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["config"]["estimator"]["kind"] == "sampled"  # auto beyond 20 sources
+        assert [row["source"] for row in report["rows"]] == list(range(n))
+        assert all(math.isfinite(row[k]) for row in report["rows"] for k in ("value", "reward"))
+
+
 class TestConfigurationErrorsExit1:
     def run(self, tmp_path, capsys, cfg):
         path = tmp_path / "cfg.json"
@@ -305,12 +337,6 @@ class TestConfigurationErrorsExit1:
         assert code == 1
         assert err.startswith("configuration error:") and "weights" in err
 
-    def test_cross_validation_rejects_sampled_estimator(self, tmp_path, capsys):
-        cfg = two_source_cross_validation(estimator={"kind": "sampled", "permutations": 1})
-        code, err = self.run(tmp_path, capsys, cfg)
-        assert code == 1
-        assert err.startswith("configuration error:") and "sampled" in err
-
     # A two-source run that could sample: an auto estimator is exact here too.
     @pytest.mark.parametrize("kind", ["exact", "auto"])
     def test_exact_estimator_takes_no_permutations(self, tmp_path, capsys, config_path, kind):
@@ -327,7 +353,7 @@ class TestConfigurationErrorsExit1:
         ids=["validation-free-dvf", "cross-validation"],
     )
     def test_exact_only_run_refuses_permutations(self, tmp_path, capsys, changes):
-        # Such a run cannot sample, and no auto estimator takes the key.
+        # A run without a validation set samples too, but no auto estimator takes the key.
         cfg = two_source_cross_validation(estimator={"permutations": 7}, **changes)
         code, err = self.run(tmp_path, capsys, cfg)
         assert code == 1
@@ -335,8 +361,10 @@ class TestConfigurationErrorsExit1:
         assert "unknown config key estimator['permutations'] (kind 'auto')" in err
 
     def test_cross_validation_honors_exact_limit(self, tmp_path, capsys):
-        assert self.run(tmp_path, capsys, two_source_cross_validation())[0] == 0
-        cfg = two_source_cross_validation(sources=[{"generator": "bernoulli", "n_points": 6}] * 21)
+        assert self.run(tmp_path, capsys, two_source_cross_validation(estimator="exact"))[0] == 0
+        cfg = two_source_cross_validation(
+            sources=[{"generator": "bernoulli", "n_points": 6}] * 21, estimator="exact"
+        )
         code, err = self.run(tmp_path, capsys, cfg)
         assert code == 1
         assert err.startswith("configuration error:") and "21 sources exceed the limit of 20" in err
@@ -353,12 +381,12 @@ class TestConfigurationErrorsExit1:
     @pytest.mark.parametrize(
         "n, changes, reason",
         [
-            (2, {"dvf": "cardinality", "estimator": "sampled"}, "sampled estimator is not"),
             (21, {"estimator": "exact"}, "21 sources exceed the limit of 20"),
-            (21, {"dvf": "cardinality"}, "21 sources exceed the limit of 20"),
+            (21, {"dvf": "cardinality", "estimator": "exact"}, "21 sources exceed the limit of 20"),
             (65, {"estimator": "sampled"}, "65 sources exceed the limit of 64"),
+            (65, {"dvf": "cardinality"}, "65 sources exceed the limit of 64"),
         ],
-        ids=["sampled-cardinality", "exact-21", "cardinality-21", "sampled-65"],
+        ids=["exact-21", "exact-cardinality-21", "sampled-65", "auto-cardinality-65"],
     )
     def test_source_limits(self, tmp_path, capsys, n, changes, reason):
         cfg = {
@@ -375,7 +403,8 @@ class TestConfigurationErrorsExit1:
 
     def test_source_limit_is_checked_before_any_source_is_read(self, tmp_path, capsys):
         missing = {"csv": str(tmp_path / "missing.csv"), "output_column": "y", "kind": "binary"}
-        code, err = self.run(tmp_path, capsys, two_source_cross_validation(sources=[missing] * 21))
+        cfg = two_source_cross_validation(sources=[missing] * 21, estimator="exact")
+        code, err = self.run(tmp_path, capsys, cfg)
         assert code == 1
         assert err.startswith("configuration error:") and "limit of 20" in err
 

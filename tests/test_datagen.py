@@ -14,7 +14,6 @@ from truthval import (
     binary_dataset,
     derive_seed,
     friedman_generate,
-    friedman_mean,
     load_csv,
     output_moments,
     perturb_validation,
@@ -22,6 +21,7 @@ from truthval import (
     split_train_validation,
     suff_stats,
 )
+from truthval.datagen import friedman_mean
 from truthval.errors import ConfigurationError
 
 

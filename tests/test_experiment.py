@@ -4,13 +4,22 @@ import csv
 import io
 import json
 import time
+import weakref
 
 import numpy as np
 import pytest
 
 from truthval import experiment
-from truthval.datagen import derive_seed, load_csv
-from truthval.semivalues import budget_cap, exact_semivalue, scaled_reward
+from truthval.datagen import (
+    Strategy,
+    apply_strategy,
+    derive_seed,
+    load_csv,
+    output_moments,
+    shift_scale_outputs,
+)
+from truthval.mechanisms import cross_validation_rewards
+from truthval.semivalues import budget_cap, exact_semivalue, make_weights, scaled_reward
 from truthval.errors import ConfigurationError
 from truthval.experiment import (
     ExperimentConfig,
@@ -307,9 +316,13 @@ class TestConfigShapes:
         with pytest.raises(ConfigurationError, match="weights must be"):
             bernoulli_config(weights=["shapley"])
 
-    def test_cross_validation_rejects_sampled_estimator(self):
-        with pytest.raises(ConfigurationError, match="cross-validation"):
-            bernoulli_config(post={"kind": "cross-validation"}, estimator="sampled")
+    @pytest.mark.parametrize(
+        "changes", [{"post": "cross-validation"}, {"dvf": "cardinality"}],
+        ids=["cross-validation", "validation-free-dvf"],
+    )
+    def test_runs_without_a_validation_set_take_the_sampled_estimator(self, changes):
+        cfg = bernoulli_config(validation=None, estimator="sampled", **changes)
+        assert cfg.resolved["estimator"] == {"kind": "sampled", "permutations": 3000}
 
 
 class TestRunner:
@@ -333,8 +346,13 @@ class TestRunner:
             {},
             {"estimator": {"kind": "sampled", "permutations": 50}},
             {"dvf": "cardinality", "validation": None},
+            {"dvf": "cardinality", "validation": None,
+             "estimator": {"kind": "sampled", "permutations": 50}},
+            {"post": "cross-validation", "validation": None,
+             "estimator": {"kind": "sampled", "permutations": 50}},
         ],
-        ids=["exact", "sampled", "validation-free"],
+        ids=["exact", "sampled", "validation-free", "sampled-validation-free",
+             "sampled-cross-validation"],
     )
     def test_deterministic_across_runs_and_threads(self, overrides):
         base = bernoulli_config(repeats=4, **overrides)
@@ -437,19 +455,43 @@ class TestRunner:
         with pytest.raises(Exception, match=r"\[sources\]"):
             run_experiment(cfg)
 
-    def test_cross_validation_mode(self):
-        cfg = ExperimentConfig.from_dict(
-            {
-                "seed": 8,
-                "repeats": 2,
-                "model": {"family": "beta-bernoulli"},
-                "sources": [{"generator": "bernoulli", "n_points": 8, "p": 0.5}] * 3,
-                "post": {"kind": "cross-validation", "variant": "grave",
-                         "validation_frac": 0.25},
-            }
-        )
+    @pytest.mark.parametrize("variant", ["breve", "grave"])
+    def test_cross_validation_rows_are_the_mechanisms_rewards(self, variant):
+        # Each point of a standardized GP grid is split and rewarded in every
+        # repeat exactly as cross_validation_rewards does it on that point's
+        # standardized submissions with the repeat's split seeds.
+        seed, repeats, n = 8, 2, 3
+        cfg = ExperimentConfig.from_dict({
+            "seed": seed,
+            "repeats": repeats,
+            "model": {"family": "gp", "lengthscales": 0.7, "noise_var": 0.1},
+            "sources": [{"generator": "friedman", "n_points": k} for k in (9, 7, 8)],
+            "standardize_outputs": True,
+            "post": {"kind": "cross-validation", "variant": variant, "validation_frac": 0.3},
+            "sweep": {"axis": "strategy-grid", "source": 1, "values": [
+                "truthful", {"tag": "noise-output", "level": 0.5}, "duplicate",
+            ]},
+        })
         report = run_experiment(cfg)
-        assert len(report.rows) == 6
+        raw = [
+            _materialize(spec, derive_seed(seed, "source", i))
+            for i, spec in enumerate(cfg.resolved["sources"])
+        ]
+        weights = make_weights("shapley", n)
+        points = experiment._sweep_points(report.config)
+        assert len(report.rows) == len(points) * repeats * n
+        for label, point in points:
+            data = [
+                apply_strategy(ds, Strategy(seed=derive_seed(seed, "strategy", i), **spec))
+                for i, (ds, spec) in enumerate(zip(raw, point["strategies"]))
+            ]
+            data = [shift_scale_outputs(ds, *output_moments(data)) for ds in data]
+            for r in range(repeats):
+                splits = [derive_seed(seed, "split", r, j) for j in range(n)]
+                cg = cross_validation_rewards(data, 0.3, weights, cfg.model, seed, splits)
+                rows = [row for row in report.rows if row.sweep == label and row.repeat == r]
+                assert [row.value for row in rows] == np.diag(cg.per_game).tolist()
+                assert [row.reward for row in rows] == getattr(cg, variant).tolist()
 
     def test_validation_noise_sweep(self):
         cfg = bernoulli_config()
@@ -1014,3 +1056,34 @@ class TestStrategyGridLattice:
         assert grid_scorers == 2  # the repeats
         assert len(scorers) == 2 * len(values)
         assert grid_appends < len(appends)
+
+    @pytest.mark.parametrize(
+        "cross, estimator, scorers",
+        [
+            (True, "exact", 3 * 2),  # per point and repeat
+            (True, {"kind": "sampled", "permutations": 40}, 3 * 2),
+            (False, "exact", 1),  # one table for every point and repeat
+        ],
+        ids=["cross-validation", "sampled-cross-validation", "exact"],
+    )
+    def test_scorers_per_grid(self, monkeypatch, cross, estimator, scorers):
+        from truthval import mechanisms
+
+        scorer_class, built, alive = experiment.CoalitionScorer, [], []
+
+        def counted_scorer(*args, **kwargs):
+            # Each scorer is dropped before the next one is built.
+            assert all(ref() is None for ref in alive)
+            built.append(args)
+            alive.append(weakref.ref(scorer := scorer_class(*args, **kwargs)))
+            return scorer
+
+        monkeypatch.setattr(experiment, "CoalitionScorer", counted_scorer)
+        monkeypatch.setattr(mechanisms, "CoalitionScorer", counted_scorer)
+        values = ["truthful", {"tag": "subset", "frac": 0.5}, "duplicate"]
+        grid = gp_grid_config(1, values, estimator=estimator).resolved
+        if cross:
+            grid = {**grid, "post": "cross-validation", "validation": None}
+        report = run_experiment(ExperimentConfig.from_dict(grid))
+        assert len(built) == scorers
+        assert len(report.rows) == 3 * 2 * 3

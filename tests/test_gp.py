@@ -19,11 +19,10 @@ from truthval import (
     binary_dataset,
     concat_datasets,
     dvf_value,
-    empty_dataset,
     log_predictive,
-    outputs_dataset,
     se_ard_kernel,
 )
+from truthval.data import empty_dataset, outputs_dataset
 from truthval.errors import ConfigurationError, InputError
 from truthval.gp import GpPath, append_block, gp_block
 

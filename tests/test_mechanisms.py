@@ -5,6 +5,7 @@ import pytest
 
 from truthval import (
     BetaBernoulliModel,
+    Dataset,
     DvfSpec,
     binary_dataset,
     build_char_table,
@@ -13,7 +14,11 @@ from truthval import (
     make_weights,
     split_train_validation,
 )
-from truthval.errors import ConfigurationError
+from truthval.datagen import derive_seed
+from truthval.errors import ConfigurationError, UnsupportedConfigurationError
+from truthval.mechanisms import cross_game_rewards, cross_game_scorer
+from truthval.models import LinearRegressionModel
+from truthval.semivalues import sampled_semivalue
 
 MODEL = BetaBernoulliModel(1, 1)
 
@@ -108,3 +113,37 @@ class TestCrossValidationRewards:
         # Same data but independently derived splits: the games generally
         # differ, while the accounting identity still holds.
         np.testing.assert_allclose(cg.grave - cg.breve, np.diag(cg.per_game), atol=1e-12)
+
+    def test_more_than_twenty_sources_are_refused(self):
+        sources = [binary_dataset([1, 0, 1, 1])] * 21
+        weights = make_weights("shapley", 21)
+        with pytest.raises(UnsupportedConfigurationError, match="21 sources exceed the limit"):
+            cross_validation_rewards(sources, 0.5, weights, MODEL, seed=0)
+
+
+class TestSampledCrossGames:
+    """The two pieces the runner and cross_validation_rewards share: the
+    split games' scorer, then the reduction of their semivalues."""
+
+    @pytest.mark.parametrize("family", ["shapley", "banzhaf"])
+    def test_sampled_per_game_semivalues_within_four_standard_errors(self, family):
+        rng = np.random.default_rng(33)
+        model = LinearRegressionModel(n_features=2, prior_var=1.0, noise_var=0.25)
+        sources = []
+        for k in (9, 7, 8, 10):
+            x = rng.uniform(-1, 1, size=(k, 2))
+            sources.append(Dataset(x, x @ [1.0, -0.5] + rng.normal(0, 0.5, size=k), "regression"))
+        weights = make_weights(family, 4)
+        seeds = [derive_seed(5, "split", j) for j in range(4)]
+        scorer = cross_game_scorer(sources, 0.3, model, seeds)
+        exact = exact_semivalue(scorer.table(), weights)
+        np.testing.assert_array_equal(
+            cross_game_rewards(exact).breve,
+            cross_validation_rewards(sources, 0.3, weights, model, 5).breve,
+        )
+        sampled = sampled_semivalue(scorer.values, weights, 2000, seed=6)
+        assert sampled.values.shape == exact.shape == (4, 4)  # (games, sources)
+        assert (sampled.stderr > 0).all()
+        assert (np.abs(sampled.values - exact) <= 4 * sampled.stderr).all()
+        rewards = cross_game_rewards(sampled.values)
+        np.testing.assert_allclose(rewards.grave - rewards.breve, np.diag(sampled.values.T))

@@ -14,14 +14,13 @@ from truthval import (
     LinearRegressionModel,
     binary_dataset,
     concat_datasets,
-    empty_dataset,
     log_predictive,
     mean_log_predictive,
-    outputs_dataset,
     posterior_params,
     prior_params,
     suff_stats,
 )
+from truthval.data import empty_dataset, outputs_dataset
 
 
 def random_binary(rng, n):

@@ -14,7 +14,6 @@ from truthval import (
     GaussianMeanModel,
     binary_dataset,
     build_char_table,
-    coalition_data,
     concat_datasets,
     exact_semivalue,
     log_predictive,
@@ -218,9 +217,11 @@ def brute_force(model, true_datasets, alt, target, weights, k):
         for mask in range(2**n):
             if mask >> target & 1:
                 w = weights.w[bin(mask).count("1") - 1]
-                scores = [
-                    log_predictive(model, coalition_data(s, mask), t) for s in (sources, alt_sources)
+                coalitions = [
+                    concat_datasets(d for i, d in enumerate(s) if mask >> i & 1)
+                    for s in (sources, alt_sources)
                 ]
+                scores = [log_predictive(model, data, t) for data in coalitions]
                 kl += weight * w * (scores[0] - scores[1])
                 differs |= w > 0 and abs(math.exp(scores[0]) - math.exp(scores[1])) > 1e-12
     assert total == pytest.approx(1.0, abs=1e-9)

@@ -20,7 +20,6 @@ from truthval import (
     LinearRegressionModel,
     binary_dataset,
     build_char_table,
-    coalition_data,
     concat_datasets,
     cross_validation_rewards,
     dvf_value,
@@ -31,13 +30,13 @@ from truthval import (
     make_weights,
     mean_log_predictive,
     output_moments,
-    outputs_dataset,
     posterior_params,
     shift_scale_outputs,
     split_train_validation,
     take_rows,
 )
 from truthval import valuation
+from truthval.data import outputs_dataset
 from truthval.errors import (
     ConfigurationError,
     InputError,
@@ -48,6 +47,12 @@ from truthval.models import kl_from_prior_batch
 from truthval.valuation import RankDeficientVolumeWarning
 
 from gp_reference import gp_info_gain_raw_rows, gp_log_score_raw_rows
+
+
+def coalition_data(sources, mask):
+    """Multiset union (row concatenation) of the member datasets."""
+    members = [ds for i, ds in enumerate(sources) if mask >> i & 1]
+    return concat_datasets(members, n_features=sources[0].n_features, kind=sources[0].kind)
 
 
 def log_score_spec(validation):
