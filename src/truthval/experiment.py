@@ -94,6 +94,7 @@ _POSITIVE = ("a number > 0", lambda v: _NUMBER[1](v) and v > 0)
 _PROBABILITY = ("a number in [0, 1]", lambda v: _NUMBER[1](v) and 0 <= v <= 1)
 _FRACTION = ("a number in (0, 1]", lambda v: _NUMBER[1](v) and 0 < v <= 1)
 _OPEN_UNIT = ("a number in (0, 1)", lambda v: _NUMBER[1](v) and 0 < v < 1)
+_AT_LEAST_ONE = ("a number >= 1", lambda v: _NUMBER[1](v) and v >= 1)
 
 
 @dataclass(frozen=True)
@@ -155,16 +156,16 @@ _VALIDATION = _Named("generator", "validation spec", {
 
 _STRATEGY = _Named("tag", "strategy", {
     "truthful": {},
-    "subset": {"frac": _OPT_NUMBER},
-    "noise-output": {"level": _OPT_NUMBER},
-    "duplicate": {"copies": (_INT, _OPTIONAL)},
-    "inject": {"frac": _OPT_NUMBER, "offset": _OPT_NUMBER, "fill": _OPT_NUMBER},
-    "noise-input": {"sd": _OPT_NUMBER},
+    "subset": {"frac": (_FRACTION, _OPTIONAL)},
+    "noise-output": {"level": (_NONNEGATIVE, _OPTIONAL)},
+    "duplicate": {"copies": (_COUNT, _OPTIONAL)},
+    "inject": {"frac": (_FRACTION, _OPTIONAL), "offset": _OPT_NUMBER, "fill": _OPT_NUMBER},
+    "noise-input": {"sd": (_NONNEGATIVE, _OPTIONAL)},
 }, bare=True)
 
 _WEIGHTS = _Named("family", "weight family", {
     "shapley": {}, "banzhaf": {}, "individual": {},
-    "beta": {"alpha": (_NUMBER, _REQUIRED), "beta": (_NUMBER, _REQUIRED)},
+    "beta": {"alpha": (_AT_LEAST_ONE, _REQUIRED), "beta": (_AT_LEAST_ONE, _REQUIRED)},
 }, bare=True)
 
 _POST = _Named("kind", "post-processing", {
@@ -286,6 +287,11 @@ class ExperimentConfig:
         if len(cfg["strategies"]) != n:
             raise ConfigurationError(f"{len(cfg['strategies'])} strategies for {n} sources")
         post_kind = cfg["post"]["kind"]
+        if post_kind == "cross-validation" and n < 2:
+            raise ConfigurationError(
+                "post 'cross-validation' scores each source on the others' splits, "
+                f"so it needs at least 2 sources, got {n}"
+            )
         reads_validation = cfg["dvf"] in LOG_SCORE_KINDS and post_kind != "cross-validation"
         if reads_validation and cfg["validation"] is None:
             raise ConfigurationError(f"dvf {cfg['dvf']!r} needs a 'validation' section")

@@ -7,12 +7,14 @@ The posterior over test inputs X* given training data (X, y) is
 
 where S is the observation-noise diagonal. Scoring a validation set uses the
 observed-output predictive, i.e. noise_var is added back onto the covariance
-diagonal. Every training kernel is factorized by :func:`append_block`, which
-extends the Cholesky factor of a training set by one block of rows (or by
-its counts and outputs half, :func:`condition_block`, for a block whose
-inputs another block already crossed with the same rows), and the
-configured ``jitter`` is the only regulariser of either. Every posterior,
-one training set's included, is scored on such a path by
+diagonal. Every training kernel is factorized on a :class:`GpPath`, which
+binds one model, its jitter and the test inputs, and extends the Cholesky
+factor of a training set one block of rows at a time: :func:`block_cross`
+crosses the block's inputs with the rows before it, and
+:func:`condition_block` conditions its counts and outputs on those cross
+terms, which a block with the same inputs may reuse. The configured
+``jitter`` is the only regulariser. Every posterior, one training set's
+included, is scored on such a path by
 :class:`~truthval.valuation.CoalitionScorer`.
 """
 
@@ -89,7 +91,7 @@ def se_ard_kernel(xa: np.ndarray, xb: np.ndarray, hyper: GpHyper) -> np.ndarray:
 
 
 class GpBlock(NamedTuple):
-    """A block of training rows as :func:`append_block` takes it: the distinct
+    """A block of training rows as :func:`condition_block` takes it: the distinct
     input rows in order of first appearance, the mean output of each and how
     often each occurs. c outputs observed at one input x constrain f(x) exactly
     as their mean with noise variance noise_var / c does, since
@@ -114,14 +116,17 @@ def gp_block(data: Dataset) -> GpBlock:
 
 
 class GpPath:
-    """Scratch of a training set grown block by block, one row per distinct
-    input row of each block: the inputs, the Cholesky factor L of the noisy
-    training kernel, V = L^-1 K(train, test), w = L^-1 y and w_1 = L^-1 1:
-    outputs (y - m) / s whiten to (w - m w_1) / s. An append at row ``start``
-    overwrites the rows past it, so one factor's worth of memory serves every
-    training set that extends the rows before it."""
+    """One model's training set, grown block by block: the model ``hyper``, the
+    ``jitter`` added to the noise of every training row (None for information
+    gain, which adds none) and the ``test_inputs``, fixed for the whole path,
+    and the scratch, one row per distinct input row of each block: the inputs,
+    the Cholesky factor L of the noisy training kernel, V = L^-1 K(train, test),
+    w = L^-1 y and w_1 = L^-1 1: outputs (y - m) / s whiten to (w - m w_1) / s.
+    An append at row ``start`` overwrites the rows past it, so one factor's
+    worth of memory serves every training set that extends the rows before it."""
 
-    def __init__(self, rows: int, test_inputs: np.ndarray):
+    def __init__(self, rows: int, hyper: GpHyper, jitter: float | None, test_inputs: np.ndarray):
+        self.hyper, self.jitter, self.test_inputs = hyper, jitter, test_inputs
         self.inputs = np.empty((rows, test_inputs.shape[1]))
         self.factor = np.empty((rows, rows))
         self.proj = np.empty((rows, len(test_inputs)))
@@ -148,14 +153,14 @@ class GpCross:
         self.noise = self.test = None
 
 
-def block_cross(path: GpPath, start: int, inputs: np.ndarray, hyper: GpHyper) -> GpCross:
+def block_cross(path: GpPath, start: int, inputs: np.ndarray) -> GpCross:
     """The :class:`GpCross` of ``inputs`` appended after rows ``[0, start)`` of
     ``path``, whose input rows it fills; one kernel call for the block."""
     from scipy.linalg.lapack import dtrtrs
 
     end = start + len(inputs)
     path.inputs[start:end] = inputs
-    kernel = se_ard_kernel(inputs, path.inputs[:end], hyper)  # K(S, C) and K(S, S)
+    kernel = se_ard_kernel(inputs, path.inputs[:end], path.hyper)  # K(S, C) and K(S, S)
     cross, inner = kernel[:, :start], kernel[:, start:]
     # L_C^T leads the rows [0, start) read column-major: no copy of L_C to solve.
     l21 = dtrtrs(path.factor[:start].T, cross.T, trans=1)[0].T if start else cross
@@ -163,22 +168,26 @@ def block_cross(path: GpPath, start: int, inputs: np.ndarray, hyper: GpHyper) ->
 
 
 def condition_block(
-    path: GpPath,
-    cross: GpCross,
-    block: GpBlock,
-    hyper: GpHyper,
-    jitter: float | None,
-    test_inputs: np.ndarray,
-    keep: bool = False,
+    path: GpPath, cross: GpCross, block: GpBlock, keep: bool = False
 ) -> np.ndarray:
-    """Fill ``block``'s rows of ``path`` from the cross terms of its inputs:
-    L22 = chol(K(S, S) + diag((noise + jitter) / counts) - L21 L21^T), then
-    V_S = L22^-1 (K(S, test) - L21 V_C) and w_S, w_1 as in :func:`append_block`.
-    A block after another with its inputs takes the other's Schur complement
+    """Extend the training set C in rows ``[0, cross.start)`` of ``path`` by
+    ``block`` S, whose inputs ``cross`` crossed with C, by the block-Cholesky
+    append of the partitioned inverse (Rasmussen and Williams, GPML, 2006,
+    App. A.3):
+
+        L21 = K(S, C) L_C^-T,  L22 = chol(K(S, S) + diag((noise + jitter) / counts) - L21 L21^T),
+        V_S = L22^-1 (K(S, test) - L21 V_C),  w_S = L22^-1 (y_S - L21 w_C),
+
+    and w_1 as w for outputs 1. They fill S's rows of ``path``, and the latent
+    posterior of C and S at the test inputs is C's with mean += V_S^T w_S and
+    cov -= V_S^T V_S; without test inputs it returns before V_S and w_S. A
+    block after another with its inputs takes the other's Schur complement
     with the noise diagonal swapped. With ``keep`` the cross terms stay for a
-    further block with these inputs. Returns L22."""
+    further block with these inputs. Returns L22; a block that is not
+    positive definite raises :class:`~truthval.errors.NumericalError`."""
     from scipy.linalg import solve_triangular
 
+    hyper, jitter = path.hyper, path.jitter
     start, l21, schur = cross.start, cross.l21, cross.schur
     end = start + block.counts.size
     rows = slice(start, end)
@@ -214,48 +223,21 @@ def condition_block(
     del schur
     path.factor[rows, :start] = l21
     path.factor[rows, rows] = l22
-    if len(test_inputs) == 0:
+    if len(path.test_inputs) == 0:
         return l22
     k_test = cross.test
     if k_test is None:
-        k_test = se_ard_kernel(block.inputs, test_inputs, hyper)
+        k_test = se_ard_kernel(block.inputs, path.test_inputs, hyper)
         k_test -= l21 @ path.proj[:start]
     cross.test = k_test if keep else None
+    # Solved against the contiguous l22 and l21, not through whiten_block: its
+    # strided views of path.factor would be copied on every solve.
     path.proj[rows] = solve_triangular(l22, k_test, lower=True, check_finite=False)
     for white, outputs in zip(path.white, (block.outputs, 1.0)):
         white[rows] = solve_triangular(
             l22, outputs - l21 @ white[:start], lower=True, check_finite=False
         )
     return l22
-
-
-def append_block(
-    path: GpPath,
-    start: int,
-    block: GpBlock,
-    hyper: GpHyper,
-    jitter: float | None,
-    test_inputs: np.ndarray,
-    keep: bool = False,
-) -> tuple[np.ndarray, GpCross]:
-    """Extend the training set C in rows ``[0, start)`` of ``path`` by
-    ``block`` S with the block-Cholesky append of the partitioned inverse
-    (Rasmussen and Williams, GPML, 2006, App. A.3):
-
-        L21 = K(S, C) L_C^-T,  L22 = chol(K(S, S) + diag((noise + jitter) / counts) - L21 L21^T),
-        V_S = L22^-1 (K(S, test) - L21 V_C),  w_S = L22^-1 (y_S - L21 w_C),
-
-    and w_1 as w for outputs 1. They fill S's rows of ``path``, and the latent
-    posterior of C and S at the test inputs is C's with mean += V_S^T w_S and
-    cov -= V_S^T V_S. The input half is :func:`block_cross`, the counts and
-    outputs half :func:`condition_block`. Returns L22 and the block's
-    :class:`GpCross`, kept intact with ``keep`` for blocks with S's inputs;
-    without test inputs it returns before V_S and w_S. ``jitter`` is None
-    for information gain, which adds none. A block that is not positive
-    definite raises :class:`~truthval.errors.NumericalError`.
-    """
-    cross = block_cross(path, start, block.inputs, hyper)
-    return condition_block(path, cross, block, hyper, jitter, test_inputs, keep), cross
 
 
 def whiten_block(path: GpPath, start: int, end: int, outputs: np.ndarray) -> None:

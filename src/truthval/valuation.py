@@ -31,7 +31,7 @@ from .gp import (
     GpBlock,
     GpHyper,
     GpPath,
-    append_block,
+    block_cross,
     condition_block,
     gp_block,
     predictive_log_density,
@@ -135,10 +135,6 @@ def dvf_value(spec: DvfSpec, data: Dataset) -> float:
     if len(data) == 0:
         return 0.0
     return float(CoalitionScorer(spec.model, spec.kind, [data], spec.validation).values(1)[0])
-
-
-def coalition_members(mask: int, n: int) -> list[int]:
-    return [i for i in range(n) if mask >> i & 1]
 
 
 # A stacked evaluation of conjugate coalitions takes _BLOCK_FLOATS // (n + w)
@@ -466,10 +462,11 @@ class CoalitionScorer:
         members one source at a time."""
         out = np.zeros(self._prior_scores.shape + (masks.size,))
         i, wants = self._swept, {}  # other sources -> the mask index without i, and with it
-        for j, mask in enumerate(masks):
-            others = tuple(m - (m > i) for m in coalition_members(int(mask), self.n) if m != i)
-            wants.setdefault(others, [None, None])[int(mask) >> i & 1] = j
-        path = GpPath(self._rows, self._pool.inputs)
+        for j, mask in enumerate(masks.tolist()):
+            others = tuple(m - (m > i) for m in range(self.n) if m != i and mask >> m & 1)
+            wants.setdefault(others, [None, None])[mask >> i & 1] = j
+        jitter = None if self._kind == INFO_GAIN else self._model.jitter
+        path = GpPath(self._rows, self._model, jitter, self._pool.inputs)
         on_path: list[int] = []
         stack = [self._gp_root]
         points = np.arange(self.points)
@@ -523,27 +520,26 @@ class CoalitionScorer:
                 held[depth] = cross
 
     def _gp_append(self, parent, block, path, cross=None, keep=False):
-        """Extend ``parent`` by ``block`` S, which follows every row of ``parent``,
-        with :func:`~truthval.gp.append_block`, or with
-        :func:`~truthval.gp.condition_block` from the ``cross`` terms of S's
-        inputs, and its pool posterior by mean += V_S^T w_S, cov -= V_S^T V_S.
-        Returns the new level and S's cross terms.
+        """Extend ``parent`` by ``block`` S, which follows every row of ``parent``:
+        :func:`~truthval.gp.block_cross` crosses S's inputs with those rows
+        unless ``cross`` already holds their terms, and
+        :func:`~truthval.gp.condition_block` fills S's rows of ``path``. The
+        pool posterior takes mean += V_S^T w_S, cov -= V_S^T V_S. Returns the
+        new level and S's cross terms.
 
         Information gain keeps only log det(I + K / noise) of the raw rows: no
         jitter, no pool. By the determinant lemma, a block whose distinct rows
         occur c times adds 2 sum log diag(L22) + sum log(c / noise).
         """
-        model = self._model
         start, end = parent.end, parent.end + block.counts.size
         if start == end:
             return parent, cross
-        jitter = None if self._kind == INFO_GAIN else model.jitter
         if cross is None:
-            l22, cross = append_block(path, start, block, model, jitter, self._pool.inputs, keep)
-        else:
-            l22 = condition_block(path, cross, block, model, jitter, self._pool.inputs, keep)
+            cross = block_cross(path, start, block.inputs)
+        l22 = condition_block(path, cross, block, keep)
         if self._kind == INFO_GAIN:
-            logdet = 2.0 * np.log(np.diag(l22)).sum() + np.log(block.counts / model.noise_var).sum()
+            noise_var = self._model.noise_var
+            logdet = 2.0 * np.log(np.diag(l22)).sum() + np.log(block.counts / noise_var).sum()
             return parent._replace(end=end, logdet=parent.logdet + logdet), cross
         proj = path.proj[start:end]
         mean = parent.mean + [proj.T @ white for white in path.white[:, start:end]]

@@ -409,6 +409,47 @@ class TestConfigurationErrorsExit1:
         assert err.startswith("configuration error:") and "limit of 20" in err
 
     @pytest.mark.parametrize(
+        "n, changes, named",
+        [
+            (1, {}, "post 'cross-validation' scores each source on the others' splits"),
+            (2, {"strategies": ["truthful", {"tag": "subset", "frac": 2}]},
+             "strategies[1]['frac'] must be a number in (0, 1]"),
+            (2, {"strategies": ["truthful", {"tag": "inject", "frac": 0}]},
+             "strategies[1]['frac'] must be a number in (0, 1]"),
+            (2, {"strategies": ["truthful", {"tag": "duplicate", "copies": 0}]},
+             "strategies[1]['copies'] must be an integer >= 1"),
+            (2, {"strategies": ["truthful", {"tag": "noise-output", "level": -1}]},
+             "strategies[1]['level'] must be a number >= 0"),
+            (2, {"strategies": ["truthful", {"tag": "noise-input", "sd": -1}]},
+             "strategies[1]['sd'] must be a number >= 0"),
+            (2, {"weights": {"family": "beta", "alpha": 0.5, "beta": 1}},
+             "weights['alpha'] must be a number >= 1"),
+            (2, {"weights": {"family": "beta", "alpha": 1, "beta": 0.5}},
+             "weights['beta'] must be a number >= 1"),
+            (2, {"sweep": {"axis": "strategy-grid", "source": 0,
+                           "values": ["truthful", {"tag": "subset", "frac": 2}]}},
+             "sweep['values'][1]['frac'] must be a number in (0, 1]"),
+            (2, {"sweep": {"axis": "weight-family",
+                           "values": [{"family": "beta", "alpha": 0.5, "beta": 1}]}},
+             "sweep['values'][0]['alpha'] must be a number >= 1"),
+        ],
+        ids=[
+            "cross-validation-one-source", "subset-frac", "inject-frac", "duplicate-copies",
+            "noise-output-level", "noise-input-sd", "beta-alpha", "beta-beta",
+            "strategy-grid-value", "weight-family-value",
+        ],
+    )
+    def test_ranges_are_checked_before_any_source_is_read(
+        self, tmp_path, capsys, n, changes, named
+    ):
+        # Every source is a CSV file that does not exist, so reading one exits 2.
+        missing = {"csv": str(tmp_path / "missing.csv"), "output_column": "y", "kind": "binary"}
+        cfg = two_source_cross_validation(sources=[missing] * n, **changes)
+        code, err = self.run(tmp_path, capsys, cfg)
+        assert code == 1
+        assert err.startswith("configuration error:") and named in err
+
+    @pytest.mark.parametrize(
         "changes",
         [{"dvf": "cardinality"}, {"post": "cross-validation"}],
         ids=["validation-free-dvf", "cross-validation"],

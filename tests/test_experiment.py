@@ -818,22 +818,24 @@ def gp_grid_config(source, values, sizes=(8, 6, 5), estimator="auto"):
 
 
 def count_gp_appends(monkeypatch):
-    """Record the rows of every block the GP lattice appends and of every
-    counts sibling it conditions from held cross terms."""
+    """Record the rows of every block the GP lattice appends (crosses with the
+    rows before it) and of every counts sibling it conditions from cross terms
+    that an earlier block was already conditioned on."""
     from truthval import valuation
 
     calls = {"append": [], "sibling": []}
-    append_block, condition_block = valuation.append_block, valuation.condition_block
+    block_cross, condition_block = valuation.block_cross, valuation.condition_block
 
-    def appended(path, start, block, *args, **kwargs):
-        calls["append"].append(block.counts.size)
-        return append_block(path, start, block, *args, **kwargs)
+    def crossed(path, start, inputs):
+        calls["append"].append(len(inputs))
+        return block_cross(path, start, inputs)
 
     def conditioned(path, cross, block, *args, **kwargs):
-        calls["sibling"].append(block.counts.size)
+        if cross.inner is None:
+            calls["sibling"].append(block.counts.size)
         return condition_block(path, cross, block, *args, **kwargs)
 
-    monkeypatch.setattr(valuation, "append_block", appended)
+    monkeypatch.setattr(valuation, "block_cross", crossed)
     monkeypatch.setattr(valuation, "condition_block", conditioned)
     return calls
 
@@ -1032,19 +1034,19 @@ class TestStrategyGridLattice:
         # without the swept source between the points.
         from truthval import valuation
 
-        scorer_class, append_block = experiment.CoalitionScorer, valuation.append_block
+        scorer_class, block_cross = experiment.CoalitionScorer, valuation.block_cross
         scorers, appends = [], []
 
         def counted_scorer(*args, **kwargs):
             scorers.append(args)
             return scorer_class(*args, **kwargs)
 
-        def counted_append(*args, **kwargs):
+        def counted_cross(*args, **kwargs):
             appends.append(args[1])
-            return append_block(*args, **kwargs)
+            return block_cross(*args, **kwargs)
 
         monkeypatch.setattr(experiment, "CoalitionScorer", counted_scorer)
-        monkeypatch.setattr(valuation, "append_block", counted_append)
+        monkeypatch.setattr(valuation, "block_cross", counted_cross)
         values = ["truthful", {"tag": "subset", "frac": 0.5}, "duplicate"]
         grid = gp_grid_config(1, values, estimator={"kind": "sampled", "permutations": 40})
         run_experiment(grid)

@@ -1,8 +1,9 @@
 """GP regression: posterior algebra, predictive scoring, numerical guards.
 
 The latent posterior is read off a :class:`~truthval.gp.GpPath` after one
-:func:`~truthval.gp.append_block`, and log scores off :func:`dvf_value`; both
-are checked against the dense solves on the raw rows in gp_reference.
+block is crossed (:func:`~truthval.gp.block_cross`) and conditioned
+(:func:`~truthval.gp.condition_block`), and log scores off :func:`dvf_value`;
+both are checked against the dense solves on the raw rows in gp_reference.
 """
 
 import math
@@ -24,7 +25,7 @@ from truthval import (
 )
 from truthval.data import empty_dataset, outputs_dataset
 from truthval.errors import ConfigurationError, InputError
-from truthval.gp import GpPath, append_block, gp_block
+from truthval.gp import GpPath, block_cross, condition_block, gp_block
 
 from gp_reference import gp_log_score_raw_rows, gp_predict_raw_rows
 
@@ -41,8 +42,8 @@ def path_posterior(train, test, hyper):
     """Latent mean and covariance at ``test`` after appending the block of
     ``train`` to an empty path at the model's jitter."""
     block = gp_block(train)
-    path = GpPath(block.counts.size, test)
-    append_block(path, 0, block, hyper, hyper.jitter, test)
+    path = GpPath(block.counts.size, hyper, hyper.jitter, test)
+    condition_block(path, block_cross(path, 0, block.inputs), block)
     return path.proj.T @ path.white[0], se_ard_kernel(test, test, hyper) - path.proj.T @ path.proj
 
 

@@ -749,9 +749,9 @@ class TestGpLattice:
         sizes = []
 
         class RecordedPath(valuation.GpPath):
-            def __init__(self, rows, test_inputs):
+            def __init__(self, rows, *args):
                 sizes.append(rows)
-                super().__init__(rows, test_inputs)
+                super().__init__(rows, *args)
 
         monkeypatch.setattr(valuation, "GpPath", RecordedPath)
         rng = np.random.default_rng(64)
@@ -834,20 +834,27 @@ class TestGpLattice:
                 concat_datasets([highest, extra]), take_rows(d, rng.permutation(5)[:3]),
                 shifted(4),
             ]
-        calls = {"condition_block": 0, "whiten_block": 0}
-        for name in calls:
-            def counted(*args, _name=name, _call=getattr(valuation, name), **kwargs):
-                calls[_name] += 1
-                return _call(*args, **kwargs)
+        # A counts sibling is conditioned on cross terms another block was conditioned on first.
+        calls = {"sibling": 0, "whiten_block": 0}
+        condition_block, whiten_block = valuation.condition_block, valuation.whiten_block
 
-            monkeypatch.setattr(valuation, name, counted)
+        def conditioned(path, cross, *args, **kwargs):
+            calls["sibling"] += cross.inner is None
+            return condition_block(path, cross, *args, **kwargs)
+
+        def whitened(*args, **kwargs):
+            calls["whiten_block"] += 1
+            return whiten_block(*args, **kwargs)
+
+        monkeypatch.setattr(valuation, "condition_block", conditioned)
+        monkeypatch.setattr(valuation, "whiten_block", whitened)
         pool, subsets = shifted(9), [[0, 2, 3, 5], [1, 4, 6, 7, 8]]
         if kind == "info-gain":  # validation-free: no pool to standardize
             pool, subsets = None, None
         points = [[sources[0], d, sources[2]] for d in variants]
         moments = [output_moments(point) for point in points] if standardize else None
-        grid = CoalitionScorer(model, kind, sources, pool, subsets, (1, variants), moments)
-        got = grid.table()
+        scorer = CoalitionScorer(model, kind, sources, pool, subsets, (1, variants), moments)
+        got = scorer.table()
         want = []
         for g, point in enumerate(points):
             ref_pool = pool
@@ -858,7 +865,7 @@ class TestGpLattice:
         assert len(got) == len(want) == len(variants) * (1 if pool is None else 2)
         np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-12)
         if grid == "trie-rules":
-            assert calls["condition_block"] > 0
+            assert calls["sibling"] > 0
             assert (calls["whiten_block"] > 0) == (kind != "info-gain")
 
     @settings(max_examples=40, deadline=None)
