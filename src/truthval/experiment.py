@@ -33,7 +33,6 @@ from .datagen import (
     load_csv,
     output_moments,
     perturb_validation,
-    shift_scale_outputs,
 )
 from .errors import ConfigurationError, InputError, NumericalError, TruthvalError
 from .gp import GpHyper
@@ -361,11 +360,16 @@ class ExperimentConfig:
                 )
         grid = sweep["values"] if sweep["axis"] == "strategy-grid" else []
         for where, strategies in (("strategies", cfg["strategies"]), ("sweep['values']", grid)):
-            for i, strategy in enumerate(strategies):  # only noise-output has a level
+            for i, strategy in enumerate(strategies):  # a noise-output level, an inject fill
                 if model.data_kind == BINARY and strategy.get("level", 0) > 1:
                     raise ConfigurationError(
                         f"{where}[{i}]['level'] is a flip probability on binary labels and "
                         f"must be in [0, 1], got {strategy['level']!r}"
+                    )
+                if model.data_kind == BINARY and strategy.get("fill", 0) not in (0, 1):
+                    raise ConfigurationError(
+                        f"{where}[{i}]['fill'] is the label of injected binary rows and "
+                        f"must be 0 or 1, got {strategy['fill']!r}"
                     )
         # Of the binary pools only a CSV pool has a noise_sd (a Bernoulli
         # spec refuses the key and the sweep above).
@@ -606,50 +610,42 @@ def _run_points(model, points, raw_sources, swept, pools) -> list[ReportRow]:
         moments = [output_moments(s) for s in submissions] if point["standardize_outputs"] else None
 
     # repeat(r) -> each point's (each source's value, its reward) in repeat r: the
-    # repeat's scorers, their games' semivalues, and each point's reduction of its games.
+    # repeat's scorer, its games' semivalues, and each point's reduction of its games.
     post, est = point["post"], point["estimator"]
     cross = post["kind"] == "cross-validation"
+    one_table = est["kind"] == "exact" and not cross  # one scorer and table for every repeat
     singletons = np.uint64(1) << np.arange(n, dtype=np.uint64)
-    args = (model, point["dvf"], submissions[0], pool)
     variants = (swept, [subs[swept] for subs in submissions])
 
-    def estimate(scorer, r):
-        """Every game's singleton values and semivalues, a row per game."""
+    def games(r):
+        """Singleton values and semivalues of repeat r's games (every repeat's
+        if r is None), points major, from one scorer for every point."""
+        if cross:  # the repeat's splits; every point shares the other sources' splits
+            seeds = [derive_seed(point["seed"], "split", r, j) for j in range(n)]
+            frac = post["validation_frac"]
+            scorer = cross_game_scorer(submissions[0], frac, model, seeds, variants, moments)
+        else:
+            validation = subsets if subsets is None or r is None else subsets[r : r + 1]
+            args = (model, point["dvf"], submissions[0], pool, validation, variants, moments)
+            scorer = CoalitionScorer(*args)
         if est["kind"] == "exact":
-            games = scorer.table()
-            return games[:, singletons], exact_semivalue(games, weights)
+            table = scorer.table()
+            return table[:, singletons], exact_semivalue(table, weights)
         seed = derive_seed(point["seed"], "permutations", r)
         phis = sampled_semivalue(scorer.values, weights, est["permutations"], seed).values
         return scorer.values(singletons), phis
 
-    if est["kind"] == "exact" and not cross:  # one scorer and one table for every repeat
+    if one_table:
         with _stage("table"):
-            table = estimate(CoalitionScorer(*args, subsets, variants, moments), None)
-
-    def estimated(r):
-        """The estimated games of repeat r's scorers."""
-        if cross:  # one scorer per point on its own splits, each dropped before the next
-            seeds = [derive_seed(point["seed"], "split", r, j) for j in range(n)]
-            for g, data in enumerate(submissions):
-                if moments:  # each point is split after its own standardization
-                    data = [shift_scale_outputs(ds, *moments[g]) for ds in data]
-                yield estimate(cross_game_scorer(data, post["validation_frac"], model, seeds), r)
-        elif est["kind"] == "exact":
-            yield table
-        else:  # one scorer per repeat for every point, as they all draw the same permutations
-            validation = None if subsets is None else subsets[r : r + 1]
-            yield estimate(CoalitionScorer(*args, validation, variants, moments), r)
+            table = games(None)
 
     def repeat(r: int):
-        results = []
-        for values, phis in estimated(r):
-            if cross:  # the n games of one point: own-game values, cross-game rewards
-                results.append((np.diag(phis), getattr(cross_game_rewards(phis), post["variant"])))
-                continue
-            sets = len(phis) // len(points)  # games points major, one per validation set
-            own = slice(min(r, sets - 1), None, sets)  # a validation-free game serves every r
-            results += [(v, _post_process(phi, post)) for v, phi in zip(values[own], phis[own])]
-        return results
+        values, phis = (a.reshape(len(points), -1, n) for a in (table if one_table else games(r)))
+        if cross:  # each point's n games: own-game values, cross-game rewards
+            rewards = getattr(cross_game_rewards(phis), post["variant"])
+            return list(zip(np.diagonal(phis, axis1=1, axis2=2), rewards))
+        own = min(r, phis.shape[1] - 1)  # a game per validation set, or one for every r
+        return [(v, _post_process(phi, post)) for v, phi in zip(values[:, own], phis[:, own])]
 
     with _stage("rewards"):
         repeats = range(point["repeats"])

@@ -132,10 +132,6 @@ class GpPath:
         self.proj = np.empty((rows, len(test_inputs)))
         self.white = np.empty((2, rows))
 
-    @staticmethod
-    def nbytes(rows: int, test_inputs: np.ndarray) -> int:
-        return 8 * rows * (test_inputs.shape[1] + rows + len(test_inputs) + 2)
-
 
 class GpCross:
     """The cross terms of a block of inputs S appended after the rows

@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .data import Dataset, concat_datasets
-from .datagen import derive_seed, split_train_validation
+from .datagen import derive_seed, shift_scale_outputs, split_train_validation
 from .errors import ConfigurationError
 from .semivalues import SemivalueWeights, exact_semivalue
 from .valuation import LOG_SCORE, CoalitionScorer
@@ -26,8 +26,8 @@ from .valuation import LOG_SCORE, CoalitionScorer
 class CrossGameRewards:
     """Semivalues of every source in every game, plus the two reward sums.
 
-    ``per_game[i, j]`` is source i's semivalue in the game whose validation
-    set came from source j. ``breve`` excludes each source's own game (safe);
+    ``per_game[..., i, j]`` is source i's semivalue in the game whose validation set
+    came from source j. ``breve`` excludes each source's own game (safe);
     ``grave`` includes it (unsafe, kept to demonstrate the failure mode).
     """
 
@@ -42,36 +42,56 @@ class CrossGameRewards:
             object.__setattr__(self, name, arr)
 
 
-def cross_game_scorer(sources: Sequence[Dataset], validation_frac: float, model, split_seeds):
+def cross_game_scorer(
+    sources: Sequence[Dataset], validation_frac: float, model, split_seeds,
+    variants=None, moments=None,
+):
     """The n games of the sources split by ``split_seeds``: one scorer of the
     remaining parts whose validation set j is source j's split, as the games
-    differ only in their validation set."""
+    differ only in their validation set.
+
+    ``variants`` ``(i, [d_0, ..., d_{G-1}])`` and ``moments`` make G points, as in
+    :class:`~truthval.valuation.CoalitionScorer`: point g's game i is scored on
+    d_g's split by source i's seed, its other games on the other sources'
+    splits, which every point shares. One standardization of every point is
+    applied to the rows, as cross_validation_rewards takes them."""
     n = len(sources)
     if n < 2:
         raise ConfigurationError("cross-validation rewards need at least 2 sources")
     if len(split_seeds) != n:
         raise ConfigurationError(f"need {n} split seeds, got {len(split_seeds)}")
-    remaining, validations = zip(
-        *(split_train_validation(src, validation_frac, s) for src, s in zip(sources, split_seeds))
-    )
-    for j, (src, rest) in enumerate(zip(sources, remaining)):
+    i, alternatives = variants or (n - 1, [sources[-1]])
+    if moments is not None and all(m == moments[0] for m in moments):
+        sources = [shift_scale_outputs(ds, *moments[0]) for ds in sources]
+        alternatives = [shift_scale_outputs(ds, *moments[0]) for ds in alternatives]
+        moments = None
+    order = [*enumerate([*sources[:i], alternatives[0], *sources[i + 1 :]])]
+    pieces = []  # (remaining, validation) of every source, then of source i's other variants
+    for j, src in order + [(i, d) for d in alternatives[1:]]:
+        rest, validation = split_train_validation(src, validation_frac, split_seeds[j])
         if len(rest) == 0:
             raise ConfigurationError(
                 f"source {j} has {len(src)} points, too few to split into a validation part "
                 f"and a non-empty remainder: validation_frac {validation_frac} puts "
                 f"ceil({validation_frac} * {len(src)}) = {len(src)} of them in the validation part"
             )
-    ends = np.cumsum([len(val) for val in validations])
-    subsets = [np.arange(end - len(val), end) for end, val in zip(ends, validations)]
-    return CoalitionScorer(model, LOG_SCORE, list(remaining), concat_datasets(validations), subsets)
+        pieces.append((rest, validation))
+    ends = np.cumsum([len(val) for _, val in pieces])
+    subsets = [np.arange(end - len(val), end) for end, (_, val) in zip(ends, pieces)]
+    sets = [[n + g - 1 if j == i and g else j for j in range(n)] for g in range(len(alternatives))]
+    remaining = [rest for rest, _ in pieces]
+    pool = concat_datasets(val for _, val in pieces)
+    variants = (i, [remaining[i], *remaining[n:]])
+    return CoalitionScorer(model, LOG_SCORE, remaining[:n], pool, subsets, variants, moments, sets)
 
 
 def cross_game_rewards(phis: np.ndarray) -> CrossGameRewards:
-    """The rewards from the semivalues ``phis[j, i]`` of source i in game j of
-    :func:`cross_game_scorer`, by either semivalue estimator."""
-    per_game = np.asarray(phis).T
-    totals = per_game.sum(axis=1)
-    return CrossGameRewards(per_game, totals - np.diag(per_game), totals)
+    """The rewards from the semivalues ``phis[..., j, i]`` of source i in game j
+    of :func:`cross_game_scorer`, by either semivalue estimator; leading axes
+    stack the games of several points."""
+    per_game = np.swapaxes(phis, -1, -2)
+    totals = per_game.sum(axis=-1)
+    return CrossGameRewards(per_game, totals - np.diagonal(per_game, axis1=-2, axis2=-1), totals)
 
 
 def cross_validation_rewards(

@@ -150,19 +150,30 @@ _BLOCK_FLOATS = 2**14
 
 
 class _GpLevel(NamedTuple):
-    """A coalition on the GP lattice path.
+    """A coalition on a GP lattice path.
 
     Its training rows are rows ``[0, end)`` of the path's :class:`~truthval.gp.GpPath`.
-    Its latent posterior on the pool is ``mean``, the rows V^T w and V^T w_1,
-    plus ``spread``: one covariance block per validation set for ``log-score``,
-    the pool variances for ``mean-log-score``. For ``info-gain`` the pool has no
-    rows and ``logdet`` is log det(I + K / noise_var) of the raw training rows.
+    Its latent posterior on the path's pool columns is ``mean``, the rows V^T w
+    and V^T w_1, plus ``spread``: one covariance block per validation set for
+    ``log-score`` (None for a set that the path does not score), the column
+    variances for ``mean-log-score``. For ``info-gain`` the pool has no rows
+    and ``logdet`` is log det(I + K / noise_var) of the raw training rows.
     """
 
     end: int
     mean: np.ndarray
     spread: object
     logdet: float = 0.0
+
+
+class _GpColumns(NamedTuple):
+    """A GP lattice path and the ``pool`` rows that are its test inputs, with
+    each validation set's positions among them: None for a set that no
+    coalition on the path is scored on."""
+
+    path: GpPath | None
+    pool: Dataset
+    subsets: list
 
 
 @dataclass
@@ -262,7 +273,10 @@ class CoalitionScorer:
 
     ``variants`` ``(i, [d_0, ..., d_{G-1}])`` makes G points, point g with source
     i's submission d_g, and ``moments``, one ``(mean, sd)`` per point, scale its
-    outputs and pool to (y - mean) / sd; values are per point, points major.
+    outputs and pool to (y - mean) / sd. ``sets[g]`` lists the subsets that
+    point g is scored on, as many at every point (by default every subset at
+    every point), as cross-validation scores each point on its own split of
+    source i. Values are per point and set, points major.
 
     Conjugate families and the baselines score blocks of coalitions at once:
     a membership matrix times stacked per-source sums (sufficient statistics,
@@ -271,13 +285,19 @@ class CoalitionScorer:
     with equal ``moments`` (all of them without, and for the kinds that read
     only inputs) differ only in source i, so only the first of them scores
     the coalitions without it, and a rank-deficient volume warning counts
-    each such coalition once. A GP
-    walks the requested coalitions as one lattice, the other sources, then the
-    variants as leaves: each coalition extends a smaller one by the rows of
-    one source, so its Cholesky factor and its pool posterior are the parent's
-    plus one appended block, and each is factorized once for all points, whose
-    standardizations move only the pool mean (:class:`~truthval.gp.GpPath`).
-    The leaves under one coalition share what their blocks share
+    each such coalition once; points with other sets score their own.
+
+    A GP walks the requested coalitions as a lattice: each coalition extends
+    a smaller one by the rows of one source, so its Cholesky factor and its
+    pool posterior are the parent's plus one appended block. The coalitions
+    of the other sources are factorized once for all points, whose
+    standardizations move only the pool mean (:class:`~truthval.gp.GpPath`),
+    on a path that projects onto the whole pool, where each point scores its
+    own sets. Points that share their sets take their variants as leaves on
+    top of each of those coalitions. A point with sets of its own instead
+    walks a lattice of its own, rooted at its variant, on the columns of its
+    own sets: its coalitions with source i then project onto those columns
+    alone. The leaves under one coalition share what their blocks share
     (:func:`_leaf_plan`): a variant with another's inputs and counts only
     whitens its outputs, one that extends another appends only its extra
     rows, and one with another's inputs and other counts is conditioned from
@@ -286,13 +306,16 @@ class CoalitionScorer:
     (:func:`~truthval.gp.gp_block`), the lattice's pool is the rows that some
     validation set reads, and a lattice whose scratch (for the longest
     coalition), kept posteriors and held cross terms would not fit in
-    physical memory is refused before anything is allocated. The posterior
+    physical memory, on any of its paths, is refused before anything is
+    allocated. The posterior
     is kept only where the scores read it: a covariance block per validation
     set, the variances alone for ``mean-log-score``, and only the log
     determinant of the factor for information gain.
     """
 
-    def __init__(self, model, kind, sources, pool=None, subsets=None, variants=None, moments=None):
+    def __init__(
+        self, model, kind, sources, pool=None, subsets=None, variants=None, moments=None, sets=None
+    ):
         DvfSpec(kind, model, pool)  # a known kind and model, with the pool it needs
         if not sources:
             raise ConfigurationError("need at least one source")
@@ -301,7 +324,7 @@ class CoalitionScorer:
         self._swept, alternatives = variants or (self.n - 1, [sources[-1]])
         self.points = len(alternatives)
         if pool is None:
-            if subsets is not None:
+            if subsets is not None or sets is not None:
                 raise ConfigurationError(f"{kind} has no validation sets to take subsets of")
             check_consistent([*sources, *alternatives])
             pool, subsets = empty_like(sources[0]), []  # no pool rows to score
@@ -317,6 +340,15 @@ class CoalitionScorer:
             if union.size < len(pool):  # only the pool rows that a validation set reads
                 pool = take_rows(pool, union)
                 subsets = [np.searchsorted(union, idx) for idx in subsets]
+        if sets is None:
+            sets = [range(len(subsets))] * self.points
+        if len(sets) != self.points or any(
+            len(row) != len(sets[0]) or not set(row) <= set(range(len(subsets))) for row in sets
+        ):
+            raise ConfigurationError(
+                f"sets needs one list of subset indices per point, {self.points} lists "
+                f"of one length, each index below {len(subsets)}"
+            )
         if model is not None:  # its kind and, for linear regression, feature count
             for ds in (*sources, *alternatives):
                 _check_kind(model, ds, "data")
@@ -324,61 +356,21 @@ class CoalitionScorer:
         self._kind = kind
         self._pool = pool
         self._subsets = subsets
+        self._sets = np.array([list(row) for row in sets], dtype=int)
         self._rank_deficient = 0  # coalitions given volume 0, warned of once per call
         self._lattice = isinstance(model, GpHyper) and kind in (*LOG_SCORE_KINDS, INFO_GAIN)
         if self._lattice:
-            slots = [*sources[: self._swept], *sources[self._swept + 1 :], *alternatives]
-            self._blocks = [gp_block(ds) for ds in slots]
-            sizes = [block.counts.size for block in self._blocks]
-            self._rows = sum(sizes[: self.n - 1]) + max(sizes[self.n - 1 :])
-            self._plan = _leaf_plan(self._blocks[self.n - 1 :], kind != INFO_GAIN)
-            self._moments = np.array(moments or [(0.0, 1.0)] * self.points)
-            self._mean_kind = kind == MEAN_LOG_SCORE
-            # The path scratch; the two pool means and the spread (pool variances,
-            # or a covariance block per validation set) that each stack level
-            # keeps: the root, the n - 1 other sources and the deepest leaf's
-            # segments; the temporaries of appending the largest block b after
-            # the other rows: two b x start cross terms, a b x b kernel and two
-            # b x pool projections; and the cross terms that a segment of b' rows
-            # holds for its counts siblings: L21, a Schur complement, K(S, pool).
-            floats = len(pool) if self._mean_kind else sum(idx.size**2 for idx in subsets)
-            levels = self.n + max(
-                depth + sum(step.kind != "whiten" for step in steps)
-                for _, depth, steps in self._plan
-            )
-            held = sum(
-                (step.hi - step.lo) * (self._rows + len(pool))
-                for _, _, steps in self._plan
-                for step in steps
-                if step.kind == "append" and step.keep
-            )
-            b = max(sizes)
-            append = b * (2 * (self._rows - b) + b + 2 * len(pool))
-            need = GpPath.nbytes(self._rows, pool.inputs) + 8 * (
-                levels * (2 * len(pool) + floats) + append + held
-            )
-            have = _physical_memory()
-            if need > have:
-                raise ConfigurationError(
-                    f"GP coalition scoring needs {need / 1e9:.3g} GB for "
-                    f"{self._rows} distinct training rows and a {len(pool)}-row "
-                    f"validation pool, more than the {have / 1e9:.3g} GB of "
-                    "physical memory"
-                )
-            if self._mean_kind:
-                spread = np.full(len(pool), model.signal_var)
-            else:
-                spread = [se_ard_kernel(pool.inputs[i], pool.inputs[i], model) for i in subsets]
-            self._gp_root = _GpLevel(0, np.zeros((2, len(pool))), spread)
-            self._prior_scores = self._gp_scores(self._gp_root, np.arange(self.points))
+            self._init_gp(sources, alternatives, moments)
             return
-        # Per point: the first point with its moments, row counts, per-source
-        # sums, scores and prior scores. The other kinds read only input Grams,
-        # which standardization leaves alone, so their points form one group.
+        # Per point: the first point with its moments and validation sets, row
+        # counts, per-source sums, scores and prior scores. The other kinds read
+        # only input Grams, which standardization leaves alone, so their points
+        # form one group.
         self._conjugate, first = [], {}
         uses_outputs = kind in (*LOG_SCORE_KINDS, KL_FROM_PRIOR)
         for g, (d, m) in enumerate(zip(alternatives, moments or [None] * self.points)):
-            leader = first.setdefault(None if m is None or not uses_outputs else tuple(m), g)
+            moment = None if m is None or not uses_outputs else tuple(m)
+            leader = first.setdefault((moment, tuple(self._sets[g])), g)
             *point, point_pool = [*sources[: self._swept], d, *sources[self._swept + 1 :], pool]
             if m is not None:  # the point's sources and pool, standardized
                 *point, point_pool = [shift_scale_outputs(ds, *m) for ds in (*point, point_pool)]
@@ -390,13 +382,101 @@ class CoalitionScorer:
                 vectors = np.vstack([(ds.inputs.T @ ds.inputs).ravel() for ds in point])
                 self._nu0, self._sums0 = 0.0, np.zeros(vectors.shape[1])
             if kind in LOG_SCORE_KINDS:
-                scores = [self._subset_score(point_pool, idx, kind) for idx in subsets]
+                scores = [self._subset_score(point_pool, subsets[k], kind) for k in self._sets[g]]
             else:
                 scores = [lambda batch: self._baseline(kind, pool.n_features, *batch)]
             prior = (np.array([self._nu0]), self._sums0[None, :])
             prior_scores = np.ravel([f(prior) for f in scores])
             self._conjugate.append((leader, counts, vectors, scores, prior_scores))
         self._prior_scores = np.concatenate([point[-1] for point in self._conjugate])
+
+    def _init_gp(self, sources, alternatives, moments) -> None:
+        """The lattice's blocks and the layout of its paths, which the memory
+        pre-flight checks before the root and the prior scores are computed."""
+        pool, subsets, n = self._pool, self._subsets, self.n
+        slots = [*sources[: self._swept], *sources[self._swept + 1 :], *alternatives]
+        self._blocks = [gp_block(ds) for ds in slots]
+        sizes = [block.counts.size for block in self._blocks]
+        others, leaves = sizes[: n - 1], sizes[n - 1 :]
+        self._moments = np.array(moments or [(0.0, 1.0)] * self.points)
+        self._mean_kind = self._kind == MEAN_LOG_SCORE
+
+        def spread(columns, sets):  # the floats of a level's spread
+            return columns if self._mean_kind else sum(subsets[k].size**2 for k in set(sets))
+
+        # Each walk's path rows, pool columns, floats of its spread, stack
+        # levels, largest block and held floats, for the pre-flight below.
+        every = spread(len(pool), range(len(subsets)))
+        if len({tuple(row) for row in self._sets.tolist()}) < 2:
+            # The points share their validation sets: one path, with the
+            # variants as leaves under each coalition of the others.
+            self._own = None
+            self._rows = sum(others) + max(leaves)
+            self._plan = _leaf_plan(self._blocks[n - 1 :], self._kind != INFO_GAIN)
+            levels = n + max(
+                depth + sum(step.kind != "whiten" for step in steps)
+                for _, depth, steps in self._plan
+            )
+            held = sum(
+                (step.hi - step.lo) * (self._rows + len(pool))
+                for _, _, steps in self._plan
+                for step in steps
+                if step.kind == "append" and step.keep
+            )
+            walks = [(self._rows, len(pool), every, levels, max(sizes), held)]
+        else:
+            # Each point has validation sets of its own, and a path of its own
+            # on their columns, walked after the shared path is dropped.
+            self._own, self._rows = [], sum(others)
+            walks = [(self._rows, len(pool), every, n, max(others, default=0), 0)]
+            for row, leaf in zip(self._sets.tolist(), leaves):
+                cols = np.unique(np.concatenate([subsets[k] for k in row]))
+                own = [None] * len(subsets)  # the positions in cols of the sets it reads
+                for k in set(row):
+                    own[k] = np.searchsorted(cols, subsets[k])
+                self._own.append((take_rows(pool, cols), own))
+                b = max(others + [leaf])
+                walks.append((self._rows + leaf, cols.size, spread(cols.size, row), n + 1, b, 0))
+        # A walk holds the path scratch; the two pool means and the spread
+        # (column variances, or a covariance block per validation set) that
+        # each stack level keeps: the root, the n - 1 other sources and the
+        # deepest leaf's segments; the temporaries of appending the largest
+        # block b after the other rows: two b x start cross terms, a b x b
+        # kernel and two b x pool projections; and the cross terms that a
+        # segment of b' rows holds for its counts siblings: L21, a Schur
+        # complement, K(S, pool).
+        needs = [
+            8 * (
+                rows * (pool.n_features + rows + columns + 2)
+                + levels * (2 * columns + floats)
+                + b * (2 * (rows - b) + b + 2 * columns)
+                + held
+            )
+            for rows, columns, floats, levels, b, held in walks
+        ]
+        rows, columns = walks[int(np.argmax(needs))][:2]
+        have = _physical_memory()
+        if max(needs) > have:
+            raise ConfigurationError(
+                f"GP coalition scoring needs {max(needs) / 1e9:.3g} GB for "
+                f"{rows} distinct training rows and a {columns}-row "
+                f"validation pool, more than the {have / 1e9:.3g} GB of "
+                "physical memory"
+            )
+        root = self._gp_root(pool, subsets)
+        points = np.arange(self.points)
+        self._prior_scores = self._gp_scores(root, _GpColumns(None, pool, subsets), points)
+        self._root = root if self._own is None else None  # kept where every call walks it
+
+    def _gp_root(self, pool: Dataset, subsets: list) -> _GpLevel:
+        """The empty coalition on the columns ``pool``: the prior variances, or
+        the prior covariance of each validation set that it scores."""
+        model = self._model
+        if self._mean_kind:
+            return _GpLevel(0, np.zeros((2, len(pool))), np.full(len(pool), model.signal_var))
+        inputs = [None if idx is None else pool.inputs[idx] for idx in subsets]
+        spread = [None if x is None else se_ard_kernel(x, x, model) for x in inputs]
+        return _GpLevel(0, np.zeros((2, len(pool))), spread)
 
     def values(self, masks) -> np.ndarray:
         """Values of the coalitions in the integer array ``masks`` (any shape) at
@@ -454,50 +534,90 @@ class CoalitionScorer:
 
     def _score_gp(self, masks: np.ndarray) -> np.ndarray:
         """A mask's coalition of the other sources, at every point, and with
-        source i also each point's variant as a leaf on top of it. Visit the
-        other sources' coalitions in the order of their sorted member lists.
-        The stack then holds the path from the empty coalition: its level k is
-        the coalition of the first k members of the current one, and the next
-        pops the levels past their common prefix and appends its remaining
-        members one source at a time."""
+        source i also each point's variant. The other sources' coalitions are
+        walked once (:meth:`_gp_walk`) on a path whose columns are the pool;
+        there each point scores its own validation sets. Points that share
+        their validation sets take their variants as leaves on top of each of
+        those coalitions (:meth:`_gp_leaf_scores`). A point with validation sets
+        of its own walks the same coalitions once more, on a path whose root
+        is its variant and whose columns are its own sets: no leaf is then
+        appended after the other sources' rows, and no append projects onto
+        another point's columns."""
         out = np.zeros(self._prior_scores.shape + (masks.size,))
         i, wants = self._swept, {}  # other sources -> the mask index without i, and with it
         for j, mask in enumerate(masks.tolist()):
             others = tuple(m - (m > i) for m in range(self.n) if m != i and mask >> m & 1)
             wants.setdefault(others, [None, None])[mask >> i & 1] = j
+        self._gp_shared(wants, out)
+        holding = {others: with_i for others, (_, with_i) in wants.items() if with_i is not None}
+        for g in range(self.points) if self._own is not None and holding else []:
+            self._gp_own(g, holding, out)
+        return out.reshape(-1, masks.size)
+
+    def _gp_shared(self, wants: dict, out: np.ndarray) -> None:
+        """Score the coalitions without source i at every point, on a path whose
+        columns are the pool, and where the points share their validation
+        sets, the leaves with it on top of them."""
+        own = self._own is not None
+        walk = [others for others, (without, _) in wants.items() if without is not None or not own]
+        root = self._gp_root(self._pool, self._subsets) if own else self._root
+        cols = self._gp_columns(self._rows, self._pool, self._subsets)
+        for others, level in self._gp_walk(walk, root, cols):
+            without, with_i = wants[others]
+            if without is not None and level.end:  # no training rows: worth exactly zero
+                scores = self._gp_scores(level, cols, np.arange(self.points))
+                out[:, :, without] = scores - self._prior_scores
+            if with_i is not None and not own:
+                out[:, :, with_i] = self._gp_leaf_scores(level, cols)
+
+    def _gp_own(self, g: int, holding: dict, out: np.ndarray) -> None:
+        """Score point g's coalitions with source i, the mask indices
+        ``holding`` keyed by their other sources, on its own lattice: rooted at
+        its variant, on the columns of its own validation sets."""
+        pool, subsets = self._own[g]
+        block = self._blocks[self.n - 1 + g]
+        cols = self._gp_columns(self._rows + block.counts.size, pool, subsets)
+        root = self._gp_append(self._gp_root(pool, subsets), block, cols)[0]
+        for others, level in self._gp_walk(holding, root, cols):
+            if level.end:  # no training rows: worth exactly zero
+                scores = self._gp_scores(level, cols, [g])[0]
+                out[g, :, holding[others]] = scores - self._prior_scores[g]
+
+    def _gp_columns(self, rows: int, pool: Dataset, subsets: list) -> _GpColumns:
         jitter = None if self._kind == INFO_GAIN else self._model.jitter
-        path = GpPath(self._rows, self._model, jitter, self._pool.inputs)
+        return _GpColumns(GpPath(rows, self._model, jitter, pool.inputs), pool, subsets)
+
+    def _gp_walk(self, coalitions, root: _GpLevel, cols: _GpColumns):
+        """Each of ``coalitions``, tuples of the other sources' slots, on top of
+        ``root``, as ``(coalition, level)``. Visited in sorted order, the stack
+        holds the path from the root: its level k adds the first k members of
+        the current coalition, and the next pops the levels past their common
+        prefix and appends its remaining members one source at a time."""
         on_path: list[int] = []
-        stack = [self._gp_root]
-        points = np.arange(self.points)
-        for others in sorted(wants):
+        stack = [root]
+        for others in sorted(coalitions):
             depth = 0
             while depth < min(len(others), len(on_path)) and others[depth] == on_path[depth]:
                 depth += 1
             del on_path[depth:], stack[depth + 1 :]
             for slot in others[depth:]:
-                stack.append(self._gp_append(stack[-1], self._blocks[slot], path)[0])
+                stack.append(self._gp_append(stack[-1], self._blocks[slot], cols)[0])
                 on_path.append(slot)
-            without, with_i = wants[others]
-            if without is not None and stack[-1].end:  # no training rows: worth exactly zero
-                out[:, :, without] = self._gp_scores(stack[-1], points) - self._prior_scores
-            if with_i is not None:
-                out[:, :, with_i] = self._gp_leaf_scores(stack[-1], path)
-        return out.reshape(-1, masks.size)
+            yield others, stack[-1]
 
-    def _gp_leaf_scores(self, parent: _GpLevel, path: GpPath) -> np.ndarray:
+    def _gp_leaf_scores(self, parent: _GpLevel, cols: _GpColumns) -> np.ndarray:
         """Scores at each point (rows) of its leaf, ``parent`` extended by the
         point's variant, built by the steps of :func:`_leaf_plan`."""
         scores = np.zeros(self._prior_scores.shape)
         segments, held = [parent], {}  # the leaf path; cross terms kept per depth
         for g, depth, steps in self._plan:
             del segments[depth + 1 :]
-            self._gp_leaf(segments, held, self._blocks[self.n - 1 + g], steps, path)
+            self._gp_leaf(segments, held, self._blocks[self.n - 1 + g], steps, cols)
             if segments[-1].end:  # no training rows: worth exactly zero
-                scores[g] = self._gp_scores(segments[-1], [g])[0] - self._prior_scores[g]
+                scores[g] = self._gp_scores(segments[-1], cols, [g])[0] - self._prior_scores[g]
         return scores
 
-    def _gp_leaf(self, segments: list, held: dict, block: GpBlock, steps, path: GpPath) -> None:
+    def _gp_leaf(self, segments: list, held: dict, block: GpBlock, steps, cols) -> None:
         """Run a variant's ``steps`` on the leaf path ``segments``, which starts
         at the parent coalition, with rows of the variant's ``block``. A method
         of its own, so that no local outlives it to keep a level that the next
@@ -509,23 +629,24 @@ class CoalitionScorer:
                     below, level = segments[k - 1], segments[k]
                     if level.end > start + step.lo:
                         outputs = block.outputs[below.end - start : level.end - start]
-                        segments[k] = self._gp_whiten(below, level, outputs, path)
+                        segments[k] = self._gp_whiten(below, level, outputs, cols.path)
                 continue
             part = GpBlock(*(field[step.lo : step.hi] for field in block))
             depth = len(segments)
             cross = held.pop(depth) if step.kind == "sibling" else None
-            level, cross = self._gp_append(segments[-1], part, path, cross, step.keep)
+            level, cross = self._gp_append(segments[-1], part, cols, cross, step.keep)
             segments.append(level)
             if step.keep:
                 held[depth] = cross
 
-    def _gp_append(self, parent, block, path, cross=None, keep=False):
+    def _gp_append(self, parent, block, cols, cross=None, keep=False):
         """Extend ``parent`` by ``block`` S, which follows every row of ``parent``:
         :func:`~truthval.gp.block_cross` crosses S's inputs with those rows
         unless ``cross`` already holds their terms, and
-        :func:`~truthval.gp.condition_block` fills S's rows of ``path``. The
-        pool posterior takes mean += V_S^T w_S, cov -= V_S^T V_S. Returns the
-        new level and S's cross terms.
+        :func:`~truthval.gp.condition_block` fills S's rows of the path of
+        ``cols``. The posterior on its columns takes mean += V_S^T w_S and, on
+        each validation set it scores, cov -= V_S^T V_S. Returns the new level
+        and S's cross terms.
 
         Information gain keeps only log det(I + K / noise) of the raw rows: no
         jitter, no pool. By the determinant lemma, a block whose distinct rows
@@ -534,6 +655,7 @@ class CoalitionScorer:
         start, end = parent.end, parent.end + block.counts.size
         if start == end:
             return parent, cross
+        path = cols.path
         if cross is None:
             cross = block_cross(path, start, block.inputs)
         l22 = condition_block(path, cross, block, keep)
@@ -545,10 +667,11 @@ class CoalitionScorer:
         mean = parent.mean + [proj.T @ white for white in path.white[:, start:end]]
         if self._mean_kind:
             return _GpLevel(end, mean, parent.spread - np.einsum("ij,ij->j", proj, proj)), cross
-        spread = []
-        for cov, idx in zip(parent.spread, self._subsets):
-            part = proj[:, idx]
-            spread.append(cov - part.T @ part)
+        spread = [None] * len(cols.subsets)
+        for k, idx in enumerate(cols.subsets):
+            if idx is not None:
+                part = proj[:, idx]
+                spread[k] = parent.spread[k] - part.T @ part
         return _GpLevel(end, mean, spread), cross
 
     def _gp_whiten(self, parent: _GpLevel, level: _GpLevel, outputs, path: GpPath) -> _GpLevel:
@@ -559,19 +682,23 @@ class CoalitionScorer:
         mean = parent.mean[0] + path.proj[start:end].T @ path.white[0, start:end]
         return level._replace(mean=np.stack([mean, level.mean[1]]))
 
-    def _gp_scores(self, level: _GpLevel, points) -> np.ndarray:
-        """Log score of every validation set (columns) at each of ``points`` (rows)
-        under the noisy predictive of ``level``'s posterior, or its information gain."""
+    def _gp_scores(self, level: _GpLevel, cols: _GpColumns, points) -> np.ndarray:
+        """Log score of each validation set (columns) of each of ``points``
+        (rows) under the noisy predictive of ``level``'s posterior on ``cols``,
+        or its information gain. The points that read one set are scored at once."""
         if self._kind == INFO_GAIN:
             return np.full((len(points), 1), 0.5 * level.logdet)
-        shift, scale = self._moments[points].T
-        scores = np.empty((len(points), len(self._subsets)))
-        for s, idx in enumerate(self._subsets):
-            latent = level.spread[idx] if self._mean_kind else level.spread[s]
-            y, mean = self._pool.outputs[idx, None], level.mean[:, idx, None]
-            y, mean = (y - shift) / scale, (mean[0] - shift * mean[1]) / scale
-            density = predictive_log_density(y, mean, latent, self._model.noise_var)
-            scores[:, s] = np.mean(density, axis=0) if self._mean_kind else density
+        points = np.asarray(points)
+        scores = np.empty(self._sets[points].shape)
+        for s, column in enumerate(self._sets[points].T):
+            for k in np.unique(column):
+                at, idx = column == k, cols.subsets[k]
+                shift, scale = self._moments[points[at]].T
+                latent = level.spread[idx] if self._mean_kind else level.spread[k]
+                y, mean = cols.pool.outputs[idx, None], level.mean[:, idx, None]
+                y, mean = (y - shift) / scale, (mean[0] - shift * mean[1]) / scale
+                density = predictive_log_density(y, mean, latent, self._model.noise_var)
+                scores[at, s] = np.mean(density, axis=0) if self._mean_kind else density
         return scores
 
     def _baseline(self, kind: str, d: int, nu: np.ndarray, sums: np.ndarray) -> np.ndarray:

@@ -422,6 +422,11 @@ class TestConfigurationErrorsExit1:
              "strategies[1]['level'] must be a number >= 0"),
             (2, {"strategies": ["truthful", {"tag": "noise-input", "sd": -1}]},
              "strategies[1]['sd'] must be a number >= 0"),
+            (2, {"strategies": ["truthful", {"tag": "inject", "fill": 0.5}]},
+             "strategies[1]['fill'] is the label of injected binary rows and must be 0 or 1"),
+            (2, {"sweep": {"axis": "strategy-grid", "source": 1,
+                           "values": ["truthful", {"tag": "inject", "fill": 2}]}},
+             "sweep['values'][1]['fill'] is the label of injected binary rows"),
             (2, {"weights": {"family": "beta", "alpha": 0.5, "beta": 1}},
              "weights['alpha'] must be a number >= 1"),
             (2, {"weights": {"family": "beta", "alpha": 1, "beta": 0.5}},
@@ -435,7 +440,8 @@ class TestConfigurationErrorsExit1:
         ],
         ids=[
             "cross-validation-one-source", "subset-frac", "inject-frac", "duplicate-copies",
-            "noise-output-level", "noise-input-sd", "beta-alpha", "beta-beta",
+            "noise-output-level", "noise-input-sd", "binary-inject-fill",
+            "binary-inject-fill-grid-value", "beta-alpha", "beta-beta",
             "strategy-grid-value", "weight-family-value",
         ],
     )

@@ -18,8 +18,14 @@ from truthval.datagen import (
     output_moments,
     shift_scale_outputs,
 )
-from truthval.mechanisms import cross_validation_rewards
-from truthval.semivalues import budget_cap, exact_semivalue, make_weights, scaled_reward
+from truthval.mechanisms import cross_game_rewards, cross_game_scorer, cross_validation_rewards
+from truthval.semivalues import (
+    budget_cap,
+    exact_semivalue,
+    make_weights,
+    sampled_semivalue,
+    scaled_reward,
+)
 from truthval.errors import ConfigurationError
 from truthval.experiment import (
     ExperimentConfig,
@@ -490,8 +496,12 @@ class TestRunner:
                 splits = [derive_seed(seed, "split", r, j) for j in range(n)]
                 cg = cross_validation_rewards(data, 0.3, weights, cfg.model, seed, splits)
                 rows = [row for row in report.rows if row.sweep == label and row.repeat == r]
-                assert [row.value for row in rows] == np.diag(cg.per_game).tolist()
-                assert [row.reward for row in rows] == getattr(cg, variant).tolist()
+                # The grid's coalitions without the swept source project onto
+                # every point's columns, and each point's outputs are
+                # standardized on the lattice, so the rows match to rounding.
+                got = [(row.value, row.reward) for row in rows]
+                want = np.column_stack([np.diag(cg.per_game), getattr(cg, variant)])
+                np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-12)
 
     def test_validation_noise_sweep(self):
         cfg = bernoulli_config()
@@ -852,7 +862,9 @@ def point_rows(report, label):
 
 class TestStrategyGridLattice:
     """A strategy grid is one lattice per repeat's scorer: the n - 1 unchanged
-    sources followed by the G variants of the swept source."""
+    sources followed by the G variants of the swept source, or, where each
+    point has a validation split of its own, the unchanged sources once and
+    then a lattice per point rooted at its variant."""
 
     @pytest.mark.parametrize(
         "source, values, appends, siblings",
@@ -1017,6 +1029,85 @@ class TestStrategyGridLattice:
             assert 0 < held < masks.size
             assert count == rows(masks.size, held)
 
+    @pytest.mark.parametrize("swept", [0, 1, 2], ids=["first", "middle", "last"])
+    @ESTIMATORS
+    @pytest.mark.parametrize("family", ["gp", "bayes-linreg"])
+    def test_cross_validation_grid_rows_equal_each_point_run_alone(self, family, estimator, swept):
+        # One scorer per repeat serves every point: the other sources'
+        # coalitions on every point's splits, and each point's lattice rooted
+        # at its own variant. Each point's rows are the mechanism's rewards on
+        # its own standardized submissions and the repeat's split seeds.
+        seed, repeats, n, frac = 6, 2, 3, 0.3
+        if family == "gp":
+            model = {"family": "gp", "lengthscales": 0.7, "noise_var": 0.1}
+            source = {"generator": "friedman", "n_points": 8}
+        else:
+            model = {"family": "bayes-linreg", "n_features": 2}
+            source = {"generator": "linear", "n_points": 8, "weights": [1.0, -0.5]}
+        cfg = ExperimentConfig.from_dict({
+            "seed": seed,
+            "repeats": repeats,
+            "model": model,
+            "estimator": estimator,
+            "sources": [{**source, "n_points": k} for k in (8, 6, 7)],
+            "post": {"kind": "cross-validation", "validation_frac": frac},
+            "sweep": {"axis": "strategy-grid", "source": swept, "values": [
+                "truthful", {"tag": "noise-output", "level": 0.5}, "duplicate",
+            ]},
+        })
+        report = run_experiment(cfg)
+        raw = [
+            _materialize(spec, derive_seed(seed, "source", i))
+            for i, spec in enumerate(cfg.resolved["sources"])
+        ]
+        weights = make_weights("shapley", n)
+        for label, point in experiment._sweep_points(report.config):
+            data = [
+                apply_strategy(ds, Strategy(seed=derive_seed(seed, "strategy", i), **spec))
+                for i, (ds, spec) in enumerate(zip(raw, point["strategies"]))
+            ]
+            data = [shift_scale_outputs(ds, *output_moments(data)) for ds in data]
+            for r in range(repeats):
+                splits = [derive_seed(seed, "split", r, j) for j in range(n)]
+                if estimator == "exact":
+                    cg = cross_validation_rewards(data, frac, weights, cfg.model, seed, splits)
+                else:
+                    scorer = cross_game_scorer(data, frac, cfg.model, splits)
+                    permutations = derive_seed(seed, "permutations", r)
+                    phis = sampled_semivalue(scorer.values, weights, 40, permutations).values
+                    cg = cross_game_rewards(phis)
+                rows = [row for row in report.rows if row.sweep == label and row.repeat == r]
+                got = [(row.value, row.reward) for row in rows]
+                want = np.column_stack([np.diag(cg.per_game), cg.breve]).tolist()
+                if family == "gp":
+                    np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-12)
+                else:
+                    assert got == [tuple(pair) for pair in want]
+
+    def test_cross_validation_grid_appends_the_shared_coalitions_once(self, monkeypatch):
+        # The gp-cross-game benchmark's shape. Per repeat, the other sources'
+        # coalitions {1}, {1, 2} and {2} are appended once for every point,
+        # and each of the 6 points appends its variant at the root of its own
+        # lattice and those 3 coalitions on top of it: 2 x (3 + 6 x 4) = 54,
+        # where a lattice per point and repeat made 2 x 6 x 7 = 84.
+        calls = count_gp_appends(monkeypatch)
+        cfg = ExperimentConfig.from_dict({
+            "seed": 1,
+            "repeats": 2,
+            "model": {"family": "gp", "lengthscales": [0.48, 0.54, 0.69, 1.15, 1.8, 400.0],
+                      "noise_var": 0.03},
+            "sources": [{"generator": "friedman", "n_points": k} for k in (400, 300, 300)],
+            "post": {"kind": "cross-validation", "validation_frac": 0.25},
+            "sweep": {"axis": "strategy-grid", "source": 0, "values": [
+                *SIX_STRATEGIES[:4], {"tag": "inject", "frac": 0.5, "offset": 0.1},
+                SIX_STRATEGIES[5],
+            ]},
+        })
+        report = run_experiment(cfg)
+        assert len(calls["append"]) == 54
+        assert not calls["sibling"]
+        assert len(report.rows) == 6 * 2 * 3
+
     @ESTIMATORS
     def test_gp_grid_rows_match_each_point_run_alone(self, estimator):
         report = run_experiment(gp_grid_config(0, SIX_STRATEGIES, estimator=estimator))
@@ -1062,8 +1153,8 @@ class TestStrategyGridLattice:
     @pytest.mark.parametrize(
         "cross, estimator, scorers",
         [
-            (True, "exact", 3 * 2),  # per point and repeat
-            (True, {"kind": "sampled", "permutations": 40}, 3 * 2),
+            (True, "exact", 2),  # one per repeat, for every point on its splits
+            (True, {"kind": "sampled", "permutations": 40}, 2),
             (False, "exact", 1),  # one table for every point and repeat
         ],
         ids=["cross-validation", "sampled-cross-validation", "exact"],

@@ -101,6 +101,16 @@ class TestScorerChecks:
         with pytest.raises(InputError, match="validation set must be non-empty"):
             dvf_value(log_score_spec(binary_dataset([])), binary_dataset([1]))
 
+    def test_each_point_reads_as_many_existing_sets(self):
+        model, sources = BetaBernoulliModel(), [binary_dataset([1, 0])]
+        variants = (0, [sources[0], binary_dataset([1])])
+        pool, subsets = binary_dataset([1, 0, 1]), [[0], [1, 2]]
+        for sets in ([[0]], [[0], [0, 1]], [[0], [2]]):  # a point short, ragged, no such set
+            with pytest.raises(ConfigurationError, match="one list of subset indices per point"):
+                CoalitionScorer(model, "log-score", sources, pool, subsets, variants, None, sets)
+        with pytest.raises(ConfigurationError, match="no validation sets"):
+            CoalitionScorer(model, "cardinality", sources, None, None, variants, None, [[], []])
+
     @pytest.mark.parametrize(
         "model", [GpHyper(), LinearRegressionModel(n_features=2), GaussianMeanModel()],
         ids=["gp", "bayes-linreg", "gaussian-known-var"],
@@ -775,20 +785,28 @@ class TestGpLattice:
             CoalitionScorer(model, "log-score", [data, rows(rng, 3)], pool)
 
     @pytest.mark.parametrize("kind", ["log-score", "mean-log-score"])
-    @pytest.mark.parametrize("grid", [False, True], ids=["no-grid", "counts-sibling"])
+    @pytest.mark.parametrize("grid", ["no-grid", "counts-sibling", "own-validation-sets"])
     def test_estimate_counts_the_pool_covariances_of_every_level(self, kind, grid, monkeypatch):
         # For log-score, each of the n + 1 stack levels keeps one pool
         # covariance per validation set: here 4 x 5 x 400^2 floats, 25.6 MB of
         # the peak. For mean-log-score the temporaries of the last 50-row
         # append (50 x 100 cross terms, 50 x 400 projections) weigh most. The
-        # grid sweeps source 2 over itself and its duplicate, a counts
-        # sibling conditioned from the cross terms its first leaf holds.
+        # grids sweep source 2 over itself and its duplicate: a counts sibling
+        # conditioned from the cross terms its first leaf holds, or, where each
+        # point reads one set of its own besides a shared one, as under
+        # cross-validation, a lattice per point after the shared one, whose
+        # levels keep a covariance of every point's sets (3 x 300^2 floats).
         import scipy.linalg  # noqa: F401  (loaded first: its import is not the scorer's)
 
         sources = [friedman_generate(50, seed) for seed in range(3)]
         pool = friedman_generate(400, 3)
-        variants = (2, [sources[2], concat_datasets([sources[2]] * 2)]) if grid else None
-        args = (GpHyper(noise_var=0.1), kind, sources, pool, [np.arange(400)] * 5, variants)
+        subsets, variants, sets = [np.arange(400)] * 5, None, None
+        if grid != "no-grid":
+            variants = (2, [sources[2], concat_datasets([sources[2]] * 2)])
+        if grid == "own-validation-sets":
+            subsets = [np.arange(300), np.arange(100, 400), np.arange(50, 350)]
+            sets = [[0, 1], [0, 2]]
+        args = (GpHyper(noise_var=0.1), kind, sources, pool, subsets, variants, None, sets)
         tracemalloc.start()
         try:
             CoalitionScorer(*args).table()
@@ -873,12 +891,17 @@ class TestGpLattice:
         kind=st.sampled_from(["log-score", "mean-log-score", "info-gain"]),
         swept=st.integers(0, 2),
         seed=st.integers(0, 2**32 - 1),
+        own_sets=st.booleans(),
     )
-    def test_random_grids_of_shared_pieces_match_a_scorer_per_point(self, kind, swept, seed):
+    def test_random_grids_of_shared_pieces_match_a_scorer_per_point(
+        self, kind, swept, seed, own_sets
+    ):
         # Each variant glues one to three pieces, one of them source 1's
         # rows, each piece maybe with other outputs or repeated, so that
         # variants begin with, equal or re-weight each other's rows in the
-        # combinations the leaf plan shares, sometimes twice over.
+        # combinations the leaf plan shares, sometimes twice over. With
+        # own_sets each point reads two of three validation sets, as under
+        # cross-validation, and where they differ walks a lattice of its own.
         rng = np.random.default_rng(seed)
         model, rows = FAMILIES["gp"]
         sources = [rows(rng, 3), rows(rng, int(rng.integers(1, 5))), rows(rng, 2)]
@@ -895,11 +918,17 @@ class TestGpLattice:
                 parts.append(piece)
             variants.append(concat_datasets(parts))
         pool, subsets = (None, None) if kind == "info-gain" else (rows(rng, 6), [[0, 2, 3], [1, 4, 5]])
-        grid = CoalitionScorer(model, kind, sources, pool, subsets, (swept, variants)).table()
+        sets = None
+        if own_sets and pool is not None:
+            subsets.append([2, 5])
+            sets = [rng.choice(3, size=2, replace=False).tolist() for _ in variants]
+        args = (subsets, (swept, variants), None, sets)
+        grid = CoalitionScorer(model, kind, sources, pool, *args).table()
         want = []
-        for d in variants:
+        for g, d in enumerate(variants):
             point = [d if i == swept else ds for i, ds in enumerate(sources)]
-            want += list(CoalitionScorer(model, kind, point, pool, subsets).table())
+            own = subsets if sets is None else [subsets[k] for k in sets[g]]
+            want += list(CoalitionScorer(model, kind, point, pool, own).table())
         np.testing.assert_allclose(grid, want, rtol=1e-10, atol=1e-12)
 
     def test_grid_scratch_is_sized_by_the_longest_coalition(self, monkeypatch):
