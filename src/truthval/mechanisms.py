@@ -16,10 +16,10 @@ from typing import Sequence
 import numpy as np
 
 from .data import Dataset, concat_datasets
-from .datagen import derive_seed, shift_scale_outputs, split_train_validation
+from .datagen import derive_seed, split_train_validation
 from .errors import ConfigurationError
 from .semivalues import SemivalueWeights, exact_semivalue
-from .valuation import LOG_SCORE, CoalitionScorer
+from .valuation import LOG_SCORE, CoalitionScorer, swept_variants
 
 
 @dataclass(frozen=True)
@@ -53,18 +53,14 @@ def cross_game_scorer(
     ``variants`` ``(i, [d_0, ..., d_{G-1}])`` and ``moments`` make G points, as in
     :class:`~truthval.valuation.CoalitionScorer`: point g's game i is scored on
     d_g's split by source i's seed, its other games on the other sources'
-    splits, which every point shares. One standardization of every point is
-    applied to the rows, as cross_validation_rewards takes them."""
+    splits, which every point shares. The splits are of the raw rows, and the
+    scorer standardizes each point by its ``moments``."""
     n = len(sources)
     if n < 2:
         raise ConfigurationError("cross-validation rewards need at least 2 sources")
     if len(split_seeds) != n:
         raise ConfigurationError(f"need {n} split seeds, got {len(split_seeds)}")
-    i, alternatives = variants or (n - 1, [sources[-1]])
-    if moments is not None and all(m == moments[0] for m in moments):
-        sources = [shift_scale_outputs(ds, *moments[0]) for ds in sources]
-        alternatives = [shift_scale_outputs(ds, *moments[0]) for ds in alternatives]
-        moments = None
+    i, alternatives = swept_variants(variants, sources)
     order = [*enumerate([*sources[:i], alternatives[0], *sources[i + 1 :]])]
     pieces = []  # (remaining, validation) of every source, then of source i's other variants
     for j, src in order + [(i, d) for d in alternatives[1:]]:

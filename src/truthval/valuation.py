@@ -79,6 +79,21 @@ def check_source_count(n: int, limit: int) -> None:
         )
 
 
+def swept_variants(variants, sources) -> tuple[int, list]:
+    """The swept index i and the datasets of ``variants`` ``(i, [d_0, ...])``,
+    checked against ``sources``: i in [0, n) and at least one dataset. Without
+    ``variants``, the one point is ``sources`` as given."""
+    if variants is None:
+        return len(sources) - 1, [sources[-1]]
+    i, alternatives = variants
+    if not isinstance(i, (int, np.integer)) or not 0 <= i < len(sources) or not alternatives:
+        raise ConfigurationError(
+            f"variants needs a swept source index in [0, {len(sources)}) and at least "
+            f"one dataset, got index {i!r} and {len(alternatives)} datasets"
+        )
+    return int(i), list(alternatives)
+
+
 class RankDeficientVolumeWarning(UserWarning):
     """Volume of a rank-deficient Gram matrix; the value is reported as 0."""
 
@@ -166,14 +181,21 @@ class _GpLevel(NamedTuple):
     logdet: float = 0.0
 
 
-class _GpColumns(NamedTuple):
-    """A GP lattice path and the ``pool`` rows that are its test inputs, with
-    each validation set's positions among them: None for a set that no
-    coalition on the path is scored on."""
+class _GpWalk(NamedTuple):
+    """One walk of a GP lattice: a :class:`~truthval.gp.GpPath` of at most
+    ``rows`` training rows whose test inputs are the ``pool`` rows, each
+    validation set's positions among them in ``subsets`` (None for a set
+    that the walk does not score), and the ``points`` that it scores. Its
+    root is the empty coalition, or with ``slot`` that block, a variant,
+    under every coalition; with a leaf ``plan`` (:func:`_leaf_plan`) every
+    variant also hangs as a leaf under each coalition of the other sources."""
 
-    path: GpPath | None
+    rows: int
     pool: Dataset
     subsets: list
+    points: np.ndarray
+    slot: int | None = None
+    plan: list | None = None
 
 
 @dataclass
@@ -276,7 +298,9 @@ class CoalitionScorer:
     outputs and pool to (y - mean) / sd. ``sets[g]`` lists the subsets that
     point g is scored on, as many at every point (by default every subset at
     every point), as cross-validation scores each point on its own split of
-    source i. Values are per point and set, points major.
+    source i. Values are per point and set, points major. A swept index
+    outside the sources, no variants, a subset row outside the pool, or
+    moments other than one finite pair with sd > 0 per point is refused.
 
     Conjugate families and the baselines score blocks of coalitions at once:
     a membership matrix times stacked per-source sums (sufficient statistics,
@@ -289,25 +313,24 @@ class CoalitionScorer:
 
     A GP walks the requested coalitions as a lattice: each coalition extends
     a smaller one by the rows of one source, so its Cholesky factor and its
-    pool posterior are the parent's plus one appended block. The coalitions
-    of the other sources are factorized once for all points, whose
-    standardizations move only the pool mean (:class:`~truthval.gp.GpPath`),
-    on a path that projects onto the whole pool, where each point scores its
-    own sets. Points that share their sets take their variants as leaves on
-    top of each of those coalitions. A point with sets of its own instead
-    walks a lattice of its own, rooted at its variant, on the columns of its
-    own sets: its coalitions with source i then project onto those columns
-    alone. The leaves under one coalition share what their blocks share
-    (:func:`_leaf_plan`): a variant with another's inputs and counts only
-    whitens its outputs, one that extends another appends only its extra
-    rows, and one with another's inputs and other counts is conditioned from
-    the other's held cross terms. A source's repeated input rows enter its
-    block once, with their mean output and noise divided by their count
-    (:func:`~truthval.gp.gp_block`), the lattice's pool is the rows that some
-    validation set reads, and a lattice whose scratch (for the longest
-    coalition), kept posteriors and held cross terms would not fit in
-    physical memory, on any of its paths, is refused before anything is
-    allocated. The posterior
+    pool posterior are the parent's plus one appended block. The lattice is
+    laid out once as a list of walks (:class:`_GpWalk`), which the memory
+    pre-flight and every call read. The first walk factorizes the other
+    sources' coalitions once for all points, whose standardizations move
+    only the pool mean (:class:`~truthval.gp.GpPath`), on the whole pool,
+    where each point scores its own sets. Where the points share their sets,
+    it also hangs every variant as a leaf under each of those coalitions,
+    and the leaves share what their blocks share (:func:`_leaf_plan`): a
+    variant with another's inputs and counts only whitens its outputs, one
+    that extends another appends only its extra rows, and one with another's
+    inputs and other counts is conditioned from the other's held cross
+    terms. Where each point has sets of its own, each point adds a walk
+    rooted at its variant, on the columns of its own sets. A source's
+    repeated input rows enter its block once, with their mean output and
+    noise divided by their count (:func:`~truthval.gp.gp_block`), the pool is
+    the rows that some validation set reads, and a walk whose scratch, kept
+    posteriors, held cross terms and scoring temporaries would not fit in
+    physical memory is refused before anything is allocated. The posterior
     is kept only where the scores read it: a covariance block per validation
     set, the variances alone for ``mean-log-score``, and only the log
     determinant of the factor for information gain.
@@ -321,8 +344,16 @@ class CoalitionScorer:
             raise ConfigurationError("need at least one source")
         check_source_count(len(sources), MASK_BITS)
         self.n = len(sources)
-        self._swept, alternatives = variants or (self.n - 1, [sources[-1]])
+        self._swept, alternatives = swept_variants(variants, sources)
         self.points = len(alternatives)
+        try:
+            default = [(0.0, 1.0)] * self.points
+            self._moments = np.asarray(default if moments is None else moments, dtype=float)
+        except (TypeError, ValueError):  # ragged, or not numbers
+            self._moments = np.empty(0)
+        sd = self._moments[:, 1] if self._moments.shape == (self.points, 2) else np.zeros(1)
+        if not (np.isfinite(self._moments).all() and (sd > 0).all()):
+            raise ConfigurationError(f"moments needs {self.points} finite (mean, sd) pairs, sd > 0")
         if pool is None:
             if subsets is not None or sets is not None:
                 raise ConfigurationError(f"{kind} has no validation sets to take subsets of")
@@ -336,6 +367,8 @@ class CoalitionScorer:
             subsets = [np.asarray(idx, dtype=int) for idx in subsets]
             if any(idx.size == 0 for idx in subsets):
                 raise InputError("validation set must be non-empty")
+            if any(idx.min() < 0 or idx.max() >= len(pool) for idx in subsets):
+                raise ConfigurationError(f"subsets index pool rows, each in [0, {len(pool)})")
             union = np.unique(np.concatenate(subsets))
             if union.size < len(pool):  # only the pool rows that a validation set reads
                 pool = take_rows(pool, union)
@@ -360,7 +393,7 @@ class CoalitionScorer:
         self._rank_deficient = 0  # coalitions given volume 0, warned of once per call
         self._lattice = isinstance(model, GpHyper) and kind in (*LOG_SCORE_KINDS, INFO_GAIN)
         if self._lattice:
-            self._init_gp(sources, alternatives, moments)
+            self._init_gp(sources, alternatives)
             return
         # Per point: the first point with its moments and validation sets, row
         # counts, per-source sums, scores and prior scores. The other kinds read
@@ -368,7 +401,8 @@ class CoalitionScorer:
         # form one group.
         self._conjugate, first = [], {}
         uses_outputs = kind in (*LOG_SCORE_KINDS, KL_FROM_PRIOR)
-        for g, (d, m) in enumerate(zip(alternatives, moments or [None] * self.points)):
+        for g, d in enumerate(alternatives):
+            m = None if moments is None else moments[g]
             moment = None if m is None or not uses_outputs else tuple(m)
             leader = first.setdefault((moment, tuple(self._sets[g])), g)
             *point, point_pool = [*sources[: self._swept], d, *sources[self._swept + 1 :], pool]
@@ -390,91 +424,84 @@ class CoalitionScorer:
             self._conjugate.append((leader, counts, vectors, scores, prior_scores))
         self._prior_scores = np.concatenate([point[-1] for point in self._conjugate])
 
-    def _init_gp(self, sources, alternatives, moments) -> None:
-        """The lattice's blocks and the layout of its paths, which the memory
-        pre-flight checks before the root and the prior scores are computed."""
+    def _init_gp(self, sources, alternatives) -> None:
+        """The lattice's blocks and its walks, whose memory is checked before
+        the prior scores are computed on the first."""
         pool, subsets, n = self._pool, self._subsets, self.n
         slots = [*sources[: self._swept], *sources[self._swept + 1 :], *alternatives]
         self._blocks = [gp_block(ds) for ds in slots]
         sizes = [block.counts.size for block in self._blocks]
-        others, leaves = sizes[: n - 1], sizes[n - 1 :]
-        self._moments = np.array(moments or [(0.0, 1.0)] * self.points)
+        others, points = sum(sizes[: n - 1]), np.arange(self.points)
         self._mean_kind = self._kind == MEAN_LOG_SCORE
-
-        def spread(columns, sets):  # the floats of a level's spread
-            return columns if self._mean_kind else sum(subsets[k].size**2 for k in set(sets))
-
-        # Each walk's path rows, pool columns, floats of its spread, stack
-        # levels, largest block and held floats, for the pre-flight below.
-        every = spread(len(pool), range(len(subsets)))
         if len({tuple(row) for row in self._sets.tolist()}) < 2:
-            # The points share their validation sets: one path, with the
+            # The points share their validation sets: one walk, with the
             # variants as leaves under each coalition of the others.
-            self._own = None
-            self._rows = sum(others) + max(leaves)
-            self._plan = _leaf_plan(self._blocks[n - 1 :], self._kind != INFO_GAIN)
-            levels = n + max(
-                depth + sum(step.kind != "whiten" for step in steps)
-                for _, depth, steps in self._plan
-            )
-            held = sum(
-                (step.hi - step.lo) * (self._rows + len(pool))
-                for _, _, steps in self._plan
-                for step in steps
-                if step.kind == "append" and step.keep
-            )
-            walks = [(self._rows, len(pool), every, levels, max(sizes), held)]
+            plan = _leaf_plan(self._blocks[n - 1 :], self._kind != INFO_GAIN)
+            rows = others + max(sizes[n - 1 :])
+            self._walks = [_GpWalk(rows, pool, subsets, points, None, plan)]
         else:
-            # Each point has validation sets of its own, and a path of its own
-            # on their columns, walked after the shared path is dropped.
-            self._own, self._rows = [], sum(others)
-            walks = [(self._rows, len(pool), every, n, max(others, default=0), 0)]
-            for row, leaf in zip(self._sets.tolist(), leaves):
+            # Each point has validation sets of its own: the coalitions without
+            # source i on the whole pool, then each point's coalitions with it
+            # on a walk rooted at its variant, on the columns of its own sets.
+            self._walks = [_GpWalk(others, pool, subsets, points)]
+            for g, row in enumerate(self._sets.tolist()):
                 cols = np.unique(np.concatenate([subsets[k] for k in row]))
-                own = [None] * len(subsets)  # the positions in cols of the sets it reads
-                for k in set(row):
-                    own[k] = np.searchsorted(cols, subsets[k])
-                self._own.append((take_rows(pool, cols), own))
-                b = max(others + [leaf])
-                walks.append((self._rows + leaf, cols.size, spread(cols.size, row), n + 1, b, 0))
-        # A walk holds the path scratch; the two pool means and the spread
-        # (column variances, or a covariance block per validation set) that
-        # each stack level keeps: the root, the n - 1 other sources and the
-        # deepest leaf's segments; the temporaries of appending the largest
-        # block b after the other rows: two b x start cross terms, a b x b
-        # kernel and two b x pool projections; and the cross terms that a
-        # segment of b' rows holds for its counts siblings: L21, a Schur
-        # complement, K(S, pool).
-        needs = [
-            8 * (
-                rows * (pool.n_features + rows + columns + 2)
-                + levels * (2 * columns + floats)
-                + b * (2 * (rows - b) + b + 2 * columns)
-                + held
-            )
-            for rows, columns, floats, levels, b, held in walks
-        ]
-        rows, columns = walks[int(np.argmax(needs))][:2]
-        have = _physical_memory()
-        if max(needs) > have:
+                own = [  # the positions in cols of the sets it reads
+                    np.searchsorted(cols, idx) if k in row else None
+                    for k, idx in enumerate(subsets)
+                ]
+                slot = n - 1 + g
+                args = (take_rows(pool, cols), own, points[g : g + 1], slot)
+                self._walks.append(_GpWalk(others + sizes[slot], *args))
+        walk = max(self._walks, key=self._gp_bytes)
+        need, have = self._gp_bytes(walk), _physical_memory()
+        if need > have:
             raise ConfigurationError(
-                f"GP coalition scoring needs {max(needs) / 1e9:.3g} GB for "
-                f"{rows} distinct training rows and a {columns}-row "
+                f"GP coalition scoring needs {need / 1e9:.3g} GB for "
+                f"{walk.rows} distinct training rows and a {len(walk.pool)}-row "
                 f"validation pool, more than the {have / 1e9:.3g} GB of "
                 "physical memory"
             )
-        root = self._gp_root(pool, subsets)
-        points = np.arange(self.points)
-        self._prior_scores = self._gp_scores(root, _GpColumns(None, pool, subsets), points)
-        self._root = root if self._own is None else None  # kept where every call walks it
+        first = self._walks[0]  # every set of every point, from the whole pool
+        self._prior_scores = self._gp_scores(self._gp_root(first), first, points)
 
-    def _gp_root(self, pool: Dataset, subsets: list) -> _GpLevel:
-        """The empty coalition on the columns ``pool``: the prior variances, or
+    def _gp_bytes(self, walk: _GpWalk) -> int:
+        """The most memory that scoring ``walk`` holds: the path scratch; the
+        two pool means and the spread (column variances, or a covariance block
+        per scored validation set) that each stack level keeps: the root, the
+        variant it is rooted at, the n - 1 other sources and the deepest
+        leaf's segments; the temporaries of appending the largest block b
+        after the other rows: two b x start cross terms, a b x b kernel and two
+        b x pool projections; the cross terms that a segment of b' rows holds
+        for its counts siblings: L21, a Schur complement, K(S, pool); and for
+        ``log-score`` the largest scored set's noisy covariance and its factor."""
+        rows, columns, plan = walk.rows, len(walk.pool), walk.plan or []
+        scored = [idx.size for idx in walk.subsets if idx is not None]
+        floats = columns if self._mean_kind else sum(size**2 for size in scored)
+        slots = [*range(self.n - 1), *(self.n - 1 + g for g, _, _ in plan)]
+        slots += [] if walk.slot is None else [walk.slot]
+        b = max((self._blocks[slot].counts.size for slot in slots), default=0)
+        leaf = held = 0  # the deepest leaf's segments, the rows held for counts siblings
+        for _, depth, steps in plan:
+            leaf = max(leaf, depth + sum(step.kind != "whiten" for step in steps))
+            held += sum(step.hi - step.lo for step in steps if step.kind == "append" and step.keep)
+        levels = self.n + (walk.slot is not None) + leaf
+        scoring = 2 * max(scored, default=0) ** 2 if self._kind == LOG_SCORE else 0
+        return 8 * (
+            rows * (walk.pool.n_features + rows + columns + 2)
+            + levels * (2 * columns + floats)
+            + b * (2 * (rows - b) + b + 2 * columns)
+            + held * (rows + columns)
+            + scoring
+        )
+
+    def _gp_root(self, walk: _GpWalk) -> _GpLevel:
+        """The empty coalition on ``walk``'s columns: the prior variances, or
         the prior covariance of each validation set that it scores."""
-        model = self._model
+        pool, model = walk.pool, self._model
         if self._mean_kind:
             return _GpLevel(0, np.zeros((2, len(pool))), np.full(len(pool), model.signal_var))
-        inputs = [None if idx is None else pool.inputs[idx] for idx in subsets]
+        inputs = [None if idx is None else pool.inputs[idx] for idx in walk.subsets]
         spread = [None if x is None else se_ard_kernel(x, x, model) for x in inputs]
         return _GpLevel(0, np.zeros((2, len(pool))), spread)
 
@@ -534,90 +561,63 @@ class CoalitionScorer:
 
     def _score_gp(self, masks: np.ndarray) -> np.ndarray:
         """A mask's coalition of the other sources, at every point, and with
-        source i also each point's variant. The other sources' coalitions are
-        walked once (:meth:`_gp_walk`) on a path whose columns are the pool;
-        there each point scores its own validation sets. Points that share
-        their validation sets take their variants as leaves on top of each of
-        those coalitions (:meth:`_gp_leaf_scores`). A point with validation sets
-        of its own walks the same coalitions once more, on a path whose root
-        is its variant and whose columns are its own sets: no leaf is then
-        appended after the other sources' rows, and no append projects onto
-        another point's columns."""
+        source i also each point's variant: each walk of :meth:`_init_gp` in
+        turn scores the coalitions it holds (:meth:`_gp_walk_scores`)."""
         out = np.zeros(self._prior_scores.shape + (masks.size,))
         i, wants = self._swept, {}  # other sources -> the mask index without i, and with it
         for j, mask in enumerate(masks.tolist()):
             others = tuple(m - (m > i) for m in range(self.n) if m != i and mask >> m & 1)
             wants.setdefault(others, [None, None])[mask >> i & 1] = j
-        self._gp_shared(wants, out)
-        holding = {others: with_i for others, (_, with_i) in wants.items() if with_i is not None}
-        for g in range(self.points) if self._own is not None and holding else []:
-            self._gp_own(g, holding, out)
+        for walk in self._walks:
+            self._gp_walk_scores(walk, wants, out)
         return out.reshape(-1, masks.size)
 
-    def _gp_shared(self, wants: dict, out: np.ndarray) -> None:
-        """Score the coalitions without source i at every point, on a path whose
-        columns are the pool, and where the points share their validation
-        sets, the leaves with it on top of them."""
-        own = self._own is not None
-        walk = [others for others, (without, _) in wants.items() if without is not None or not own]
-        root = self._gp_root(self._pool, self._subsets) if own else self._root
-        cols = self._gp_columns(self._rows, self._pool, self._subsets)
-        for others, level in self._gp_walk(walk, root, cols):
-            without, with_i = wants[others]
-            if without is not None and level.end:  # no training rows: worth exactly zero
-                scores = self._gp_scores(level, cols, np.arange(self.points))
-                out[:, :, without] = scores - self._prior_scores
-            if with_i is not None and not own:
-                out[:, :, with_i] = self._gp_leaf_scores(level, cols)
-
-    def _gp_own(self, g: int, holding: dict, out: np.ndarray) -> None:
-        """Score point g's coalitions with source i, the mask indices
-        ``holding`` keyed by their other sources, on its own lattice: rooted at
-        its variant, on the columns of its own validation sets."""
-        pool, subsets = self._own[g]
-        block = self._blocks[self.n - 1 + g]
-        cols = self._gp_columns(self._rows + block.counts.size, pool, subsets)
-        root = self._gp_append(self._gp_root(pool, subsets), block, cols)[0]
-        for others, level in self._gp_walk(holding, root, cols):
-            if level.end:  # no training rows: worth exactly zero
-                scores = self._gp_scores(level, cols, [g])[0]
-                out[g, :, holding[others]] = scores - self._prior_scores[g]
-
-    def _gp_columns(self, rows: int, pool: Dataset, subsets: list) -> _GpColumns:
+    def _gp_walk_scores(self, walk: _GpWalk, wants: dict, out: np.ndarray) -> None:
+        """Score into ``out`` the coalitions of ``wants`` that ``walk`` holds:
+        those without source i from the empty coalition, those with it from a
+        variant's root, and with a leaf plan both. A method of its own, so that
+        its path and levels are freed before the next walk allocates its own."""
+        rooted = walk.slot is not None
+        coalitions = [o for o, pair in wants.items() if walk.plan or pair[rooted] is not None]
+        if not coalitions:
+            return
         jitter = None if self._kind == INFO_GAIN else self._model.jitter
-        return _GpColumns(GpPath(rows, self._model, jitter, pool.inputs), pool, subsets)
-
-    def _gp_walk(self, coalitions, root: _GpLevel, cols: _GpColumns):
-        """Each of ``coalitions``, tuples of the other sources' slots, on top of
-        ``root``, as ``(coalition, level)``. Visited in sorted order, the stack
-        holds the path from the root: its level k adds the first k members of
-        the current coalition, and the next pops the levels past their common
-        prefix and appends its remaining members one source at a time."""
-        on_path: list[int] = []
-        stack = [root]
+        path = GpPath(walk.rows, self._model, jitter, walk.pool.inputs)
+        stack, on_path = [self._gp_root(walk)], []
+        if rooted:
+            stack = [self._gp_append(stack[0], self._blocks[walk.slot], walk, path)[0]]
+        # Visited in sorted order, the stack holds the path from the root: its
+        # level k adds the first k members of the current coalition, and the
+        # next pops the levels past their common prefix and appends its
+        # remaining members one source at a time.
         for others in sorted(coalitions):
             depth = 0
             while depth < min(len(others), len(on_path)) and others[depth] == on_path[depth]:
                 depth += 1
             del on_path[depth:], stack[depth + 1 :]
             for slot in others[depth:]:
-                stack.append(self._gp_append(stack[-1], self._blocks[slot], cols)[0])
+                stack.append(self._gp_append(stack[-1], self._blocks[slot], walk, path)[0])
                 on_path.append(slot)
-            yield others, stack[-1]
+            level, scored, with_i = stack[-1], wants[others][rooted], wants[others][1]
+            if scored is not None and level.end:  # no training rows: worth exactly zero
+                scores = self._gp_scores(level, walk, walk.points)
+                out[walk.points, :, scored] = scores - self._prior_scores[walk.points]
+            if walk.plan and with_i is not None:
+                out[:, :, with_i] = self._gp_leaf_scores(level, walk, path)
 
-    def _gp_leaf_scores(self, parent: _GpLevel, cols: _GpColumns) -> np.ndarray:
+    def _gp_leaf_scores(self, parent: _GpLevel, walk: _GpWalk, path: GpPath) -> np.ndarray:
         """Scores at each point (rows) of its leaf, ``parent`` extended by the
         point's variant, built by the steps of :func:`_leaf_plan`."""
         scores = np.zeros(self._prior_scores.shape)
         segments, held = [parent], {}  # the leaf path; cross terms kept per depth
-        for g, depth, steps in self._plan:
+        for g, depth, steps in walk.plan:
             del segments[depth + 1 :]
-            self._gp_leaf(segments, held, self._blocks[self.n - 1 + g], steps, cols)
+            self._gp_leaf(segments, held, self._blocks[self.n - 1 + g], steps, walk, path)
             if segments[-1].end:  # no training rows: worth exactly zero
-                scores[g] = self._gp_scores(segments[-1], cols, [g])[0] - self._prior_scores[g]
+                scores[g] = self._gp_scores(segments[-1], walk, [g])[0] - self._prior_scores[g]
         return scores
 
-    def _gp_leaf(self, segments: list, held: dict, block: GpBlock, steps, cols) -> None:
+    def _gp_leaf(self, segments: list, held: dict, block: GpBlock, steps, walk, path) -> None:
         """Run a variant's ``steps`` on the leaf path ``segments``, which starts
         at the parent coalition, with rows of the variant's ``block``. A method
         of its own, so that no local outlives it to keep a level that the next
@@ -629,24 +629,24 @@ class CoalitionScorer:
                     below, level = segments[k - 1], segments[k]
                     if level.end > start + step.lo:
                         outputs = block.outputs[below.end - start : level.end - start]
-                        segments[k] = self._gp_whiten(below, level, outputs, cols.path)
+                        segments[k] = self._gp_whiten(below, level, outputs, path)
                 continue
             part = GpBlock(*(field[step.lo : step.hi] for field in block))
             depth = len(segments)
             cross = held.pop(depth) if step.kind == "sibling" else None
-            level, cross = self._gp_append(segments[-1], part, cols, cross, step.keep)
+            level, cross = self._gp_append(segments[-1], part, walk, path, cross, step.keep)
             segments.append(level)
             if step.keep:
                 held[depth] = cross
 
-    def _gp_append(self, parent, block, cols, cross=None, keep=False):
+    def _gp_append(self, parent, block, walk, path, cross=None, keep=False):
         """Extend ``parent`` by ``block`` S, which follows every row of ``parent``:
         :func:`~truthval.gp.block_cross` crosses S's inputs with those rows
         unless ``cross`` already holds their terms, and
-        :func:`~truthval.gp.condition_block` fills S's rows of the path of
-        ``cols``. The posterior on its columns takes mean += V_S^T w_S and, on
-        each validation set it scores, cov -= V_S^T V_S. Returns the new level
-        and S's cross terms.
+        :func:`~truthval.gp.condition_block` fills S's rows of ``path``, the
+        path of ``walk``. The posterior on its columns takes mean += V_S^T w_S
+        and, on each validation set it scores, cov -= V_S^T V_S. Returns the
+        new level and S's cross terms.
 
         Information gain keeps only log det(I + K / noise) of the raw rows: no
         jitter, no pool. By the determinant lemma, a block whose distinct rows
@@ -655,7 +655,6 @@ class CoalitionScorer:
         start, end = parent.end, parent.end + block.counts.size
         if start == end:
             return parent, cross
-        path = cols.path
         if cross is None:
             cross = block_cross(path, start, block.inputs)
         l22 = condition_block(path, cross, block, keep)
@@ -667,8 +666,8 @@ class CoalitionScorer:
         mean = parent.mean + [proj.T @ white for white in path.white[:, start:end]]
         if self._mean_kind:
             return _GpLevel(end, mean, parent.spread - np.einsum("ij,ij->j", proj, proj)), cross
-        spread = [None] * len(cols.subsets)
-        for k, idx in enumerate(cols.subsets):
+        spread = [None] * len(walk.subsets)
+        for k, idx in enumerate(walk.subsets):
             if idx is not None:
                 part = proj[:, idx]
                 spread[k] = parent.spread[k] - part.T @ part
@@ -682,9 +681,9 @@ class CoalitionScorer:
         mean = parent.mean[0] + path.proj[start:end].T @ path.white[0, start:end]
         return level._replace(mean=np.stack([mean, level.mean[1]]))
 
-    def _gp_scores(self, level: _GpLevel, cols: _GpColumns, points) -> np.ndarray:
+    def _gp_scores(self, level: _GpLevel, walk: _GpWalk, points) -> np.ndarray:
         """Log score of each validation set (columns) of each of ``points``
-        (rows) under the noisy predictive of ``level``'s posterior on ``cols``,
+        (rows) under the noisy predictive of ``level``'s posterior on ``walk``,
         or its information gain. The points that read one set are scored at once."""
         if self._kind == INFO_GAIN:
             return np.full((len(points), 1), 0.5 * level.logdet)
@@ -692,10 +691,10 @@ class CoalitionScorer:
         scores = np.empty(self._sets[points].shape)
         for s, column in enumerate(self._sets[points].T):
             for k in np.unique(column):
-                at, idx = column == k, cols.subsets[k]
+                at, idx = column == k, walk.subsets[k]
                 shift, scale = self._moments[points[at]].T
                 latent = level.spread[idx] if self._mean_kind else level.spread[k]
-                y, mean = cols.pool.outputs[idx, None], level.mean[:, idx, None]
+                y, mean = walk.pool.outputs[idx, None], level.mean[:, idx, None]
                 y, mean = (y - shift) / scale, (mean[0] - shift * mean[1]) / scale
                 density = predictive_log_density(y, mean, latent, self._model.noise_var)
                 scores[at, s] = np.mean(density, axis=0) if self._mean_kind else density

@@ -500,8 +500,9 @@ class TestConfigurationErrorsExit1:
         # The lattice's pool is the 10 rows of the one validation subset:
         # 8 bytes x (120 rows x (6 inputs + 120 factor + 10 pool + 2 white)
         # + 3 stack levels x (2 x 10 pool means + a 10 x 10 validation covariance)
-        # + a 60-row append after 60 rows: 60 x (2 x 60 + 60 + 2 x 10)).
-        assert err.startswith("configuration error:") and "needs 0.000231 GB" in err
+        # + a 60-row append after 60 rows: 60 x (2 x 60 + 60 + 2 x 10)
+        # + the 10 x 10 covariance's noisy copy and its factor) = 232,960.
+        assert err.startswith("configuration error:") and "needs 0.000233 GB" in err
         assert "a 10-row validation pool" in err
 
     @pytest.mark.parametrize(

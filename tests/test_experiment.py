@@ -461,23 +461,37 @@ class TestRunner:
         with pytest.raises(Exception, match=r"\[sources\]"):
             run_experiment(cfg)
 
-    @pytest.mark.parametrize("variant", ["breve", "grave"])
-    def test_cross_validation_rows_are_the_mechanisms_rewards(self, variant):
-        # Each point of a standardized GP grid is split and rewarded in every
-        # repeat exactly as cross_validation_rewards does it on that point's
-        # standardized submissions with the repeat's split seeds.
+    @pytest.mark.parametrize(
+        "variant, family, grid",
+        [
+            pytest.param("breve", "gp", True, id="breve"),
+            pytest.param("grave", "gp", True, id="grave"),
+            pytest.param("breve", "gp", False, id="no-grid-gp"),
+            pytest.param("breve", "bayes-linreg", False, id="no-grid-bayes-linreg"),
+        ],
+    )
+    def test_cross_validation_rows_are_the_mechanisms_rewards(self, variant, family, grid):
+        # Each point of a standardized grid, or the one point without a grid,
+        # is split and rewarded in every repeat exactly as
+        # cross_validation_rewards does it on that point's standardized
+        # submissions with the repeat's split seeds.
         seed, repeats, n = 8, 2, 3
-        cfg = ExperimentConfig.from_dict({
+        model = {"family": "gp", "lengthscales": 0.7, "noise_var": 0.1}
+        if family == "bayes-linreg":
+            model = {"family": "bayes-linreg", "n_features": 6, "noise_var": 0.5}
+        config = {
             "seed": seed,
             "repeats": repeats,
-            "model": {"family": "gp", "lengthscales": 0.7, "noise_var": 0.1},
+            "model": model,
             "sources": [{"generator": "friedman", "n_points": k} for k in (9, 7, 8)],
             "standardize_outputs": True,
             "post": {"kind": "cross-validation", "variant": variant, "validation_frac": 0.3},
-            "sweep": {"axis": "strategy-grid", "source": 1, "values": [
+        }
+        if grid:
+            config["sweep"] = {"axis": "strategy-grid", "source": 1, "values": [
                 "truthful", {"tag": "noise-output", "level": 0.5}, "duplicate",
-            ]},
-        })
+            ]}
+        cfg = ExperimentConfig.from_dict(config)
         report = run_experiment(cfg)
         raw = [
             _materialize(spec, derive_seed(seed, "source", i))
@@ -496,12 +510,19 @@ class TestRunner:
                 splits = [derive_seed(seed, "split", r, j) for j in range(n)]
                 cg = cross_validation_rewards(data, 0.3, weights, cfg.model, seed, splits)
                 rows = [row for row in report.rows if row.sweep == label and row.repeat == r]
-                # The grid's coalitions without the swept source project onto
-                # every point's columns, and each point's outputs are
-                # standardized on the lattice, so the rows match to rounding.
                 got = [(row.value, row.reward) for row in rows]
                 want = np.column_stack([np.diag(cg.per_game), getattr(cg, variant)])
-                np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-12)
+                if family == "bayes-linreg":
+                    # The scorer shifts and scales the same rows as the reference.
+                    np.testing.assert_array_equal(got, want)
+                elif grid:
+                    # The grid's coalitions without the swept source project
+                    # onto every point's columns, and each point's outputs are
+                    # standardized on the lattice, so the rows match to rounding.
+                    np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-12)
+                else:
+                    # The lattice applies the moments to the pool mean.
+                    np.testing.assert_allclose(got, want, rtol=1e-12)
 
     def test_validation_noise_sweep(self):
         cfg = bernoulli_config()

@@ -3,6 +3,7 @@
 import math
 import re
 import tracemalloc
+import weakref
 from functools import partial
 
 import numpy as np
@@ -37,6 +38,7 @@ from truthval import (
 )
 from truthval import valuation
 from truthval.data import outputs_dataset
+from truthval.mechanisms import cross_game_scorer
 from truthval.errors import (
     ConfigurationError,
     InputError,
@@ -110,6 +112,56 @@ class TestScorerChecks:
                 CoalitionScorer(model, "log-score", sources, pool, subsets, variants, None, sets)
         with pytest.raises(ConfigurationError, match="no validation sets"):
             CoalitionScorer(model, "cardinality", sources, None, None, variants, None, [[], []])
+
+    @pytest.mark.parametrize("family", ["gp", "bayes-linreg"])
+    @pytest.mark.parametrize(
+        "case",
+        [
+            "swept-index-past-the-sources", "negative-swept-index", "no-variants",
+            "negative-subset-row", "subset-row-past-the-pool", "moments-for-one-of-two-points",
+            "moments-sd-zero", "moments-sd-not-finite", "cross-game-swept-index-past-the-sources",
+            "cross-game-negative-swept-index",
+        ],
+    )
+    def test_per_point_arguments_are_refused_by_name(self, family, case):
+        # Unchecked, a GP dropped the variant of a swept index past the
+        # sources, row -1 scored the last pool row, and the rest raised bare
+        # ValueError, IndexError or NaN errors. cross_game_scorer picks a
+        # split seed by the swept index before the scorer sees it.
+        model, rows = FAMILIES[family]
+        rng = np.random.default_rng(69)
+        sources, pool, d = [rows(rng, 4), rows(rng, 3)], rows(rng, 6), rows(rng, 5)
+        kwargs, match = {
+            "swept-index-past-the-sources": ({"variants": (2, [d])}, "variants"),
+            "negative-swept-index": ({"variants": (-1, [d])}, "variants"),
+            "no-variants": ({"variants": (0, [])}, "variants"),
+            "negative-subset-row": ({"subsets": [[-1]]}, "subsets"),
+            "subset-row-past-the-pool": ({"subsets": [[0, 6]]}, "subsets"),
+            "moments-for-one-of-two-points": (
+                {"variants": (1, [d, d]), "moments": [(0.0, 1.0)]}, "moments"
+            ),
+            "moments-sd-zero": ({"moments": [(0.0, 0.0)]}, "moments"),
+            "moments-sd-not-finite": ({"moments": [(0.0, np.inf)]}, "moments"),
+            "cross-game-swept-index-past-the-sources": ({"variants": (2, [d])}, "variants"),
+            "cross-game-negative-swept-index": ({"variants": (-1, [d])}, "variants"),
+        }[case]
+        with pytest.raises(ConfigurationError, match=match):
+            if case.startswith("cross-game"):
+                cross_game_scorer(sources, 0.3, model, [1, 2], **kwargs)
+            else:
+                CoalitionScorer(model, "log-score", sources, pool, **kwargs)
+
+    @pytest.mark.parametrize("family", ["gp", "bayes-linreg"])
+    def test_moments_may_be_an_array(self, family):
+        model, rows = FAMILIES[family]
+        rng = np.random.default_rng(70)
+        sources, pool = [rows(rng, 4), rows(rng, 3)], rows(rng, 6)
+        variants, moments = (1, [sources[1], rows(rng, 5)]), [(0.5, 2.0), (-1.0, 0.5)]
+        tables = [
+            CoalitionScorer(model, "log-score", sources, pool, None, variants, m).table()
+            for m in (moments, np.array(moments))
+        ]
+        np.testing.assert_array_equal(*tables)
 
     @pytest.mark.parametrize(
         "model", [GpHyper(), LinearRegressionModel(n_features=2), GaussianMeanModel()],
@@ -773,16 +825,20 @@ class TestGpLattice:
         assert sizes == [13, 13]
 
     def test_refuses_scratch_beyond_physical_memory(self, monkeypatch):
-        monkeypatch.setattr(valuation, "_physical_memory", lambda: 20_400)
         rng = np.random.default_rng(65)
         model, rows = FAMILIES["gp"]
         data, pool = rows(rng, 30), rows(rng, 5)
-        # 8 bytes x (30 rows x (2 inputs + 30 factor + 5 pool + 1 white)
-        # + 2 stack levels x (5 pool means + a 5 x 5 covariance)
-        # + a 30-row append after 0 rows: 30 x (30 kernel + 3 x 5 pool)) = 20,400.
-        CoalitionScorer(model, "log-score", [concat_datasets([data] * 10)], pool)
-        with pytest.raises(ConfigurationError, match="33 distinct training rows"):
-            CoalitionScorer(model, "log-score", [data, rows(rng, 3)], pool)
+        # 8 bytes x (30 rows x (2 inputs + 30 factor + 5 pool + 2 white)
+        # + 2 stack levels x (2 x 5 pool means + a 5 x 5 covariance)
+        # + a 30-row append after 0 rows: 30 x (30 kernel + 2 x 5 pool)
+        # + the 5 x 5 covariance's noisy copy and its factor) = 19,920,
+        # for ten copies of the 30 rows as for one.
+        sources = [concat_datasets([data] * 10)]
+        monkeypatch.setattr(valuation, "_physical_memory", lambda: 19_920)
+        CoalitionScorer(model, "log-score", sources, pool)
+        monkeypatch.setattr(valuation, "_physical_memory", lambda: 19_919)
+        with pytest.raises(ConfigurationError, match="30 distinct training rows and a 5-row"):
+            CoalitionScorer(model, "log-score", sources, pool)
 
     @pytest.mark.parametrize("kind", ["log-score", "mean-log-score"])
     @pytest.mark.parametrize("grid", ["no-grid", "counts-sibling", "own-validation-sets"])
@@ -931,21 +987,70 @@ class TestGpLattice:
             want += list(CoalitionScorer(model, kind, point, pool, own).table())
         np.testing.assert_allclose(grid, want, rtol=1e-10, atol=1e-12)
 
-    def test_grid_scratch_is_sized_by_the_longest_coalition(self, monkeypatch):
-        # 8 bytes x (40 rows x (2 inputs + 40 factor + 5 pool + 2 white)
-        # + 3 stack levels x (2 x 5 pool means + a 5 x 5 covariance)
-        # + a 30-row append after 10 rows: 30 x (2 x 10 + 30 + 2 x 5)) = 30,920:
-        # one fixed 10-row source and a 30-row variant, not the 100 rows of
-        # all sources.
-        monkeypatch.setattr(valuation, "_physical_memory", lambda: 30_920)
+    @pytest.mark.parametrize(
+        "pool_rows, subsets, sets, need, columns",
+        [
+            (5, None, None, 31_320, 5),
+            (9, [[0, 1, 2, 3], [4, 5], [6, 7, 8]], [[0, 1], [0, 2], [1, 2]], 32_872, 7),
+        ],
+        ids=["shared-sets", "own-sets"],
+    )
+    def test_grid_scratch_is_sized_by_the_longest_coalition(
+        self, pool_rows, subsets, sets, need, columns, monkeypatch
+    ):
+        # One fixed 10-row source and 30-row variants of the other: the
+        # longest coalition has 40 rows, not the 100 rows of all sources.
+        # Shared sets, one walk: 8 bytes x (40 rows x (2 inputs + 40 factor
+        # + 5 pool + 2 white) + 3 stack levels x (2 x 5 pool means + a 5 x 5
+        # covariance) + a 30-row append after 10 rows: 30 x (2 x 10 + 30
+        # + 2 x 5) + the 5 x 5 covariance's noisy copy and its factor) = 31,320.
+        # Own sets: point 1's walk, rooted at its variant, reads sets 0 and 2
+        # on 7 of the 9 pool rows: 8 bytes x (40 x (2 + 40 + 7 + 2) + 3 x (2 x 7
+        # + 4^2 + 3^2) + 30 x (2 x 10 + 30 + 2 x 7) + 2 x 4^2) = 32,872, more
+        # than the first walk's 5,088 on the whole pool without source 1, and
+        # points 0 and 2's 31,904 and 30,776 on 6 and 5 columns.
         rng = np.random.default_rng(67)
         model, rows = FAMILIES["gp"]
-        fixed, pool = rows(rng, 10), rows(rng, 5)
+        fixed, pool = rows(rng, 10), rows(rng, pool_rows)
         variants = [rows(rng, 30) for _ in range(3)]
-        CoalitionScorer(model, "log-score", [fixed, fixed], pool, None, (1, variants))
-        longer = [*variants[:2], rows(rng, 31)]
-        with pytest.raises(ConfigurationError, match="41 distinct training rows"):
-            CoalitionScorer(model, "log-score", [fixed, fixed], pool, None, (1, longer))
+
+        def scorer(variants):
+            args = (pool, subsets, (1, variants), None, sets)
+            return CoalitionScorer(model, "log-score", [fixed, fixed], *args)
+
+        monkeypatch.setattr(valuation, "_physical_memory", lambda: need)
+        scorer(variants)
+        longer = [variants[0], rows(rng, 31), variants[2]]
+        with pytest.raises(ConfigurationError, match=f"41 distinct training rows and a {columns}-row"):
+            scorer(longer)
+        monkeypatch.setattr(valuation, "_physical_memory", lambda: need - 1)
+        with pytest.raises(ConfigurationError, match=f"40 distinct training rows and a {columns}-row"):
+            scorer(variants)
+
+    @pytest.mark.parametrize("sets", [None, [[0, 1], [0, 2], [1, 2]]], ids=["leaves", "own-sets"])
+    def test_each_walk_frees_its_path_before_the_next(self, sets, monkeypatch):
+        # The pre-flight counts one walk's memory at a time: every path built
+        # before, in this call or an earlier one, is dead when a walk builds
+        # its own. Masks that all hold the swept source skip the first walk.
+        paths, alive = [], []
+
+        class RecordedPath(valuation.GpPath):
+            def __init__(self, *args):
+                alive.append(sum(ref() is not None for ref in paths))
+                super().__init__(*args)
+                paths.append(weakref.ref(self))
+
+        monkeypatch.setattr(valuation, "GpPath", RecordedPath)
+        rng = np.random.default_rng(68)
+        model, rows = FAMILIES["gp"]
+        sources = [rows(rng, 4), rows(rng, 3), rows(rng, 5)]
+        variants = [sources[1], concat_datasets([sources[1]] * 2), rows(rng, 2)]
+        subsets = [[0, 1, 2, 3], [4, 5], [6, 7, 8]]
+        args = (rows(rng, 9), subsets, (1, variants), None, sets)
+        scorer = CoalitionScorer(model, "log-score", sources, *args)
+        scorer.table()
+        scorer.values([0b010, 0b111])
+        assert alive == [0] * (2 if sets is None else 4 + 3)
 
     def test_cross_game_scorer_matches_per_game_tables(self):
         rng = np.random.default_rng(62)
