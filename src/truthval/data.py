@@ -46,7 +46,7 @@ class Dataset:
             raise InputError("outputs contain NaN or infinite values")
         if self.kind not in KINDS:
             raise InputError(f"unknown dataset kind {self.kind!r}")
-        if self.kind == BINARY and outputs.size and not np.isin(outputs, (0.0, 1.0)).all():
+        if self.kind == BINARY and not ((outputs == 0.0) | (outputs == 1.0)).all():
             raise InputError("binary outputs must be encoded as 0/1")
         inputs.setflags(write=False)
         outputs.setflags(write=False)

@@ -16,15 +16,16 @@ finite sums, so the claims can be checked as arithmetic identities:
 Other sources' datasets enter only through their sizes: their contents are
 the random variables, exchangeable Bernoulli rows of the given lengths. Under
 the target's true posterior (a, b), the M rows of a coalition's other members
-and the k validation labels form one exchangeable sequence, so the joint law
-of their success counts is the beta-binomial
-
-    P(s, t) = C(M, s) C(k, t) B(a + s + t, b + M - s + k - t) / B(a, b).
-
-A coalition's expected value therefore depends only on whether it holds the
-target and on M, and costs one (M + 1) x (k + 1) grid rather than 2^(M + k)
-outcomes. Semivalues are linear in the game, so the exact semivalue of the
-expected game, its 2^n expected coalition values, is the expected semivalue.
+and the k validation labels form one exchangeable sequence. With s successes
+among the rows and t among the labels, a submission of h successes in m rows
+scores the labels log B(alpha + h + s + t, beta + m - h + M - s + k - t) -
+log B(alpha + h + s, beta + m - h + M - s). Each term reads one count: by
+Vandermonde's identity s + t follows BetaBin(M + k; a, b), and s follows
+BetaBin(M; a, b). So every expectation is a difference of two
+one-dimensional sums, at the totals M + k and M, and special functions run
+on O(M + k) points per distinct M rather than on 2^(M + k) outcomes.
+Semivalues are linear in the game, so the exact semivalue of the expected
+game, its 2^n expected coalition values, is the expected semivalue.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import Dataset, binary_dataset
+from .data import Dataset
 from .errors import InputError, NumericalError, UnsupportedConfigurationError
 from .models import BetaBernoulliModel
 from .semivalues import SemivalueWeights, exact_semivalue, make_weights
@@ -42,6 +43,8 @@ from .valuation import EXACT_LIMIT, check_source_count
 
 _IDENTITY_TOL = 1e-9
 _RANK_TOL = 1e-10
+_MEAN_RTOL = 1e-12  # one label's two predictive means differ beyond this relative distance
+_BLOCK_CELLS = 2**14  # padded cells of one block of totals in _sums
 
 
 @dataclass(frozen=True)
@@ -73,42 +76,40 @@ def _require_enumerable(model) -> None:
 
 def _counts(dataset: Dataset) -> tuple[float, int]:
     # The Bernoulli likelihood ignores inputs: only (successes, rows) matter.
-    y = binary_dataset(dataset.outputs).outputs
+    y = dataset.outputs
+    if not ((y == 0.0) | (y == 1.0)).all():
+        raise InputError("binary outputs must be encoded as 0/1")
     return float(y.sum()), len(y)
 
 
-def _log_predictive(a, b, k: int, t):
-    """Log probability of one k-label sequence with t successes under Beta(a, b)."""
-    from scipy.special import betaln
+def _sums(model, submissions, totals: np.ndarray) -> np.ndarray:
+    """Per total N of ``totals`` and submission (h, m), the mean of
+    log B(alpha + h + j, beta + m - h + N - j) under j ~ BetaBin(N; a, b), the
+    posterior given the first submission; a last row holds the mean difference
+    of the first two. The totals sit on padded rows, in blocks of at most
+    _BLOCK_CELLS cells (or one row), so memory stays bounded."""
+    from scipy.special import betaln, gammaln
 
-    return betaln(a + t, b + k - t) - betaln(a, b)
-
-
-def _joint_law(model, h: float, m: int, rows: int, k: int) -> np.ndarray:
-    """P(s, t) on the (rows + 1) x (k + 1) grid of success counts, given h
-    successes in m rows."""
-    from scipy.special import gammaln
-
-    s = np.arange(rows + 1)[:, None]
-    t = np.arange(k + 1)[None, :]
-    log_comb = gammaln(rows + 1) - gammaln(s + 1) - gammaln(rows - s + 1)
-    log_comb = log_comb + gammaln(k + 1) - gammaln(t + 1) - gammaln(k - t + 1)
-    a, b = model.alpha + h, model.beta + m - h
-    law = np.exp(log_comb + _log_predictive(a, b, rows + k, s + t))
-    # The probabilities must sum to one; anything else means the grid itself
-    # is broken.
-    total = float(law.sum())
-    if abs(total - 1.0) > 1e-9:
-        raise NumericalError(f"outcome probabilities sum to {total!r}, not 1")
-    return law
-
-
-def _scores(model, h: float, m: int, extra: int, k: int) -> np.ndarray:
-    """Log probability of a k-label sequence with t successes given h + s
-    successes in m + extra rows, on the (extra + 1) x (k + 1) grid of (s, t)."""
-    s = np.arange(extra + 1)[:, None]
-    t = np.arange(k + 1)[None, :]
-    return _log_predictive(model.alpha + h + s, model.beta + m - h + extra - s, k, t)
+    h, m = np.array(submissions, dtype=float).T[:, :, None, None]
+    log_b = betaln(model.alpha + h[0], model.beta + m[0] - h[0])
+    out = np.empty((len(submissions) + 1, len(totals)))
+    step = max(1, _BLOCK_CELLS // (int(totals.max()) + 1))
+    for lo in range(0, len(totals), step):
+        n = totals[lo : lo + step, None]
+        cols = np.arange(n.max() + 1)
+        j = np.minimum(cols, n)  # a padded cell repeats its row's last count
+        log_fact = gammaln(cols + 1.0)
+        scores = betaln(model.alpha + h + j, model.beta + m - h + n - j)
+        log_law = log_fact[n] - log_fact[j] - log_fact[n - j] + scores[0] - log_b
+        law = np.where(cols <= n, np.exp(log_law), 0.0)
+        # Each law must sum to one; anything else means the table itself is broken.
+        total = law.sum(axis=1)
+        if np.abs(total - 1.0).max() > 1e-9:
+            raise NumericalError(f"outcome probabilities sum to {total!r}, not 1")
+        law /= total[:, None]
+        out[:-1, lo : lo + step] = (law * scores).sum(axis=-1)
+        out[-1, lo : lo + step] = (law * (scores[0] - scores[1])).sum(axis=-1)
+    return out
 
 
 def _expectations(model, true_datasets, alt_data, target, weights, k):
@@ -117,12 +118,14 @@ def _expectations(model, true_datasets, alt_data, target, weights, k):
     expected games), the weighted predictive-KL total, and whether the gap is
     strict.
 
-    The KL total is summed per coalition from the two posteriors directly, not
-    from the expected games, so the gap identity compares two computations.
-    The gap is strict when some coalition of positive weight that holds the
-    target gives some validation sequence a different probability under the
-    two submissions; by exchangeability one sequence per success count covers
-    them all.
+    The KL total is summed per coalition from the differences of the two
+    submissions' sums, not from the expected games, so the gap identity
+    compares two computations. The gap is strict when some coalition of
+    positive weight that holds the target gives the k labels a different
+    predictive under the two submissions. From k = 2 on the predictive pins
+    both posterior parameters, so it differs exactly when the counts do. One
+    label's mean, (alpha + h + s) / (alpha + beta + m + M), is linear in s, so
+    it differs for some s in [0, M] exactly when it does at s = 0 or s = M.
     """
     n = len(true_datasets)
     _validate(model, n, target, weights, k)
@@ -136,28 +139,24 @@ def _expectations(model, true_datasets, alt_data, target, weights, k):
         sizes += member
         if j != target:
             rows += member * m
-    distinct, which = np.unique(rows, return_inverse=True)
-    with_true, with_alt, without, kl = (np.empty(len(distinct)) for _ in range(4))
-    differs = np.zeros(len(distinct), dtype=bool)
-    prior = _scores(model, 0.0, 0, 0, k)
-    for r, extra in enumerate(distinct.tolist()):
-        law = _joint_law(model, *truth, extra, k)
-        base = np.sum(law * prior)
-        score_true = _scores(model, *truth, extra, k)
-        score_alt = _scores(model, *alt, extra, k)
-        with_true[r] = np.sum(law * score_true) - base
-        with_alt[r] = np.sum(law * score_alt) - base
-        without[r] = np.sum(law * _scores(model, 0.0, 0, extra, k)) - base
-        kl[r] = np.sum(law * (score_true - score_alt))
-        differs[r] = np.any(np.abs(np.exp(score_true) - np.exp(score_alt)) > 1e-12)
+    distinct, which = np.unique(rows, return_inverse=True)  # distinct[0] is 0
+    sums = _sums(model, [truth, alt, (0.0, 0)], np.concatenate([distinct, distinct + k]))
+    # Expected scores with the true data, the alternative and neither, and the KL.
+    scores = sums[:, len(distinct) :] - sums[:, : len(distinct)]
+    values = scores[:3] - scores[2, 0]  # less the empty coalition's score
+    ends = np.stack([0 * distinct, distinct])  # s = 0 and s = M
+    p, q = (
+        (model.alpha + h + ends) / (model.alpha + model.beta + m + distinct) for h, m in (truth, alt)
+    )
+    differs = (np.abs(p - q) > _MEAN_RTOL * p).any(axis=0) | (k > 1 and truth != alt)
     holds = (masks >> target) & 1 == 1
     coalition_weight = np.bincount(
         which[holds], weights=weights.w[sizes[holds] - 1], minlength=len(distinct)
     )
-    games = np.where(holds, np.stack([with_true, with_alt])[:, which], without[which])
+    games = np.where(holds, values[:2, which], values[2, which])
     phi_true, phi_alt = exact_semivalue(games, weights)
     strict = bool(np.any(differs & (coalition_weight > 0)))
-    return phi_true, phi_alt, float(coalition_weight @ kl), strict
+    return phi_true, phi_alt, float(coalition_weight @ scores[3]), strict
 
 
 def _validate(model, n: int, target: int, weights: SemivalueWeights, k: int) -> None:

@@ -95,13 +95,17 @@ def make_weights(
     return SemivalueWeights(n, w, family)
 
 
+# Bits set in each mask below its length, kept between calls and doubled on
+# demand (popcount(x + 2^j) = popcount(x) + 1 for x < 2^j). Exact semivalues
+# read masks below 2^(n - 1), so it holds at most 2^(EXACT_LIMIT - 1) bytes.
+_POPCOUNTS = np.zeros(1, dtype=np.uint8)
+
+
 def _popcounts(size: int) -> np.ndarray:
-    masks = np.arange(size, dtype=np.int64)
-    counts = np.zeros(size, dtype=np.int64)
-    while masks.any():
-        counts += masks & 1
-        masks >>= 1
-    return counts
+    global _POPCOUNTS
+    while len(_POPCOUNTS) < size:
+        _POPCOUNTS = np.concatenate([_POPCOUNTS, _POPCOUNTS + 1])
+    return _POPCOUNTS[:size]
 
 
 def exact_semivalue(values, weights: SemivalueWeights) -> np.ndarray:
@@ -116,14 +120,15 @@ def exact_semivalue(values, weights: SemivalueWeights) -> np.ndarray:
         raise ConfigurationError(
             f"a game of {n} sources needs {2**n} values on its last axis, got shape {values.shape}"
         )
-    masks = np.arange(2**n, dtype=np.int64)
-    sizes = _popcounts(2**n)
+    low = np.arange(2 ** (n - 1), dtype=np.int64)
+    # Inserting a zero bit keeps a mask's size: one weight column serves every i.
+    w = weights.w[_popcounts(len(low)), None]
     phi = np.empty(values.shape[:-1] + (n,))
     for i in range(n):
-        without = masks[(masks >> i) & 1 == 0]
+        without = (low >> i << (i + 1)) | (low & ((1 << i) - 1))  # ascending, bit i clear
         gains = np.take(values, without | (1 << i), axis=-1) - np.take(values, without, axis=-1)
         # One (1, m) @ (m, 1) dot product per game, whatever is stacked with it.
-        phi[..., i] = (gains[..., None, :] @ weights.w[sizes[without], None])[..., 0, 0]
+        phi[..., i] = (gains[..., None, :] @ w)[..., 0, 0]
     return phi
 
 

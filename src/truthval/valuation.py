@@ -364,11 +364,16 @@ class CoalitionScorer:
             check_consistent([*sources, *alternatives, pool])
             if subsets is None:
                 subsets = [np.arange(len(pool))]
-            subsets = [np.asarray(idx, dtype=int) for idx in subsets]
+            subsets = [np.asarray(idx) for idx in subsets]
             if any(idx.size == 0 for idx in subsets):
                 raise InputError("validation set must be non-empty")
-            if any(idx.min() < 0 or idx.max() >= len(pool) for idx in subsets):
-                raise ConfigurationError(f"subsets index pool rows, each in [0, {len(pool)})")
+            if any(
+                idx.ndim != 1 or idx.dtype.kind not in "iu" or idx.min() < 0 or idx.max() >= len(pool)
+                for idx in subsets
+            ):
+                raise ConfigurationError(
+                    f"subsets index pool rows, each a list of integers in [0, {len(pool)})"
+                )
             union = np.unique(np.concatenate(subsets))
             if union.size < len(pool):  # only the pool rows that a validation set reads
                 pool = take_rows(pool, union)

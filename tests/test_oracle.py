@@ -1,7 +1,8 @@
 """Exact enumeration oracle for the truthfulness guarantees."""
 
+import functools
 import math
-from itertools import product
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from truthval import (
     oracle_rank_gap,
     oracle_semivalue_truthfulness,
 )
+from truthval.data import outputs_dataset
 from truthval.errors import InputError, UnsupportedConfigurationError
 
 MODEL = BetaBernoulliModel(1, 1)
@@ -70,6 +72,42 @@ class TestDvfOracle:
             else:
                 assert verdict.gap == pytest.approx(0.0, abs=1e-12)
 
+    @pytest.mark.parametrize("k", [30, 60, 100, 200])
+    def test_strict_when_every_sequence_is_rarer_than_1e_12(self, k):
+        # Flipping one of 100 alternating labels moves the posterior. From
+        # k = 60 on, every k-label sequence has probability below 1e-12, so no
+        # two sequence probabilities differ by more, yet the gap is the
+        # positive KL: strictness is decided from the two laws.
+        labels = np.arange(100) % 2.0
+        flipped = labels.copy()
+        flipped[0] = 1.0 - flipped[0]
+        verdict = oracle_dvf_truthfulness(
+            MODEL, binary_dataset(labels), binary_dataset(flipped), validation_size=k
+        )
+        assert verdict.strict
+        assert verdict.gap > 0.0
+        assert verdict.gap == pytest.approx(verdict.kl_total, abs=1e-12)
+
+    def test_one_label_cannot_tell_a_duplicated_balanced_dataset(self):
+        # Both posteriors have mean 1/2; two labels would tell them apart.
+        truth = binary_dataset(np.arange(100) % 2.0)
+        twice = concat_datasets([truth, truth])
+        one = oracle_dvf_truthfulness(MODEL, truth, twice, validation_size=1)
+        assert not one.strict
+        assert one.gap == pytest.approx(0.0, abs=1e-12)
+        assert oracle_dvf_truthfulness(MODEL, truth, twice, validation_size=2).strict
+
+    def test_outputs_are_read_as_zero_one_counts(self):
+        with pytest.raises(InputError, match="0/1"):
+            oracle_dvf_truthfulness(MODEL, outputs_dataset([1.0, 0.5]), binary_dataset([1]), 1)
+        with pytest.raises(InputError, match="0/1"):
+            oracle_dvf_truthfulness(MODEL, binary_dataset([1]), outputs_dataset([2.0]), 1)
+        # 0/1 outputs of any kind count, as in the worked two-point instance.
+        verdict = oracle_dvf_truthfulness(
+            MODEL, outputs_dataset([1.0, 0.0]), binary_dataset([1, 1]), validation_size=1
+        )
+        assert verdict.gap == pytest.approx(0.5 * math.log(2 / 3) + 0.5 * math.log(2), abs=1e-12)
+
     def test_non_enumerable_model_rejected(self):
         with pytest.raises(UnsupportedConfigurationError):
             oracle_dvf_truthfulness(
@@ -111,6 +149,17 @@ class TestSemivalueOracle:
         )
         assert verdict.gap == pytest.approx(0.0, abs=1e-12)
         assert not verdict.strict
+
+    def test_one_label_tells_the_posteriors_apart_once_others_join(self):
+        # With another member's row the two means (2 + s) / 5 and (3 + s) / 7
+        # differ for every s, so the duplicated [1, 0] is strict under Shapley.
+        sources = [binary_dataset([1, 0]), binary_dataset([1])]
+        verdict = oracle_semivalue_truthfulness(
+            MODEL, sources, binary_dataset([1, 0, 1, 0]), target=0,
+            weights=make_weights("shapley", 2), validation_size=1,
+        )
+        assert verdict.strict
+        assert verdict.gap > 0.0
 
     def test_shapley_gap_nonnegative_two_sources(self):
         truth = binary_dataset([1, 0])
@@ -292,9 +341,61 @@ class TestAgainstBruteForce:
                 np.testing.assert_allclose((own, theirs), want, rtol=0, atol=1e-12)
 
 
+@pytest.mark.parametrize("family", FAMILIES)
+def test_a_fixed_instance_matches_outcome_enumeration(family):
+    # A deterministic companion to the search above, on every field it reads:
+    # the expected values themselves, not only their gap, and the other's drop.
+    sources = [binary_dataset([1, 0, 1]), binary_dataset([1]), binary_dataset([0, 1])]
+    alt, weights = binary_dataset([1, 1]), family_weights(family, 3)
+    phi_true, phi_alt, kl, differs = brute_force(MODEL, sources, alt, 0, weights, 2)
+    verdict = oracle_semivalue_truthfulness(MODEL, sources, alt, 0, weights, 2)
+    got = (verdict.expected_truthful, verdict.expected_alt, verdict.kl_total)
+    np.testing.assert_allclose(got, (phi_true[0], phi_alt[0], kl), rtol=0, atol=1e-12)
+    assert verdict.strict == differs
+    for other in (1, 2):
+        drops = oracle_rank_gap(MODEL, sources, alt, 0, other, weights, 2)
+        want = (phi_true[0] - phi_alt[0], phi_true[other] - phi_alt[other])
+        np.testing.assert_allclose(drops, want, rtol=0, atol=1e-12)
+
+
 def large_instance(n_sources, rows, seed):
     rng = np.random.default_rng(seed)
     return [binary_dataset((rng.random(rows) < 0.6).astype(float)) for _ in range(n_sources)]
+
+
+def grid_reference_gap(sources, alt, k):
+    """Shapley gap of source 0 under Beta(1, 1) at 30 digits: per coalition,
+    the expected log-score difference over the joint law of s successes among
+    the other members' M rows and t among the k labels."""
+    import mpmath as mp
+
+    @functools.lru_cache(maxsize=None)
+    def log_beta(x, y):
+        return mp.loggamma(x) + mp.loggamma(y) - mp.loggamma(x + y)
+
+    def score(h, m, big, s, t):
+        return log_beta(1 + h + s + t, 1 + m - h + big - s + k - t) - log_beta(1 + h + s, 1 + m - h + big - s)
+
+    @functools.lru_cache(maxsize=None)
+    def kl(big):
+        total = mp.mpf(0)
+        for s in range(big + 1):
+            for t in range(k + 1):
+                law = mp.binomial(big, s) * mp.binomial(k, t) * mp.exp(
+                    log_beta(1 + h + s + t, 1 + m - h + big - s + k - t) - log_beta(1 + h, 1 + m - h)
+                )
+                total += law * (score(h, m, big, s, t) - score(h_alt, m_alt, big, s, t))
+        return total
+
+    n = len(sources)
+    (h, m), (h_alt, m_alt) = ((int(ds.outputs.sum()), len(ds)) for ds in (sources[0], alt))
+    with mp.workdps(30):
+        gap = mp.mpf(0)
+        for size in range(n):
+            weight = mp.mpf(math.factorial(size) * math.factorial(n - 1 - size)) / math.factorial(n)
+            for others in combinations(range(1, n), size):
+                gap += weight * kl(sum(len(sources[j]) for j in others))
+        return float(gap)
 
 
 class TestBeyondOutcomeEnumeration:
@@ -338,6 +439,22 @@ class TestBeyondOutcomeEnumeration:
         dvf = oracle_dvf_truthfulness(MODEL, sources[2], alt, self.VALIDATION)
         assert semi.gap == pytest.approx(dvf.gap, rel=1e-12, abs=1e-13)
         assert semi.kl_total == pytest.approx(dvf.kl_total, rel=1e-12, abs=1e-13)
+
+    @pytest.mark.parametrize("case", ["3x40-duplicate-k50", "1x30-flip-k200"])
+    def test_gap_matches_a_thirty_digit_reference(self, case):
+        # Summed in mpmath over the (M + 1) x (k + 1) grid of success counts
+        # that the oracle folds onto s + t. Left unnormalized, the oracle's
+        # laws moved the first gap by about 1e-12. Summing the two-dimensional
+        # grid in floating point missed the second by 1.2e-12.
+        if case == "3x40-duplicate-k50":
+            sources, k = large_instance(3, 40, seed=4), 50
+            alt = concat_datasets([sources[0], sources[0]])
+        else:
+            sources, k = large_instance(6, 30, seed=1)[:1], self.VALIDATION
+            alt = binary_dataset(1.0 - sources[0].outputs)
+        weights = make_weights("shapley", len(sources))
+        verdict = oracle_semivalue_truthfulness(MODEL, sources, alt, 0, weights, k)
+        assert abs(verdict.gap - grid_reference_gap(sources, alt, k)) <= 1e-13
 
     def test_more_than_twenty_sources_rejected(self):
         sources = [binary_dataset([1.0])] * 21

@@ -189,6 +189,23 @@ class TestExactSemivalue:
             alone = exact_semivalue(games[index], weights)
             np.testing.assert_allclose(phi[index], alone, rtol=1e-13, atol=0)
 
+    @pytest.mark.parametrize("n", [1, 2, 5, 9])
+    def test_same_bits_as_filtering_every_mask(self, n):
+        # The without-masks and their sizes are built without a 2^n table;
+        # the gains and the dot products they feed must not change, in any
+        # order of n (the size table is kept between calls).
+        rng = np.random.default_rng(n)
+        weights = make_weights("beta", n, alpha=4.0, beta=1.0)
+        games = rng.normal(size=(3, 2**n))
+        masks = np.arange(2**n)
+        sizes = np.array([bin(mask).count("1") for mask in masks])
+        want = np.empty((3, n))
+        for i in range(n):
+            without = masks[(masks >> i) & 1 == 0]
+            gains = np.take(games, without | (1 << i), axis=-1) - np.take(games, without, axis=-1)
+            want[:, i] = (gains[:, None, :] @ weights.w[sizes[without], None])[:, 0, 0]
+        assert np.array_equal(exact_semivalue(games, weights), want)
+
 
 def sampled_shapley(evaluator, n, n_permutations, seed):
     return sampled_semivalue(evaluator, make_weights("shapley", n), n_permutations, seed)

@@ -118,14 +118,16 @@ class TestScorerChecks:
         "case",
         [
             "swept-index-past-the-sources", "negative-swept-index", "no-variants",
-            "negative-subset-row", "subset-row-past-the-pool", "moments-for-one-of-two-points",
+            "negative-subset-row", "subset-row-past-the-pool", "fractional-subset-row",
+            "nested-subset", "moments-for-one-of-two-points",
             "moments-sd-zero", "moments-sd-not-finite", "cross-game-swept-index-past-the-sources",
             "cross-game-negative-swept-index",
         ],
     )
     def test_per_point_arguments_are_refused_by_name(self, family, case):
         # Unchecked, a GP dropped the variant of a swept index past the
-        # sources, row -1 scored the last pool row, and the rest raised bare
+        # sources, row -1 scored the last pool row, row 0.7 scored row 0, a
+        # nested subset failed as a 3-d input matrix, and the rest raised bare
         # ValueError, IndexError or NaN errors. cross_game_scorer picks a
         # split seed by the swept index before the scorer sees it.
         model, rows = FAMILIES[family]
@@ -137,6 +139,8 @@ class TestScorerChecks:
             "no-variants": ({"variants": (0, [])}, "variants"),
             "negative-subset-row": ({"subsets": [[-1]]}, "subsets"),
             "subset-row-past-the-pool": ({"subsets": [[0, 6]]}, "subsets"),
+            "fractional-subset-row": ({"subsets": [[0.7]]}, "subsets"),
+            "nested-subset": ({"subsets": [[[0, 1]]]}, "subsets"),
             "moments-for-one-of-two-points": (
                 {"variants": (1, [d, d]), "moments": [(0.0, 1.0)]}, "moments"
             ),
